@@ -19,22 +19,15 @@ validated the PR 1 fast path.  ``repro audit`` sweeps it with
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from repro.audit.report import AuditReport
 from repro.common.config import BusConfig, CacheConfig, MachineConfig, SimulationConfig
-from repro.prefetch.insertion import insert_prefetches
+from repro.experiments.runner import RunJob, execute, process_trace
 from repro.prefetch.strategies import strategy_by_name
-from repro.sim.engine import simulate
-from repro.trace.stream import MultiTrace
-from repro.workloads.registry import (
-    ALL_WORKLOAD_NAMES,
-    RESTRUCTURABLE_WORKLOAD_NAMES,
-    generate_workload,
-)
+from repro.workloads.registry import ALL_WORKLOAD_NAMES, RESTRUCTURABLE_WORKLOAD_NAMES
 
 __all__ = [
     "GRID_MACHINE_VARIANTS",
@@ -156,48 +149,25 @@ def quick_grid() -> tuple[GridPoint, ...]:
 
 # --------------------------------------------------------------- execution
 
-#: Per-process clean-trace LRU (grid points for one workload variant are
-#: contiguous, so two entries cover serial runs and chunked workers).
-_TRACE_CACHE: OrderedDict[tuple, MultiTrace] = OrderedDict()
-_TRACE_CACHE_LIMIT = 2
-
-
-def _clean_trace(
-    workload: str, restructured: bool, num_cpus: int, seed: int, scale: float
-) -> MultiTrace:
-    key = (workload, restructured, num_cpus, seed, scale)
-    trace = _TRACE_CACHE.get(key)
-    if trace is None:
-        trace = generate_workload(
-            workload,
-            num_cpus=num_cpus,
-            seed=seed,
-            scale=scale,
-            restructured=restructured,
-        )
-        _TRACE_CACHE[key] = trace
-        while len(_TRACE_CACHE) > _TRACE_CACHE_LIMIT:
-            _TRACE_CACHE.popitem(last=False)
-    else:
-        _TRACE_CACHE.move_to_end(key)
-    return trace
-
 
 def run_point(
     point: GridPoint, num_cpus: int, seed: int, scale: float
 ) -> PointOutcome:
-    """Simulate one grid point with audits enabled."""
-    trace = _clean_trace(point.workload, point.restructured, num_cpus, seed, scale)
-    machine = machine_for(point, num_cpus)
-    strategy = strategy_by_name(point.strategy)
-    annotated, _report = insert_prefetches(trace, strategy, machine.cache)
-    result = simulate(
-        annotated,
-        machine,
-        strategy_name=point.strategy,
-        sim_config=SimulationConfig(audit=True),
-        adaptive=strategy.adaptive_config(),
+    """Simulate one grid point with audits enabled.
+
+    Grid points for one workload variant are contiguous, so the
+    process's clean-trace LRU serves serial runs and chunked workers.
+    """
+    job = RunJob(
+        point.workload,
+        strategy_by_name(point.strategy),
+        machine_for(point, num_cpus),
+        point.restructured,
+        num_cpus,
+        seed,
+        scale,
     )
+    result = execute(job, SimulationConfig(audit=True), process_trace(job)).metrics
     assert result.audit is not None  # audit=True guarantees a report
     return PointOutcome(point=point, report=result.audit, exec_cycles=result.exec_cycles)
 

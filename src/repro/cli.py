@@ -81,7 +81,7 @@ from repro.experiments import (
     table5,
     utilization,
 )
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, grid_label, strategy_label
 from repro.metrics.formatting import format_run_summary, format_table
 from repro.perf.bench import DEFAULT_REPORT
 from repro.common.errors import ConfigurationError
@@ -569,9 +569,7 @@ def _cmd_c2c(args: argparse.Namespace) -> int:
     )
     result = runner.run(workload, strategy, _machine(args), restructured=args.restructured)
     profile = result.obs.lines
-    label = f"{workload}/{strategy.name}"
-    if args.restructured:
-        label += "+restructured"
+    label = f"{workload}/{strategy_label(strategy.name, args.restructured)}"
     if not profile.lines:
         print(f"{label}: no line activity recorded (nothing missed or used the bus)")
         return 0
@@ -840,12 +838,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         from repro.telemetry.tracing import SpanTracer, new_trace_id
 
         tracer = SpanTracer()
-        for workload, strategy, job_machine in jobs:
-            transfer = job_machine.describe().get("transfer_cycles", "?")
-            trace_ids[f"{workload}/{strategy.name}@{transfer}c"] = new_trace_id()
-        telemetry.trace_contexts = {
-            label: (tid, None) for label, tid in trace_ids.items()
-        }
+        telemetry.trace_contexts = {}
+        for job in (runner.job(*job) for job in jobs):
+            trace_ids[job.label] = new_trace_id()
+            telemetry.trace_contexts[job.config_key] = (trace_ids[job.label], None)
         telemetry.span_sink = tracer.record_dict
     if not as_json:
         print(
@@ -1066,14 +1062,13 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
     if shown:
         print()
         for entry in shown:
-            label = f"{entry.workload}/{entry.strategy}"
-            if entry.restructured:
-                label += "+restructured"
-            transfer = entry.machine.get("transfer_cycles", "?")
-            line = (
-                f"{entry.timestamp}  {label}@{transfer}c  "
-                f"[{entry.outcome}/{entry.cache}]"
+            label = grid_label(
+                entry.workload,
+                entry.strategy,
+                entry.restructured,
+                entry.machine.get("transfer_cycles", "?"),
             )
+            line = f"{entry.timestamp}  {label}  [{entry.outcome}/{entry.cache}]"
             if entry.outcome == "ok" and entry.wall_seconds:
                 line += (
                     f"  {entry.wall_seconds:.2f}s, "

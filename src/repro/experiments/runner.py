@@ -1,12 +1,25 @@
-"""Shared experiment execution with trace and result caching.
+"""Shared experiment execution: one frozen job, one pipeline, caches around it.
 
-An :class:`ExperimentRunner` pins the experimental frame (CPU count,
-seed, workload scale) and memoises:
+A :class:`RunJob` is the full input of one simulation -- workload
+variant, strategy, machine and the runner frame (CPUs, seed, scale) --
+and owns the run's identity: :meth:`RunJob.payload` and its
+``config_key`` (the disk cache's key, the ledger's ``config_key`` and
+the service's dedup key), and the grid-point :attr:`RunJob.label`.
+Jobs are hashable, so they key the result memo as well.
 
-* *clean traces* per (workload, restructured) -- generation is pure
-  Python and worth avoiding per strategy (a small LRU bounds memory);
-* *simulation results* per (workload, restructured, strategy, machine)
-  -- Figure 1, Table 2, Figure 2 and Figure 3 all share runs.
+:func:`execute` is the pipeline, written once: insert the strategy's
+prefetches into the job's clean trace, simulate it on the job's machine
+and collect the metrics under the job's strategy label.  Every path
+calls it: :meth:`ExperimentRunner.run` in process, the process-pool
+worker on its per-process trace LRU, and the audited grid
+(:mod:`repro.audit.grid`).
+
+An :class:`ExperimentRunner` pins the experimental frame and memoises
+
+* *clean traces* per workload variant -- generation is pure Python and
+  worth avoiding per strategy (a small LRU bounds memory);
+* *simulation results* per :class:`RunJob` -- Figure 1, Table 2,
+  Figure 2 and Figure 3 all share runs.
 
 Annotated (prefetch-inserted) traces are *not* cached: they are cheap
 to rebuild relative to simulation and expensive to hold.
@@ -14,41 +27,36 @@ to rebuild relative to simulation and expensive to hold.
 On top of the in-memory memo the runner optionally layers
 
 * a **persistent disk cache** (``disk_cache=``, see
-  :mod:`repro.perf.diskcache`): results keyed by a content hash of the
-  full simulation input -- workload spec, scale, seed, strategy,
-  machine config and :data:`~repro.sim.engine.ENGINE_VERSION` -- so a
-  repeated bench session re-simulates nothing; and
-* a **process-parallel backend** (``max_workers=``): batch entry
-  points (:meth:`run_many`, and :meth:`sweep`/:meth:`compare` which
-  route through it) fan uncached simulations out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Each simulation
-  is a pure function of its inputs, so parallel results are
-  *byte-identical* to serial ones; results always come back in job
-  order, never completion order; and
+  :mod:`repro.perf.diskcache`) keyed by the job's ``config_key`` --
+  every field that can change a result, including
+  :data:`~repro.sim.engine.ENGINE_VERSION` -- so a repeated bench
+  session re-simulates nothing;
+* a **process-parallel backend** (``max_workers=``): :meth:`run_many`
+  (and :meth:`sweep`/:meth:`compare`, which route through it) fans new
+  simulations over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+  Each simulation is a pure function of its job, so parallel results
+  are *byte-identical* to serial ones and come back in job order; and
 * **fleet telemetry** (``telemetry=`` on :meth:`run_many`, see
-  :mod:`repro.telemetry`): a run ledger entry per simulation, live
-  worker heartbeats with a stall watchdog, per-run profiling and a
-  metrics registry.  Strictly opt-in -- without a
-  :class:`~repro.telemetry.fleet.TelemetryConfig` the runner takes its
-  original code paths and results are bit-identical.  Worker failures
-  in a telemetered batch never hang the pool or silently drop grid
-  points: every failed point is recorded (ledger ``outcome: error`` /
-  ``timeout``) and surfaced in one structured
-  :class:`~repro.telemetry.fleet.FleetError`.
+  :mod:`repro.telemetry.fleet`): a ledger entry per simulation, live
+  heartbeats with a stall watchdog, per-run profiling and a metrics
+  registry.  A batch without a config runs under a disabled one, on
+  the same path.  A failed grid point never aborts the batch: every
+  failure is collected (and ledgered when telemetry is on) and raised
+  once as a :class:`~repro.telemetry.fleet.FleetError` after the
+  surviving points are stored.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue as queue_module
-import signal
-import sys
+import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any
 
@@ -58,23 +66,22 @@ from repro.metrics.results import RunMetrics
 from repro.perf.diskcache import ResultDiskCache, content_key
 from repro.prefetch.insertion import insert_prefetches
 from repro.prefetch.strategies import NP, PrefetchStrategy
-from repro.sim.engine import ENGINE_VERSION, simulate
-from repro.telemetry.fleet import (
-    FleetError,
-    JobFailure,
-    TelemetryConfig,
-    run_telemetered_job,
-)
-from repro.telemetry.heartbeat import FleetMonitor, Watchdog, render_fleet_progress
-from repro.telemetry.ledger import LedgerEntry
+from repro.sim.engine import ENGINE_VERSION, SimulationEngine, simulate
+from repro.telemetry.fleet import FleetError, JobFailure, Probe, TelemetryConfig
 from repro.trace.stream import MultiTrace
 from repro.workloads.registry import generate_workload
 
 __all__ = [
     "DEFAULT_TRANSFER_LATENCIES",
+    "Execution",
     "ExperimentRunner",
+    "RunJob",
     "StrategyResult",
+    "execute",
+    "grid_label",
+    "process_trace",
     "run_strategy",
+    "strategy_label",
 ]
 
 #: The paper's data-bus transfer-latency sweep (Table 2, Figure 2).
@@ -83,6 +90,9 @@ DEFAULT_TRANSFER_LATENCIES: tuple[int, ...] = (4, 8, 16, 32)
 #: Transfer latency used by the fixed-machine experiments (Figures 1, 3;
 #: Tables 3, 4).
 DEFAULT_FIGURE_LATENCY = 8
+
+#: Clean traces each trace LRU keeps: a runner's, or a process's.
+TRACE_CACHE_SIZE = 3
 
 
 @dataclass(frozen=True)
@@ -94,75 +104,184 @@ class StrategyResult:
     comparison: RunComparison
 
 
-def _strategy_key(strategy: PrefetchStrategy) -> tuple:
-    # PrefetchStrategy is a frozen dataclass: its equality/hash already
-    # covers every field, so the instance itself is the cache key.
-    return (strategy,)
+def strategy_label(name: str, restructured: bool) -> str:
+    """A run's strategy label: the name, plus ``+restructured`` for the
+    restructured workload variant (what ``RunMetrics.strategy`` holds)."""
+    return f"{name}+restructured" if restructured else name
 
 
-def _machine_key(machine: MachineConfig) -> tuple:
-    return tuple(sorted(machine.describe().items()))
+def grid_label(workload: str, strategy: str, restructured: bool, transfer_cycles: Any) -> str:
+    """The grid-point label: ``<workload>/<strategy>[+restructured]@<N>c``."""
+    return f"{workload}/{strategy_label(strategy, restructured)}@{transfer_cycles}c"
 
 
-#: Per-worker-process clean-trace LRU (workers are reused across jobs,
-#: and jobs for the same workload shouldn't regenerate its trace).
-_WORKER_TRACES: OrderedDict[tuple, MultiTrace] = OrderedDict()
-_WORKER_TRACE_LIMIT = 3
+@dataclass(frozen=True)
+class RunJob:
+    """The full input of one simulation, and so its identity.
+
+    Every field is hashable, so a job is its own memo key.
+    """
+
+    workload: str
+    strategy: PrefetchStrategy
+    machine: MachineConfig
+    restructured: bool = False
+    num_cpus: int = 12
+    seed: int = 42
+    scale: float = 1.0
+
+    @property
+    def strategy_label(self) -> str:
+        """The strategy label the result carries."""
+        return strategy_label(self.strategy.name, self.restructured)
+
+    @property
+    def label(self) -> str:
+        """Human-readable grid-point label (progress lines, failures)."""
+        return grid_label(
+            self.workload, self.strategy.name, self.restructured, self.machine.bus.transfer_cycles
+        )
+
+    def payload(self) -> dict[str, Any]:
+        """The full simulation input, as hashed into :attr:`config_key`.
+
+        Every field that can change the result is present -- including
+        ``engine_version``, so behavior-altering engine changes never
+        serve stale cache entries.
+        """
+        return {
+            "workload": self.workload,
+            "restructured": self.restructured,
+            "num_cpus": self.num_cpus,
+            "seed": self.seed,
+            "scale": self.scale,
+            "strategy": asdict(self.strategy),
+            "machine": self.machine.describe(),
+            "engine_version": ENGINE_VERSION,
+        }
+
+    @cached_property
+    def config_key(self) -> str:
+        """SHA-256 content hash of :meth:`payload`."""
+        return content_key(self.payload())
 
 
-def _simulate_job(
+@dataclass(frozen=True)
+class Execution:
+    """What one :func:`execute` call produced.
+
+    Attributes:
+        metrics: the run's :class:`RunMetrics` (its ``to_dict()`` form
+            while crossing back from a pool worker).
+        wall_seconds: insertion plus simulation wall time.
+        events: trace events retired.
+        worker_pid: the process that executed the job.
+        profile_rows: ``cProfile`` rows, when the probe asked for them.
+    """
+
+    metrics: Any
+    wall_seconds: float
+    events: int
+    worker_pid: int
+    profile_rows: list = field(default_factory=list)
+
+
+def execute(
+    job: RunJob,
+    sim_config: SimulationConfig,
+    trace: MultiTrace,
+    probe: Probe | None = None,
+) -> Execution:
+    """Run ``job``'s pipeline on its clean ``trace``.
+
+    Inserts the strategy's prefetches, simulates the annotated trace on
+    the job's machine and collects the metrics under the job's strategy
+    label.  Without a ``probe`` the engine runs through
+    :func:`~repro.sim.engine.simulate`; with one it runs under the
+    probe's heartbeat sampler, ``cProfile`` and spans, as the probe
+    asks, and the probe keeps the returned :class:`Execution`.
+    """
+    started = time.perf_counter()
+    annotated, _report = insert_prefetches(trace, job.strategy, job.machine.cache)
+    events = sum(len(cpu_trace) for cpu_trace in annotated.cpus)
+    adaptive = job.strategy.adaptive_config()
+    rows: list = []
+    if probe is None:
+        metrics = simulate(
+            annotated,
+            job.machine,
+            strategy_name=job.strategy_label,
+            sim_config=sim_config,
+            adaptive=adaptive,
+        )
+    else:
+        engine = SimulationEngine(annotated, job.machine, sim_config, adaptive=adaptive)
+        with probe.watch(engine, events, started) as rows:
+            engine.run()
+            metrics = engine.collect_metrics(job.strategy_label)
+    done = Execution(metrics, time.perf_counter() - started, events, os.getpid(), rows)
+    if probe is not None:
+        probe.execution = done
+    return done
+
+
+def _cached_trace(
+    cache: OrderedDict[tuple, MultiTrace],
     workload: str,
     restructured: bool,
     num_cpus: int,
     seed: int,
     scale: float,
-    strategy: PrefetchStrategy,
-    machine: MachineConfig,
-    sim_config: SimulationConfig | None = None,
-) -> dict[str, Any]:
-    """Run one simulation in a worker process.
-
-    Module-level so :class:`~concurrent.futures.ProcessPoolExecutor`
-    can pickle it.  Returns the metrics as a plain dict (picklable and
-    exactly what the disk cache stores) rather than a
-    :class:`RunMetrics`, keeping the wire format identical for
-    parallel, cached and remote results.
-    """
-    tkey = (workload, restructured, num_cpus, seed, scale)
-    trace = _WORKER_TRACES.get(tkey)
+) -> MultiTrace:
+    """A clean trace from an LRU dict, generated on a miss."""
+    key = (workload, restructured, num_cpus, seed, scale)
+    trace = cache.get(key)
     if trace is None:
-        trace = generate_workload(
-            workload,
-            num_cpus=num_cpus,
-            seed=seed,
-            scale=scale,
-            restructured=restructured,
+        trace = cache[key] = generate_workload(
+            workload, num_cpus=num_cpus, seed=seed, scale=scale, restructured=restructured
         )
-        _WORKER_TRACES[tkey] = trace
-        while len(_WORKER_TRACES) > _WORKER_TRACE_LIMIT:
-            _WORKER_TRACES.popitem(last=False)
+        while len(cache) > TRACE_CACHE_SIZE:
+            cache.popitem(last=False)
     else:
-        _WORKER_TRACES.move_to_end(tkey)
-    annotated, _report = insert_prefetches(trace, strategy, machine.cache)
-    label = strategy.name if not restructured else f"{strategy.name}+restructured"
-    result = simulate(
-        annotated,
-        machine,
-        strategy_name=label,
-        sim_config=sim_config if sim_config is not None else SimulationConfig(),
-        adaptive=strategy.adaptive_config(),
+        cache.move_to_end(key)
+    return trace
+
+
+#: This process's clean-trace LRU, for pool workers (reused across jobs)
+#: and the audited grid.
+_PROCESS_TRACES: OrderedDict[tuple, MultiTrace] = OrderedDict()
+
+
+def process_trace(job: RunJob) -> MultiTrace:
+    """``job``'s clean trace from this process's LRU."""
+    return _cached_trace(
+        _PROCESS_TRACES, job.workload, job.restructured, job.num_cpus, job.seed, job.scale
     )
-    return result.to_dict()
+
+
+def _execute_in_worker(
+    job: RunJob, sim_config: SimulationConfig, probe: Probe | None
+) -> Execution:
+    """Process-pool worker: :func:`execute` on this process's trace LRU.
+
+    The metrics cross back in their ``to_dict()`` form, exactly what
+    the disk cache stores, so pooled and cached results share a format.
+    """
+    done = execute(job, sim_config, process_trace(job), probe)
+    return replace(done, metrics=done.metrics.to_dict())
+
+
+# The pool worker replaced this job function; bench/layers.py wraps the name.
+run_telemetered_job = _execute_in_worker
 
 
 class ExperimentRunner:
-    """Caching façade over generate → insert → simulate.
+    """Caching façade over generate → :func:`execute`.
 
     Args:
         num_cpus: processors for every run.
         seed: workload-generation seed.
         scale: workload work multiplier (trace length knob).
-        trace_cache_size: clean traces kept in memory (LRU).
         max_workers: worker processes for the batch entry points
             (:meth:`run_many`, :meth:`sweep`, :meth:`compare`).  None,
             0 or 1 keeps everything serial and in-process (default).
@@ -181,7 +300,6 @@ class ExperimentRunner:
         num_cpus: int = 12,
         seed: int = 42,
         scale: float = 1.0,
-        trace_cache_size: int = 3,
         max_workers: int | None = None,
         disk_cache: str | Path | None = None,
         sim_config: SimulationConfig | None = None,
@@ -192,35 +310,35 @@ class ExperimentRunner:
         self.max_workers = max_workers
         self.sim_config = sim_config if sim_config is not None else SimulationConfig()
         self.disk_cache = ResultDiskCache(disk_cache) if disk_cache else None
-        self._trace_cache: OrderedDict[tuple, MultiTrace] = OrderedDict()
-        self._trace_cache_size = trace_cache_size
-        self._results: dict[tuple, RunMetrics] = {}
+        self._traces: OrderedDict[tuple, MultiTrace] = OrderedDict()
+        self._results: dict[RunJob, RunMetrics] = {}
         self._trace_metadata: dict[tuple, dict[str, Any]] = {}
 
     def base_machine(self) -> MachineConfig:
         """The default machine for this runner's frame (matching CPUs)."""
         return MachineConfig(num_cpus=self.num_cpus)
 
+    def job(
+        self,
+        workload: str,
+        strategy: PrefetchStrategy,
+        machine: MachineConfig,
+        restructured: bool = False,
+    ) -> RunJob:
+        """The :class:`RunJob` of one configuration in this runner's frame."""
+        return RunJob(
+            workload, strategy, machine, restructured, self.num_cpus, self.seed, self.scale
+        )
+
     # --------------------------------------------------------------- traces
 
     def clean_trace(self, workload: str, restructured: bool = False) -> MultiTrace:
         """The NP (un-annotated) trace for a workload variant (cached)."""
-        key = (workload, restructured)
-        trace = self._trace_cache.get(key)
-        if trace is not None:
-            self._trace_cache.move_to_end(key)
-            return trace
-        trace = generate_workload(
-            workload,
-            num_cpus=self.num_cpus,
-            seed=self.seed,
-            scale=self.scale,
-            restructured=restructured,
+        trace = _cached_trace(
+            self._traces, workload, restructured, self.num_cpus, self.seed, self.scale
         )
-        self._trace_cache[key] = trace
-        self._trace_metadata[key] = dict(trace.metadata)
-        while len(self._trace_cache) > self._trace_cache_size:
-            self._trace_cache.popitem(last=False)
+        if (workload, restructured) not in self._trace_metadata:
+            self._trace_metadata[(workload, restructured)] = dict(trace.metadata)
         return trace
 
     def trace_metadata(self, workload: str, restructured: bool = False) -> dict[str, Any]:
@@ -232,55 +350,32 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------ disk cache
 
-    def _cache_payload(
-        self,
-        workload: str,
-        strategy: PrefetchStrategy,
-        machine: MachineConfig,
-        restructured: bool,
-    ) -> dict[str, Any]:
-        """The full simulation input, as hashed into the cache key.
-
-        Every field that can change the result is present -- including
-        ``engine_version``, so behavior-altering engine changes never
-        serve stale entries.
-        """
-        return {
-            "workload": workload,
-            "restructured": restructured,
-            "num_cpus": self.num_cpus,
-            "seed": self.seed,
-            "scale": self.scale,
-            "strategy": asdict(strategy),
-            "machine": machine.describe(),
-            "engine_version": ENGINE_VERSION,
-        }
-
-    def _disk_load(
-        self,
-        workload: str,
-        strategy: PrefetchStrategy,
-        machine: MachineConfig,
-        restructured: bool,
-    ) -> RunMetrics | None:
-        if self.disk_cache is None or self.sim_config.audit or self.sim_config.observe:
+    @property
+    def _usable_cache(self) -> ResultDiskCache | None:
+        """The disk cache, unless audits or taps bypass it."""
+        if self.sim_config.audit or self.sim_config.observe:
             return None
-        payload = self._cache_payload(workload, strategy, machine, restructured)
-        data = self.disk_cache.load(content_key(payload))
-        return RunMetrics.from_dict(data) if data is not None else None
+        return self.disk_cache
 
-    def _disk_store(
-        self,
-        workload: str,
-        strategy: PrefetchStrategy,
-        machine: MachineConfig,
-        restructured: bool,
-        result: RunMetrics,
-    ) -> None:
-        if self.disk_cache is None or self.sim_config.audit or self.sim_config.observe:
-            return
-        payload = self._cache_payload(workload, strategy, machine, restructured)
-        self.disk_cache.store(content_key(payload), result.to_dict(), payload)
+    def _lookup(self, job: RunJob) -> tuple[RunMetrics | None, str]:
+        """A memo or disk-cache hit for ``job``, with its kind (``"memo"``
+        or ``"hit"``); a disk hit is memoised."""
+        result = self._results.get(job)
+        if result is not None:
+            return result, "memo"
+        cache = self._usable_cache
+        data = cache.load(job.config_key) if cache is not None else None
+        if data is None:
+            return None, "hit"
+        result = self._results[job] = RunMetrics.from_dict(data)
+        return result, "hit"
+
+    def _keep(self, job: RunJob, result: RunMetrics) -> None:
+        """Store a fresh result on disk (when usable) and in the memo."""
+        cache = self._usable_cache
+        if cache is not None:
+            cache.store(job.config_key, result.to_dict(), job.payload())
+        self._results[job] = result
 
     # ----------------------------------------------------------------- runs
 
@@ -290,26 +385,22 @@ class ExperimentRunner:
         strategy: PrefetchStrategy,
         machine: MachineConfig,
         restructured: bool = False,
+        *,
+        probe: Probe | None = None,
     ) -> RunMetrics:
-        """Simulate one configuration (memoised, disk-cached)."""
-        key = (workload, restructured, _strategy_key(strategy), _machine_key(machine))
-        cached = self._results.get(key)
-        if cached is not None:
-            return cached
-        result = self._disk_load(workload, strategy, machine, restructured)
-        if result is None:
-            clean = self.clean_trace(workload, restructured)
-            annotated, _report = insert_prefetches(clean, strategy, machine.cache)
-            label = strategy.name if not restructured else f"{strategy.name}+restructured"
-            result = simulate(
-                annotated,
-                machine,
-                strategy_name=label,
-                sim_config=self.sim_config,
-                adaptive=strategy.adaptive_config(),
-            )
-            self._disk_store(workload, strategy, machine, restructured, result)
-        self._results[key] = result
+        """Simulate one configuration (memoised, disk-cached).
+
+        ``probe`` instruments a fresh execution (see
+        :class:`~repro.telemetry.fleet.Probe`); :meth:`run_many` passes
+        one per point of a telemetered batch.
+        """
+        job = self.job(workload, strategy, machine, restructured)
+        result, _kind = self._lookup(job)
+        if result is not None:
+            return result
+        trace = self.clean_trace(workload, restructured)
+        result = execute(job, self.sim_config, trace, probe).metrics
+        self._keep(job, result)
         return result
 
     def run_many(
@@ -323,397 +414,111 @@ class ExperimentRunner:
         ``(workload, strategy, machine, restructured)`` tuples.  Memo
         and disk-cache hits are resolved first; only genuinely new
         configurations are simulated (each distinct one exactly once,
-        duplicates collapse).  With ``max_workers > 1`` the new work
-        fans out over a process pool; results are returned in **job
-        order** regardless of completion order, and -- simulation being
-        a pure function -- are byte-identical to a serial run.
+        duplicates collapse).  Serially each goes through :meth:`run`;
+        with ``max_workers > 1`` they fan out over a process pool.
+        Results are returned in **job order** regardless of completion
+        order, and -- simulation being a pure function -- are
+        byte-identical either way.
 
         With a :class:`~repro.telemetry.fleet.TelemetryConfig` the
         batch additionally appends a run-ledger entry per disk hit and
         per fresh simulation, streams worker heartbeats to a live fleet
         progress line with a stall watchdog, optionally profiles each
-        worker run, and updates the config's metrics registry.  A
-        worker failure no longer aborts the batch mid-flight: every
-        failed grid point is recorded in the ledger (``outcome:
-        error``/``timeout``) and collected into one
-        :class:`~repro.telemetry.fleet.FleetError` raised after all
-        surviving points have been stored.
+        run, and updates the config's metrics registry.  Either way a
+        failed point does not abort the batch: every failure is
+        collected (and ledgered, ``outcome: error``/``timeout``) into
+        one :class:`~repro.telemetry.fleet.FleetError`, raised after
+        all surviving points have been stored.
         """
-        norm: list[tuple[str, PrefetchStrategy, MachineConfig, bool]] = []
-        for job in jobs:
-            if len(job) == 3:
-                workload, strategy, machine = job
-                restructured = False
+        if telemetry is None:
+            telemetry = TelemetryConfig(enabled=False)
+        batch = [self.job(*job) for job in jobs]
+        results: list[RunMetrics | None] = [None] * len(batch)
+        todo: dict[RunJob, list[int]] = {}
+        recorded: set[RunJob] = set()
+        for i, job in enumerate(batch):
+            result, kind = self._lookup(job)
+            if result is None:
+                todo.setdefault(job, []).append(i)
             else:
-                workload, strategy, machine, restructured = job
-            norm.append((workload, strategy, machine, restructured))
+                results[i] = result
+                if job not in recorded:
+                    recorded.add(job)
+                    telemetry.record_hit(job, result, kind)
+        if todo:
+            failures = self._execute_pending(todo, results, telemetry)
+            if failures:
+                heads = "; ".join(f"{f.label}: {f.message}" for f in failures[:3])
+                more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
+                raise FleetError(
+                    f"{len(failures)} of {len(todo)} grid points failed -- {heads}{more}",
+                    failures,
+                )
+        return results  # type: ignore[return-value]
 
-        metrics = telemetry.metrics() if telemetry is not None else None
-        results: list[RunMetrics | None] = [None] * len(norm)
-        todo: dict[tuple, list[int]] = {}
-        recorded: set[tuple] = set()
-        for i, (workload, strategy, machine, restructured) in enumerate(norm):
-            key = (workload, restructured, _strategy_key(strategy), _machine_key(machine))
-            cached = self._results.get(key)
-            hit_kind = "memo"
-            if cached is None:
-                cached = self._disk_load(workload, strategy, machine, restructured)
-                if cached is not None:
-                    self._results[key] = cached
-                    hit_kind = "hit"
-            if cached is not None:
-                results[i] = cached
-                if telemetry is not None and key not in recorded:
-                    recorded.add(key)
-                    metrics["cache"].inc(result=hit_kind)
-                    if hit_kind == "hit":
-                        # Memo hits stay out of the ledger: they were
-                        # ledgered when first simulated or disk-loaded.
-                        metrics["runs"].inc(outcome="ok")
-                        self._ledger_run(telemetry, norm[i], cached, cache="hit")
-            else:
-                todo.setdefault(key, []).append(i)
-
-        pending = [(key, norm[indices[0]]) for key, indices in todo.items()]
-        if telemetry is not None:
-            self._run_pending_telemetered(pending, todo, results, telemetry, metrics)
-            return results
-
-        workers = self.max_workers or 1
-        if len(pending) > 1 and workers > 1:
-            with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-                futures = [
-                    pool.submit(
-                        _simulate_job,
-                        workload,
-                        restructured,
-                        self.num_cpus,
-                        self.seed,
-                        self.scale,
-                        strategy,
-                        machine,
-                        self.sim_config,
-                    )
-                    for _key, (workload, strategy, machine, restructured) in pending
-                ]
-                for (key, job), future in zip(pending, futures):
-                    result = RunMetrics.from_dict(future.result())
-                    self._disk_store(*job, result)
-                    self._results[key] = result
-                    for i in todo[key]:
-                        results[i] = result
-        else:
-            for key, (workload, strategy, machine, restructured) in pending:
-                result = self.run(workload, strategy, machine, restructured)
-                for i in todo[key]:
-                    results[i] = result
-        return results
-
-    # ------------------------------------------------------- telemetered path
-
-    def _job_label(self, job: tuple) -> str:
-        """Human-readable grid-point label for progress and failures."""
-        workload, strategy, machine, restructured = job
-        name = strategy.name if not restructured else f"{strategy.name}+restructured"
-        transfer = machine.describe().get("transfer_cycles", "?")
-        return f"{workload}/{name}@{transfer}c"
-
-    def _disk_cache_state(self) -> str:
-        """Ledger cache field for a fresh run: ``"miss"`` or ``"off"``."""
-        active = (
-            self.disk_cache is not None
-            and not self.sim_config.audit
-            and not self.sim_config.observe
-        )
-        return "miss" if active else "off"
-
-    def _ledger_run(
+    def _execute_pending(
         self,
-        telemetry: TelemetryConfig,
-        job: tuple,
-        result: RunMetrics,
-        cache: str,
-        wall_seconds: float = 0.0,
-        events: int = 0,
-        worker_pid: int = 0,
-    ) -> None:
-        """Append one successful run to the ledger (no-op without one)."""
-        if telemetry.ledger is None:
-            return
-        workload, strategy, machine, restructured = job
-        trace_ctx = telemetry.trace_context(self._job_label(job))
-        telemetry.ledger.append(
-            LedgerEntry(
-                config_key=content_key(
-                    self._cache_payload(workload, strategy, machine, restructured)
-                ),
-                workload=workload,
-                restructured=restructured,
-                strategy=strategy.name,
-                machine=machine.describe(),
-                num_cpus=self.num_cpus,
-                seed=self.seed,
-                scale=self.scale,
-                engine_version=ENGINE_VERSION,
-                outcome="ok",
-                cache=cache,
-                wall_seconds=round(wall_seconds, 6),
-                events=events,
-                events_per_sec=round(events / wall_seconds, 3) if wall_seconds > 0 else 0.0,
-                worker_pid=worker_pid or os.getpid(),
-                summary=result.describe(),
-                trace_id=trace_ctx[0] if trace_ctx is not None else None,
-            )
-        )
-
-    def _ledger_failure(
-        self,
-        telemetry: TelemetryConfig,
-        job: tuple,
-        outcome: str,
-        message: str,
-    ) -> None:
-        """Append one failed run to the ledger (no-op without one)."""
-        if telemetry.ledger is None:
-            return
-        workload, strategy, machine, restructured = job
-        trace_ctx = telemetry.trace_context(self._job_label(job))
-        telemetry.ledger.append(
-            LedgerEntry(
-                config_key=content_key(
-                    self._cache_payload(workload, strategy, machine, restructured)
-                ),
-                workload=workload,
-                restructured=restructured,
-                strategy=strategy.name,
-                machine=machine.describe(),
-                num_cpus=self.num_cpus,
-                seed=self.seed,
-                scale=self.scale,
-                engine_version=ENGINE_VERSION,
-                outcome=outcome,
-                cache="off",
-                worker_pid=os.getpid(),
-                error=message,
-                trace_id=trace_ctx[0] if trace_ctx is not None else None,
-            )
-        )
-
-    def _accept_envelope(
-        self,
-        key: tuple,
-        job: tuple,
-        envelope: dict[str, Any],
-        todo: dict[tuple, list[int]],
+        todo: dict[RunJob, list[int]],
         results: list[RunMetrics | None],
         telemetry: TelemetryConfig,
-        metrics: dict[str, Any],
-    ) -> None:
-        """Store one telemetered worker result: memo, disk, ledger, metrics."""
-        result = RunMetrics.from_dict(envelope["metrics"])
-        self._disk_store(*job, result)
-        self._results[key] = result
-        for i in todo[key]:
-            results[i] = result
-        wall = envelope["wall_seconds"]
-        events = envelope["events"]
-        cache_state = self._disk_cache_state()
-        metrics["runs"].inc(outcome="ok")
-        metrics["cache"].inc(result=cache_state)
-        metrics["events"].inc(events)
-        metrics["wall"].observe(wall)
-        if telemetry.profile:
-            telemetry.merged_profile.merge(envelope["profile_rows"])
-        self._ledger_run(
-            telemetry,
-            job,
-            result,
-            cache=cache_state,
-            wall_seconds=wall,
-            events=events,
-            worker_pid=envelope["worker_pid"],
-        )
+    ) -> list[JobFailure]:
+        """Execute a batch's fresh points into ``results``; return the failures.
 
-    def _run_pending_telemetered(
-        self,
-        pending: list[tuple[tuple, tuple]],
-        todo: dict[tuple, list[int]],
-        results: list[RunMetrics | None],
-        telemetry: TelemetryConfig,
-        metrics: dict[str, Any],
-    ) -> None:
-        """Execute the uncached grid points with full fleet telemetry.
-
-        Parallel batches stream heartbeats over a manager queue; serial
-        ones over an in-process queue (same monitor, same progress
-        line).  ``job_timeout`` and the stall watchdog only *kill* on
-        the parallel backend -- in-process there is no one to kill --
-        but stalls are still flagged.  Failures are collected, ledgered
-        and raised once at the end as a :class:`FleetError`; surviving
-        points are stored normally first.
+        Pooled, each future is awaited with the telemetry's
+        ``job_timeout``; on expiry the worker (known from its
+        heartbeats) is killed so pool shutdown cannot block forever.  A
+        killed or crashed worker breaks the pool: its future and any
+        still-unfinished ones fail as ``timeout`` (when the watchdog
+        flagged them) or ``error``.  Completed results are kept.
         """
-        if not pending:
-            return
-        labels = {j: self._job_label(job) for j, (_key, job) in enumerate(pending)}
+        pending = list(todo)
         failures: list[JobFailure] = []
-        workers = self.max_workers or 1
-        parallel = len(pending) > 1 and workers > 1
-
-        def fail(j: int, job: tuple, kind: str, message: str) -> None:
-            failures.append(JobFailure(index=j, label=labels[j], kind=kind, message=message))
-            metrics["runs"].inc(outcome=kind)
-            self._ledger_failure(telemetry, job, kind, message)
-
-        watchdog = Watchdog(
-            stall_timeout=telemetry.stall_timeout,
-            kill=telemetry.kill_stalled and parallel,
-        )
-        render = render_fleet_progress if telemetry.progress else None
-
-        if parallel:
-            manager = multiprocessing.Manager()
-            beat_queue: Any = manager.Queue()
-        else:
-            manager = None
-            beat_queue = queue_module.SimpleQueue()
-        monitor = FleetMonitor(
-            beat_queue,
-            labels,
-            watchdog=watchdog,
-            render=render,
-            span_sink=telemetry.span_sink,
-        )
-        if telemetry.monitor_hook is not None:
-            try:
-                telemetry.monitor_hook(monitor)
-            except Exception:
-                pass  # the hook is observability; it never fails the batch
-        try:
-            with monitor:
-                if parallel:
-                    self._drain_telemetered_pool(
-                        pending, todo, results, telemetry, metrics, beat_queue, monitor, fail
-                    )
-                else:
-                    for j, (key, job) in enumerate(pending):
-                        workload, strategy, machine, restructured = job
-                        try:
-                            envelope = run_telemetered_job(
-                                workload,
-                                restructured,
-                                self.num_cpus,
-                                self.seed,
-                                self.scale,
-                                strategy,
-                                machine,
-                                self.sim_config,
-                                j,
-                                labels[j],
-                                queue=beat_queue,
-                                heartbeat_interval=telemetry.heartbeat_interval,
-                                profile=telemetry.profile,
-                                trace_ctx=telemetry.trace_context(labels[j]),
-                            )
-                        except Exception as exc:
-                            fail(j, job, "error", str(exc) or type(exc).__name__)
-                        else:
-                            self._accept_envelope(
-                                key, job, envelope, todo, results, telemetry, metrics
-                            )
-                        monitor.mark_done(j)
-        finally:
-            if manager is not None:
-                manager.shutdown()
-            if telemetry.progress:
-                sys.stderr.write("\n")
-                sys.stderr.flush()
-        if failures:
-            heads = "; ".join(f"{f.label}: {f.message}" for f in failures[:3])
-            more = f" (+{len(failures) - 3} more)" if len(failures) > 3 else ""
-            raise FleetError(
-                f"{len(failures)} of {len(pending)} grid points failed -- {heads}{more}",
-                failures,
-            )
-
-    def _drain_telemetered_pool(
-        self,
-        pending: list[tuple[tuple, tuple]],
-        todo: dict[tuple, list[int]],
-        results: list[RunMetrics | None],
-        telemetry: TelemetryConfig,
-        metrics: dict[str, Any],
-        beat_queue: Any,
-        monitor: FleetMonitor,
-        fail: Any,
-    ) -> None:
-        """Fan pending jobs over a pool; never hang on a dead worker.
-
-        Each future is awaited with ``telemetry.job_timeout``; on expiry
-        the worker (known from its heartbeats) is killed so pool
-        shutdown cannot block forever.  A killed or crashed worker
-        breaks the pool -- its own future and any still-unfinished ones
-        raise :class:`BrokenProcessPool` and are recorded as structured
-        failures (``timeout`` for jobs the watchdog flagged, ``error``
-        otherwise); completed results are kept.
-        """
-        labels = {j: self._job_label(job) for j, (_key, job) in enumerate(pending)}
-        workers = self.max_workers or 1
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending))) as pool:
-            futures = [
-                pool.submit(
-                    run_telemetered_job,
-                    workload,
-                    restructured,
-                    self.num_cpus,
-                    self.seed,
-                    self.scale,
-                    strategy,
-                    machine,
-                    self.sim_config,
-                    j,
-                    labels[j],
-                    beat_queue,
-                    telemetry.heartbeat_interval,
-                    telemetry.profile,
-                    telemetry.trace_context(labels[j]),
-                )
-                for j, (_key, (workload, strategy, machine, restructured)) in enumerate(
-                    pending
-                )
-            ]
-            for j, ((key, job), future) in enumerate(zip(pending, futures)):
+        cache_state = "miss" if self._usable_cache is not None else "off"
+        workers = min(self.max_workers or 1, len(pending))
+        with telemetry.batch(pending, parallel=workers > 1) as batch, ExitStack() as stack:
+            if workers > 1:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                futures = [
+                    pool.submit(_execute_in_worker, job, self.sim_config, batch.probe(j))
+                    for j, job in enumerate(pending)
+                ]
+            for j, job in enumerate(pending):
+                failure: tuple[str, str] | None = None
                 try:
-                    envelope = future.result(timeout=telemetry.job_timeout)
+                    if workers > 1:
+                        done = futures[j].result(timeout=batch.timeout)
+                        done = replace(done, metrics=RunMetrics.from_dict(done.metrics))
+                        result = done.metrics
+                        self._keep(job, result)
+                    else:
+                        probe = batch.probe(j)
+                        result = self.run(
+                            job.workload, job.strategy, job.machine, job.restructured, probe=probe
+                        )
+                        done = probe.execution if probe is not None else None
                 except FuturesTimeout:
-                    fail(
-                        j,
-                        job,
-                        "timeout",
-                        f"no result within {telemetry.job_timeout:g}s",
-                    )
-                    pid = monitor.jobs[j].pid
-                    if pid:
-                        try:
-                            os.kill(pid, signal.SIGKILL)
-                        except OSError:
-                            pass
+                    failure = ("timeout", f"no result within {batch.timeout:g}s")
+                    batch.kill(j)
                 except BrokenProcessPool:
-                    stalled = monitor.jobs[j].stalled
-                    fail(
-                        j,
-                        job,
-                        "timeout" if stalled else "error",
-                        "worker killed after heartbeat stall"
-                        if stalled
-                        else "worker pool broke (a worker process died)",
+                    failure = (
+                        ("timeout", "worker killed after heartbeat stall")
+                        if batch.stalled(j)
+                        else ("error", "worker pool broke (a worker process died)")
                     )
                 except Exception as exc:
-                    fail(j, job, "error", str(exc) or type(exc).__name__)
+                    failure = ("error", str(exc) or type(exc).__name__)
                 else:
-                    self._accept_envelope(
-                        key, job, envelope, todo, results, telemetry, metrics
-                    )
-                monitor.mark_done(j)
+                    for i in todo[job]:
+                        results[i] = result
+                    if done is not None:
+                        telemetry.record_run(job, done, cache_state)
+                    else:  # no execution: another writer filled the disk cache
+                        telemetry.record_hit(job, result, "hit")
+                if failure is not None:
+                    failures.append(JobFailure(job.config_key, job.label, *failure))
+                    telemetry.record_failure(job, failures[-1])
+                batch.done(j)
+        return failures
 
     def compare(
         self,

@@ -27,13 +27,16 @@ from typing import Any, Protocol, runtime_checkable
 
 from repro.common.config import MachineConfig
 from repro.common.errors import ConfigurationError
-from repro.perf.diskcache import content_key
+from repro.experiments.runner import RunJob
 from repro.prefetch.strategies import (
     AdaptiveStrategy,
     PrefetchStrategy,
     strategy_by_name,
 )
 from repro.workloads.registry import ALL_WORKLOAD_NAMES
+
+# Kept as a module attribute for bench/layers.py, which wraps this name.
+from repro.perf.diskcache import content_key  # noqa: F401
 
 __all__ = [
     "RUN_ID_LENGTH",
@@ -157,41 +160,34 @@ class ScenarioSpec:
         machine = MachineConfig(num_cpus=self.num_cpus, protocol=self.protocol)
         return machine.with_transfer_cycles(self.transfer_cycles)
 
+    def job(self) -> RunJob:
+        """The runner's :class:`~repro.experiments.runner.RunJob` for this spec."""
+        return RunJob(
+            self.workload,
+            self.strategy_obj(),
+            self.machine(),
+            self.restructured,
+            self.num_cpus,
+            self.seed,
+            self.scale,
+        )
+
     @property
     def label(self) -> str:
         """Human-readable grid-point label (the fleet's progress label)."""
-        name = self.strategy_obj().name
-        if self.restructured:
-            name += "+restructured"
-        return f"{self.workload}/{name}@{self.transfer_cycles}c"
+        return self.job().label
 
     # -------------------------------------------------------------- identity
 
     def payload(self) -> dict[str, Any]:
-        """The full simulation input, in the disk cache's key shape.
-
-        Field-for-field identical to the payload
-        :class:`~repro.experiments.runner.ExperimentRunner` hashes, so
-        ``content_key(spec.payload())`` is the disk cache's key and the
-        ledger's ``config_key`` for the same run (a test pins this).
-        """
-        from repro.sim.engine import ENGINE_VERSION
-
-        return {
-            "workload": self.workload,
-            "restructured": self.restructured,
-            "num_cpus": self.num_cpus,
-            "seed": self.seed,
-            "scale": self.scale,
-            "strategy": asdict(self.strategy_obj()),
-            "machine": self.machine().describe(),
-            "engine_version": ENGINE_VERSION,
-        }
+        """The full simulation input: :meth:`RunJob.payload` of :meth:`job`."""
+        return self.job().payload()
 
     @property
     def config_key(self) -> str:
-        """SHA-256 content hash of :meth:`payload` (the dedup key)."""
-        return content_key(self.payload())
+        """The job's content key: the disk cache's key, the ledger's
+        ``config_key`` and the service's dedup key for this run."""
+        return self.job().config_key
 
     @property
     def run_id(self) -> str:

@@ -5,20 +5,20 @@ frozen :class:`~repro.service.contracts.ScenarioSpec` objects; each is
 folded by ``config_key`` against the store -- a million identical
 submissions cost one simulation and N-1 increments of a dedup counter
 -- and genuinely new work is queued.  A single worker coroutine drains
-the queue, groups waves by runner frame (num_cpus, seed, scale) and
-drives :meth:`~repro.experiments.runner.ExperimentRunner.run_many` in a
-thread-pool executor with fleet telemetry on: every simulation is
-ledgered, counted in the shared metrics registry, disk-cached, and
-streams heartbeats that :meth:`progress` surfaces per run while it is
-in flight.
+the queue, groups each batch by runner frame (num_cpus, seed, scale)
+and drives :meth:`~repro.experiments.runner.ExperimentRunner.run_many`
+once per frame in a thread-pool executor with fleet telemetry on: every
+simulation is ledgered, counted in the shared metrics registry,
+disk-cached, and streams heartbeats that :meth:`progress` surfaces per
+run while it is in flight.
 
 Execution is deliberately single-flight at the batch level (one
 executor thread): parallelism lives *inside* ``run_many`` via its
 process pool (``max_workers``), where it is safe and bit-reproducible.
 Failures never wedge the queue -- a
-:class:`~repro.telemetry.fleet.FleetError` is unpacked per grid point,
-failed runs surface ``failed`` with the structured ``[kind] message``
-detail, and surviving points complete normally.
+:class:`~repro.telemetry.fleet.FleetError` is unpacked per grid point
+by ``config_key``, failed runs surface ``failed`` with the structured
+``[kind] message`` detail, and surviving points complete normally.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ class RunScheduler:
             self._refresh_run_gauge()
 
     async def _run_batch(self, metas: list[RunMetadata]) -> None:
-        """Execute one batch, grouped by runner frame and unique label."""
+        """Execute one batch, one ``run_many`` call per runner frame."""
         batch_wall = time.time()
         batch_perf = time.perf_counter()
         by_frame: dict[_Frame, list[RunMetadata]] = {}
@@ -261,80 +261,66 @@ class RunScheduler:
             by_frame.setdefault((spec.num_cpus, spec.seed, spec.scale), []).append(meta)
         loop = asyncio.get_running_loop()
         for frame, group in by_frame.items():
-            # Within one run_many call grid points are identified by
-            # label; specs whose labels collide (e.g. identical except
-            # protocol) run in a later wave so failures map correctly.
-            while group:
-                wave: list[RunMetadata] = []
-                labels: set[str] = set()
-                rest: list[RunMetadata] = []
-                for meta in group:
-                    if meta.label in labels:
-                        rest.append(meta)
-                    else:
-                        labels.add(meta.label)
-                        wave.append(meta)
-                group = rest
-                now = utc_now()
-                exec_spans: dict[str, ActiveSpan] = {}
-                trace_ctxs: dict[str, tuple[str, str | None]] = {}
-                for meta in wave:
-                    meta.status = RunStatus.RUNNING
-                    meta.started_at = now
-                    if self.tracer.enabled and meta.trace_id is not None:
-                        # Queue wait ends at batch pickup; assembly
-                        # covers grouping/wave formation; the execute
-                        # span then covers dispatch + simulation + the
-                        # outcome bookkeeping, and parents the worker's
-                        # own spans across the process boundary.
-                        queued = self._queue_spans.pop(meta.run_id, None)
-                        parent = None
-                        if queued is not None:
-                            parent = queued.annotate(batch=len(metas)).end().span_id
-                        parent = self._record_interval(
-                            "batch.assemble",
-                            meta,
-                            batch_wall,
-                            time.perf_counter() - batch_perf,
-                            parent_id=parent,
-                            wave=len(wave),
-                        ) or parent
-                        span = self.tracer.begin(
-                            "execute",
-                            meta.trace_id,
-                            parent_id=parent,
-                            run_id=meta.run_id,
-                            batch=len(wave),
-                        )
-                        exec_spans[meta.run_id] = span
-                        trace_ctxs[meta.label] = (meta.trace_id, span.span_id)
-                self._refresh_run_gauge()
-                outcomes = await loop.run_in_executor(
-                    self._executor,
-                    self._execute_wave,
-                    frame,
-                    [m.spec for m in wave],
-                    trace_ctxs,
-                    (time.time(), time.perf_counter()),
-                )
-                done = utc_now()
-                for meta in wave:
-                    state, detail = outcomes[meta.run_id]
-                    meta.finished_at = done
-                    if state is RunStatus.COMPLETED:
-                        meta.status = RunStatus.COMPLETED
-                        meta.error = None
-                        self._results[meta.run_id] = detail
-                    else:
-                        meta.status = RunStatus.FAILED
-                        meta.error = detail
-                    span = exec_spans.pop(meta.run_id, None)
-                    if span is not None:
-                        span.annotate(status_out=meta.status.value).end(
-                            status="ok" if state is RunStatus.COMPLETED else "error"
-                        )
-                self._monitor = None
-                self._refresh_run_gauge()
+            now = utc_now()
+            exec_spans: dict[str, ActiveSpan] = {}
+            trace_ctxs: dict[str, tuple[str, str | None]] = {}
+            for meta in group:
+                meta.status = RunStatus.RUNNING
+                meta.started_at = now
+                if self.tracer.enabled and meta.trace_id is not None:
+                    # Queue wait ends at batch pickup; assembly covers
+                    # frame grouping; the execute span then covers
+                    # dispatch + simulation + the outcome bookkeeping,
+                    # and parents the worker's own spans across the
+                    # process boundary.
+                    queued = self._queue_spans.pop(meta.run_id, None)
+                    parent = None
+                    if queued is not None:
+                        parent = queued.annotate(batch=len(metas)).end().span_id
+                    parent = self._record_interval(
+                        "batch.assemble",
+                        meta,
+                        batch_wall,
+                        time.perf_counter() - batch_perf,
+                        parent_id=parent,
+                        group=len(group),
+                    ) or parent
+                    span = self.tracer.begin(
+                        "execute",
+                        meta.trace_id,
+                        parent_id=parent,
+                        run_id=meta.run_id,
+                        batch=len(group),
+                    )
+                    exec_spans[meta.run_id] = span
+                    trace_ctxs[meta.config_key] = (meta.trace_id, span.span_id)
+            self._refresh_run_gauge()
+            outcomes = await loop.run_in_executor(
+                self._executor,
+                self._execute_group,
+                frame,
+                [m.spec for m in group],
+                trace_ctxs,
+                (time.time(), time.perf_counter()),
+            )
+            done = utc_now()
+            for meta in group:
+                state, detail = outcomes[meta.run_id]
+                meta.finished_at = done
+                if state is RunStatus.COMPLETED:
+                    meta.status = RunStatus.COMPLETED
+                    meta.error = None
+                    self._results[meta.run_id] = detail
+                else:
+                    meta.status = RunStatus.FAILED
+                    meta.error = detail
+                span = exec_spans.pop(meta.run_id, None)
+                if span is not None:
+                    span.annotate(status_out=meta.status.value).end(
+                        status="ok" if state is RunStatus.COMPLETED else "error"
+                    )
+            self._monitor = None
+            self._refresh_run_gauge()
 
     def _record_interval(
         self,
@@ -361,16 +347,19 @@ class RunScheduler:
         self.tracer.record(span)
         return span.span_id
 
-    def _execute_wave(
+    def _execute_group(
         self,
         frame: _Frame,
         specs: list[ScenarioSpec],
         trace_ctxs: dict[str, tuple[str, str | None]] | None = None,
         dispatch_epoch: tuple[float, float] | None = None,
     ) -> dict[str, tuple[RunStatus, Any]]:
-        """Run one label-unique wave synchronously (executor thread).
+        """Run one frame's specs synchronously (executor thread).
 
-        Returns ``{run_id: (COMPLETED, RunMetrics) | (FAILED, detail)}``.
+        Grid points are identified by ``config_key`` throughout, so
+        specs whose labels collide (identical but for the protocol, say)
+        share one ``run_many`` call.  Returns ``{run_id: (COMPLETED,
+        RunMetrics) | (FAILED, detail)}``.
         """
         if trace_ctxs and dispatch_epoch is not None and self.tracer.enabled:
             # Executor-dispatch latency: event-loop handoff to this
@@ -381,7 +370,7 @@ class RunScheduler:
             wall, perf = dispatch_epoch
             waited = time.perf_counter() - perf
             for spec in specs:
-                ctx = trace_ctxs.get(spec.label)
+                ctx = trace_ctxs.get(spec.config_key)
                 if ctx is None:
                     continue
                 self.tracer.record(
@@ -413,9 +402,9 @@ class RunScheduler:
         try:
             results = runner.run_many(jobs, telemetry=telemetry)
         except FleetError as exc:
-            failed = {f.label: f for f in exc.failures}
+            failed = {f.config_key: f for f in exc.failures}
             for spec, job in zip(specs, jobs):
-                failure = failed.get(spec.label)
+                failure = failed.get(spec.config_key)
                 if failure is not None:
                     outcomes[spec.run_id] = (
                         RunStatus.FAILED,
@@ -500,7 +489,7 @@ class RunScheduler:
         if meta is None or monitor is None or meta.status is not RunStatus.RUNNING:
             return None
         for job in monitor.jobs.values():
-            if job.label == meta.label:
+            if job.key == meta.config_key:
                 return {
                     "phase": job.phase,
                     "cycles": job.cycles,

@@ -312,9 +312,9 @@ def summaries_from_ledger(
         found[key] = entry.summary  # newest wins (entries are oldest-first)
     missing = wanted - set(found)
     if missing:
-        sample = ", ".join(
-            f"{w}/{s}@{c}c" for w, s, c in sorted(missing)[:5]
-        )
+        from repro.experiments.runner import grid_label
+
+        sample = ", ".join(grid_label(w, s, False, c) for w, s, c in sorted(missing)[:5])
         raise ReproError(
             f"ledger covers {len(found)}/{len(wanted)} grid points of the "
             f"{frame.name} frame; missing e.g. {sample}"
@@ -330,6 +330,7 @@ def evaluate(
     frame: DriftFrame,
 ) -> DriftReport:
     """Check the frame's claims against grid summaries."""
+    from repro.experiments.runner import grid_label
     from repro.workloads.registry import ALL_WORKLOAD_NAMES
 
     def speedup(workload: str, strategy: str, cycles: int) -> float:
@@ -433,12 +434,13 @@ def evaluate(
             base = summaries[(w, "NP", c)]
             for s in PREFETCH_STRATEGY_NAMES:
                 run = summaries[(w, s, c)]
+                label = grid_label(w, s, False, c)
                 if not run["cpu_miss_rate"] < base["cpu_miss_rate"]:
-                    cpu_violations.append(f"{w}/{s}@{c}c")
+                    cpu_violations.append(label)
                 if not run["total_miss_rate"] >= run["cpu_miss_rate"]:
-                    tvc_violations.append(f"{w}/{s}@{c}c")
+                    tvc_violations.append(label)
                 if run["bus_utilization"] < base["bus_utilization"] - 0.02:
-                    util_violations.append(f"{w}/{s}@{c}c")
+                    util_violations.append(label)
     add(
         "cpu_miss_rate_reduced_violations",
         "prefetch runs whose CPU miss rate did not drop below NP's",

@@ -1,53 +1,67 @@
-"""Fleet plumbing: telemetry configuration and the telemetered worker job.
+"""Fleet plumbing: telemetry configuration, per-job probes and batch bookkeeping.
 
 :class:`TelemetryConfig` is the one knob bundle a caller hands to
-:meth:`repro.experiments.runner.ExperimentRunner.run_many`; ``None``
-(the default) keeps the runner on its original code paths, so
-un-telemetered runs stay bit-identical.  The config carries the ledger,
-progress rendering, heartbeat/watchdog tuning, per-job timeout,
-profiling switch, metrics registry and the fleet-wide merged profile.
+:meth:`repro.experiments.runner.ExperimentRunner.run_many`.  Without
+one the runner uses a disabled config (``enabled=False``), on which
+every hook is a no-op -- no heartbeat queue, monitor or sampler
+threads, ``multiprocessing.Manager``, ledger or timeout -- so plain and
+telemetered batches take the same execution path and return identical
+results.  The config carries the ledger, progress rendering,
+heartbeat/watchdog tuning, per-job timeout, profiling switch, metrics
+registry and the fleet-wide merged profile, and records every batch
+outcome (disk hit, fresh run, failure) into them.
 
-:func:`run_telemetered_job` is the process-pool worker for telemetered
-batches: the same generate → insert → simulate pipeline as the plain
-``_simulate_job``, plus a heartbeat sampler on the running engine, an
-optional ``cProfile`` wrap, and a result envelope with wall time,
-events retired and the worker PID -- everything a ledger entry needs.
+:class:`Probe` is what one telemetered execution runs under inside
+:func:`repro.experiments.runner.execute`: a heartbeat sampler on the
+running engine, an optional ``cProfile`` wrap and ``worker.run`` /
+``engine.simulate`` trace spans.  It is picklable, so the same probe
+rides to pool workers.  :class:`FleetBatch` is the parent side of one
+batch: the heartbeat queue, the :class:`FleetMonitor` with its
+watchdog, and the progress line.
 
-This module imports engine primitives directly (never the runner): the
-runner imports *us*, and the dependency edge stays one-way.
+This module never imports the runner (the runner imports *us*); jobs
+are the runner's :class:`~repro.experiments.runner.RunJob` objects,
+used only through their identity fields.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import queue as queue_module
+import signal
+import sys
 import time
-from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
-from repro.common.config import MachineConfig, SimulationConfig
 from repro.common.errors import ReproError
-from repro.prefetch.insertion import insert_prefetches
-from repro.prefetch.strategies import PrefetchStrategy
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import ENGINE_VERSION
 from repro.telemetry.heartbeat import (
     DEFAULT_BEAT_INTERVAL,
     DEFAULT_STALL_TIMEOUT,
     EngineSampler,
+    FleetMonitor,
     HeartbeatSender,
+    Watchdog,
+    render_fleet_progress,
 )
-from repro.telemetry.ledger import RunLedger
+from repro.telemetry.ledger import LedgerEntry, RunLedger
 from repro.telemetry.profiling import MergedProfile, profiled
 from repro.telemetry.registry import MetricsRegistry
-from repro.trace.stream import MultiTrace
-from repro.workloads.registry import generate_workload
+
+# Kept as module attributes for bench/layers.py, which wraps these names.
+from repro.prefetch.insertion import insert_prefetches  # noqa: F401
+from repro.workloads.registry import generate_workload  # noqa: F401
 
 __all__ = [
+    "FleetBatch",
     "FleetError",
     "JobFailure",
+    "Probe",
     "TelemetryConfig",
     "export_cache_stats",
-    "run_telemetered_job",
 ]
 
 
@@ -76,7 +90,7 @@ def export_cache_stats(registry: MetricsRegistry, stats: dict[str, int]) -> None
 
 
 class FleetError(ReproError):
-    """A telemetered batch finished with failed grid points.
+    """A batch finished with failed grid points.
 
     Carries the structured :class:`JobFailure` list so callers (CLI,
     tests) can report per-point causes instead of one opaque traceback.
@@ -92,28 +106,113 @@ class JobFailure:
     """One grid point that did not produce a result.
 
     Attributes:
-        index: position in the (deduplicated) pending-job list.
+        config_key: the point's content key (its identity in a batch).
         label: human-readable grid-point label.
         kind: ``"error"`` (worker raised) or ``"timeout"`` (watchdog
             kill or ``job_timeout`` expiry).
         message: one-line cause.
     """
 
-    index: int
+    config_key: str
     label: str
     kind: str
     message: str
 
 
 @dataclass
+class Probe:
+    """The instrumentation one telemetered execution runs under.
+
+    Picklable: pool workers receive a copy.  Attributes:
+        index: the job's position in its batch (heartbeat routing).
+        label: grid-point label carried by the heartbeats.
+        queue: heartbeat queue (a manager proxy across processes);
+            None sends neither heartbeats nor spans.
+        heartbeat_interval: seconds between heartbeats.
+        profile: wrap the engine run in ``cProfile``.
+        trace_ctx: ``(trace_id, parent_span_id)``; when set, a
+            ``worker.run`` span and its ``engine.simulate`` child ride
+            the heartbeat queue as ``{"kind": "span", "span": {...}}``
+            messages (best-effort: a gone parent or full queue never
+            fails the simulation).
+        execution: what the probed execution produced, filled in by
+            :func:`repro.experiments.runner.execute`.
+    """
+
+    index: int
+    label: str
+    queue: Any = None
+    heartbeat_interval: float = DEFAULT_BEAT_INTERVAL
+    profile: bool = False
+    trace_ctx: tuple[str, str | None] | None = None
+    execution: Any = None
+
+    @contextmanager
+    def watch(self, engine: Any, total_events: int, started: float) -> Iterator[list]:
+        """Run the block (the engine's run) under the probe; yields profile rows.
+
+        ``started`` is the ``perf_counter`` reading at which the
+        execution began: the ``worker.run`` span covers it all.
+        """
+        sim_wall, sim_t0 = time.time(), time.perf_counter()
+        with profiled(self.profile) as rows:
+            if self.queue is None:
+                yield rows
+            else:
+                sender = HeartbeatSender(self.queue, self.heartbeat_interval)
+                with EngineSampler(
+                    engine, sender, self.index, self.label, total_events, self.heartbeat_interval
+                ):
+                    yield rows
+        if self.trace_ctx is not None and self.queue is not None:
+            self._ship_spans(engine, total_events, started, sim_wall, time.perf_counter() - sim_t0)
+
+    def _ship_spans(
+        self, engine: Any, events: int, started: float, sim_wall: float, sim_s: float
+    ) -> None:
+        from repro.telemetry.tracing import Span
+
+        trace_id, parent_span_id = self.trace_ctx  # type: ignore[misc]
+        wall = time.perf_counter() - started
+        worker = Span(
+            name="worker.run",
+            trace_id=trace_id,
+            parent_id=parent_span_id,
+            start=time.time() - wall,
+            duration=wall,
+            attributes={"label": self.label, "pid": os.getpid(), "events": events},
+        )
+        simulated = Span(
+            name="engine.simulate",
+            trace_id=trace_id,
+            parent_id=worker.span_id,
+            start=sim_wall,
+            duration=sim_s,
+            attributes={
+                "label": self.label,
+                "total_events": events,
+                "exec_cycles": engine.now,
+            },
+        )
+        for span in (worker, simulated):
+            try:
+                self.queue.put({"kind": "span", "span": span.to_dict()})
+            except Exception:
+                pass  # parent gone (shutdown race); spans are best-effort
+
+
+@dataclass
 class TelemetryConfig:
-    """Everything a telemetered batch needs, in one picklable-free bundle.
+    """Everything a telemetered batch needs, in one bundle.
 
     The config itself never crosses a process boundary -- workers get
-    only the queue and scalar knobs -- so it may hold live objects
-    (registry, merged profile, ledger).
+    only a :class:`Probe` -- so it may hold live objects (registry,
+    merged profile, ledger).
 
     Attributes:
+        enabled: False makes every hook a no-op, in the style of
+            ``SpanTracer(enabled=False)``; ``run_many`` without a
+            config uses such a disabled one.
         ledger: run ledger to append to (None records nothing).
         progress: render the live fleet progress line to stderr.
         heartbeat_interval: seconds between worker heartbeats.
@@ -137,17 +236,18 @@ class TelemetryConfig:
             batch is in flight.  Exceptions from the hook are swallowed
             -- it is observability, never allowed to fail the batch.
             None (the default) changes nothing.
-        trace_contexts: per-label trace propagation for end-to-end
-            request tracing: ``{job_label: (trace_id, parent_span_id)}``.
-            Workers whose label has a context emit ``worker.run`` /
+        trace_contexts: per-point trace propagation for end-to-end
+            request tracing: ``{config_key: (trace_id, parent_span_id)}``.
+            Workers whose point has a context emit ``worker.run`` /
             ``engine.simulate`` spans over the heartbeat queue (see
-            :mod:`repro.telemetry.tracing`); labels without one run
+            :mod:`repro.telemetry.tracing`); points without one run
             untraced.  None (the default) traces nothing.
         span_sink: parent-side destination for those worker spans
             (span dicts), wired into the batch's FleetMonitor;
             typically ``SpanTracer.record_dict``.
     """
 
+    enabled: bool = True
     ledger: RunLedger | None = None
     progress: bool = False
     heartbeat_interval: float = DEFAULT_BEAT_INTERVAL
@@ -161,11 +261,11 @@ class TelemetryConfig:
     trace_contexts: dict[str, tuple[str, str | None]] | None = None
     span_sink: Callable[[dict[str, Any]], None] | None = None
 
-    def trace_context(self, label: str) -> tuple[str, str | None] | None:
-        """The ``(trace_id, parent_span_id)`` for a job label, or None."""
+    def trace_context(self, config_key: str) -> tuple[str, str | None] | None:
+        """The ``(trace_id, parent_span_id)`` for a grid point, or None."""
         if self.trace_contexts is None:
             return None
-        return self.trace_contexts.get(label)
+        return self.trace_contexts.get(config_key)
 
     def metrics(self) -> dict[str, Any]:
         """The standard fleet metric families (created idempotently)."""
@@ -184,133 +284,177 @@ class TelemetryConfig:
             ),
         }
 
+    def batch(self, jobs: list[Any], parallel: bool) -> "FleetBatch":
+        """The live telemetry around one batch's fresh executions."""
+        return FleetBatch(self, jobs, parallel)
 
-#: Per-worker-process clean-trace LRU for telemetered jobs, mirroring
-#: the runner's ``_WORKER_TRACES`` (separate dict: different module,
-#: same reuse pattern, no import cycle).
-_WORKER_TRACES: OrderedDict[tuple, MultiTrace] = OrderedDict()
-_WORKER_TRACE_LIMIT = 3
+    # ------------------------------------------------------------ outcomes
+
+    def record_hit(self, job: Any, result: Any, kind: str) -> None:
+        """Count a resolved point: ``"memo"`` (runner memo) or ``"hit"`` (disk).
+
+        Memo hits stay out of the ledger: they were ledgered when first
+        simulated or disk-loaded.
+        """
+        if not self.enabled:
+            return
+        metrics = self.metrics()
+        metrics["cache"].inc(result=kind)
+        if kind == "hit":
+            metrics["runs"].inc(outcome="ok")
+            self._ledger(job, "ok", "hit", result=result)
+
+    def record_run(self, job: Any, execution: Any, cache: str) -> None:
+        """Record one fresh execution; ``cache`` is ``"miss"`` or ``"off"``."""
+        if not self.enabled:
+            return
+        metrics = self.metrics()
+        metrics["runs"].inc(outcome="ok")
+        metrics["cache"].inc(result=cache)
+        metrics["events"].inc(execution.events)
+        metrics["wall"].observe(execution.wall_seconds)
+        if self.profile:
+            self.merged_profile.merge(execution.profile_rows)
+        self._ledger(job, "ok", cache, result=execution.metrics, execution=execution)
+
+    def record_failure(self, job: Any, failure: JobFailure) -> None:
+        """Record one failed grid point."""
+        if not self.enabled:
+            return
+        self.metrics()["runs"].inc(outcome=failure.kind)
+        self._ledger(job, failure.kind, "off", error=failure.message)
+
+    def _ledger(
+        self,
+        job: Any,
+        outcome: str,
+        cache: str,
+        result: Any = None,
+        execution: Any = None,
+        error: str | None = None,
+    ) -> None:
+        if self.ledger is None:
+            return
+        wall = execution.wall_seconds if execution is not None else 0.0
+        events = execution.events if execution is not None else 0
+        trace_ctx = self.trace_context(job.config_key)
+        self.ledger.append(
+            LedgerEntry(
+                config_key=job.config_key,
+                workload=job.workload,
+                restructured=job.restructured,
+                strategy=job.strategy.name,
+                machine=job.machine.describe(),
+                num_cpus=job.num_cpus,
+                seed=job.seed,
+                scale=job.scale,
+                engine_version=ENGINE_VERSION,
+                outcome=outcome,
+                cache=cache,
+                wall_seconds=round(wall, 6),
+                events=events,
+                events_per_sec=round(events / wall, 3) if wall > 0 else 0.0,
+                worker_pid=execution.worker_pid if execution is not None else os.getpid(),
+                error=error,
+                summary=result.describe() if result is not None else {},
+                trace_id=trace_ctx[0] if trace_ctx is not None else None,
+            )
+        )
 
 
-def run_telemetered_job(
-    workload: str,
-    restructured: bool,
-    num_cpus: int,
-    seed: int,
-    scale: float,
-    strategy: PrefetchStrategy,
-    machine: MachineConfig,
-    sim_config: SimulationConfig | None,
-    job: int,
-    label: str,
-    queue: Any = None,
-    heartbeat_interval: float = DEFAULT_BEAT_INTERVAL,
-    profile: bool = False,
-    trace_ctx: tuple[str, str | None] | None = None,
-) -> dict[str, Any]:
-    """Run one simulation in a worker, streaming heartbeats.
+class FleetBatch:
+    """The parent side of one batch's fresh executions.
 
-    Same pipeline and wire format as the plain worker job -- the
-    ``metrics`` field of the returned envelope is byte-identical to an
-    un-telemetered run of the same inputs -- wrapped with:
-
-    * an :class:`EngineSampler` beating ``queue`` (when given) from a
-      daemon thread while the engine runs;
-    * optional ``cProfile`` capture (``profile_rows`` in the envelope);
-    * wall time, events retired and the worker PID for the ledger;
-    * with ``trace_ctx`` (a ``(trace_id, parent_span_id)`` pair),
-      ``worker.run`` and ``engine.simulate`` spans shipped back over
-      the same ``queue`` the heartbeats ride, as
-      ``{"kind": "span", "span": {...}}`` messages the parent-side
-      :class:`~repro.telemetry.heartbeat.FleetMonitor` routes to its
-      span sink.  Span emission is best-effort: a gone parent or full
-      queue never fails the simulation.
+    Enabled, entering it builds the heartbeat queue (a manager queue
+    when the batch fans over a process pool), the :class:`FleetMonitor`
+    with its :class:`Watchdog`, and the progress line.  Disabled, it
+    builds nothing, :meth:`probe` returns None and every other method is
+    a no-op.
     """
-    start = time.perf_counter()
-    sender = HeartbeatSender(queue, heartbeat_interval) if queue is not None else None
-    spans: list[Any] = []
-    worker_span: Any = None
-    if trace_ctx is not None and queue is not None:
-        from repro.telemetry.tracing import Span, new_span_id
 
-        trace_id, parent_span_id = trace_ctx
-        worker_span = Span(
-            name="worker.run",
-            trace_id=trace_id,
-            span_id=new_span_id(),
-            parent_id=parent_span_id,
-            start=time.time(),
-            attributes={"label": label, "pid": os.getpid()},
-        )
-        spans.append(worker_span)
+    def __init__(self, telemetry: TelemetryConfig, jobs: list[Any], parallel: bool) -> None:
+        self.telemetry = telemetry
+        self.jobs = jobs
+        self.parallel = parallel
+        self.monitor: FleetMonitor | None = None
+        self._queue: Any = None
+        self._manager: Any = None
 
-    tkey = (workload, restructured, num_cpus, seed, scale)
-    trace = _WORKER_TRACES.get(tkey)
-    if trace is None:
-        trace = generate_workload(
-            workload,
-            num_cpus=num_cpus,
-            seed=seed,
-            scale=scale,
-            restructured=restructured,
-        )
-        _WORKER_TRACES[tkey] = trace
-        while len(_WORKER_TRACES) > _WORKER_TRACE_LIMIT:
-            _WORKER_TRACES.popitem(last=False)
-    else:
-        _WORKER_TRACES.move_to_end(tkey)
+    @property
+    def timeout(self) -> float | None:
+        """Per-job result deadline (None when disabled)."""
+        return self.telemetry.job_timeout if self.telemetry.enabled else None
 
-    annotated, _report = insert_prefetches(trace, strategy, machine.cache)
-    total_events = sum(len(cpu_trace) for cpu_trace in annotated.cpus)
-    strategy_label = strategy.name if not restructured else f"{strategy.name}+restructured"
-
-    with profiled(profile) as profile_rows:
-        engine = SimulationEngine(
-            annotated,
-            machine,
-            sim_config if sim_config is not None else SimulationConfig(),
-            adaptive=strategy.adaptive_config(),
-        )
-        if worker_span is not None:
-            from repro.telemetry.tracing import Span, new_span_id
-
-            engine_span = Span(
-                name="engine.simulate",
-                trace_id=worker_span.trace_id,
-                span_id=new_span_id(),
-                parent_id=worker_span.span_id,
-                start=time.time(),
-                attributes={"label": label, "total_events": total_events},
-            )
-            spans.append(engine_span)
-            sim_t0 = time.perf_counter()
-        if sender is not None:
-            sampler = EngineSampler(
-                engine, sender, job, label, total_events, heartbeat_interval
-            )
-            with sampler:
-                engine.run()
+    def __enter__(self) -> "FleetBatch":
+        telemetry = self.telemetry
+        if not telemetry.enabled:
+            return self
+        if self.parallel:
+            self._manager = multiprocessing.Manager()
+            self._queue = self._manager.Queue()
         else:
-            engine.run()
-        result = engine.collect_metrics(strategy_label)
-        if worker_span is not None:
-            engine_span.duration = time.perf_counter() - sim_t0
-            engine_span.attributes["exec_cycles"] = engine.now
-
-    wall = time.perf_counter() - start
-    events = sum(proc.pc for proc in engine.procs)
-    if worker_span is not None:
-        worker_span.duration = wall
-        worker_span.attributes["events"] = events
-        for span in spans:
+            self._queue = queue_module.SimpleQueue()
+        self.monitor = FleetMonitor(
+            self._queue,
+            {j: job.label for j, job in enumerate(self.jobs)},
+            keys={j: job.config_key for j, job in enumerate(self.jobs)},
+            # The watchdog only kills on the pool: in-process there is
+            # no one to kill, but stalls are still flagged.
+            watchdog=Watchdog(
+                stall_timeout=telemetry.stall_timeout,
+                kill=telemetry.kill_stalled and self.parallel,
+            ),
+            render=render_fleet_progress if telemetry.progress else None,
+            span_sink=telemetry.span_sink,
+        )
+        if telemetry.monitor_hook is not None:
             try:
-                queue.put({"kind": "span", "span": span.to_dict()})
+                telemetry.monitor_hook(self.monitor)
             except Exception:
-                pass  # parent gone (shutdown race); spans are best-effort
-    return {
-        "metrics": result.to_dict(),
-        "wall_seconds": wall,
-        "events": events,
-        "worker_pid": os.getpid(),
-        "profile_rows": profile_rows,
-    }
+                pass  # the hook is observability; it never fails the batch
+        self.monitor.__enter__()
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        if self.monitor is None:
+            return
+        try:
+            self.monitor.__exit__(*exc_info)
+        finally:
+            if self._manager is not None:
+                self._manager.shutdown()
+            if self.telemetry.progress:
+                sys.stderr.write("\n")
+                sys.stderr.flush()
+
+    def probe(self, j: int) -> Probe | None:
+        """The probe job ``j`` executes under (None when disabled)."""
+        if self.monitor is None:
+            return None
+        job = self.jobs[j]
+        return Probe(
+            index=j,
+            label=job.label,
+            queue=self._queue,
+            heartbeat_interval=self.telemetry.heartbeat_interval,
+            profile=self.telemetry.profile,
+            trace_ctx=self.telemetry.trace_context(job.config_key),
+        )
+
+    def done(self, j: int) -> None:
+        """Mark job ``j`` finished, whatever its outcome."""
+        if self.monitor is not None:
+            self.monitor.mark_done(j)
+
+    def stalled(self, j: int) -> bool:
+        """True when the watchdog flagged job ``j``."""
+        return self.monitor is not None and self.monitor.jobs[j].stalled
+
+    def kill(self, j: int) -> None:
+        """SIGKILL job ``j``'s worker (known from its heartbeats), if any."""
+        pid = self.monitor.jobs[j].pid if self.monitor is not None else 0
+        if pid:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except OSError:
+                pass

@@ -167,6 +167,7 @@ class JobProgress:
 
     job: int
     label: str
+    key: str = ""
     pid: int = 0
     phase: str = "pending"
     cycles: int = 0
@@ -270,6 +271,9 @@ class FleetMonitor:
             ``{"kind": "span", "span": {...}}`` messages that share the
             heartbeat queue; see :mod:`repro.telemetry.tracing`).  None
             drops them -- tracing is strictly opt-in.
+        keys: job-index -> the job's identity (its ``config_key``),
+            kept on each :class:`JobProgress` as ``key``; labels need
+            not be unique, keys are.
 
     Use as a context manager around the pool lifetime; or drive
     :meth:`feed` / :meth:`tick` by hand for deterministic tests.
@@ -284,6 +288,7 @@ class FleetMonitor:
         poll_interval: float = 0.2,
         clock: Callable[[], float] = time.monotonic,
         span_sink: Callable[[dict[str, Any]], None] | None = None,
+        keys: dict[int, str] | None = None,
     ) -> None:
         self.queue = queue
         self.watchdog = watchdog
@@ -292,7 +297,8 @@ class FleetMonitor:
         self.clock = clock
         self.span_sink = span_sink
         self.jobs: dict[int, JobProgress] = {
-            job: JobProgress(job=job, label=label) for job, label in labels.items()
+            job: JobProgress(job=job, label=label, key=(keys or {}).get(job, ""))
+            for job, label in labels.items()
         }
         self.done: set[int] = set()
         self.started_at = clock()

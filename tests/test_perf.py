@@ -10,13 +10,14 @@ it corrupts the paper tables.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.bus.bus import BusStats
 from repro.bus.transaction import TransactionKind
-from repro.common.config import MachineConfig
+from repro.common.config import CacheConfig, MachineConfig
 from repro.experiments.runner import ExperimentRunner
 from repro.metrics.results import CpuMetrics, MissCounts, RunMetrics
 from repro.perf.bench import (
@@ -28,8 +29,12 @@ from repro.perf.bench import (
     update_report,
 )
 from repro.perf.diskcache import ResultDiskCache, content_key
-from repro.prefetch.strategies import EXCL, NP, PREF, PWS
-from repro.sim.engine import ENGINE_VERSION
+from repro.prefetch.insertion import insert_prefetches
+from repro.prefetch.strategies import EXCL, NP, PREF, PWS, strategy_by_name
+from repro.sim.engine import ENGINE_VERSION, simulate
+from repro.telemetry.fleet import FleetError, TelemetryConfig
+from repro.telemetry.ledger import RunLedger
+from repro.workloads.registry import generate_workload
 
 
 # ------------------------------------------------------- golden fast path
@@ -211,7 +216,7 @@ class TestDiskCache:
 
     def test_engine_version_partitions_the_cache(self, tmp_path):
         runner = ExperimentRunner(num_cpus=4, scale=0.1, disk_cache=tmp_path / "c")
-        payload = runner._cache_payload("Water", NP, MachineConfig(num_cpus=4), False)
+        payload = runner.job("Water", NP, MachineConfig(num_cpus=4)).payload()
         assert payload["engine_version"] == ENGINE_VERSION
         bumped = {**payload, "engine_version": payload["engine_version"] + "-next"}
         assert content_key(payload) != content_key(bumped)
@@ -243,22 +248,97 @@ class TestWordMaskMemoBound:
 # -------------------------------------------------------- parallel runner
 
 
-class TestParallelRunner:
-    def test_parallel_matches_serial_byte_for_byte(self, tmp_path):
-        """The 2x2 mini-grid simulated through the process pool is
-        byte-identical to the serial in-process run."""
-        machine = MachineConfig(num_cpus=4)
-        jobs = [
-            ("Water", NP, machine),
-            ("Water", PREF, machine),
-            ("Mp3d", NP, machine),
-            ("Mp3d", PREF, machine),
-        ]
-        serial = ExperimentRunner(num_cpus=4, scale=0.1).run_many(jobs)
-        parallel = ExperimentRunner(num_cpus=4, scale=0.1, max_workers=2).run_many(jobs)
-        assert json.dumps([r.to_dict() for r in serial], sort_keys=True) == json.dumps(
-            [r.to_dict() for r in parallel], sort_keys=True
+#: A small grid crossing the axes that reach distinct pipeline code: a
+#: restructured variant, ADAPT with feedback overrides, the MSI protocol
+#: and a 4-line victim cache.
+_PATH_GRID = [
+    ("Water", NP, MachineConfig(num_cpus=4)),
+    ("Topopt", PWS, MachineConfig(num_cpus=4).with_transfer_cycles(4), True),
+    (
+        "Mp3d",
+        dataclasses.replace(
+            strategy_by_name("ADAPT"), high_watermark=0.6, low_watermark=0.5, feedback_window=2048
+        ),
+        MachineConfig(num_cpus=4).with_transfer_cycles(32),
+    ),
+    ("Water", PREF, MachineConfig(num_cpus=4, protocol="msi")),
+    ("Mp3d", PREF, MachineConfig(num_cpus=4, cache=CacheConfig(victim_cache_lines=4))),
+]
+
+
+@pytest.fixture(scope="module")
+def path_reference() -> str:
+    """``_PATH_GRID`` simulated straight from the primitives, no runner."""
+    results = []
+    for workload, strategy, machine, *rest in _PATH_GRID:
+        restructured = bool(rest and rest[0])
+        trace = generate_workload(
+            workload, num_cpus=4, seed=42, scale=0.05, restructured=restructured
         )
+        annotated, _report = insert_prefetches(trace, strategy, machine.cache)
+        label = strategy.name + ("+restructured" if restructured else "")
+        result = simulate(
+            annotated, machine, strategy_name=label, adaptive=strategy.adaptive_config()
+        )
+        results.append(result.to_dict())
+    return json.dumps(results, sort_keys=True)
+
+
+class TestParallelRunner:
+    @pytest.mark.parametrize(
+        "workers, telemetered",
+        [(1, False), (1, True), (2, False), (2, True)],
+        ids=["serial-plain", "serial-telemetered", "pooled-plain", "pooled-telemetered"],
+    )
+    def test_every_run_path_matches_byte_for_byte(
+        self, workers, telemetered, path_reference, tmp_path
+    ):
+        """Serial or pooled, with telemetry off or on, ``run_many``
+        returns exactly what the bare pipeline computes."""
+        ledger = RunLedger(tmp_path)
+        telemetry = TelemetryConfig(ledger=ledger) if telemetered else None
+        runner = ExperimentRunner(num_cpus=4, scale=0.05, max_workers=workers)
+        results = runner.run_many(_PATH_GRID, telemetry=telemetry)
+        assert json.dumps([r.to_dict() for r in results], sort_keys=True) == path_reference
+        assert len(list(ledger.entries())) == (len(_PATH_GRID) if telemetered else 0)
+
+    def test_serial_batch_routes_each_fresh_point_through_run(self, tmp_path):
+        """A ``run`` shadowed on the instance sees every fresh point
+        exactly once, and never a memo or disk hit."""
+        machine = MachineConfig(num_cpus=4)
+        ExperimentRunner(num_cpus=4, scale=0.05, disk_cache=tmp_path).run("Water", NP, machine)
+        runner = ExperimentRunner(num_cpus=4, scale=0.05, disk_cache=tmp_path)
+        calls = []
+        real_run = runner.run
+
+        def shadow(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        runner.run = shadow
+        jobs = [
+            ("Water", NP, machine),  # disk hit
+            ("Water", PREF, machine),
+            ("Water", PWS, machine),
+            ("Water", PREF, machine),  # duplicate
+        ]
+        runner.run_many(jobs)
+        assert calls == [("Water", PREF, machine, False), ("Water", PWS, machine, False)]
+        runner.run_many(jobs)  # all memo hits now
+        assert len(calls) == 2
+
+    def test_plain_batch_failure_raises_fleet_error_after_storing_survivors(self):
+        machine = MachineConfig(num_cpus=4)
+        runner = ExperimentRunner(num_cpus=4, scale=0.05)
+        with pytest.raises(FleetError) as excinfo:
+            runner.run_many([("Water", NP, machine), ("Bogus", NP, machine)])
+        (failure,) = excinfo.value.failures
+        assert failure.kind == "error" and "Bogus" in failure.message
+        assert failure.config_key == runner.job("Bogus", NP, machine).config_key
+        assert runner.cached_run_count == 1
+        runner.run = None  # a memo hit must not reach run()
+        (survivor,) = runner.run_many([("Water", NP, machine)])
+        assert survivor.exec_cycles > 0
 
     def test_run_many_collapses_duplicates_and_keeps_order(self):
         machine = MachineConfig(num_cpus=4)

@@ -12,6 +12,7 @@ the `--json` CLI output modes.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import urllib.error
 import urllib.request
@@ -19,6 +20,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main as cli_main
+from repro.common.config import MachineConfig
 from repro.common.errors import ConfigurationError, ReproError
 from repro.experiments.runner import ExperimentRunner
 from repro.perf.diskcache import ResultDiskCache
@@ -41,6 +43,65 @@ from repro.telemetry.timeseries import TimeSeriesStore
 #: The CI-speed frame used throughout: tiny but a real simulation.
 QUICK = dict(workload="Water", num_cpus=2, scale=0.02, transfer_cycles=4)
 
+#: Three scenarios -- as spec fields and as the runner's job arguments
+#: (workload, strategy, machine, restructured, num_cpus, seed, scale) --
+#: with the config_key hex the disk cache and ledger have always used.
+GOLDEN_KEYS = [
+    pytest.param(
+        dict(workload="Water", strategy="NP"),
+        ("Water", strategy_by_name("NP"), MachineConfig(), False, 12, 42, 1.0),
+        "d911f03dfa3f1c310b12c491f2dd55bd4a8e3217c695be9e79da05463efb6f71",
+        id="water-np",
+    ),
+    pytest.param(
+        dict(
+            workload="Topopt",
+            strategy="PWS",
+            restructured=True,
+            num_cpus=4,
+            scale=0.05,
+            transfer_cycles=4,
+        ),
+        (
+            "Topopt",
+            strategy_by_name("PWS"),
+            MachineConfig(num_cpus=4).with_transfer_cycles(4),
+            True,
+            4,
+            42,
+            0.05,
+        ),
+        "770ab73d9475797b608c6df248d4024bd564cec4704cdd473167c457ac21ec85",
+        id="topopt-pws-restructured",
+    ),
+    pytest.param(
+        dict(
+            workload="Mp3d",
+            strategy="ADAPT",
+            adapt_high=0.99,
+            adapt_window=4096,
+            protocol="msi",
+            transfer_cycles=32,
+            num_cpus=8,
+            seed=7,
+            scale=0.5,
+        ),
+        (
+            "Mp3d",
+            dataclasses.replace(
+                strategy_by_name("ADAPT"), high_watermark=0.99, feedback_window=4096
+            ),
+            MachineConfig(num_cpus=8, protocol="msi").with_transfer_cycles(32),
+            False,
+            8,
+            7,
+            0.5,
+        ),
+        "9d46b70947bb4128a29fcb7de36f769645a45b5fb761005e4ae851341c5f5545",
+        id="mp3d-adapt-msi",
+    ),
+]
+
 
 # --------------------------------------------------------------------------
 # ScenarioSpec contract
@@ -53,14 +114,19 @@ class TestScenarioSpec:
         assert spec.workload == "Water"
         assert spec.strategy == "PREF"
 
-    def test_config_key_matches_runner_cache_payload(self):
-        """The service, disk cache and ledger must hash identically."""
-        spec = ScenarioSpec(**QUICK, strategy="PWS", restructured=True, seed=7)
-        runner = ExperimentRunner(num_cpus=spec.num_cpus, seed=spec.seed, scale=spec.scale)
-        runner_payload = runner._cache_payload(
-            spec.workload, spec.strategy_obj(), spec.machine(), spec.restructured
-        )
-        assert spec.payload() == runner_payload
+    @pytest.mark.parametrize("fields, job_args, key", GOLDEN_KEYS)
+    def test_config_key_is_golden(self, fields, job_args, key):
+        """Existing disk-cache entries and ledger lines keep their keys."""
+        assert ScenarioSpec(**fields).config_key == key
+
+    @pytest.mark.parametrize("fields, job_args, key", GOLDEN_KEYS)
+    def test_run_job_key_is_golden(self, fields, job_args, key):
+        """The runner's job, built without a spec, hashes identically."""
+        from repro.experiments.runner import RunJob
+
+        job = RunJob(*job_args)
+        assert job.config_key == key
+        assert ScenarioSpec(**fields).job() == job
 
     def test_run_id_is_key_prefix(self):
         spec = ScenarioSpec(**QUICK)
@@ -327,6 +393,62 @@ class TestScheduler:
         ledger = _run(scenario())
         assert ledger.summarize()["simulated_runs"] == 1
 
+    def test_label_colliding_specs_share_a_batch_and_keep_their_identity(
+        self, tmp_path, monkeypatch
+    ):
+        """Specs identical but for the protocol share a label.  Keyed by
+        config_key they run in one batch, each with its own outcome."""
+        from repro.experiments import runner as runner_module
+
+        illinois = ScenarioSpec(**QUICK)
+        msi = ScenarioSpec(**QUICK, protocol="msi")
+        assert illinois.label == msi.label
+        assert illinois.config_key != msi.config_key
+        batches: list[int] = []
+        real_run_many = ExperimentRunner.run_many
+
+        def spy(self, jobs, telemetry=None):
+            batches.append(len(jobs))
+            return real_run_many(self, jobs, telemetry=telemetry)
+
+        monkeypatch.setattr(ExperimentRunner, "run_many", spy)
+
+        async def scenario(cache):
+            scheduler = RunScheduler(cache_dir=str(tmp_path / cache))
+            try:
+                # Both are queued before the worker starts draining.
+                metas = [(await scheduler.submit(spec))[0] for spec in (illinois, msi)]
+                await scheduler.start()
+                while not all(meta.status.terminal for meta in metas):
+                    await asyncio.sleep(0.02)
+                return metas, [scheduler.result(meta.run_id) for meta in metas]
+            finally:
+                await scheduler.close()
+
+        metas, results = _run(scenario("ok"))
+        assert batches == [2]
+        assert [meta.status for meta in metas] == [RunStatus.COMPLETED] * 2
+        for spec, meta, result in zip((illinois, msi), metas, results):
+            assert meta.config_key == spec.config_key
+            direct = ExperimentRunner(
+                num_cpus=spec.num_cpus, seed=spec.seed, scale=spec.scale
+            ).run(spec.workload, spec.strategy_obj(), spec.machine(), spec.restructured)
+            assert result.to_dict() == direct.to_dict()
+
+        real_execute = runner_module.execute
+
+        def msi_fails(job, *args, **kwargs):
+            if job.machine.protocol == "msi":
+                raise RuntimeError("msi exploded")
+            return real_execute(job, *args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "execute", msi_fails)
+        metas, results = _run(scenario("one-fails"))
+        assert batches == [2, 2]
+        assert [meta.status for meta in metas] == [RunStatus.COMPLETED, RunStatus.FAILED]
+        assert metas[1].error == "[error] msi exploded"
+        assert results[0] is not None and results[1] is None
+
     def test_failed_run_surfaces_job_failure_detail(self, tmp_path, monkeypatch):
         from repro.telemetry.fleet import FleetError, JobFailure
 
@@ -335,7 +457,7 @@ class TestScheduler:
         def boom(self, jobs, telemetry=None):
             raise FleetError(
                 "1 of 1 grid points failed",
-                [JobFailure(index=0, label=spec.label, kind="error", message="kaput")],
+                [JobFailure(spec.config_key, spec.label, kind="error", message="kaput")],
             )
 
         monkeypatch.setattr(ExperimentRunner, "run_many", boom)

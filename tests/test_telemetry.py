@@ -512,16 +512,6 @@ class TestTelemeteredRunner:
         # The telemetry layer must not have touched engine behavior.
         assert ENGINE_VERSION == "2"
 
-    def test_untelemetered_and_telemetered_results_bit_identical(self, tmp_path):
-        machine = self._machine()
-        jobs = [("Water", NP, machine), ("Water", PREF, machine)]
-        plain = ExperimentRunner(num_cpus=4, scale=0.05).run_many(jobs)
-        telemetered = ExperimentRunner(num_cpus=4, scale=0.05).run_many(
-            jobs, telemetry=TelemetryConfig(ledger=RunLedger(tmp_path))
-        )
-        for a, b in zip(plain, telemetered):
-            assert a.to_dict() == b.to_dict()
-
     def test_ledger_records_fresh_runs_and_disk_hits(self, tmp_path):
         machine = self._machine()
         jobs = [("Water", NP, machine), ("Water", PREF, machine)]
@@ -550,6 +540,30 @@ class TestTelemeteredRunner:
         # Memo hits (same runner, same batch again) are NOT re-ledgered.
         runner2.run_many(jobs, telemetry=telemetry)
         assert len(list(ledger.entries())) == 4
+
+    def test_ledger_lines_are_golden(self, tmp_path):
+        """A disk hit and a fresh restructured run ledger exactly the
+        lines they always have, up to the time- and process-dependent
+        fields."""
+        from pathlib import Path
+
+        from repro.prefetch.strategies import PWS
+
+        machine = MachineConfig(num_cpus=2).with_transfer_cycles(4)
+        cache = tmp_path / "cache"
+        ExperimentRunner(num_cpus=2, scale=0.02, disk_cache=cache).run("Water", NP, machine)
+        ledger = RunLedger(tmp_path / "ledger")
+        ExperimentRunner(num_cpus=2, scale=0.02, disk_cache=cache).run_many(
+            [("Topopt", PWS, machine, True), ("Water", NP, machine)],
+            telemetry=TelemetryConfig(ledger=ledger),
+        )
+        volatile = ("timestamp", "wall_seconds", "events_per_sec", "worker_pid", "trace_id")
+        lines = [json.loads(line) for line in ledger.path.read_text().splitlines()]
+        for line in lines:
+            for name in volatile:
+                line.pop(name, None)
+        golden = Path(__file__).parent / "data" / "ledger_two_point.jsonl"
+        assert lines == [json.loads(line) for line in golden.read_text().splitlines()]
 
     def test_worker_failure_is_structured_not_fatal_midway(self, tmp_path):
         ledger = RunLedger(tmp_path)
@@ -618,11 +632,11 @@ class TestTelemeteredRunner:
         import time
 
         from repro.common.config import SimulationConfig
-        from repro.experiments.runner import _simulate_job
-        from repro.telemetry.fleet import run_telemetered_job
+        from repro.experiments.runner import RunJob, execute, process_trace
+        from repro.telemetry.fleet import Probe
 
-        machine = MachineConfig(num_cpus=12)
-        args = ("Water", False, 12, 42, 0.25, PREF, machine, SimulationConfig())
+        job = RunJob("Water", PREF, MachineConfig(num_cpus=12), num_cpus=12, scale=0.25)
+        trace = process_trace(job)
         beats = queue_module.SimpleQueue()
 
         def timed(f):
@@ -632,14 +646,9 @@ class TestTelemeteredRunner:
 
         plain, telemetered = [], []
         for _ in range(3):  # interleaved so load spikes hit both sides
-            plain.append(timed(lambda: _simulate_job(*args)))
-            telemetered.append(
-                timed(
-                    lambda: run_telemetered_job(
-                        *args, 0, "Water/PREF", queue=beats, heartbeat_interval=0.1
-                    )
-                )
-            )
+            plain.append(timed(lambda: execute(job, SimulationConfig(), trace)))
+            probe = Probe(0, job.label, queue=beats, heartbeat_interval=0.1)
+            telemetered.append(timed(lambda: execute(job, SimulationConfig(), trace, probe)))
         assert min(telemetered) <= min(plain) * 1.5
         drained = 0
         while True:

@@ -16,10 +16,10 @@ import queue as queue_module
 import pytest
 
 from repro.common.config import MachineConfig, SimulationConfig
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, RunJob, execute, process_trace
 from repro.obs.export import chrome_trace
 from repro.prefetch.strategies import PREF
-from repro.telemetry.fleet import TelemetryConfig, run_telemetered_job
+from repro.telemetry.fleet import Probe, TelemetryConfig
 from repro.telemetry.heartbeat import FleetMonitor
 from repro.telemetry.tracing import (
     SERVICE_PID,
@@ -270,22 +270,23 @@ class TestWaterfall:
         assert "no service spans" in text
 
 
+def _probed_execution(beat_queue, trace_ctx=None) -> str:
+    """Execute one small job under a probe; returns its label."""
+    job = RunJob("Water", PREF, MachineConfig(num_cpus=2), num_cpus=2, scale=0.02)
+    probe = Probe(0, job.label, queue=beat_queue, trace_ctx=trace_ctx)
+    execute(job, SimulationConfig(), process_trace(job), probe)
+    return job.label
+
+
 class TestWorkerSpanPropagation:
     def test_worker_ships_spans_over_queue_into_sink(self):
         """worker.run + engine.simulate cross the heartbeat queue."""
         trace_id = new_trace_id()
         parent = new_span_id()
         beat_queue: queue_module.SimpleQueue = queue_module.SimpleQueue()
-        run_telemetered_job(
-            "Water", False, 2, 42, 0.02, PREF, MachineConfig(num_cpus=2),
-            None, 0, "Water/PREF@4c",
-            queue=beat_queue,
-            trace_ctx=(trace_id, parent),
-        )
+        label = _probed_execution(beat_queue, trace_ctx=(trace_id, parent))
         tracer = SpanTracer()
-        monitor = FleetMonitor(
-            beat_queue, {0: "Water/PREF@4c"}, span_sink=tracer.record_dict
-        )
+        monitor = FleetMonitor(beat_queue, {0: label}, span_sink=tracer.record_dict)
         monitor.tick()
         spans = {s.name: s for s in tracer.spans(trace_id)}
         assert set(spans) == {"worker.run", "engine.simulate"}
@@ -298,22 +299,14 @@ class TestWorkerSpanPropagation:
 
     def test_no_trace_ctx_ships_no_spans(self):
         beat_queue: queue_module.SimpleQueue = queue_module.SimpleQueue()
-        run_telemetered_job(
-            "Water", False, 2, 42, 0.02, PREF, MachineConfig(num_cpus=2),
-            None, 0, "Water/PREF@4c",
-            queue=beat_queue,
-        )
+        label = _probed_execution(beat_queue)
         tracer = SpanTracer()
-        monitor = FleetMonitor(
-            beat_queue, {0: "Water/PREF@4c"}, span_sink=tracer.record_dict
-        )
+        monitor = FleetMonitor(beat_queue, {0: label}, span_sink=tracer.record_dict)
         monitor.tick()
         assert tracer.spans() == []
 
     def test_trace_context_lookup(self):
-        telemetry = TelemetryConfig(
-            trace_contexts={"Water/PREF@4c": ("t" * 16, "p" * 8)}
-        )
-        assert telemetry.trace_context("Water/PREF@4c") == ("t" * 16, "p" * 8)
-        assert telemetry.trace_context("Water/NP@4c") is None
+        telemetry = TelemetryConfig(trace_contexts={"a" * 64: ("t" * 16, "p" * 8)})
+        assert telemetry.trace_context("a" * 64) == ("t" * 16, "p" * 8)
+        assert telemetry.trace_context("b" * 64) is None
         assert TelemetryConfig().trace_context("anything") is None
