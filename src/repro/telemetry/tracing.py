@@ -26,6 +26,8 @@ Dependency-free by design (stdlib only, like the rest of the repo):
   timestamps onto the execute span's wall-clock window, producing one
   Perfetto-loadable JSON from HTTP request down to per-cycle bus
   accounting.
+* :func:`check_chrome_events` -- the one Chrome-event schema check,
+  shared by the service smoke, the export tests and CI's timeline step.
 * :func:`render_waterfall` -- terminal waterfall of a stitched trace
   with the queue-wait / execute / serve breakdown (``repro trace``).
 
@@ -52,6 +54,7 @@ __all__ = [
     "ActiveSpan",
     "Span",
     "SpanTracer",
+    "check_chrome_events",
     "new_span_id",
     "new_trace_id",
     "render_waterfall",
@@ -332,6 +335,44 @@ def spans_chrome_events(spans: Iterable[Span], t0: float) -> list[dict[str, Any]
             }
         )
     return events
+
+
+def _event_problem(event: dict[str, Any]) -> str | None:
+    phase = event.get("ph")
+    if phase not in ("M", "X", "i"):
+        return f"unknown phase {phase!r}"
+    if phase == "M":
+        if event.get("name") not in ("process_name", "thread_name"):
+            return "metadata event is neither process_name nor thread_name"
+        if "name" not in event.get("args", {}):
+            return "metadata event without args.name"
+        return None
+    missing = [key for key in ("name", "ph", "ts", "pid", "tid") if key not in event]
+    if missing:
+        return f"missing {', '.join(missing)}"
+    if phase == "X" and not event.get("dur", -1) >= 0:
+        return "complete event without a non-negative dur"
+    if phase == "i" and event.get("s") != "t":
+        return "instant event not thread-scoped (s != 't')"
+    return None
+
+
+def check_chrome_events(events: Any) -> None:
+    """Schema-check a Chrome trace's ``traceEvents`` list.
+
+    Every event is ``M`` metadata (``process_name``/``thread_name`` with
+    ``args.name``), an ``X`` complete event or an ``i`` instant; ``X``
+    and ``i`` carry name/ph/ts/pid/tid, complete events have
+    ``dur >= 0`` and instants are thread-scoped (``s == "t"``).  Holds
+    for both the engine export and :func:`stitch_chrome_trace`.  Raises
+    :class:`ValueError` naming the first bad event.
+    """
+    if not isinstance(events, list) or not events:
+        raise ValueError("traceEvents missing or empty")
+    for event in events:
+        problem = _event_problem(event)
+        if problem is not None:
+            raise ValueError(f"bad trace event ({problem}): {event}")
 
 
 #: Stage names eligible to anchor the engine sub-trace, most precise

@@ -27,6 +27,7 @@ from repro.obs.export import chrome_trace, write_chrome_trace
 from repro.obs.sampler import ObsReport, WindowedSampler, _acc
 from repro.obs.tracer import PID_BUS, PID_CPU, ObsEvent, TimelineTracer
 from repro.prefetch.strategies import NP, PREF, PWS
+from repro.telemetry.tracing import check_chrome_events
 
 settings.register_profile("repro-ci", derandomize=True)
 settings.load_profile("repro-ci")
@@ -196,24 +197,15 @@ class TestChromeTraceExport:
         events = trace["traceEvents"]
         assert trace["otherData"]["timestamp_unit"] == "cycles"
         assert trace["otherData"]["exec_cycles"] == result.exec_cycles
+        check_chrome_events(events)
         phases = {e["ph"] for e in events}
         assert "M" in phases and "X" in phases
-        for event in events:
-            assert event["ph"] in ("M", "X", "i")
-            if event["ph"] == "M":
-                assert event["name"] in ("process_name", "thread_name")
-                assert "name" in event["args"]
-                if event["name"] == "process_name":
-                    # The run label is folded into every process name so
-                    # Perfetto rows identify the workload/strategy.
-                    assert event["args"]["name"].endswith(" -- test")
-                continue
-            for key in ("name", "ph", "ts", "pid", "tid"):
-                assert key in event, f"missing {key}: {event}"
-            if event["ph"] == "X":
-                assert "dur" in event and event["dur"] >= 0
-            else:
-                assert event["s"] == "t"
+        # The run label is folded into every process name so Perfetto
+        # rows identify the workload/strategy.
+        assert all(
+            e["args"]["name"].endswith(" -- test")
+            for e in events if e["ph"] == "M" and e["name"] == "process_name"
+        )
         # The bus track records occupancy spans; a prefetching Water run
         # records prefetch instants on the cpu track.
         assert any(e["ph"] == "X" and e["pid"] == PID_BUS for e in events)

@@ -5,8 +5,9 @@ key parity with the ExperimentRunner's disk-cache payload), the run
 stores (in-memory + ledger hydration with the round-trip fidelity
 check), the asyncio scheduler (concurrent-dedup: N identical submits
 cost one simulation; failure surfacing), the HTTP API end to end over a
-real socket, the mixed-schema ledger regression, cache-stat gauges, and
-the `--json` CLI output modes.
+real socket, the mixed-schema ledger regression, must-fail controls for
+the end-to-end smoke's checkers, cache-stat gauges, and the `--json` CLI
+output modes.
 """
 
 from __future__ import annotations
@@ -34,11 +35,18 @@ from repro.service.contracts import (
     ScenarioSpec,
 )
 from repro.service.scheduler import RunScheduler
+from repro.service.smoke import (
+    SmokeFailure,
+    _reconcile_flush,
+    _scrape_values,
+    _stage_sums,
+)
 from repro.service.store import InMemoryRunStore, LedgerRunStore, spec_from_ledger_entry
 from repro.telemetry.fleet import TelemetryConfig, export_cache_stats
 from repro.telemetry.ledger import LedgerEntry, RunLedger
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.timeseries import TimeSeriesStore
+from repro.telemetry.tracing import check_chrome_events
 
 #: The CI-speed frame used throughout: tiny but a real simulation.
 QUICK = dict(workload="Water", num_cpus=2, scale=0.02, transfer_cycles=4)
@@ -997,6 +1005,119 @@ class TestObservabilityRoutes:
         summary = RunLedger(tmp_path / "ledger").summarize()
         assert flushed("repro_ledger_entries") == summary["entries"] == 1
         assert flushed("repro_ledger_simulated_runs") == summary["simulated_runs"]
+
+
+# --------------------------------------------------------------------------
+# Smoke checkers: must-fail controls (no server needed)
+# --------------------------------------------------------------------------
+
+#: A final scrape in the server's exposition format: a counter (the
+#: scrape's own request line included), a gauge, two histograms and a
+#: ledger family.
+EXPOSITION = """\
+# HELP repro_service_requests_total HTTP requests by route and status
+# TYPE repro_service_requests_total counter
+repro_service_requests_total{method="GET",route="/metrics",status="200"} 1
+repro_service_requests_total{method="POST",route="/runs",status="202"} 2
+# TYPE repro_service_queue_depth gauge
+repro_service_queue_depth 0
+# TYPE repro_service_request_seconds histogram
+repro_service_request_seconds_bucket{route="/metrics",le="0.01"} 1
+repro_service_request_seconds_bucket{route="/metrics",le="+Inf"} 1
+repro_service_request_seconds_sum{route="/metrics"} 0.002
+repro_service_request_seconds_count{route="/metrics"} 1
+# TYPE repro_service_stage_seconds histogram
+repro_service_stage_seconds_bucket{stage="execute",le="+Inf"} 2
+repro_service_stage_seconds_sum{stage="execute"} 0.125
+repro_service_stage_seconds_count{stage="execute"} 2
+repro_service_stage_seconds_sum{stage="worker.run"} 0.0625
+repro_service_stage_seconds_count{stage="worker.run"} 2
+# TYPE repro_ledger_entries gauge
+repro_ledger_entries 2
+"""
+
+
+def _flush_matching_exposition() -> dict:
+    """The shutdown flush that reconciles with :data:`EXPOSITION`: equal
+    everywhere except the scrape's own request (+1)."""
+
+    def counter(kind, *samples):
+        return {"type": kind, "samples": [{"labels": l, "value": v} for l, v in samples]}
+
+    def histogram(*samples):
+        return {"type": "histogram",
+                "samples": [{"labels": l, "count": c, "sum": 0.0} for l, c in samples]}
+
+    return {"families": {
+        "repro_service_requests_total": counter(
+            "counter",
+            ({"method": "GET", "route": "/metrics", "status": "200"}, 2.0),
+            ({"method": "POST", "route": "/runs", "status": "202"}, 2.0),
+        ),
+        "repro_service_queue_depth": counter("gauge", ({}, 0.0)),
+        "repro_service_request_seconds": histogram(({"route": "/metrics"}, 2)),
+        "repro_service_stage_seconds": histogram(
+            ({"stage": "execute"}, 2), ({"stage": "worker.run"}, 2)
+        ),
+        "repro_ledger_entries": counter("gauge", ({}, 2.0)),
+    }}
+
+
+class TestSmokeCheckers:
+    def test_check_chrome_events_accepts_a_wellformed_trace(self):
+        check_chrome_events([
+            {"name": "process_name", "ph": "M", "pid": 0, "tid": 0, "args": {"name": "cpu"}},
+            {"name": "run", "ph": "X", "ts": 0, "dur": 5, "pid": 0, "tid": 0},
+            {"name": "pf", "ph": "i", "ts": 1, "pid": 0, "tid": 0, "s": "t"},
+        ])
+
+    @pytest.mark.parametrize("event, problem", [
+        ({"name": "run", "ph": "B", "ts": 0, "pid": 0, "tid": 0}, "unknown phase"),
+        ({"name": "run", "ph": "X", "ts": 0, "dur": 1, "tid": 0}, "missing pid"),
+        ({"name": "run", "ph": "X", "ts": 0, "dur": -1, "pid": 0, "tid": 0}, "dur"),
+        ({"name": "pf", "ph": "i", "ts": 0, "pid": 0, "tid": 0}, "thread-scoped"),
+        ({"name": "counter", "ph": "M", "pid": 0, "args": {"name": "x"}}, "metadata"),
+    ], ids=["unknown-phase", "no-pid", "negative-dur", "unscoped-instant", "bad-metadata"])
+    def test_check_chrome_events_rejects(self, event, problem):
+        with pytest.raises(ValueError, match=problem):
+            check_chrome_events([event])
+
+    def test_check_chrome_events_rejects_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            check_chrome_events([])
+
+    def test_scrape_parsers_read_fixed_exposition(self):
+        assert _stage_sums(EXPOSITION) == {"execute": 0.125, "worker.run": 0.0625}
+        values = _scrape_values(EXPOSITION)
+        assert values['repro_service_requests_total{method="GET",route="/metrics",status="200"}'] == 1.0
+        assert values["repro_service_queue_depth"] == 0.0
+        assert values['repro_service_request_seconds_bucket{route="/metrics",le="+Inf"}'] == 1.0
+        assert values["repro_ledger_entries"] == 2.0
+        assert not any(key.startswith("#") for key in values)
+        assert len(values) == 13
+
+    def test_flush_reconciles_with_the_scrapes_own_request(self):
+        assert _reconcile_flush(_flush_matching_exposition(), _scrape_values(EXPOSITION)) == 6
+
+    def test_flush_rejects_a_perturbed_counter(self):
+        flush = _flush_matching_exposition()
+        flush["families"]["repro_service_requests_total"]["samples"][1]["value"] = 3.0
+        with pytest.raises(SmokeFailure, match="mismatch"):
+            _reconcile_flush(flush, _scrape_values(EXPOSITION))
+
+    def test_flush_rejects_a_sample_the_scrape_lacks(self):
+        flush = _flush_matching_exposition()
+        flush["families"]["repro_service_queue_depth"]["samples"].append(
+            {"labels": {"shard": "1"}, "value": 0.0}
+        )
+        with pytest.raises(SmokeFailure, match="absent from the final scrape"):
+            _reconcile_flush(flush, _scrape_values(EXPOSITION))
+
+    def test_flush_rejects_dropping_a_scraped_sample(self):
+        flush = _flush_matching_exposition()
+        del flush["families"]["repro_service_stage_seconds"]["samples"][1]
+        with pytest.raises(SmokeFailure, match="absent from the flush"):
+            _reconcile_flush(flush, _scrape_values(EXPOSITION))
 
 
 # --------------------------------------------------------------------------
