@@ -16,13 +16,28 @@ among transactions with ``eligible_time <= g``:
 Grant decisions are made by the *engine* popping arbitration events in
 global time order, which guarantees every request issued before ``g`` is
 already queued -- see :mod:`repro.sim.engine`.
+
+The queue is one FIFO per (tier, CPU), so a grant costs O(CPUs), not
+O(queue length).  This is exact because of a per-queue invariant:
+within one (tier, CPU) queue, ``eligible_time`` never decreases as
+issue order rises.  Each kind's eligibility is its issue time plus a
+constant, engine time is monotone, and a CPU has at most one demand
+transaction queued (demand fills and upgrades stall it).  So a queue's
+head is its only candidate: if the head is not eligible, nothing behind
+it is, and if it is, nothing behind it has a lower ``seq``.  Walking the
+tiers in order and the CPUs in round-robin order, the first eligible
+head is exactly the linear scan's ``min(eligible, key=(tier,
+rr_distance, seq))``.  :meth:`Bus.request` enforces the invariant.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from heapq import heappop, heappush
 
-from repro.bus.transaction import BusTransaction, TransactionKind
+from repro.bus.transaction import TIER_PREFETCH, BusTransaction, TransactionKind
 from repro.common.config import BusConfig
 from repro.common.errors import SimulationError
 
@@ -43,7 +58,7 @@ class BusStats:
 
     busy_cycles: int = 0
     ops_by_kind: dict[TransactionKind, int] = field(
-        default_factory=lambda: {kind: 0 for kind in TransactionKind}
+        default_factory=partial(dict.fromkeys, TransactionKind, 0)
     )
     demand_ops: int = 0
     prefetch_ops: int = 0
@@ -95,7 +110,22 @@ class Bus:
         self.num_cpus = num_cpus
         self.free_at = 0
         self.stats = BusStats()
-        self._pending: list[BusTransaction] = []
+        #: Queued transactions by ``seq``: issue order, and the queue depth.
+        self._pending: dict[int, BusTransaction] = {}
+        #: ``_queues[tier][cpu]``: FIFO of that CPU's queued transactions
+        #: in that arbitration tier (tiers are numbered in service order;
+        #: see the module docstring).
+        self._queues: tuple[list[deque[BusTransaction]], ...] = tuple(
+            [deque() for _ in range(num_cpus)] for _ in range(TIER_PREFETCH + 1)
+        )
+        #: Min-heap of ``(eligible_time, seq)``; granted entries are
+        #: dropped lazily when they reach the top.
+        self._eligible: list[tuple[int, int]] = []
+        #: ``_rr_order[last]``: CPUs in round-robin order after ``last``.
+        self._rr_order = [
+            tuple((last + 1 + i) % num_cpus for i in range(num_cpus))
+            for last in range(num_cpus)
+        ]
         self._last_granted_cpu = num_cpus - 1
         self._seq = 0
         #: Optional observability tap (:class:`repro.obs.taps.EngineObserver`);
@@ -106,10 +136,24 @@ class Bus:
     # -------------------------------------------------------------- requests
 
     def request(self, txn: BusTransaction) -> None:
-        """Queue a transaction (eligible_time must already be set)."""
-        txn.seq = self._seq
-        self._seq += 1
-        self._pending.append(txn)
+        """Queue a transaction (eligible_time must already be set).
+
+        Raises :class:`SimulationError` if ``txn`` would become eligible
+        before the tail of its (tier, CPU) queue, which would break the
+        FIFO arbitration invariant (see the module docstring).
+        """
+        tier = txn.tier
+        queue = self._queues[tier][txn.cpu]
+        if queue and queue[-1].eligible_time > txn.eligible_time:
+            raise SimulationError(
+                f"cpu {txn.cpu} {txn.kind.name} eligible at {txn.eligible_time}, "
+                f"before its tier-{tier} queue tail at {queue[-1].eligible_time}"
+            )
+        txn.seq = seq = self._seq
+        self._seq = seq + 1
+        queue.append(txn)
+        self._pending[seq] = txn
+        heappush(self._eligible, (txn.eligible_time, seq))
         if self.observer is not None:
             self.observer.on_bus_request(txn, len(self._pending))
 
@@ -168,13 +212,17 @@ class Bus:
         Read-only view for diagnostics and the audit layer; mutating the
         returned transactions is not supported.
         """
-        return tuple(self._pending)
+        return tuple(self._pending.values())
 
     def next_arbitration_time(self, now: int) -> int | None:
         """Earliest time a grant decision could be made, or None if idle."""
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return None
-        earliest_eligible = min(t.eligible_time for t in self._pending)
+        heap = self._eligible
+        while heap[0][1] not in pending:
+            heappop(heap)
+        earliest_eligible = heap[0][0]
         if self.config.contention_free:
             return max(now, earliest_eligible)
         return max(now, self.free_at, earliest_eligible)
@@ -190,11 +238,10 @@ class Bus:
             return None
         if not self.config.contention_free and now < self.free_at:
             return None
-        eligible = [t for t in self._pending if t.eligible_time <= now]
-        if not eligible:
+        chosen = self._choose(now)
+        if chosen is None:
             return None
-        chosen = self._choose(eligible)
-        self._pending.remove(chosen)
+        del self._pending[chosen.seq]
         chosen.grant_time = now
         chosen.completion_time = now + chosen.occupancy
         if self.config.contention_free:
@@ -209,15 +256,32 @@ class Bus:
             self.observer.on_bus_grant(chosen, len(self._pending))
         return chosen
 
-    def _choose(self, eligible: list[BusTransaction]) -> BusTransaction:
-        def rr_distance(cpu: int) -> int:
-            return (cpu - self._last_granted_cpu - 1) % self.num_cpus
+    def _choose(self, now: int) -> BusTransaction | None:
+        """Dequeue the winner among eligible queue heads, or None.
 
+        With demand priority: the first eligible head by tier, then by
+        round-robin CPU order.  Without it: the first CPU in round-robin
+        order with an eligible head, taking its lowest-``seq`` one.
+        """
+        order = self._rr_order[self._last_granted_cpu]
         if self.config.demand_priority:
-            key = lambda t: (t.tier, rr_distance(t.cpu), t.seq)
-        else:
-            key = lambda t: (rr_distance(t.cpu), t.seq)
-        return min(eligible, key=key)
+            for queues in self._queues:
+                for cpu in order:
+                    queue = queues[cpu]
+                    if queue and queue[0].eligible_time <= now:
+                        return queue.popleft()
+            return None
+        for cpu in order:
+            best: deque[BusTransaction] | None = None
+            for queues in self._queues:
+                queue = queues[cpu]
+                if queue and queue[0].eligible_time <= now and (
+                    best is None or queue[0].seq < best[0].seq
+                ):
+                    best = queue
+            if best is not None:
+                return best.popleft()
+        return None
 
     def _account(self, txn: BusTransaction) -> None:
         self.stats.busy_cycles += txn.occupancy

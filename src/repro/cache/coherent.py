@@ -70,10 +70,11 @@ class CoherentCache:
         self._num_sets = config.num_sets
         self._set_mask = self._num_sets - 1
         self._block_shift = config.block_size.bit_length() - 1
-        # frames[set][way]
-        self._frames: list[list[CacheFrame]] = [
-            [CacheFrame() for _ in range(self._assoc)] for _ in range(self._num_sets)
-        ]
+        # frames[set][way], allocated lazily: a set grows by one frame
+        # each time an install finds no invalid way while it is still
+        # short of ``associativity``, so allocated ways are always a
+        # prefix and a missing way is a never-filled INVALID frame.
+        self._frames: list[list[CacheFrame]] = [[] for _ in range(self._num_sets)]
         # Fast tag -> frame map for snooping (avoids scanning sets).
         self._by_block: dict[int, CacheFrame] = {}
         self.victim = VictimCache(config.victim_cache_lines, protocol)
@@ -178,14 +179,20 @@ class CoherentCache:
     def _install(self, block: int, state: LineState, by_prefetch: bool, now: int) -> EvictedLine | None:
         set_idx = self._set_index(block)
         ways = self._frames[set_idx]
-        # Prefer an invalid frame; otherwise evict LRU.
+        # Prefer the first invalid way, then a new way while the set is
+        # short, then the LRU way: the choice a fully allocated set
+        # would make, since its never-filled ways follow the filled ones.
         target: CacheFrame | None = None
         for frame in ways:
             if not frame.valid:
                 target = frame
                 break
         if target is None:
-            target = min(ways, key=lambda f: f.last_use)
+            if len(ways) < self._assoc:
+                target = CacheFrame()
+                ways.append(target)
+            else:
+                target = min(ways, key=lambda f: f.last_use)
 
         writeback: EvictedLine | None = None
         if target.block >= 0:

@@ -142,6 +142,19 @@ class SimulationEngine:
             tuple(p.cache for p in self.procs if p.cpu != i)
             for i in range(machine.num_cpus)
         ]
+        #: Every CPU but cpu i, as ``(cpu, cache, tag map, MSHRs)`` for
+        #: the snoop fan-out at bus grants.
+        self._remotes = [
+            tuple(
+                (p.cpu, p.cache, p.cache._by_block, p.mshr)
+                for p in self.procs
+                if p.cpu != i
+            )
+            for i in range(machine.num_cpus)
+        ]
+        #: A victim buffer may hold a copy the tag map does not show, so
+        #: with one every remote cache is snooped.
+        self._has_victim = machine.cache.victim_cache_lines > 0
         #: Flag-gated sanitizer (None when disabled; all hook sites are
         #: ``if audit is not None`` branches, so the disabled engine
         #: stays on its original code paths and results are identical).
@@ -756,8 +769,9 @@ class SimulationEngine:
         self._schedule_arb()
 
     def _grant_fill(self, txn: BusTransaction, now: int) -> None:
-        requester = self.procs[txn.cpu]
-        fill = requester.mshr.lookup(txn.block)
+        cpu = txn.cpu
+        block = txn.block
+        fill = self.procs[cpu].mshr._fills.get(block)
         if fill is None:  # pragma: no cover - engine invariant
             raise SimulationError(f"granted fill with no MSHR entry: {txn!r}")
         fill.granted = True
@@ -765,28 +779,29 @@ class SimulationEngine:
 
         exclusive = txn.kind is TransactionKind.FILL_EX
         op = BusOp.READ_EX if exclusive else BusOp.READ
+        word_mask = txn.word_mask
         obs = self._obs
+        snoop_all = self._has_victim
+        invalid = LineState.INVALID
         others_have = False
-        for proc in self.procs:
-            if proc.cpu == txn.cpu:
-                continue
-            had, _supplied = proc.cache.snoop(txn.block, op, txn.word_mask)
-            if had:
-                others_have = True
-                if obs is not None:
-                    obs.on_snoop(
-                        proc.cpu,
-                        txn.cpu,
-                        txn.block,
-                        now,
-                        "invalidate" if exclusive else "downgrade",
-                    )
-            remote_fill = proc.mshr.lookup(txn.block)
+        for other, cache, by_block, mshr in self._remotes[cpu]:
+            # A cache with no valid frame for the block (and no victim
+            # buffer) would snoop to (False, False) with no side effects.
+            frame = by_block.get(block)
+            if snoop_all or (frame is not None and frame.state is not invalid):
+                had, _supplied = cache.snoop(block, op, word_mask)
+                if had:
+                    others_have = True
+                    if obs is not None:
+                        obs.on_snoop(
+                            other, cpu, block, now, "invalidate" if exclusive else "downgrade"
+                        )
+            remote_fill = mshr._fills.get(block)
             if remote_fill is not None and remote_fill.granted and not remote_fill.poisoned:
                 others_have = True
                 if exclusive:
-                    if proc.mshr.snoop_invalidate(txn.block, txn.word_mask) and obs is not None:
-                        obs.on_snoop(proc.cpu, txn.cpu, txn.block, now, "poison")
+                    if mshr.snoop_invalidate(block, word_mask) and obs is not None:
+                        obs.on_snoop(other, cpu, block, now, "poison")
                 elif remote_fill.fill_state.is_exclusive:
                     # A read serialized behind a concurrent exclusive
                     # fill: both copies land SHARED.  For an in-flight
@@ -807,19 +822,23 @@ class SimulationEngine:
         else:
             fill.fill_state = self.protocol.fill_state(BusOp.READ_EX, others_have)
 
-        self._push(_EV_FILLDONE, txn.completion_time, txn.cpu, txn.block)
+        self._push(_EV_FILLDONE, txn.completion_time, cpu, block)
 
     def _grant_upgrade(self, txn: BusTransaction, now: int) -> None:
         proc = self.procs[txn.cpu]
+        block = txn.block
+        word_mask = txn.word_mask
         obs = self._obs
-        for other in self.procs:
-            if other.cpu == txn.cpu:
-                continue
-            had, _supplied = other.cache.snoop(txn.block, BusOp.UPGRADE, txn.word_mask)
-            if had and obs is not None:
-                obs.on_snoop(other.cpu, txn.cpu, txn.block, now, "invalidate")
-            if other.mshr.snoop_invalidate(txn.block, txn.word_mask) and obs is not None:
-                obs.on_snoop(other.cpu, txn.cpu, txn.block, now, "poison")
+        snoop_all = self._has_victim
+        invalid = LineState.INVALID
+        for other, cache, by_block, mshr in self._remotes[txn.cpu]:
+            frame = by_block.get(block)
+            if snoop_all or (frame is not None and frame.state is not invalid):
+                had, _supplied = cache.snoop(block, BusOp.UPGRADE, word_mask)
+                if had and obs is not None:
+                    obs.on_snoop(other, txn.cpu, block, now, "invalidate")
+            if mshr.snoop_invalidate(block, word_mask) and obs is not None:
+                obs.on_snoop(other, txn.cpu, block, now, "poison")
 
         if proc.status is not CpuStatus.STALLED_UPGRADE or proc.waiting_block != txn.block:
             raise SimulationError(f"upgrade granted for cpu {txn.cpu} not waiting on it")

@@ -66,6 +66,52 @@ class TestLookup:
         assert not cache.lookup_demand(s, 0b1, now=4).hit
 
 
+class TestLazyFrames:
+    """Sets allocate frames on demand, choosing the way a full set would."""
+
+    #: A 4-way 32 KB cache: 256 sets, so blocks 8 KB apart share a set.
+    STRIDE = 32 * 1024 // 4
+
+    def fill_set(self, cache, count, start=0):
+        for i in range(count):
+            cache.fill(i * self.STRIDE, LineState.SHARED, by_prefetch=False, now=start + i)
+
+    def test_sets_start_empty_and_grow_to_associativity(self, protocol):
+        cache = make_cache(protocol, associativity=4)
+        assert cache._frames[0] == []
+        for i in range(10):
+            cache.fill(i * self.STRIDE, LineState.SHARED, by_prefetch=False, now=i)
+            assert len(cache._frames[0]) == min(i + 1, 4)
+        assert all(ways == [] for ways in cache._frames[1:])
+
+    def test_invalidated_way_is_reused_before_a_new_way(self, protocol):
+        cache = make_cache(protocol, associativity=4)
+        self.fill_set(cache, 2)
+        frame = cache._by_block[0]
+        cache.snoop(0, BusOp.READ_EX, 0b1)
+        cache.fill(2 * self.STRIDE, LineState.SHARED, by_prefetch=False, now=5)
+        assert len(cache._frames[0]) == 2
+        assert cache._by_block[2 * self.STRIDE] is frame
+        assert cache.resident_blocks() == [self.STRIDE, 2 * self.STRIDE]
+
+    def test_lru_eviction_only_once_every_way_is_valid(self, protocol):
+        cache = make_cache(protocol, associativity=4)
+        self.fill_set(cache, 4)
+        assert cache.resident_blocks() == [i * self.STRIDE for i in range(4)]
+        cache.record_access(0, 0b1, now=10)  # block 1 * STRIDE is now LRU
+        cache.fill(4 * self.STRIDE, LineState.SHARED, by_prefetch=False, now=11)
+        assert cache.resident_blocks() == [0, 2 * self.STRIDE, 3 * self.STRIDE, 4 * self.STRIDE]
+        assert len(cache._frames[0]) == 4
+
+    def test_invalid_way_beats_lru_in_a_full_set(self, protocol):
+        cache = make_cache(protocol, associativity=4)
+        self.fill_set(cache, 4)
+        cache.snoop(3 * self.STRIDE, BusOp.READ_EX, 0b1)
+        cache.fill(4 * self.STRIDE, LineState.SHARED, by_prefetch=False, now=11)
+        # Block 0 is LRU but valid; the invalidated way takes the fill.
+        assert cache.resident_blocks() == [0, self.STRIDE, 2 * self.STRIDE, 4 * self.STRIDE]
+
+
 class TestInvalidationMisses:
     def test_snoop_invalidate_then_miss_classifies_invalidation(self, protocol):
         cache = make_cache(protocol)

@@ -11,6 +11,7 @@ it corrupts the paper tables.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -76,6 +77,60 @@ class TestFastPathGoldens:
             result.upgrades,
         )
         assert observed == self.GOLDEN[strategy.name]
+
+
+class TestSaturatedBusGolden:
+    """Frozen digest of deep-queue runs: 12 CPUs on the 32-cycle bus.
+
+    The 4-CPU goldens above keep the bus queue short, so they barely
+    exercise arbitration order.  Here the bus runs at 93-100%
+    utilization with 80-180 transactions queued, so any change to which
+    transaction wins a grant -- tier order, round-robin position, FIFO
+    within a CPU, ``next_arbitration_time`` -- moves the digest.  The
+    points also cover the arbiter without demand priority, the
+    contention-free bus, MSI, a victim cache and a 2-way cache (lazy
+    frame allocation and LRU).  Captured before the per-(tier, CPU)
+    queue arbiter replaced the linear scan; it must never change
+    without an ``ENGINE_VERSION`` bump.
+    """
+
+    DIGEST = "2fbb4b7de5f530c8cf1675cd95feb1fb37c37984e67afdb61a4b451fe926ec3d"
+
+    @staticmethod
+    def points() -> list[tuple[str, str, MachineConfig]]:
+        base = MachineConfig(num_cpus=12).with_transfer_cycles(32)
+        bus, cache = base.bus, base.cache
+        points = [
+            (workload, strategy, base)
+            for workload in ("Mp3d", "LocusRoute")
+            for strategy in ("PREF", "PWS", "ADAPT")
+        ]
+        points += [
+            ("Pverify", "PREF", dataclasses.replace(
+                base, bus=dataclasses.replace(bus, demand_priority=False))),
+            ("Pverify", "PREF", dataclasses.replace(
+                base, bus=dataclasses.replace(bus, contention_free=True))),
+            ("Mp3d", "PWS", dataclasses.replace(base, protocol="msi")),
+            ("LocusRoute", "PREF", dataclasses.replace(
+                base, cache=dataclasses.replace(cache, victim_cache_lines=4))),
+            ("Mp3d", "PREF", dataclasses.replace(
+                base, cache=CacheConfig(size_bytes=4096, associativity=2))),
+            ("Water", "PREF", base),
+        ]
+        return points
+
+    def test_saturated_grid_digest(self):
+        runner = ExperimentRunner(num_cpus=12, seed=42, scale=0.03)
+        results = [
+            dataclasses.replace(
+                runner.run(workload, strategy_by_name(strategy), machine),
+                obs=None,
+                audit=None,
+            ).to_dict()
+            for workload, strategy, machine in self.points()
+        ]
+        blob = json.dumps(results, sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == self.DIGEST
 
 
 # ---------------------------------------------------------- serialization
