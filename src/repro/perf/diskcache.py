@@ -149,7 +149,7 @@ class ResultDiskCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key[:8]}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, sort_keys=True)
+                fh.write(json.dumps(entry, sort_keys=True))  # C encoder; same bytes
             os.replace(tmp, path)
         except BaseException:
             try:

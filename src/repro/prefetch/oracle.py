@@ -28,8 +28,7 @@ property for conflict misses).
 from __future__ import annotations
 
 from repro.common.config import MachineConfig, SimulationConfig
-from repro.prefetch.insertion import InsertionReport, insert_prefetches, place_prefetches
-from repro.prefetch.strategies import NP
+from repro.prefetch.insertion import InsertionReport, place_prefetches
 from repro.sim.engine import SimulationEngine
 from repro.trace.events import MemRef
 from repro.trace.stream import CpuTrace, MultiTrace
@@ -56,23 +55,20 @@ def insert_perfect_prefetches(
     :func:`~repro.prefetch.insertion.insert_prefetches`; the report's
     strategy name is ``"ORACLE"``.
     """
-    # Pass 1: a recording NP run over a private copy of the trace.
-    probe, _ = insert_prefetches(trace, NP, machine.cache)
-    engine = SimulationEngine(
-        probe, machine, SimulationConfig(record_miss_indices=True)
-    )
+    # Pass 1: a recording NP run over the clean trace (the engine never
+    # writes to an event, so it needs no private copy).
+    engine = SimulationEngine(trace, machine, SimulationConfig(record_miss_indices=True))
     engine.run()
 
     misses_by_cpu: dict[int, list[int]] = {}
     for cpu, index in engine.miss_indices:
         misses_by_cpu.setdefault(cpu, []).append(index)
 
-    # Pass 2: place prefetches for exactly the recorded misses in a
-    # fresh copy.
-    annotated, report = insert_prefetches(trace, NP, machine.cache)
-    report.strategy = "ORACLE"
+    # Pass 2: place prefetches for exactly the recorded misses over the
+    # clean events (copy-on-mark, see place_prefetches).
+    report = InsertionReport(strategy="ORACLE", per_cpu_inserted=[0] * trace.num_cpus)
     new_traces: list[CpuTrace] = []
-    for cpu_trace in annotated:
+    for cpu_trace in trace:
         events = cpu_trace.events
         candidates: dict[int, bool] = {}
         for index in misses_by_cpu.get(cpu_trace.cpu, ()):
@@ -84,8 +80,6 @@ def insert_perfect_prefetches(
         report.candidates += len(candidates)
         report.inserted += inserted
         report.exclusive += exclusive
-        while len(report.per_cpu_inserted) <= cpu_trace.cpu:
-            report.per_cpu_inserted.append(0)
         report.per_cpu_inserted[cpu_trace.cpu] = inserted
         new_traces.append(CpuTrace(cpu_trace.cpu, merged))
 

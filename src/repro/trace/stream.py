@@ -21,7 +21,9 @@ class CpuTrace:
 
     Attributes:
         cpu: the CPU index this stream belongs to.
-        events: the event list (mutable; the insertion pass rewrites it).
+        events: the event list.  Treat it and its events as read-only:
+            the insertion pass builds new lists that share the unmarked
+            events, and annotated traces are memoised across runs.
     """
 
     __slots__ = ("cpu", "events")

@@ -9,11 +9,20 @@ arithmetic tractable.
 
 import pytest
 
-from repro.common.config import BusConfig, CacheConfig, MachineConfig, PrefetchConfig
+from repro.common.config import (
+    BusConfig,
+    CacheConfig,
+    MachineConfig,
+    PrefetchConfig,
+    SimulationConfig,
+)
 from repro.common.errors import SimulationError
+from repro.prefetch.insertion import insert_prefetches
+from repro.prefetch.strategies import PWS
 from repro.sim.engine import simulate
 from repro.trace.events import Barrier, LockAcquire, LockRelease, MemRef, Prefetch
 from repro.trace.stream import CpuTrace, MultiTrace
+from repro.workloads.registry import generate_workload
 
 
 def machine(num_cpus=2, **bus_kwargs):
@@ -254,3 +263,37 @@ class TestMetricsConsistency:
         events = [MemRef(0x1000 * i) for i in range(1, 50)]
         result = run([events, list()])
         assert 0.0 < result.bus_utilization <= 1.0
+
+
+class TestEventsReadOnly:
+    """The engine never writes to a trace event, on any path.
+
+    Annotated traces share their unmarked events with the clean trace
+    and are memoised across runs, so this is what makes that sharing
+    safe.
+    """
+
+    @staticmethod
+    def snapshot(trace):
+        return [
+            [
+                (type(e), [getattr(e, a) for k in type(e).__mro__ for a in getattr(k, "__slots__", ())])
+                for e in cpu_trace
+            ]
+            for cpu_trace in trace
+        ]
+
+    @pytest.mark.parametrize(
+        "sim_config",
+        [SimulationConfig(), SimulationConfig(observe=True), SimulationConfig(audit=True)],
+        ids=["fast", "observed", "audited"],
+    )
+    def test_simulate_leaves_every_event_unchanged(self, sim_config):
+        m = MachineConfig(num_cpus=4)
+        clean = generate_workload("Water", num_cpus=4, scale=0.05)
+        trace, report = insert_prefetches(clean, PWS, m.cache)
+        assert report.inserted > 0
+        before = self.snapshot(trace)
+        result = simulate(trace, m, "PWS", sim_config=sim_config)
+        assert result.demand_refs > 0
+        assert self.snapshot(trace) == before

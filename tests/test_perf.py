@@ -231,6 +231,16 @@ class TestDiskCache:
         assert not stale.exists()
         assert fresh.exists()  # young temp may belong to a live writer
 
+    def test_store_bytes_match_sorted_dumps(self, tmp_path):
+        """An entry on disk is exactly ``json.dumps(entry, sort_keys=True)``."""
+        cache = ResultDiskCache(tmp_path / "c")
+        inputs = {"workload": "Water", "scale": 0.05, "strategy": {"name": "PWS", "distance": 100}}
+        metrics = {"exec_cycles": 12345, "miss_rate": 0.0625, "per_cpu": [{"b": 1.5, "a": None}], "note": "é"}
+        key = content_key(inputs)
+        cache.store(key, metrics, inputs)
+        entry = {"key": key, "inputs": inputs, "metrics": metrics}
+        assert cache._path(key).read_bytes() == json.dumps(entry, sort_keys=True).encode("utf-8")
+
     def test_store_load_round_trip(self, tmp_path):
         cache = ResultDiskCache(tmp_path / "c")
         key = content_key({"k": 1})
