@@ -40,6 +40,8 @@ class BusTransaction:
             (false-sharing classification); 0 otherwise.
         grant_time / completion_time: set by the bus at grant.
         seq: FIFO tiebreaker within a priority class.
+        tier: arbitration tier (lower first under demand priority),
+            fixed by ``kind`` and ``is_demand``.
     """
 
     __slots__ = (
@@ -54,6 +56,7 @@ class BusTransaction:
         "grant_time",
         "completion_time",
         "seq",
+        "tier",
     )
 
     def __init__(
@@ -78,13 +81,10 @@ class BusTransaction:
         self.grant_time = -1
         self.completion_time = -1
         self.seq = -1
-
-    @property
-    def tier(self) -> int:
-        """Arbitration tier (lower first under demand priority)."""
-        if self.kind is TransactionKind.WRITEBACK:
-            return TIER_WRITEBACK
-        return TIER_DEMAND if self.is_demand else TIER_PREFETCH
+        if kind is TransactionKind.WRITEBACK:
+            self.tier = TIER_WRITEBACK
+        else:
+            self.tier = TIER_DEMAND if is_demand else TIER_PREFETCH
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -52,6 +52,14 @@ class EvictedLine:
     dirty: bool
 
 
+#: Shared results: only a victim hit that displaces a dirty line builds one.
+_HIT = LookupResult(hit=True)
+_MISS = LookupResult(hit=False)
+_TRUE_SHARING_MISS = LookupResult(hit=False, invalidation_miss=True)
+_FALSE_SHARING_MISS = LookupResult(hit=False, invalidation_miss=True, false_sharing=True)
+_VICTIM_HIT = LookupResult(hit=True, victim_hit=True)
+
+
 class CoherentCache:
     """One CPU's data cache.
 
@@ -104,12 +112,9 @@ class CoherentCache:
         if frame is not None:
             if frame.valid:
                 frame.last_use = now
-                return LookupResult(hit=True)
-            return LookupResult(
-                hit=False,
-                invalidation_miss=True,
-                false_sharing=frame.miss_is_false_sharing(word_mask),
-            )
+                return _HIT
+            false_sharing = frame.miss_is_false_sharing(word_mask)
+            return _FALSE_SHARING_MISS if false_sharing else _TRUE_SHARING_MISS
         recovered = self.victim.extract(block)
         if recovered is not None:
             state, words, remote_written = recovered
@@ -120,16 +125,15 @@ class CoherentCache:
             frame = self._by_block[block]
             frame.words_accessed = words
             frame.remote_written = remote_written
+            if evicted is None:
+                return _VICTIM_HIT
             return LookupResult(hit=True, victim_hit=True, writeback=evicted)
         masks = self.victim.take_invalidated(block)
         if masks is not None:
             accessed, remote_written = masks
-            return LookupResult(
-                hit=False,
-                invalidation_miss=True,
-                false_sharing=(remote_written & (accessed | word_mask)) == 0,
-            )
-        return LookupResult(hit=False)
+            false_sharing = (remote_written & (accessed | word_mask)) == 0
+            return _FALSE_SHARING_MISS if false_sharing else _TRUE_SHARING_MISS
+        return _MISS
 
     def lookup_prefetch(self, block: int) -> bool:
         """True if a prefetch to ``block`` would hit (no bus op needed).

@@ -58,12 +58,6 @@ _EV_FILLDONE = 2
 #: Extra cycles charged for swapping a line in from the victim cache.
 _VICTIM_SWAP_CYCLES = 1
 
-#: Entries kept in the (addr, size) -> word_mask memo before it is
-#: cleared.  The memo is a pure-function cache, so clearing costs only
-#: recomputation; without a bound it grows with the number of distinct
-#: (addr, size) pairs, which is unbounded over very long traces.
-_WM_CACHE_LIMIT = 1 << 16
-
 
 def simulate(
     trace: MultiTrace,
@@ -127,10 +121,8 @@ class SimulationEngine:
         self._record_misses = sim_config.record_miss_indices
         self._block_mask = ~(machine.cache.block_size - 1)
         self._block_size = machine.cache.block_size
+        self._offset_mask = machine.cache.block_size - 1
         self._issue_cost = machine.prefetch.issue_cost
-        #: Memo of word_mask_for results keyed by (addr, size); traces
-        #: revisit the same addresses constantly and the function is pure.
-        self._wm_cache: dict[tuple[int, int], int] = {}
         #: needs_upgrade[state] per LineState value, precomputed so the
         #: fast path avoids a protocol method call per write hit.
         self._needs_upgrade = tuple(
@@ -193,7 +185,7 @@ class SimulationEngine:
         heap head (``heap[0][0]``) would be popped next with nothing in
         between, so its gap + cache-hit ``MemRef`` events retire right
         in the loop -- no ``_schedule_cpu`` heappush, no
-        ``begin_access`` bookkeeping, no ``LookupResult`` allocation.
+        ``begin_access`` bookkeeping, no ``lookup_demand`` call.
         The streak ends (falling back to the generic ``_dispatch`` /
         ``_try_access`` handlers, or to the heap) the moment it sees
 
@@ -222,7 +214,7 @@ class SimulationEngine:
         max_cycles = self.sim_config.max_cycles
         block_mask = self._block_mask
         block_size = self._block_size
-        wm_cache = self._wm_cache
+        offset_mask = self._offset_mask
         needs_upgrade = self._needs_upgrade
         invalid = LineState.INVALID
         modified = LineState.MODIFIED
@@ -326,12 +318,11 @@ class SimulationEngine:
                     self._dispatch(proc, now)
                     break
                 size = event.size
-                mask = wm_cache.get((addr, size))
-                if mask is None:
+                # Inlined _word_mask.
+                if (addr & 3) + size <= 4:
+                    mask = 1 << ((addr & offset_mask) >> 2)
+                else:
                     mask = word_mask_for(addr, size, block_size)
-                    if len(wm_cache) >= _WM_CACHE_LIMIT:
-                        wm_cache.clear()
-                    wm_cache[(addr, size)] = mask
                 # Plain hit: replicate lookup_demand + record_access +
                 # _complete_access("retire") for the hit case.
                 if is_write:
@@ -370,7 +361,11 @@ class SimulationEngine:
             raise SimulationError(f"simulation deadlocked; waiting CPUs: {states}")
 
     def collect_metrics(self, strategy_name: str) -> RunMetrics:
-        """Assemble the :class:`RunMetrics` after :meth:`run` finished."""
+        """Assemble the :class:`RunMetrics` after :meth:`run` finished.
+
+        Detaches the finalized observer and auditor: they point back at
+        the engine, which would otherwise wait for the cyclic GC.
+        """
         exec_cycles = max(
             max((p.metrics.finish_time for p in self.procs), default=0), self.bus.free_at
         )
@@ -379,7 +374,7 @@ class SimulationEngine:
             m.stall_cycles = max(
                 0, m.finish_time - m.busy_cycles - m.sync_wait_cycles
             )
-        return RunMetrics(
+        metrics = RunMetrics(
             workload=self.trace.name,
             strategy=strategy_name,
             machine=self.machine.describe(),
@@ -391,6 +386,8 @@ class SimulationEngine:
             audit=self._audit.finalize() if self._audit is not None else None,
             obs=self._obs.finalize(exec_cycles) if self._obs is not None else None,
         )
+        self._audit = self._obs = self.bus.observer = None
+        return metrics
 
     # ------------------------------------------------------------ heap utils
 
@@ -406,14 +403,10 @@ class SimulationEngine:
         self._push(_EV_CPU, time, proc.cpu, 0)
 
     def _word_mask(self, addr: int, size: int) -> int:
-        """Memoised :func:`word_mask_for` (pure; traces repeat addresses)."""
-        mask = self._wm_cache.get((addr, size))
-        if mask is None:
-            mask = word_mask_for(addr, size, self._block_size)
-            if len(self._wm_cache) >= _WM_CACHE_LIMIT:
-                self._wm_cache.clear()
-            self._wm_cache[(addr, size)] = mask
-        return mask
+        """:func:`word_mask_for`; an access inside one word sets one bit."""
+        if (addr & 3) + size <= 4:
+            return 1 << ((addr & self._offset_mask) >> 2)
+        return word_mask_for(addr, size, self._block_size)
 
     def _schedule_arb(self) -> None:
         t = self.bus.next_arbitration_time(self.now)

@@ -1,5 +1,7 @@
 """Unit tests for the coherent cache model."""
 
+import dataclasses
+
 import pytest
 
 from repro.cache.coherent import CoherentCache
@@ -47,6 +49,17 @@ class TestLookup:
         cache.fill(32 * 1024, LineState.SHARED, by_prefetch=False, now=1)
         result = cache.lookup_demand(0x0000, 0b1, now=2)
         assert not result.invalidation_miss
+
+    def test_results_are_shared_and_frozen(self, protocol):
+        cache = make_cache(protocol)
+        cache.fill(0x1000, LineState.SHARED, by_prefetch=False, now=0)
+        hit = cache.lookup_demand(0x1000, 0b1, now=1)
+        assert hit is cache.lookup_demand(0x1000, 0b1, now=2)
+        miss = cache.lookup_demand(0x2000, 0b1, now=3)
+        assert miss is cache.lookup_demand(0x3000, 0b1, now=4)
+        for result in (hit, miss):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                result.hit = not result.hit
 
     def test_associative_cache_keeps_both(self, protocol):
         cache = make_cache(protocol, associativity=2)
@@ -110,6 +123,31 @@ class TestLazyFrames:
         cache.fill(4 * self.STRIDE, LineState.SHARED, by_prefetch=False, now=11)
         # Block 0 is LRU but valid; the invalidated way takes the fill.
         assert cache.resident_blocks() == [0, self.STRIDE, 2 * self.STRIDE, 4 * self.STRIDE]
+
+
+class TestStaleTag:
+    """A known defect of set-associative caches, pinned until it is fixed.
+
+    ``_install`` takes the first invalid way, so block X can get a
+    second frame while a stale INVALID tag for X sits in another way.
+    Reusing that stale way pops X from the tag map, unmapping the live
+    copy.  Direct-mapped caches (every benchmark point) cannot reach
+    it; the fix changes simulated behaviour and needs a new
+    ``ENGINE_VERSION``.
+    """
+
+    @pytest.mark.xfail(strict=True, reason="stale INVALID tag unmaps the live copy")
+    def test_reusing_a_stale_way_keeps_the_live_copy_mapped(self, protocol):
+        # 2-way, 64 bytes: one set, so every block competes for it.
+        cache = make_cache(protocol, size_bytes=64, associativity=2)
+        z, x, w = 0x0000, 0x1000, 0x2000
+        cache.fill(z, LineState.SHARED, by_prefetch=False, now=0)
+        cache.fill(x, LineState.SHARED, by_prefetch=False, now=1)
+        cache.snoop(z, BusOp.READ_EX, 0b1)
+        cache.snoop(x, BusOp.READ_EX, 0b1)
+        cache.fill(x, LineState.MODIFIED, by_prefetch=False, now=2)  # into Z's way
+        cache.fill(w, LineState.SHARED, by_prefetch=False, now=3)  # into X's stale way
+        assert cache.state_of(x) is LineState.MODIFIED
 
 
 class TestInvalidationMisses:

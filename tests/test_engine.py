@@ -7,6 +7,8 @@ transfer; several tests shrink the trace to a couple of CPUs to keep
 arithmetic tractable.
 """
 
+import gc
+
 import pytest
 
 from repro.common.config import (
@@ -297,3 +299,55 @@ class TestEventsReadOnly:
         result = simulate(trace, m, "PWS", sim_config=sim_config)
         assert result.demand_refs > 0
         assert self.snapshot(trace) == before
+
+
+class TestEngineLifetime:
+    """An observed, audited engine is freed when its run returns.
+
+    The observer, the auditor and the bus tap all point back at the
+    engine; ``collect_metrics`` detaches them, so reference counting
+    alone frees the engine and the garbage collector's cadence cannot
+    hold it (and everything it reaches) in memory.
+    """
+
+    @pytest.fixture
+    def engines(self, monkeypatch):
+        import weakref
+
+        import repro.experiments.runner as runner_mod
+        import repro.sim.engine as engine_mod
+
+        refs = []
+
+        class Recorded(engine_mod.SimulationEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(engine_mod, "SimulationEngine", Recorded)
+        monkeypatch.setattr(runner_mod, "SimulationEngine", Recorded)
+        gc.disable()
+        try:
+            yield refs
+        finally:
+            gc.enable()
+
+    def test_simulate_frees_the_engine(self, engines):
+        trace = generate_workload("Water", num_cpus=2, scale=0.05)
+        config = SimulationConfig(observe=True, audit=True)
+        result = simulate(trace, MachineConfig(num_cpus=2), sim_config=config)
+        assert result.obs is not None and result.audit.passed
+        assert len(engines) == 1 and engines[0]() is None
+
+    def test_probed_execute_frees_the_engine(self, engines):
+        import queue
+
+        from repro.experiments.runner import RunJob, execute, process_trace
+        from repro.telemetry.fleet import Probe
+
+        job = RunJob("Water", PWS, MachineConfig(num_cpus=2), num_cpus=2, scale=0.05)
+        probe = Probe(0, job.label, queue=queue.SimpleQueue(), trace_ctx=("t", None))
+        config = SimulationConfig(observe=True, audit=True)
+        done = execute(job, config, process_trace(job), probe)
+        assert done.metrics.obs is not None and done.metrics.audit.passed
+        assert len(engines) == 1 and engines[0]() is None

@@ -287,27 +287,33 @@ class TestDiskCache:
         assert content_key(payload) != content_key(bumped)
 
 
-# ------------------------------------------------------- word-mask memo
+# ------------------------------------------------------------- word mask
 
 
-class TestWordMaskMemoBound:
-    def test_memo_never_exceeds_its_limit(self, monkeypatch):
-        """The (addr, size) -> word_mask memo is cleared at the bound so
-        it cannot grow without limit over long traces with many distinct
-        addresses."""
-        import repro.sim.engine as engine_mod
+class TestEngineWordMask:
+    def test_matches_word_mask_for_exhaustively(self):
+        """The engine's one-word shortcut agrees with word_mask_for for
+        every block size, in-block offset and access size that stays
+        inside the block."""
+        from repro.common.addressing import word_mask_for
         from repro.common.config import SimulationConfig
         from repro.sim.engine import SimulationEngine
-        from repro.workloads.registry import generate_workload
+        from repro.trace.stream import CpuTrace, MultiTrace
 
-        monkeypatch.setattr(engine_mod, "_WM_CACHE_LIMIT", 16)
-        trace = generate_workload("Water", num_cpus=2, seed=1, scale=0.05)
-        eng = SimulationEngine(trace, MachineConfig(num_cpus=2), SimulationConfig())
-        for addr in range(0, 64 * 32, 32):
-            eng._word_mask(addr, 4)
-            assert len(eng._wm_cache) <= 16
-        # correctness survives the clears: recomputed values agree
-        assert eng._word_mask(0, 4) == eng._word_mask(0, 4)
+        trace = MultiTrace("empty", [CpuTrace(0, [])])
+        for shift in range(2, 9):
+            block_size = 1 << shift
+            machine = MachineConfig(num_cpus=1, cache=CacheConfig(block_size=block_size))
+            eng = SimulationEngine(trace, machine, SimulationConfig())
+            for base in (0, 0x7000_0000):
+                for offset in range(block_size):
+                    for size in range(1, 9):
+                        if offset + size > block_size:
+                            break
+                        addr = base + offset
+                        assert eng._word_mask(addr, size) == word_mask_for(
+                            addr, size, block_size
+                        ), (block_size, addr, size)
 
 
 # -------------------------------------------------------- parallel runner

@@ -1,8 +1,16 @@
 """Unit tests for the Illinois coherence protocol decision tables."""
 
+import dataclasses
+
 import pytest
 
-from repro.coherence.protocol import BusOp, IllinoisProtocol, LineState
+from repro.coherence.protocol import (
+    BusOp,
+    IllinoisProtocol,
+    LineState,
+    MSIProtocol,
+    SnoopAction,
+)
 from repro.common.errors import SimulationError
 
 
@@ -109,3 +117,52 @@ class TestSnooping:
         for state in (LineState.SHARED, LineState.PRIVATE, LineState.MODIFIED):
             action = protocol.snoop(state, BusOp.WRITEBACK)
             assert action.new_state is state
+
+
+I, S, P, M = LineState.INVALID, LineState.SHARED, LineState.PRIVATE, LineState.MODIFIED
+
+#: Every snoop decision, written out by hand: (state, op) ->
+#: (new_state, supplies_data, invalidated).
+SNOOP_TABLE = {
+    (I, BusOp.READ): (I, False, False),
+    (I, BusOp.READ_EX): (I, False, False),
+    (I, BusOp.UPGRADE): (I, False, False),
+    (I, BusOp.WRITEBACK): (I, False, False),
+    (S, BusOp.READ): (S, False, False),
+    (S, BusOp.READ_EX): (I, False, True),
+    (S, BusOp.UPGRADE): (I, False, True),
+    (S, BusOp.WRITEBACK): (S, False, False),
+    (P, BusOp.READ): (S, False, False),
+    (P, BusOp.READ_EX): (I, False, True),
+    (P, BusOp.UPGRADE): (I, False, True),
+    (P, BusOp.WRITEBACK): (P, False, False),
+    (M, BusOp.READ): (S, True, False),
+    (M, BusOp.READ_EX): (I, True, True),
+    (M, BusOp.UPGRADE): (I, False, True),
+    (M, BusOp.WRITEBACK): (M, False, False),
+}
+
+
+class TestSharedSnoopDecisions:
+    """Snoop decisions are shared frozen instances, identical under MSI."""
+
+    def test_table_covers_every_pair(self):
+        assert set(SNOOP_TABLE) == {(state, op) for state in LineState for op in BusOp}
+
+    @pytest.mark.parametrize("protocol_cls", [IllinoisProtocol, MSIProtocol])
+    @pytest.mark.parametrize("pair", sorted(SNOOP_TABLE))
+    def test_decision_matches_the_table(self, protocol_cls, pair):
+        new_state, supplies, invalidated = SNOOP_TABLE[pair]
+        action = protocol_cls().snoop(*pair)
+        assert action == SnoopAction(new_state, supplies_data=supplies, invalidated=invalidated)
+        assert action.new_state is new_state
+
+    def test_decisions_are_shared_across_protocols(self):
+        for state, op in SNOOP_TABLE:
+            assert IllinoisProtocol().snoop(state, op) is MSIProtocol().snoop(state, op)
+
+    def test_shared_decision_cannot_be_mutated(self):
+        action = IllinoisProtocol().snoop(M, BusOp.READ)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            action.new_state = I
+        assert IllinoisProtocol().snoop(M, BusOp.READ).new_state is S

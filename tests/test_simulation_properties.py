@@ -6,7 +6,10 @@ the library relies on: conservation of references, coherence of the
 final cache states, metric identities, and determinism.
 """
 
-from hypothesis import given, settings
+import dataclasses
+
+import pytest
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 # Derandomize: CI and the tier-1 gate need run-to-run determinism.  The
@@ -19,10 +22,11 @@ settings.register_profile("repro-ci", derandomize=True)
 settings.load_profile("repro-ci")
 
 from repro.coherence.protocol import LineState
-from repro.common.config import BusConfig, MachineConfig
+from repro.common.config import BusConfig, CacheConfig, MachineConfig
+from repro.prefetch.adaptive import AdaptiveConfig
 from repro.sim.engine import SimulationEngine, simulate
 from repro.common.config import SimulationConfig
-from repro.trace.events import Barrier, MemRef, Prefetch
+from repro.trace.events import Barrier, LockAcquire, LockRelease, MemRef, Prefetch
 from repro.trace.stream import CpuTrace, MultiTrace
 
 NUM_CPUS = 3
@@ -119,3 +123,145 @@ class TestEngineInvariants:
         for cpu in result.per_cpu:
             issued = cpu.prefetches_issued
             assert cpu.prefetch_hits + cpu.prefetch_fills + cpu.prefetch_squashed == issued
+
+
+# ------------------------------------------------- fast path vs generic path
+
+#: Few blocks, so CPUs keep invalidating each other's copies; offsets
+#: within a 32-byte block, and access sizes (pairs that would straddle
+#: the block fall back to one word).
+HOT_BLOCKS = BLOCKS[:4]
+OFFSETS = [0, 3, 4, 16, 26, 28]
+SIZES = [1, 2, 4, 8]
+LOCK_ADDR = 0x30000000
+
+
+#: One event: (kind, block, offset, size, gap, exclusive).  Kind 1 is a
+#: write, 0 and 2 reads, 3 a prefetch, 4 a lock-protected write.
+_EVENT = st.tuples(
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from(HOT_BLOCKS),
+    st.sampled_from(OFFSETS),
+    st.sampled_from(SIZES),
+    st.integers(min_value=0, max_value=4),
+    st.booleans(),
+)
+
+
+def _events(specs):
+    events = []
+    for kind, block, offset, size, gap, exclusive in specs:
+        if offset + size > 32:
+            size = 4 - offset % 4
+        addr = block + offset
+        if kind == 3:
+            events.append(Prefetch(addr, exclusive=exclusive, gap=gap))
+        elif kind == 4:
+            events.append(LockAcquire(0, LOCK_ADDR, gap=gap))
+            events.append(MemRef(addr, is_write=True, size=size))
+            events.append(LockRelease(0, LOCK_ADDR))
+        else:
+            events.append(MemRef(addr, is_write=kind == 1, size=size, gap=gap))
+    return events
+
+
+@st.composite
+def mixed_traces(draw):
+    """A random 2-4 CPU trace: reads and writes of mixed widths,
+    prefetches, lock-protected writes and one barrier."""
+    num_cpus = draw(st.integers(min_value=2, max_value=4))
+    halves = st.lists(_EVENT, max_size=20)
+    cpu_traces = []
+    for cpu in range(num_cpus):
+        events = _events(draw(halves))
+        events.append(Barrier(0, 0x20000000, gap=1))
+        events.extend(_events(draw(halves)))
+        cpu_traces.append(CpuTrace(cpu, events))
+    return MultiTrace("mixed", cpu_traces)
+
+
+#: name -> (machine for n CPUs, ADAPT config).  The small caches put
+#: every block of BLOCKS in one set, so evictions, victim swaps and
+#: associative replacement all happen.
+VARIANTS = {
+    "illinois": (lambda n: MachineConfig(num_cpus=n), None),
+    "msi": (lambda n: MachineConfig(num_cpus=n, protocol="msi"), None),
+    "victim-cache": (
+        lambda n: MachineConfig(
+            num_cpus=n, cache=CacheConfig(size_bytes=128, victim_cache_lines=4)
+        ),
+        None,
+    ),
+    "adapt": (
+        lambda n: MachineConfig(num_cpus=n, bus=BusConfig(transfer_cycles=32)),
+        AdaptiveConfig(high_watermark=0.3, low_watermark=0.2, window=64),
+    ),
+    "contention-free": (
+        lambda n: MachineConfig(num_cpus=n, bus=BusConfig(contention_free=True)),
+        None,
+    ),
+    "2-way": (
+        lambda n: MachineConfig(num_cpus=n, cache=CacheConfig(size_bytes=256, associativity=2)),
+        None,
+    ),
+    "4-way": (
+        lambda n: MachineConfig(num_cpus=n, cache=CacheConfig(size_bytes=512, associativity=4)),
+        None,
+    ),
+    "no-demand-priority": (
+        lambda n: MachineConfig(
+            num_cpus=n, bus=BusConfig(transfer_cycles=32, demand_priority=False)
+        ),
+        None,
+    ),
+}
+
+
+class TestFastPathMatchesGenericPath:
+    """The hit-streak fast path against the generic handlers.
+
+    An observed run always takes the generic handlers, so on every
+    trace the unobserved run's metrics must equal the observed (and
+    audited) run's metrics with the observability payload stripped.
+    The final cache contents must match too: they hold the word masks
+    and LRU stamps that only later misses would turn into metrics.
+    """
+
+    @staticmethod
+    def run(trace, machine_config, sim_config, adaptive):
+        engine = SimulationEngine(trace, machine_config, sim_config, adaptive=adaptive)
+        engine.run()
+        metrics = engine.collect_metrics("NP")
+        caches = [
+            (
+                sorted(
+                    (f.block, f.state, f.words_accessed, f.remote_written,
+                     f.filled_by_prefetch, f.last_use)
+                    for ways in proc.cache._frames
+                    for f in ways
+                ),
+                [
+                    (block, e.state, e.words_accessed, e.remote_written)
+                    for block, e in proc.cache.victim._entries.items()
+                ],
+            )
+            for proc in engine.procs
+        ]
+        return metrics, caches
+
+    # No shrinking: a disagreement is rare enough in this trace space
+    # that shrinking one takes Hypothesis minutes per variant.
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @given(trace=mixed_traces())
+    @settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.generate])
+    def test_same_metrics(self, variant, trace):
+        make_machine, adaptive = VARIANTS[variant]
+        machine_config = make_machine(trace.num_cpus)
+        fast, fast_caches = self.run(trace, machine_config, SimulationConfig(), adaptive)
+        generic, generic_caches = self.run(
+            trace, machine_config, SimulationConfig(observe=True, audit=True), adaptive
+        )
+        assert generic.obs is not None and generic.audit.passed
+        stripped = dataclasses.replace(generic, obs=None, audit=None)
+        assert stripped.to_dict() == fast.to_dict()
+        assert generic_caches == fast_caches
