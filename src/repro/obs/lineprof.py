@@ -47,12 +47,12 @@ the prefetch still in flight) marks the pending record *demanded*.  At
 flight) -> **harmful**; demanded -> **late**; otherwise the block is
 *installed* awaiting its first use.  Installed records resolve as
 **useful** at the first demand access of the block by the prefetching
-CPU (detected at ``on_busy`` by peeking the processor's in-progress
-access -- hits, victim-cache recoveries and upgrade completions all
-pass through such a tap), as **harmful** when an ``invalidate`` snoop
-destroys the line before use, and as **wasted** when the line leaves
-the cache unused (a later fill for the same (cpu, block) proves the
-eviction) or is still unused at end of run.
+CPU (the ``on_hit`` tap names the block of every access cycle -- hits,
+victim-cache recoveries and upgrade completions all fire it), as
+**harmful** when an ``invalidate`` snoop destroys the line before use,
+and as **wasted** when the line leaves the cache unused (a later fill
+for the same (cpu, block) proves the eviction) or is still unused at
+end of run.
 
 Known asymmetry (documented, tested): a *sync* access merging with an
 in-flight prefetch has no ``merge`` tap, so the prefetch resolves
@@ -496,13 +496,10 @@ class LineProfiler(EngineObserver):
 
     # ------------------------------------------------------------- CPU cycles
 
-    def on_busy(self, cpu: int, start: int, cycles: int) -> None:
-        super().on_busy(cpu, start, cycles)
-        installed = self._installed[cpu]
-        if installed:
-            proc = self._procs[cpu]
-            if proc.in_access and proc.acc_block in installed:
-                self._resolve_installed(cpu, proc.acc_block, "useful")
+    def on_hit(self, cpu: int, start: int, block: int, cycles: int) -> None:
+        super().on_hit(cpu, start, block, cycles)
+        if block in self._installed[cpu]:
+            self._resolve_installed(cpu, block, "useful")
 
     def on_miss_stall(self, cpu: int, block: int, start: int, end: int, sync: bool) -> None:
         super().on_miss_stall(cpu, block, start, end, sync)

@@ -321,6 +321,9 @@ class WindowedSampler:
         self.bus_tiers: tuple[list[int], list[int], list[int]] = ([], [], [])
         self.cpu_busy: list[list[int]] = [[] for _ in range(num_cpus)]
         self.cpu_sync: list[list[int]] = [[] for _ in range(num_cpus)]
+        # Each CPU's open busy run [start, end), not yet in cpu_busy.
+        self._busy_start = [0] * num_cpus
+        self._busy_end = [0] * num_cpus
         self._queue = _Step()
         self._mshr = _Step()
         self._pfbuf = _Step()
@@ -328,8 +331,18 @@ class WindowedSampler:
     # ------------------------------------------------------------ interval taps
 
     def add_busy(self, cpu: int, start: int, cycles: int) -> None:
-        """A CPU busy slice of ``cycles`` starting at ``start``."""
-        _acc(self.cpu_busy[cpu], self.window, start, start + cycles)
+        """A CPU busy slice of ``cycles`` starting at ``start``.
+
+        Slices that continue the CPU's open run extend it (a hit streak
+        retires back-to-back gap and hit slices); any other slice closes
+        the run into ``cpu_busy`` and opens a new one.  Exact, because
+        :func:`_acc` is additive over splits of an interval.
+        """
+        end = self._busy_end[cpu]
+        if start != end:
+            _acc(self.cpu_busy[cpu], self.window, self._busy_start[cpu], end)
+            self._busy_start[cpu] = start
+        self._busy_end[cpu] = start + cycles
 
     def add_sync_wait(self, cpu: int, start: int, end: int) -> None:
         """A lock/barrier wait from ``start`` to ``end``."""
@@ -370,6 +383,9 @@ class WindowedSampler:
         which is exactly how end-of-run stall cycles are derived.
         """
         window = self.window
+        for cpu, series in enumerate(self.cpu_busy):
+            _acc(series, window, self._busy_start[cpu], self._busy_end[cpu])
+            self._busy_start[cpu] = self._busy_end[cpu]
         for step in (self._queue, self._mshr, self._pfbuf):
             step.flush(window, exec_cycles)
         num_windows = max(1, -(-exec_cycles // window)) if exec_cycles else 1

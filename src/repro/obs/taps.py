@@ -5,19 +5,20 @@
 bus) own one observer when ``SimulationConfig.observe`` is set and call
 its ``on_*`` hooks wherever simulated cycles are accounted.  Every hook
 is read-only with respect to simulated state -- an observed run is
-bit-identical to an unobserved one by construction (the engine routes
-observed runs through the generic handlers instead of the hit-streak
-fast path, which is itself bit-identical by contract).
+bit-identical to an unobserved one by construction.  Observed runs take
+the engine's hit-streak fast path like unobserved ones; it fires the
+same ``on_busy`` (gap) and ``on_hit`` taps the generic handlers fire.
 
 Tap sites (see DESIGN.md §5d for the full taxonomy):
 
 ===========================  =============================================
+engine ``run`` fast path      gap busy slices, plain-hit access cycles
 engine ``_dispatch``          instruction-gap busy slices
-engine ``_try_access``        hit busy slices, demand-miss MSHR allocs
+engine ``_try_access``        hit access cycles, demand-miss MSHR allocs
 engine ``_dispatch_prefetch`` prefetch issue/hit/squash/drop/buffer-stall
 engine ``_grant_fill``        coherence downgrades, in-flight poisonings
-engine ``_grant_upgrade``     invalidations, upgrade-completion busy
-engine ``_fill_done``         MSHR fill lifetimes, poisoned-fill busy
+engine ``_grant_upgrade``     invalidations, upgrade-completion access
+engine ``_fill_done``         MSHR fill lifetimes, poisoned-fill access
 engine ``_complete_access``   miss-stall spans, lock/barrier wait spans
 ``Bus.request``/``arbitrate`` queue depth, occupancy slices per tier
 ===========================  =============================================
@@ -68,6 +69,15 @@ class EngineObserver:
         """The CPU accrued ``cycles`` busy cycles starting at ``start``."""
         if cycles > 0:
             self.sampler.add_busy(cpu, start, cycles)
+
+    def on_hit(self, cpu: int, start: int, block: int, cycles: int) -> None:
+        """The CPU spent ``cycles`` from ``start`` accessing its own ``block``.
+
+        Fires once per completed access that did not stall on a fill of
+        its own: a hit (victim-cache swap included), an upgrade
+        completion, or the critical-word access of a poisoned fill.
+        """
+        self.sampler.add_busy(cpu, start, cycles)
 
     def on_sync_wait(self, cpu: int, start: int, end: int, kind: str, sync_id: int) -> None:
         """A lock/barrier wait span ended (recorded at wake-up)."""

@@ -84,6 +84,12 @@ def simulate(
 class SimulationEngine:
     """One simulation run's mutable state.  See module docstring."""
 
+    #: Retire hit streaks inline in :meth:`run` (read once per run).
+    #: Only test subclasses set it False, to drive every CPU event
+    #: through the generic ``_dispatch`` / ``_try_access`` handlers the
+    #: fast path must match bit for bit.
+    _hit_streaks = True
+
     def __init__(
         self,
         trace: MultiTrace,
@@ -155,10 +161,9 @@ class SimulationEngine:
         )
         #: Flag-gated observability taps (None when disabled).  Like the
         #: auditor, every hook site is an ``if self._obs is not None``
-        #: branch; additionally the main loop routes observed runs
-        #: through the generic handlers instead of the hit-streak fast
-        #: path (bit-identical by contract), so taps only need to exist
-        #: in the generic code.
+        #: branch, and observed runs take the hit-streak fast path too:
+        #: its gap and hit retirements fire the same ``on_busy`` /
+        #: ``on_hit`` taps the generic handlers fire.
         self._obs: EngineObserver | None = (
             EngineObserver(self) if sim_config.observe else None
         )
@@ -204,6 +209,10 @@ class SimulationEngine:
         pop fused into one sift), so simulated behavior -- cycle
         counts, coherence traffic, classification -- is identical to
         the pure-heap engine.
+
+        Observed runs take the fast path as well: a retired gap fires
+        ``on_busy`` and a retired hit fires ``on_hit``, exactly the taps
+        the generic handlers fire for them.
         """
         for proc in self.procs:
             self._push(_EV_CPU, 0, proc.cpu, 0)
@@ -219,12 +228,15 @@ class SimulationEngine:
         invalid = LineState.INVALID
         modified = LineState.MODIFIED
         # Per-CPU hot context: one list index + tuple unpack per popped
-        # CPU event instead of seven attribute chains.
+        # CPU event instead of seven attribute chains.  The third entry
+        # bounds the events a streak may retire inline; with streaks off
+        # it is 0, which hands every CPU event to the generic handlers.
+        streaks = self._hit_streaks
         ctx = [
             (
                 proc,
                 proc.events,
-                len(proc.events),
+                len(proc.events) if streaks else 0,
                 proc.metrics,
                 proc.mshr._fills,
                 proc.cache._by_block,
@@ -260,22 +272,13 @@ class SimulationEngine:
             proc, events, num_events, metrics, mshr_fills, by_block, remote_caches = ctx[a]
             proc.scheduled = False
             now = time
-            if obs is not None:
-                # Observed runs take the generic handlers so every tap
-                # site fires; the fast path below replicates them bit
-                # for bit (golden-tested), so results are unchanged.
-                if proc.in_access:
-                    self._try_access(proc, now)
-                else:
-                    self._dispatch(proc, now)
-                continue
             while True:  # ---------------- hit-streak fast path ----------------
                 if proc.in_access:
                     self._try_access(proc, now)
                     break
                 pc = proc.pc
                 if pc >= num_events:
-                    self._dispatch(proc, now)  # retires the CPU
+                    self._dispatch(proc, now)  # retires the CPU; any event, streaks off
                     break
                 event = events[pc]
                 if type(event) is not MemRef:
@@ -285,6 +288,8 @@ class SimulationEngine:
                     gap = event.gap
                     proc.gap_done = True
                     metrics.busy_cycles += gap
+                    if obs is not None:
+                        obs.on_busy(a, now, gap)
                     t = now + gap
                     if heap and heap[0][0] <= t:
                         # Deferred push == what _schedule_cpu would do;
@@ -340,6 +345,8 @@ class SimulationEngine:
                 frame.last_use = now
                 metrics.busy_cycles += 1
                 metrics.demand_refs += 1
+                if obs is not None:
+                    obs.on_hit(a, now, block, 1)
                 proc.pc = pc + 1
                 proc.gap_done = False
                 t = now + 1
@@ -631,7 +638,7 @@ class SimulationEngine:
             cost = 1 + (_VICTIM_SWAP_CYCLES if result.victim_hit else 0)
             metrics.busy_cycles += cost
             if self._obs is not None:
-                self._obs.on_busy(proc.cpu, now, cost)
+                self._obs.on_hit(proc.cpu, now, block, cost)
             self._complete_access(proc, now + cost)
             return
 
@@ -843,7 +850,7 @@ class SimulationEngine:
             proc.cache.record_access(txn.block, proc.acc_word_mask, now)
             proc.metrics.busy_cycles += 1
             if obs is not None:
-                obs.on_busy(txn.cpu, now, 1)
+                obs.on_hit(txn.cpu, now, block, 1)
             proc.waiting_block = -1
             proc.status = CpuStatus.RUNNING
             self._complete_access(proc, txn.completion_time)
@@ -889,7 +896,7 @@ class SimulationEngine:
                 # stays INVALID in the cache.
                 proc.metrics.busy_cycles += 1
                 if self._obs is not None:
-                    self._obs.on_busy(proc.cpu, time, 1)
+                    self._obs.on_hit(proc.cpu, time, block, 1)
                 proc.cache.record_access(block, proc.acc_word_mask, time)
                 if proc.acc_write and not proc.acc_sync:
                     self._note_remote_write(proc, block, proc.acc_word_mask)

@@ -3,8 +3,13 @@
 The load-bearing guarantees:
 
 * **Non-interference** -- an observed run returns bit-identical
-  ``RunMetrics`` to an unobserved one (the taps are read-only and the
-  engine's fast-path bypass is itself bit-identical by contract).
+  ``RunMetrics`` to an unobserved one (the taps are read-only; observed
+  and unobserved runs both take the engine's hit-streak fast path), and
+  observing an audited run leaves its audit report unchanged.
+* **Frozen payload** -- the full observed ``RunMetrics`` of the
+  ``diagnose`` benchmark points (windows, line profiles, timelines)
+  hash to a pinned digest, so a tap regression cannot hide behind
+  unchanged simulated results.
 * **Exact reconciliation** -- every windowed series integrates to its
   end-of-run aggregate to the cycle (``ObsReport.reconcile`` is empty).
 * **Valid export** -- the Chrome trace JSON is loadable and every
@@ -14,6 +19,7 @@ The load-bearing guarantees:
 """
 
 import dataclasses
+import hashlib
 import json
 import time
 
@@ -29,6 +35,7 @@ from repro.obs.sampler import ObsReport, WindowedSampler, _acc
 from repro.obs.tracer import PID_BUS, PID_CPU, ObsEvent, TimelineTracer
 from repro.prefetch.strategies import NP, PREF, PWS
 from repro.telemetry.tracing import check_chrome_events
+from repro.workloads.registry import ALL_WORKLOAD_NAMES
 
 settings.register_profile("repro-ci", derandomize=True)
 settings.load_profile("repro-ci")
@@ -66,6 +73,53 @@ class TestNonInterference:
         result = _run("Water", NP, observe=False)
         assert result.obs is None
         assert "obs" not in result.to_dict()
+
+    def test_observation_leaves_audit_report_unchanged(self):
+        """Observed and unobserved audited runs take the same engine path.
+
+        Topopt PWS on the 8-cycle bus at 12 CPUs: while observed runs
+        took the generic handlers, their ``structural.event_order``
+        count differed from the audit-only run's.
+        """
+        machine = MachineConfig(num_cpus=12).with_transfer_cycles(8)
+        audit_only, observed = (
+            ExperimentRunner(
+                num_cpus=12, seed=42, scale=0.05, sim_config=SimulationConfig(audit=True, **flags)
+            ).run("Topopt", PWS, machine)
+            for flags in ({}, {"observe": True, "observe_lines": True})
+        )
+        assert observed.obs is not None
+        assert observed.audit.to_dict() == audit_only.audit.to_dict()
+
+
+class TestObservationPayloadGolden:
+    """Frozen digest of full observed results: the ``diagnose`` points.
+
+    Every workload as ``repro c2c`` runs it (PWS, 8-cycle bus, per-line
+    profile) and as ``repro timeline`` runs it (PREF, 32-cycle bus,
+    timeline ring), 12 CPUs, scale 0.05, seed 42.  Unlike the bench
+    digests, the hash covers the ``obs`` payload.  Captured while
+    observed runs took the engine's generic handlers, so it pins the
+    fast path's taps to theirs.
+    """
+
+    DIGEST = "c82453971f261016737df5bd63c3f00ade0193e57caecf058d8ba59f26db682f"
+
+    C2C = SimulationConfig(
+        observe=True, observe_lines=True, observe_window=4096, observe_trace_capacity=0
+    )
+    TIMELINE = SimulationConfig(observe=True, observe_window=4096, observe_trace_capacity=65536)
+
+    def test_diagnose_payload_digest(self):
+        digest = hashlib.sha256()
+        for workload in ALL_WORKLOAD_NAMES:
+            for strategy, cycles, config in ((PWS, 8, self.C2C), (PREF, 32, self.TIMELINE)):
+                runner = ExperimentRunner(num_cpus=12, seed=42, scale=0.05, sim_config=config)
+                result = runner.run(
+                    workload, strategy, runner.base_machine().with_transfer_cycles(cycles)
+                )
+                digest.update(json.dumps(result.to_dict(), sort_keys=True).encode("utf-8"))
+        assert digest.hexdigest() == self.DIGEST
 
 
 # ----------------------------------------------------------- reconciliation
@@ -136,6 +190,38 @@ class TestSamplerProperties:
                 report.bus_demand[w] + report.bus_writeback[w] + report.bus_prefetch[w]
                 == report.bus_busy[w]
             )
+
+    @given(
+        window=st.integers(min_value=1, max_value=64),
+        slices=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=1),
+                st.integers(min_value=0, max_value=3),
+                st.integers(min_value=0, max_value=40),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_coalesced_busy_matches_per_slice_split(self, window, slices):
+        """Busy runs split once equal every slice split on its own.
+
+        Each CPU's slices follow one another in time, with a random
+        idle step before each (zero makes it continue the open run).
+        """
+        sampler = WindowedSampler(num_cpus=2, window=window)
+        expected = [[], []]
+        clock = [0, 0]
+        for cpu, idle, cycles in slices:
+            start = clock[cpu] + idle
+            sampler.add_busy(cpu, start, cycles)
+            _acc(expected[cpu], window, start, start + cycles)
+            clock[cpu] = start + cycles
+        horizon = max(1, *clock)
+        report = sampler.finalize(horizon, [horizon, horizon], [], 0)
+        for cpu in range(2):
+            windows = report.num_windows
+            assert report.cpu_busy[cpu] == expected[cpu] + [0] * (windows - len(expected[cpu]))
 
     @given(
         window=st.integers(min_value=1, max_value=100),

@@ -32,10 +32,12 @@ from repro.perf.bench import (
 from repro.perf.diskcache import ResultDiskCache, content_key
 from repro.prefetch.insertion import insert_prefetches
 from repro.prefetch.strategies import EXCL, NP, PREF, PWS, strategy_by_name
+from repro.sim import engine as engine_module
 from repro.sim.engine import ENGINE_VERSION, simulate
 from repro.telemetry.fleet import FleetError, TelemetryConfig
 from repro.telemetry.ledger import RunLedger
 from repro.workloads.registry import generate_workload
+from tests.engines import GenericPathEngine
 
 
 # ------------------------------------------------------- golden fast path
@@ -91,7 +93,9 @@ class TestSaturatedBusGolden:
     contention-free bus, MSI, a victim cache and a 2-way cache (lazy
     frame allocation and LRU).  Captured before the per-(tier, CPU)
     queue arbiter replaced the linear scan; it must never change
-    without an ``ENGINE_VERSION`` bump.
+    without an ``ENGINE_VERSION`` bump.  The points run on the fast
+    path and on :class:`GenericPathEngine`, so the generic handlers
+    are pinned at saturation scale too.
     """
 
     DIGEST = "2fbb4b7de5f530c8cf1675cd95feb1fb37c37984e67afdb61a4b451fe926ec3d"
@@ -120,6 +124,14 @@ class TestSaturatedBusGolden:
         return points
 
     def test_saturated_grid_digest(self):
+        assert self.digest() == self.DIGEST
+
+    def test_saturated_grid_digest_on_generic_path(self, monkeypatch):
+        # ``simulate`` builds its engine from the module global.
+        monkeypatch.setattr(engine_module, "SimulationEngine", GenericPathEngine)
+        assert self.digest() == self.DIGEST
+
+    def digest(self) -> str:
         runner = ExperimentRunner(num_cpus=12, seed=42, scale=0.03)
         results = [
             dataclasses.replace(
@@ -130,7 +142,7 @@ class TestSaturatedBusGolden:
             for workload, strategy, machine in self.points()
         ]
         blob = json.dumps(results, sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(blob.encode("utf-8")).hexdigest() == self.DIGEST
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------- serialization

@@ -28,6 +28,7 @@ from repro.sim.engine import SimulationEngine, simulate
 from repro.common.config import SimulationConfig
 from repro.trace.events import Barrier, LockAcquire, LockRelease, MemRef, Prefetch
 from repro.trace.stream import CpuTrace, MultiTrace
+from tests.engines import GenericPathEngine
 
 NUM_CPUS = 3
 BLOCKS = [0x1000 * i for i in range(1, 9)]
@@ -220,16 +221,23 @@ VARIANTS = {
 class TestFastPathMatchesGenericPath:
     """The hit-streak fast path against the generic handlers.
 
-    An observed run always takes the generic handlers, so on every
-    trace the unobserved run's metrics must equal the observed (and
-    audited) run's metrics with the observability payload stripped.
-    The final cache contents must match too: they hold the word masks
-    and LRU stamps that only later misses would turn into metrics.
+    The reference side runs on :class:`GenericPathEngine`, which sends
+    every CPU event to the generic handlers.  On every trace the fast
+    run's metrics must equal the generic (observed and audited) run's
+    with its payloads stripped, and the observed fast run must equal the
+    observed generic run in full: windows, per-line profile and
+    timeline.  The final cache contents must match too: they hold the
+    word masks and LRU stamps that only later misses would turn into
+    metrics.
     """
 
+    #: Line profile and timeline both on; a 16-cycle window cuts these
+    #: short traces into many windows.
+    OBSERVED = SimulationConfig(observe=True, observe_lines=True, observe_window=16)
+
     @staticmethod
-    def run(trace, machine_config, sim_config, adaptive):
-        engine = SimulationEngine(trace, machine_config, sim_config, adaptive=adaptive)
+    def run(trace, machine_config, sim_config, adaptive, engine_class=SimulationEngine):
+        engine = engine_class(trace, machine_config, sim_config, adaptive=adaptive)
         engine.run()
         metrics = engine.collect_metrics("NP")
         caches = [
@@ -258,10 +266,41 @@ class TestFastPathMatchesGenericPath:
         make_machine, adaptive = VARIANTS[variant]
         machine_config = make_machine(trace.num_cpus)
         fast, fast_caches = self.run(trace, machine_config, SimulationConfig(), adaptive)
+        observed, _ = self.run(trace, machine_config, self.OBSERVED, adaptive)
         generic, generic_caches = self.run(
-            trace, machine_config, SimulationConfig(observe=True, audit=True), adaptive
+            trace,
+            machine_config,
+            dataclasses.replace(self.OBSERVED, audit=True),
+            adaptive,
+            GenericPathEngine,
         )
         assert generic.obs is not None and generic.audit.passed
-        stripped = dataclasses.replace(generic, obs=None, audit=None)
-        assert stripped.to_dict() == fast.to_dict()
+        assert dataclasses.replace(generic, audit=None).to_dict() == observed.to_dict()
+        assert dataclasses.replace(generic, obs=None, audit=None).to_dict() == fast.to_dict()
         assert generic_caches == fast_caches
+
+    def test_reference_side_takes_the_generic_path(self):
+        """Every event of the generic engine is dispatched by ``_dispatch``.
+
+        Guards the differential above against comparing the fast path
+        with itself: on a trace of hits the fast path dispatches only
+        the cold miss and the end of the trace.
+        """
+
+        def dispatches(engine_class):
+            class Counting(engine_class):
+                calls = 0
+
+                def _dispatch(self, proc, now):
+                    Counting.calls += 1
+                    super()._dispatch(proc, now)
+
+            trace = MultiTrace(
+                "hits", [CpuTrace(0, [MemRef(0x1000 + 4 * (i % 8)) for i in range(20)])]
+            )
+            engine = Counting(trace, MachineConfig(num_cpus=1), SimulationConfig())
+            engine.run()
+            return Counting.calls
+
+        assert dispatches(GenericPathEngine) == 21
+        assert dispatches(SimulationEngine) == 2
