@@ -8,8 +8,6 @@ Commands:
 * ``experiment`` -- regenerate a paper table or figure by name;
 * ``stats`` -- static trace statistics for a workload;
 * ``analyze`` -- sharing attribution and restructuring advice;
-* ``bench`` -- engine throughput micro-benchmark with a regression
-  check against the committed ``BENCH_engine.json``;
 * ``timeline`` -- run one configuration with the observability taps on,
   print the windowed telemetry as sparklines and export the event
   timeline as Chrome trace JSON (Perfetto-loadable);
@@ -44,14 +42,12 @@ Examples::
     python -m repro simulate --workload Mp3d --strategy PWS --transfer 4
     python -m repro experiment figure2 --chart
     python -m repro analyze --workload Pverify
-    python -m repro bench --quick
     python -m repro timeline --workload water --quick
     python -m repro c2c --workload pverify --strategy PWS --quick
     python -m repro fleet --workloads Water,Mp3d --workers 4 --profile
     python -m repro drift --quick
     python -m repro ledger --tail 5
     python -m repro cache --prune
-    python -m repro bench --history
     python -m repro slo check --snapshot
     python -m repro dash --seconds 7200
 """
@@ -83,7 +79,7 @@ from repro.experiments import (
 )
 from repro.experiments.runner import ExperimentRunner, grid_label, strategy_label
 from repro.metrics.formatting import format_run_summary, format_table
-from repro.perf.bench import DEFAULT_REPORT
+from repro.perf.history import DEFAULT_HISTORY, load_history
 from repro.common.errors import ConfigurationError
 from repro.prefetch.strategies import (
     ADAPT,
@@ -93,6 +89,7 @@ from repro.prefetch.strategies import (
     PrefetchStrategy,
     strategy_by_name,
 )
+from repro.telemetry.timeseries import DEFAULT_TSDB_DIR
 from repro.trace.stats import compute_stats
 from repro.workloads.registry import ALL_WORKLOAD_NAMES
 
@@ -618,137 +615,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        append_history,
-        check_regression,
-        load_report,
-        run_microbench,
-        update_report,
-    )
-
-    if args.history:
-        return _bench_history(args)
-    result = run_microbench(
-        workload=args.workload,
-        num_cpus=args.cpus,
-        scale=args.scale,
-        seed=args.seed,
-        min_seconds=1.0 if args.quick else 10.0,
-    )
-    report = load_report(args.file)
-    print(
-        f"{result.workload}: {result.events:,} events x {result.runs} runs, "
-        f"best {result.events_per_sec:,.0f} events/sec "
-        f"({result.wall_seconds:.2f}s total)"
-    )
-    baseline_eps = ((report or {}).get("baseline") or {}).get("events_per_sec")
-    if baseline_eps:
-        print(
-            f"speedup vs recorded baseline ({baseline_eps:,.0f} events/sec): "
-            f"{result.events_per_sec / baseline_eps:.2f}x"
-        )
-    headline = None
-    if args.headline:
-        import time
-
-        from repro.experiments import headline as headline_mod
-
-        runner = ExperimentRunner(num_cpus=args.cpus, seed=args.seed, scale=args.scale)
-        t0 = time.perf_counter()
-        headline_mod.run(runner)
-        headline = {
-            "experiment": "headline",
-            "wall_seconds": round(time.perf_counter() - t0, 2),
-        }
-        print(f"headline experiment: {headline['wall_seconds']:.1f}s end to end")
-    if args.update:
-        update_report(result, args.file, headline=headline, quick=args.quick)
-        print(f"updated {args.file}")
-        _print_trend(*append_history(result, args.file, quick=args.quick))
-        return 0
-    ok, reference, ratio, note = check_regression(
-        result.events_per_sec, report, tolerance=1.0 - args.min_ratio, quick=args.quick
-    )
-    if reference is not None:
-        print(
-            f"regression check vs committed {reference:,.0f} events/sec: "
-            f"ratio {ratio:.2f} ({'ok' if ok else 'REGRESSION'})"
-        )
-    if note:
-        print(f"note: {note}")
-    _print_trend(*append_history(result, args.file, quick=args.quick))
-    return 0 if ok else 1
-
-
-def _bench_history(args: argparse.Namespace) -> int:
-    """``repro bench --history``: the trajectory the report has been
-    silently accumulating, as a trend table + sparkline; optionally
-    replayed into the time-series store for the dashboard."""
-    from repro.metrics.charts import sparkline
-    from repro.perf.bench import load_report
-
-    report = load_report(args.file)
-    history = [
-        entry
-        for entry in ((report or {}).get("history") or [])
-        if isinstance(entry, dict) and entry.get("events_per_sec")
-    ]
-    if not history:
-        print(f"{args.file}: no bench history recorded yet (run `repro bench` to append)")
-        return 0
-    print(f"{args.file}: {len(history)} history entries")
-    print(f"{'timestamp':<26} {'workload':<12} {'cal':<6} {'eng':<4} {'events/sec':>12} {'Δ':>8}")
-    prev_by_key: dict = {}
-    for entry in history:
-        key = (
-            entry.get("workload"),
-            entry.get("num_cpus"),
-            entry.get("scale"),
-            bool(entry.get("quick")),
-            entry.get("engine_version"),
-        )
-        eps = float(entry["events_per_sec"])
-        prev = prev_by_key.get(key)
-        delta = f"{eps / prev - 1.0:+.1%}" if prev else "-"
-        prev_by_key[key] = eps
-        print(
-            f"{str(entry.get('timestamp', '?')):<26} "
-            f"{str(entry.get('workload', '?')):<12} "
-            f"{'quick' if entry.get('quick') else 'full':<6} "
-            f"{str(entry.get('engine_version', '?')):<4} "
-            f"{eps:>12,.0f} {delta:>8}"
-        )
-    values = [float(entry["events_per_sec"]) for entry in history]
-    print(f"trend: {sparkline(values, width=min(60, max(8, len(values))))} "
-          f"({min(values):,.0f} .. {max(values):,.0f} events/sec)")
-    if args.tsdb:
-        from repro.telemetry.timeseries import TimeSeriesStore, seed_bench_history
-
-        store = TimeSeriesStore(args.tsdb)
-        seeded = seed_bench_history(store, report)
-        print(
-            f"{args.tsdb}: seeded {seeded} new snapshot(s) "
-            f"(repro_bench_events_per_sec series)"
-        )
-    return 0
-
-
-def _print_trend(previous: dict | None, entry: dict) -> None:
-    """One-line history trend after a bench measurement is recorded."""
-    if previous is None:
-        print(f"history: first comparable entry recorded ({entry['timestamp']})")
-        return
-    prev_eps = previous.get("events_per_sec")
-    if not prev_eps:
-        return
-    delta = entry["events_per_sec"] / prev_eps - 1.0
-    print(
-        f"history: {delta:+.1%} vs previous comparable run "
-        f"({prev_eps:,.0f} events/sec at {previous.get('timestamp', '?')})"
-    )
-
-
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.audit.grid import PointOutcome, audit_grid, quick_grid, verification_grid
 
@@ -1119,20 +985,19 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     import json as json_module
     from pathlib import Path
 
-    from repro.perf.bench import load_report
     from repro.telemetry.slo import default_rules, evaluate_slo, load_rules
     from repro.telemetry.timeseries import TimeSeriesStore, seed_bench_history
 
     store = TimeSeriesStore(args.tsdb)
-    bench = load_report(args.bench_file)
-    rules = load_rules(args.rules) if args.rules else default_rules(bench)
+    history = load_history(args.bench_file)
+    rules = load_rules(args.rules) if args.rules else default_rules(history)
     if args.snapshot:
         # A fresh ledger-derived + bench snapshot lets the sentinel run
         # against batch fleets (fleet/drift) that never started a
         # service -- the ledger is the source of truth either way.
         from repro.telemetry.ledger import RunLedger
 
-        seeded = seed_bench_history(store, bench)
+        seeded = seed_bench_history(store, history)
         store.append_snapshot(ledger=RunLedger(args.ledger_dir), source="slo-check")
         print(
             f"{args.tsdb}: appended 1 ledger snapshot"
@@ -1154,7 +1019,6 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 def _cmd_dash(args: argparse.Namespace) -> int:
     from repro.metrics.charts import sparkline
-    from repro.perf.bench import load_report
     from repro.service.dashboard import build_dashboard_doc
     from repro.telemetry.ledger import RunLedger
     from repro.telemetry.slo import default_rules, evaluate_slo, load_rules
@@ -1163,12 +1027,13 @@ def _cmd_dash(args: argparse.Namespace) -> int:
     store = TimeSeriesStore(args.tsdb)
     if store.last_snapshot() is None:
         print(
-            f"{args.tsdb}: no snapshots yet -- run `repro serve`, "
-            "`repro slo check --snapshot` or `repro bench --history` first"
+            f"{args.tsdb}: no snapshots yet -- run `repro serve` or "
+            "`repro slo check --snapshot` (which also seeds the bench series "
+            f"from {args.bench_file}) first"
         )
         return 0
     rules = (
-        load_rules(args.rules) if args.rules else default_rules(load_report(args.bench_file))
+        load_rules(args.rules) if args.rules else default_rules(load_history(args.bench_file))
     )
     report = evaluate_slo(store, rules)
     doc = build_dashboard_doc(store, slo_report=report.to_dict(), seconds=args.seconds)
@@ -1278,38 +1143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restructured", action="store_true")
     _add_machine_args(p)
     p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("bench", help="engine throughput benchmark + regression check")
-    p.add_argument("--quick", action="store_true", help="short calibration (CI smoke)")
-    p.add_argument(
-        "--update", action="store_true",
-        help="write the measurement into the report instead of checking",
-    )
-    p.add_argument("--file", default=DEFAULT_REPORT, help="report path")
-    p.add_argument(
-        "--min-ratio", type=float, default=0.7,
-        help="fail when measured/committed events/sec drops below this (default 0.7)",
-    )
-    p.add_argument(
-        "--headline", action="store_true",
-        help="also time the headline experiment end to end",
-    )
-    p.add_argument("--workload", default="Water", choices=ALL_WORKLOAD_NAMES)
-    p.add_argument("--cpus", type=int, default=12, help="processor count (default 12)")
-    p.add_argument("--scale", type=float, default=1.0, help="workload scale (default 1.0)")
-    p.add_argument("--seed", type=int, default=42, help="workload seed (default 42)")
-    p.add_argument(
-        "--history", action="store_true",
-        help="print the report's history as a trend table + sparkline "
-        "(no measurement run) and seed the time-series store from it",
-    )
-    from repro.telemetry.timeseries import DEFAULT_TSDB_DIR
-
-    p.add_argument(
-        "--tsdb", default=DEFAULT_TSDB_DIR,
-        help=f"time-series store for --history seeding ('' disables; default {DEFAULT_TSDB_DIR})",
-    )
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
         "timeline", help="observed run: telemetry sparklines + Chrome trace export"
@@ -1544,8 +1377,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run-ledger directory for --snapshot (default results/service/ledger)",
     )
     p.add_argument(
-        "--bench-file", default=DEFAULT_REPORT,
-        help=f"bench report feeding default rules and --snapshot seeding (default {DEFAULT_REPORT})",
+        "--bench-file", default=DEFAULT_HISTORY,
+        help="benchmark history feeding default rules and --snapshot seeding "
+        f"(default {DEFAULT_HISTORY})",
     )
     p.add_argument("--json", help="write the evaluation report JSON here")
     p.set_defaults(func=_cmd_slo)
@@ -1566,8 +1400,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="SLO rules file (.toml [[slo]] tables or JSON; default: built-in rules)",
     )
     p.add_argument(
-        "--bench-file", default=DEFAULT_REPORT,
-        help=f"bench report feeding default rules (default {DEFAULT_REPORT})",
+        "--bench-file", default=DEFAULT_HISTORY,
+        help=f"benchmark history feeding default rules (default {DEFAULT_HISTORY})",
     )
     p.add_argument(
         "--ledger-dir", default="results/service/ledger",

@@ -129,7 +129,7 @@ class ServiceConfig:
             evaluations.
         slo_rules: SLO rules file (TOML ``[[slo]]`` tables or JSON);
             None uses :func:`repro.telemetry.slo.default_rules` seeded
-            from the committed bench report when present.
+            from ``BENCH_history.json`` in the working directory.
     """
 
     host: str = "127.0.0.1"
@@ -231,9 +231,9 @@ class ReproService:
             if self.config.slo_rules is not None:
                 self.slo_rules = load_rules(self.config.slo_rules)
             else:
-                from repro.perf.bench import load_report
+                from repro.perf.history import load_history
 
-                self.slo_rules = default_rules(load_report())
+                self.slo_rules = default_rules(load_history())
             self._slo_ok = self.registry.gauge(
                 "repro_slo_ok",
                 "1 when the SLO rule currently holds (or is skipped for lack "

@@ -25,16 +25,18 @@ from repro.telemetry.timeseries import TimeSeriesStore, downsample
 __all__ = ["KEY_SERIES", "build_dashboard_doc", "render_dashboard_html"]
 
 #: Series charted by default, in display order, when present in the
-#: store.  Counters chart their restart-corrected cumulative view;
-#: gauges their raw values; histograms their observation count.
-KEY_SERIES: tuple[tuple[str, str], ...] = (
-    ("repro_service_requests_total", "HTTP requests (cumulative)"),
-    ("repro_service_queue_depth", "scheduler queue depth"),
-    ("repro_service_runs", "runs by status"),
-    ("repro_ledger_events_per_sec", "fleet events/sec (simulated)"),
-    ("repro_ledger_simulated_runs", "ledgered simulated runs"),
-    ("repro_ledger_cache_hits", "ledgered cache hits"),
-    ("repro_bench_events_per_sec", "engine bench events/sec"),
+#: store, as ``(name, title, label filter)``.  Counters chart their
+#: restart-corrected cumulative view; gauges their raw values;
+#: histograms their observation count.  The bench family holds every
+#: workload's ``points_per_s``, which share no scale, so one is charted.
+KEY_SERIES: tuple[tuple[str, str, Mapping[str, str] | None], ...] = (
+    ("repro_service_requests_total", "HTTP requests (cumulative)", None),
+    ("repro_service_queue_depth", "scheduler queue depth", None),
+    ("repro_service_runs", "runs by status", None),
+    ("repro_ledger_events_per_sec", "fleet events/sec (simulated)", None),
+    ("repro_ledger_simulated_runs", "ledgered simulated runs", None),
+    ("repro_ledger_cache_hits", "ledgered cache hits", None),
+    ("repro_bench_points_per_s", "bench grid-cold points/s", {"workload": "grid-cold"}),
 )
 
 #: Sparkline sample width (points per chart after downsampling).
@@ -47,7 +49,7 @@ def build_dashboard_doc(
     runs: Sequence[Mapping[str, Any]] | None = None,
     service: Mapping[str, Any] | None = None,
     seconds: float = 3600.0,
-    series_names: Sequence[tuple[str, str]] | None = None,
+    series_names: Sequence[tuple[str, str, Mapping[str, str] | None]] | None = None,
 ) -> dict[str, Any]:
     """Assemble the machine-readable dashboard document.
 
@@ -62,14 +64,14 @@ def build_dashboard_doc(
     start = now - seconds
     kinds = store.names()
     series_docs: list[dict[str, Any]] = []
-    for name, title in (series_names if series_names is not None else KEY_SERIES):
+    for name, title, labels in (series_names if series_names is not None else KEY_SERIES):
         kind = kinds.get(name)
         if kind is None:
             continue
         if kind == "counter":
-            points = store.counter_series(name, start=start, end=now)
+            points = store.counter_series(name, labels, start=start, end=now)
         else:
-            points = store.series(name, start=start, end=now)
+            points = store.series(name, labels, start=start, end=now)
         if not points:
             continue
         values = downsample([value for _ts, value in points], CHART_WIDTH)

@@ -18,8 +18,9 @@ modes:
 
 Rules load from TOML (``[[slo]]`` tables, stdlib ``tomllib``) or JSON;
 :func:`default_rules` derives a sane built-in set, including an
-events/sec floor pinned to the committed ``BENCH_engine.json``
-baseline -- the regression sentinel the issue asks for.  The engine is
+events/sec floor at a tenth of the newest traced grid-cold
+``sim.events_per_s`` recorded in ``BENCH_history.json`` for the
+running engine version -- the throughput sentinel.  The engine is
 pure functions over the store: `repro serve` evaluates it on the
 snapshot cadence, ``repro slo check`` evaluates it once and exits
 nonzero on breach so CI can gate on it.
@@ -259,13 +260,15 @@ def load_rules(path: str | Path) -> list[SloRule]:
     return rules
 
 
-def default_rules(bench_report: Mapping[str, Any] | None = None) -> list[SloRule]:
+def default_rules(bench_history: Sequence[Mapping[str, Any]] | None = None) -> list[SloRule]:
     """Built-in rule set used when no rules file is given.
 
-    Request-latency p95, queue depth, and -- when a bench report is
-    available -- a fleet events/sec floor at 20% of the committed
-    engine baseline (generous: service runs carry telemetry overhead
-    and tiny scales, but a collapse past 5x is a real regression).
+    Request-latency p95, queue depth, run failures and -- when the
+    benchmark history (:mod:`repro.perf.history`) holds a traced
+    grid-cold entry for the running engine version -- a fleet events/sec
+    floor at 10% of that entry's ``sim.events_per_s`` (generous: service
+    runs carry telemetry overhead and tiny scales, but a collapse past
+    10x is a real regression).
     """
     rules = [
         SloRule(
@@ -297,7 +300,7 @@ def default_rules(bench_report: Mapping[str, Any] | None = None) -> list[SloRule
             description="no ledgered run failures in the window",
         ),
     ]
-    baseline = _bench_baseline(bench_report)
+    baseline = _bench_baseline(bench_history or ())
     if baseline is not None:
         rules.append(
             SloRule(
@@ -313,22 +316,19 @@ def default_rules(bench_report: Mapping[str, Any] | None = None) -> list[SloRule
                 min_samples=1,
                 description=(
                     "fleet simulation throughput stays above 10% of the "
-                    f"committed bench baseline ({baseline:.0f} ev/s)"
+                    f"recorded grid-cold baseline ({baseline:.0f} ev/s)"
                 ),
             )
         )
     return rules
 
 
-def _bench_baseline(report: Mapping[str, Any] | None) -> float | None:
-    if not isinstance(report, Mapping):
-        return None
-    current = report.get("current")
-    if isinstance(current, Mapping):
-        eps = current.get("events_per_sec")
-        if isinstance(eps, (int, float)) and eps > 0:
-            return float(eps)
-    return None
+def _bench_baseline(history: Sequence[Mapping[str, Any]]) -> float | None:
+    """The newest traced grid-cold ``sim.events_per_s`` for this engine."""
+    from repro.perf.history import FLOOR_WORKLOAD, newest
+
+    entry = newest(history, FLOOR_WORKLOAD, "sim.events_per_s")
+    return None if entry is None else float(entry["metrics"]["sim.events_per_s"])
 
 
 def _instantaneous_values(

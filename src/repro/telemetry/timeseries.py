@@ -99,7 +99,7 @@ def ledger_families(summary: Mapping[str, Any]) -> dict[str, Any]:
     its aggregates into each snapshot as ordinary gauge families makes
     fleet throughput (events/sec), cache effectiveness and failure
     counts first-class series the SLO engine can watch -- including the
-    events/sec floor against the committed bench baseline.
+    events/sec floor against the recorded grid-cold baseline.
     """
 
     def gauge(value: float, help_text: str, **labels: str) -> dict[str, Any]:
@@ -532,42 +532,37 @@ class TimeSeriesStore:
 
 
 def seed_bench_history(
-    store: TimeSeriesStore, report: Mapping[str, Any] | None
+    store: TimeSeriesStore, history: Sequence[Mapping[str, Any]] | None
 ) -> int:
-    """Replay ``BENCH_engine.json`` history into the store; returns the
-    number of snapshots appended.
+    """Replay ``BENCH_history.json`` into the store; returns the number
+    of snapshots appended.
 
-    Each history entry becomes one snapshot (at the entry's own
-    timestamp) carrying a ``repro_bench_events_per_sec`` gauge labelled
-    by workload/calibration/engine version -- the engine-throughput
-    trajectory the dashboard charts.  Entries already present (same
-    timestamp and labels) are skipped, so re-seeding is idempotent.
+    Each untraced entry (one carrying the host-normalised
+    ``points_per_s``) becomes one snapshot at its ``recorded`` time,
+    holding a ``repro_bench_points_per_s`` gauge labelled by workload
+    and engine version -- the benchmark trajectory the dashboard
+    charts.  Entries already present (same time and labels) are
+    skipped, so re-seeding is idempotent.
     """
-    history = (report or {}).get("history")
-    if not isinstance(history, list):
-        return 0
-    existing: set[tuple[float, str, str, str]] = set()
+    existing: set[tuple[float, str, str]] = set()
     for snapshot in store.snapshots():
-        family = snapshot["families"].get("repro_bench_events_per_sec")
-        if family is None:
-            continue
+        family = snapshot["families"].get("repro_bench_points_per_s") or {}
         for sample in family.get("samples", []):
             labels = sample.get("labels") or {}
             existing.add(
                 (
-                    float(snapshot["ts"]),
+                    round(float(snapshot["ts"]), 3),
                     str(labels.get("workload", "")),
-                    str(labels.get("quick", "")),
                     str(labels.get("engine_version", "")),
                 )
             )
     appended = 0
-    for entry in history:
-        if not isinstance(entry, dict):
+    for entry in history or ():
+        if not isinstance(entry, Mapping):
             continue
-        stamp = entry.get("timestamp")
-        eps = entry.get("events_per_sec")
-        if not stamp or not isinstance(eps, (int, float)):
+        value = (entry.get("metrics") or {}).get("points_per_s")
+        stamp = entry.get("recorded")
+        if not stamp or not isinstance(value, (int, float)):
             continue
         try:
             ts = datetime.fromisoformat(str(stamp)).timestamp()
@@ -575,18 +570,17 @@ def seed_bench_history(
             continue
         labels = {
             "workload": str(entry.get("workload", "")),
-            "quick": "true" if entry.get("quick") else "false",
-            "engine_version": str(entry.get("engine_version", "")),
+            "engine_version": str((entry.get("provenance") or {}).get("engine_version", "")),
         }
-        key = (round(ts, 3), labels["workload"], labels["quick"], labels["engine_version"])
+        key = (round(ts, 3), labels["workload"], labels["engine_version"])
         if key in existing:
             continue
         store.append_snapshot(
             extra_families={
-                "repro_bench_events_per_sec": {
+                "repro_bench_points_per_s": {
                     "type": "gauge",
-                    "help": "Committed engine micro-benchmark throughput",
-                    "samples": [{"labels": labels, "value": float(eps)}],
+                    "help": "Recorded python -m bench throughput (host-normalised points/s)",
+                    "samples": [{"labels": labels, "value": float(value)}],
                 }
             },
             ts=ts,

@@ -321,6 +321,21 @@ class TestAdaptiveExperiment:
         assert data["qualifying_workloads"] == ["A"]
         assert data["cells"]["A"]["ADAPT"]["32"]["prefetch_drops"] == 10
 
+    def test_main_exit_code_follows_the_claim(self, monkeypatch, capsys):
+        """Must-fail control for the CI gate: the exit code, not just
+        ``claim_holds``, follows the verdict."""
+        from repro.experiments import adaptive
+
+        args = ["--quick", "--out", "", "--json", "", "--cache", ""]
+        failing = _result({"A": (1.10, 0.95), "B": (1.01, 0.95)})
+        monkeypatch.setattr(adaptive, "run", lambda runner, transfer_latencies: failing)
+        assert adaptive.main(args) == 1
+        assert "claim FAILS" in capsys.readouterr().out
+        holding = _result({"A": (1.10, 0.95), "B": (1.06, 0.96)})
+        monkeypatch.setattr(adaptive, "run", lambda runner, transfer_latencies: holding)
+        assert adaptive.main(args) == 0
+        assert "claim HOLDS" in capsys.readouterr().out
+
     def test_tiny_sweep_runs_end_to_end(self):
         """Smoke: the real run() wiring produces a full grid of cells."""
         from repro.experiments.adaptive import run

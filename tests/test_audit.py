@@ -234,6 +234,28 @@ class TestAuditedRuns:
         out = capsys.readouterr().out
         assert "24/24 configurations passed" in out
 
+    def test_cli_quick_audit_fails_on_an_injected_violation(self, capsys, monkeypatch):
+        """Must-fail control: one violated point turns the gate red."""
+        import repro.audit.grid as grid
+
+        real_run_point = grid.run_point
+        victim = quick_grid()[5]
+
+        def run_point(point, *args):
+            outcome = real_run_point(point, *args)
+            if point == victim:
+                outcome.report.violations.append(
+                    AuditViolation("coherence.injected", 7, "injected by the test")
+                )
+            return outcome
+
+        monkeypatch.setattr(grid, "run_point", run_point)
+        assert main(["audit", "--quick", "--cpus", "2", "--scale", "0.05"]) == 1
+        out = capsys.readouterr().out
+        assert "23/24 configurations passed" in out
+        assert f"  FAIL {victim.label}: audit FAILED: 1 violation(s)" in out
+        assert "[coherence.injected] t=7: injected by the test" in out
+
 
 # ------------------------------------------------- conservation properties
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.sim.engine import ENGINE_VERSION
 
 SMALL = ["--cpus", "4", "--scale", "0.06"]
 
@@ -199,63 +200,72 @@ class TestTraceCli:
 
 
 class TestObservabilityCli:
-    """`repro bench --history`, `repro slo check`, `repro dash`, and the
-    extended `repro ledger` banner."""
+    """`repro slo check`, `repro dash`, and the extended `repro ledger`
+    banner; the first two read the benchmark history."""
 
-    REPORT = {
-        "current": {"events_per_sec": 100000.0},
-        "history": [
-            {"timestamp": "2026-08-01T00:00:00+00:00", "events_per_sec": 100000.0,
-             "workload": "Water", "num_cpus": 4, "scale": 0.3, "quick": True,
-             "engine_version": "2"},
-            {"timestamp": "2026-08-02T00:00:00+00:00", "events_per_sec": 120000.0,
-             "workload": "Water", "num_cpus": 4, "scale": 0.3, "quick": True,
-             "engine_version": "2"},
-        ],
-    }
+    HISTORY = [
+        {"workload": "grid-cold", "recorded": "2026-10-01T00:00:00+00:00",
+         "provenance": {"engine_version": ENGINE_VERSION},
+         "metrics": {"points_per_s": 12.0}},
+        {"workload": "grid-cold", "recorded": "2026-10-01T00:01:00+00:00",
+         "provenance": {"engine_version": ENGINE_VERSION},
+         "metrics": {"sim.events_per_s": 100000.0}},
+        {"workload": "grid-cold", "recorded": "2026-10-02T00:00:00+00:00",
+         "provenance": {"engine_version": ENGINE_VERSION},
+         "metrics": {"points_per_s": 13.0}},
+    ]
 
-    def _write_report(self, tmp_path):
+    def _write_history(self, tmp_path):
         import json
 
-        path = tmp_path / "BENCH_engine.json"
-        path.write_text(json.dumps(self.REPORT), encoding="utf-8")
+        path = tmp_path / "BENCH_history.json"
+        path.write_text(json.dumps(self.HISTORY), encoding="utf-8")
         return path
 
-    def test_bench_history_empty_report(self, tmp_path, capsys):
-        args = ["bench", "--history", "--file", str(tmp_path / "none.json"),
-                "--tsdb", ""]
-        assert main(args) == 0
-        assert "no bench history" in capsys.readouterr().out
+    def _slo_snapshot(self, tmp_path, history):
+        import json
 
-    def test_bench_history_trend_and_tsdb_seed(self, tmp_path, capsys):
-        report = self._write_report(tmp_path)
-        tsdb = str(tmp_path / "tsdb")
-        args = ["bench", "--history", "--file", str(report), "--tsdb", tsdb]
+        report = tmp_path / "slo.json"
+        args = ["slo", "check", "--snapshot", "--tsdb", str(tmp_path / "tsdb"),
+                "--bench-file", str(history), "--ledger-dir", str(tmp_path / "ledger"),
+                "--json", str(report)]
         assert main(args) == 0
+        return [rule["name"] for rule in json.loads(report.read_text())["rules"]]
+
+    def test_slo_snapshot_without_history(self, tmp_path, capsys):
+        rules = self._slo_snapshot(tmp_path, tmp_path / "none.json")
         out = capsys.readouterr().out
-        assert "2 history entries" in out
-        assert "+20.0%" in out  # delta vs the comparable previous entry
-        assert "trend:" in out
-        assert "seeded 2 new snapshot(s)" in out
-        # Re-seeding is idempotent.
-        assert main(args) == 0
-        assert "seeded 0 new snapshot(s)" in capsys.readouterr().out
+        assert "appended 1 ledger snapshot" in out and "seeded" not in out
+        assert "events-per-sec-floor" not in rules
+
+    def test_slo_snapshot_seeds_bench_history(self, tmp_path, capsys):
+        from repro.telemetry.timeseries import TimeSeriesStore
+
+        history = self._write_history(tmp_path)
+        rules = self._slo_snapshot(tmp_path, history)
+        assert "seeded 2 bench snapshot(s)" in capsys.readouterr().out
+        assert "events-per-sec-floor" in rules
+        # Re-seeding is idempotent: only the ledger snapshot is new.
+        self._slo_snapshot(tmp_path, history)
+        assert "seeded" not in capsys.readouterr().out
+        points = TimeSeriesStore(tmp_path / "tsdb").series("repro_bench_points_per_s")
+        assert [value for _ts, value in points] == [12.0, 13.0]
 
     def test_slo_check_exit_codes(self, tmp_path, capsys):
-        report = self._write_report(tmp_path)
+        report = self._write_history(tmp_path)
         tsdb = str(tmp_path / "tsdb")
         healthy = tmp_path / "healthy.toml"
         # Year-wide windows: the seeded bench points carry their own
         # (old) timestamps, not the snapshot time.
         healthy.write_text(
             '[[slo]]\nname = "bench-floor"\n'
-            'series = "repro_bench_events_per_sec"\n'
+            'series = "repro_bench_points_per_s"\n'
             'op = ">="\nthreshold = 1.0\nwindow_seconds = 31536000.0\n'
         )
         impossible = tmp_path / "impossible.toml"
         impossible.write_text(
             '[[slo]]\nname = "bench-sky"\n'
-            'series = "repro_bench_events_per_sec"\n'
+            'series = "repro_bench_points_per_s"\n'
             'op = ">="\nthreshold = 999999999999.0\n'
             'window_seconds = 31536000.0\n'
         )
@@ -283,17 +293,17 @@ class TestObservabilityCli:
         assert "no snapshots yet" in capsys.readouterr().out
 
     def test_dash_renders_sparklines_and_slo(self, tmp_path, capsys):
-        report = self._write_report(tmp_path)
-        tsdb = str(tmp_path / "tsdb")
-        assert main(["bench", "--history", "--file", str(report),
-                     "--tsdb", tsdb]) == 0
+        history = self._write_history(tmp_path)
+        self._slo_snapshot(tmp_path, history)
         capsys.readouterr()
-        args = ["dash", "--tsdb", tsdb, "--bench-file", str(report),
-                "--ledger-dir", str(tmp_path / "ledger")]
+        # A year-wide window: the seeded bench points keep their recorded times.
+        args = ["dash", "--tsdb", str(tmp_path / "tsdb"), "--bench-file", str(history),
+                "--ledger-dir", str(tmp_path / "ledger"), "--seconds", "31536000"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "repro dash --" in out and "snapshots in" in out
-        assert "engine bench events/sec" in out
+        assert "bench grid-cold points/s" in out
+        assert "events-per-sec-floor" in out
 
     def test_ledger_banner_percentiles_and_strategies(self, tmp_path, capsys):
         from tests.test_telemetry import _entry

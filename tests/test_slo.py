@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.sim.engine import ENGINE_VERSION
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.slo import (
     SloRule,
@@ -207,16 +208,47 @@ class TestBurnRateMode:
 
 class TestDefaultsAndReport:
     def test_default_rules_with_bench_baseline(self):
-        rules = default_rules({"current": {"events_per_sec": 100000.0}})
+        def entry(engine_version, **metrics):
+            return {"workload": "grid-cold", "provenance": {"engine_version": engine_version},
+                    "metrics": metrics}
+
+        history = [
+            entry(ENGINE_VERSION, **{"sim.events_per_s": 100000.0}),
+            entry(ENGINE_VERSION, points_per_s=12.0),  # untraced: no events/sec
+            entry("1", **{"sim.events_per_s": 999999.0}),  # another engine
+        ]
+        rules = default_rules(history)
         names = [r.name for r in rules]
         assert "request-latency-p95" in names and "events-per-sec-floor" in names
         floor = next(r for r in rules if r.name == "events-per-sec-floor")
         assert floor.threshold == pytest.approx(10000.0)
+        # The newest traced grid-cold entry for this engine wins.
+        history.insert(2, entry(ENGINE_VERSION, **{"sim.events_per_s": 150000.0}))
+        floor = next(r for r in default_rules(history) if r.name == "events-per-sec-floor")
+        assert floor.threshold == pytest.approx(15000.0)
 
     def test_default_rules_without_bench(self):
         names = [r.name for r in default_rules(None)]
         assert "events-per-sec-floor" not in names
         assert len(names) >= 3
+        # Only untraced or other-engine entries: still no floor.
+        history = [
+            {"workload": "grid-cold", "provenance": {"engine_version": ENGINE_VERSION},
+             "metrics": {"points_per_s": 12.0}},
+            {"workload": "grid-cold", "provenance": {"engine_version": "1"},
+             "metrics": {"sim.events_per_s": 1e5}},
+        ]
+        assert [r.name for r in default_rules(history)] == names
+
+    def test_committed_history_feeds_the_service_rules(self, monkeypatch):
+        """A service started at the checkout root loads the floor rule too."""
+        from pathlib import Path
+
+        from repro.perf.history import load_history
+
+        monkeypatch.chdir(Path(__file__).resolve().parent.parent)
+        names = [r.name for r in default_rules(load_history())]
+        assert len(names) == 4 and names[-1] == "events-per-sec-floor"
 
     def test_report_render_and_dict(self, tmp_path):
         store = _seed_store(tmp_path)

@@ -193,29 +193,35 @@ class TestLedgerFamilies:
 
 
 class TestBenchSeeding:
-    REPORT = {
-        "history": [
-            {"timestamp": "2026-08-01T00:00:00+00:00", "events_per_sec": 100000.0,
-             "workload": "Water", "quick": True, "engine_version": "2"},
-            {"timestamp": "2026-08-02T00:00:00+00:00", "events_per_sec": 120000.0,
-             "workload": "Water", "quick": True, "engine_version": "2"},
-            {"timestamp": "bad-stamp", "events_per_sec": 1.0},
-            "not-a-dict",
-        ]
-    }
+    HISTORY = [
+        {"workload": "grid-cold", "recorded": "2026-10-01T00:00:00+00:00",
+         "provenance": {"engine_version": "2"}, "metrics": {"points_per_s": 12.5}},
+        # A traced entry carries per-layer metrics only: not charted.
+        {"workload": "grid-cold", "recorded": "2026-10-01T00:01:00+00:00",
+         "provenance": {"engine_version": "2"}, "metrics": {"sim.events_per_s": 1.4e5}},
+        {"workload": "grid-cold", "recorded": "2026-10-02T00:00:00+00:00",
+         "provenance": {"engine_version": "2"}, "metrics": {"points_per_s": 13.0}},
+        {"workload": "serve", "recorded": "2026-10-02T00:00:00+00:00",
+         "provenance": {"engine_version": "2"}, "metrics": {"points_per_s": 40.0}},
+        {"workload": "grid-cold", "recorded": "bad-stamp", "metrics": {"points_per_s": 1.0}},
+        "not-a-dict",
+    ]
 
     def test_seed_and_idempotence(self, tmp_path):
         store = TimeSeriesStore(tmp_path / "tsdb")
-        assert seed_bench_history(store, self.REPORT) == 2
-        assert seed_bench_history(store, self.REPORT) == 0  # already there
-        points = store.series("repro_bench_events_per_sec", labels={"workload": "Water"})
-        assert [value for _ts, value in points] == [100000.0, 120000.0]
+        assert seed_bench_history(store, self.HISTORY) == 3
+        assert seed_bench_history(store, self.HISTORY) == 0  # already there
+        points = store.series(
+            "repro_bench_points_per_s", labels={"workload": "grid-cold", "engine_version": "2"}
+        )
+        assert [value for _ts, value in points] == [12.5, 13.0]
+        assert store.series("repro_bench_points_per_s", labels={"workload": "serve"})
         assert all(s["source"] == "bench" for s in store.snapshots())
 
     def test_no_history_is_zero(self, tmp_path):
         store = TimeSeriesStore(tmp_path / "tsdb")
         assert seed_bench_history(store, None) == 0
-        assert seed_bench_history(store, {"current": {}}) == 0
+        assert seed_bench_history(store, []) == 0
 
 
 class TestDownsample:
