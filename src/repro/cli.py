@@ -37,6 +37,12 @@ Commands:
   and recent ledger runs from the same store the service snapshots;
 * ``list`` -- available workloads, strategies and experiments.
 
+Per-run flags come from one table over the fields of the service's
+:class:`~repro.service.contracts.ScenarioSpec` (``_SPEC_FLAGS``), with
+the fields' defaults; each command adds only the fields it uses.
+``simulate``, ``timeline`` and ``c2c`` build a ``ScenarioSpec``, and the
+last two run the service's observed runs (:mod:`repro.experiments.lineattr`).
+
 Examples::
 
     python -m repro simulate --workload Mp3d --strategy PWS --transfer 4
@@ -55,13 +61,14 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.analysis import advise, attribute_sharing, profile_sharing, render_advice
 from repro.analysis.attribution import render_attribution
 from repro.common.config import MachineConfig
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigurationError, ReproError
 from repro.experiments import (
     adaptive,
     figure1,
@@ -77,21 +84,20 @@ from repro.experiments import (
     table5,
     utilization,
 )
-from repro.experiments.runner import ExperimentRunner, grid_label, strategy_label
+from repro.experiments.runner import ExperimentRunner, grid_label
 from repro.metrics.formatting import format_run_summary, format_table
 from repro.perf.history import DEFAULT_HISTORY, load_history
-from repro.common.errors import ConfigurationError
 from repro.prefetch.strategies import (
     ADAPT,
     ALL_STRATEGIES,
-    AdaptiveStrategy,
     PBUF,
     PrefetchStrategy,
     strategy_by_name,
 )
+from repro.service.contracts import ScenarioSpec
 from repro.telemetry.timeseries import DEFAULT_TSDB_DIR
 from repro.trace.stats import compute_stats
-from repro.workloads.registry import ALL_WORKLOAD_NAMES
+from repro.workloads.registry import ALL_WORKLOAD_NAMES, resolve_workload
 
 __all__ = ["main"]
 
@@ -110,16 +116,6 @@ _EXPERIMENTS = {
     "lineattr": lineattr,
     "adaptive": adaptive,
 }
-
-
-def _resolve_workload(name: str) -> str:
-    """Case-insensitive workload lookup (CI scripts pass lowercase)."""
-    for canonical in ALL_WORKLOAD_NAMES:
-        if canonical.lower() == name.lower():
-            return canonical
-    raise ReproError(
-        f"unknown workload {name!r}; expected one of {', '.join(ALL_WORKLOAD_NAMES)}"
-    )
 
 
 def _split_csv(raw: str) -> list[str]:
@@ -180,75 +176,79 @@ def _parse_workloads(raw: str) -> list[str]:
             f"--workloads {raw!r} names no workloads; "
             f"valid names: {', '.join(ALL_WORKLOAD_NAMES)}"
         )
-    return [_resolve_workload(token) for token in tokens]
+    return [resolve_workload(token) for token in tokens]
 
 
-def _add_adaptive_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--adapt-high", type=float, default=None, metavar="UTIL",
-        help="ADAPT: start dropping prefetches at this windowed bus "
-        "utilization (default 0.98)",
+def _workload(name: str) -> str:
+    """``--workload``: resolved case-insensitively at parse time."""
+    try:
+        return resolve_workload(name)
+    except ConfigurationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+#: The one flag of each :class:`ScenarioSpec` field, keyed by field.  The
+#: argparse dest is the field name and the default is the field's, so the
+#: CLI and the service read one definition of a run's inputs.
+_SPEC_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
+    "workload": ("--workload", dict(type=_workload, help="workload name (case-insensitive)")),
+    "strategy": ("--strategy", dict(help="NP/PREF/EXCL/LPD/PWS/PBUF/ADAPT")),
+    "restructured": ("--restructured", dict(action="store_true", help="restructured variant")),
+    "num_cpus": ("--cpus", dict(type=int, metavar="CPUS", help="processor count")),
+    "seed": ("--seed", dict(type=int, help="workload seed")),
+    "scale": ("--scale", dict(type=float, help="workload scale")),
+    "transfer_cycles": (
+        "--transfer", dict(type=int, metavar="CYCLES", help="data-bus transfer cycles")
+    ),
+    "protocol": ("--protocol", dict(choices=("illinois", "msi"), help="coherence protocol")),
+    "adapt_high": ("--adapt-high", dict(type=float, metavar="UTIL", help=(
+        "ADAPT: start dropping prefetches at this windowed bus utilization (default 0.98)"))),
+    "adapt_low": ("--adapt-low", dict(type=float, metavar="UTIL", help=(
+        "ADAPT: resume issuing below this utilization (default 0.94)"))),
+    "adapt_window": ("--adapt-window", dict(type=int, metavar="CYCLES", help=(
+        "ADAPT: utilization estimate window in cycles (default 32768)"))),
+}
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ScenarioSpec)}
+
+#: The runner frame: the fields every run-making command takes.
+_FRAME = ("num_cpus", "seed", "scale")
+#: One run's fields besides the workload variant.
+_POINT = ("strategy", *_FRAME, "transfer_cycles", "protocol", "adapt_high", "adapt_low",
+          "adapt_window")
+
+
+def _add_spec_args(
+    parser: argparse.ArgumentParser, fields: Sequence[str], required: bool = False, **defaults: Any
+) -> None:
+    """Add the flags of ``fields``; ``defaults`` overrides field defaults
+    for this command and ``required`` applies to ``--workload``."""
+    for name in fields:
+        flag, options = _SPEC_FLAGS[name]
+        if name == "workload":
+            parser.add_argument(flag, required=required, **options)
+            continue
+        default = defaults.get(name, _DEFAULTS[name])
+        if default not in (None, False):
+            options = dict(options, help=options["help"] + " (default %(default)s)")
+        parser.add_argument(flag, dest=name, default=default, **options)
+
+
+def _spec(args: argparse.Namespace) -> ScenarioSpec:
+    """The scenario a command's parsed arguments describe."""
+    return ScenarioSpec(
+        **{name: getattr(args, name) for name in _SPEC_FLAGS if hasattr(args, name)}
     )
-    parser.add_argument(
-        "--adapt-low", type=float, default=None, metavar="UTIL",
-        help="ADAPT: resume issuing below this utilization (default 0.94)",
-    )
-    parser.add_argument(
-        "--adapt-window", type=int, default=None, metavar="CYCLES",
-        help="ADAPT: utilization estimate window in cycles (default 32768)",
-    )
 
 
-def _apply_adaptive_knobs(
-    strategy: PrefetchStrategy, args: argparse.Namespace
-) -> PrefetchStrategy:
-    """Fold ``--adapt-*`` overrides into an :class:`AdaptiveStrategy`."""
-    import dataclasses
-
-    overrides = {}
-    if getattr(args, "adapt_high", None) is not None:
-        overrides["high_watermark"] = args.adapt_high
-    if getattr(args, "adapt_low", None) is not None:
-        overrides["low_watermark"] = args.adapt_low
-    if getattr(args, "adapt_window", None) is not None:
-        overrides["feedback_window"] = args.adapt_window
-    if not overrides:
-        return strategy
-    if not isinstance(strategy, AdaptiveStrategy):
-        raise ConfigurationError(
-            f"--adapt-* options only apply to the ADAPT strategy, not {strategy.name}"
-        )
-    return dataclasses.replace(strategy, **overrides)
-
-
-def _add_machine_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--cpus", type=int, default=12, help="processor count (default 12)")
-    parser.add_argument(
-        "--transfer", type=int, default=8, help="data-bus transfer cycles (default 8)"
-    )
-    parser.add_argument(
-        "--protocol", choices=("illinois", "msi"), default="illinois",
-        help="coherence protocol (default illinois)",
-    )
-    parser.add_argument("--scale", type=float, default=1.0, help="workload scale (default 1.0)")
-    parser.add_argument("--seed", type=int, default=42, help="workload seed (default 42)")
-
-
-def _runner(args: argparse.Namespace) -> ExperimentRunner:
-    return ExperimentRunner(num_cpus=args.cpus, seed=args.seed, scale=args.scale)
-
-
-def _machine(args: argparse.Namespace) -> MachineConfig:
-    machine = MachineConfig(num_cpus=args.cpus, protocol=args.protocol)
-    return machine.with_transfer_cycles(args.transfer)
+def _runner(frame: Any) -> ExperimentRunner:
+    """A runner in the frame of parsed arguments or a spec."""
+    return ExperimentRunner(num_cpus=frame.num_cpus, seed=frame.seed, scale=frame.scale)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    runner = _runner(args)
-    strategy = _apply_adaptive_knobs(strategy_by_name(args.strategy), args)
-    result = runner.compare(
-        args.workload, strategy, _machine(args), restructured=args.restructured
-    )
+    job = _spec(args).job()
+    strategy = job.strategy
+    result = _runner(job).compare(job.workload, strategy, job.machine, job.restructured)
     if strategy.enabled:
         print(format_run_summary(result.baseline))
         print()
@@ -267,7 +267,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     runner = _runner(args)
     strategies = _parse_strategies(args.strategies)
-    machine = MachineConfig(num_cpus=args.cpus, protocol=args.protocol)
+    machine = MachineConfig(num_cpus=args.num_cpus, protocol=args.protocol)
     latencies = _parse_latencies(args.latencies)
     results = runner.sweep(
         args.workload, strategies, machine, transfer_latencies=latencies,
@@ -410,30 +410,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
-    from repro.common.config import SimulationConfig
     from repro.metrics.charts import sparkline
     from repro.obs.export import write_chrome_trace
 
-    workload = _resolve_workload(args.workload)
     if args.quick:
-        args.cpus, args.scale = 4, 0.05
-    strategy = _apply_adaptive_knobs(strategy_by_name(args.strategy), args)
-    runner = ExperimentRunner(
-        num_cpus=args.cpus,
-        seed=args.seed,
-        scale=args.scale,
-        sim_config=SimulationConfig(
-            observe=True,
-            observe_window=args.window,
-            observe_trace_capacity=args.events,
-        ),
-    )
-    result = runner.run(workload, strategy, _machine(args))
+        args.num_cpus, args.scale = 4, 0.05
+    spec = _spec(args)
+    workload, strategy = spec.workload, spec.strategy
+    result = lineattr.record_timeline(spec.job(), args.window, args.events)
     obs = result.obs
     width = 64
     print(
-        f"{workload} / {strategy.name}: {result.exec_cycles:,} cycles, "
-        f"{args.cpus} CPUs, {args.transfer}-cycle transfers, "
+        f"{workload} / {strategy}: {result.exec_cycles:,} cycles, "
+        f"{spec.num_cpus} CPUs, {spec.transfer_cycles}-cycle transfers, "
         f"{obs.window_cycles}-cycle windows ({obs.num_windows} windows)"
     )
     print(
@@ -465,8 +454,8 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
             print(f"  {problem}")
     else:
         print("reconciliation: every windowed series sums to its aggregate (exact)")
-    out = args.out or f"results/timeline_{workload}_{strategy.name}.json"
-    path = write_chrome_trace(obs, out, label=f"{workload}/{strategy.name}")
+    out = args.out or f"results/timeline_{workload}_{strategy}.json"
+    path = write_chrome_trace(obs, out, label=f"{workload}/{strategy}")
     print(
         f"wrote {path} ({len(obs.timeline)} events, {obs.timeline_dropped} dropped; "
         f"load in Perfetto / chrome://tracing)"
@@ -522,14 +511,7 @@ def _cmd_c2c(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.analysis.dynamic import (
-        attribute_lines,
-        blamed_families,
-        c2c_to_dict,
-        cross_reference,
-        render_c2c,
-    )
-    from repro.common.config import SimulationConfig
+    from repro.analysis.dynamic import blamed_families, c2c_to_dict, render_c2c
 
     if args.load:
         path = Path(args.load)
@@ -549,30 +531,15 @@ def _cmd_c2c(args: argparse.Namespace) -> int:
     if not args.workload:
         print("error: c2c requires --workload (or --load FILE)", file=sys.stderr)
         return 2
-    workload = _resolve_workload(args.workload)
     if args.quick:
-        args.cpus, args.scale = 4, 0.05
-    strategy = _apply_adaptive_knobs(strategy_by_name(args.strategy), args)
-    runner = ExperimentRunner(
-        num_cpus=args.cpus,
-        seed=args.seed,
-        scale=args.scale,
-        sim_config=SimulationConfig(
-            observe=True,
-            observe_lines=True,
-            observe_window=args.window,
-            observe_trace_capacity=0,
-        ),
-    )
-    result = runner.run(workload, strategy, _machine(args), restructured=args.restructured)
+        args.num_cpus, args.scale = 4, 0.05
+    job = _spec(args).job()
+    result, heats = lineattr.profile_lines(job, args.window)
     profile = result.obs.lines
-    label = f"{workload}/{strategy_label(strategy.name, args.restructured)}"
+    label = f"{job.workload}/{job.strategy_label}"
     if not profile.lines:
         print(f"{label}: no line activity recorded (nothing missed or used the bus)")
         return 0
-    arrays = runner.trace_metadata(workload, args.restructured).get("arrays") or []
-    recommendations = advise(runner.clean_trace(workload, restructured=args.restructured))
-    heats = cross_reference(attribute_lines(profile, arrays), recommendations)
     print(render_c2c(profile, heats, top_lines=args.top, label=label))
     blamed = blamed_families(heats)
     if blamed:
@@ -622,7 +589,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     label = "quick" if args.quick else "full"
     print(
         f"auditing {len(points)} configurations ({label} grid, "
-        f"{args.cpus} CPUs, scale {args.scale}, seed {args.seed})"
+        f"{args.num_cpus} CPUs, scale {args.scale}, seed {args.seed})"
     )
 
     failed: list[PointOutcome] = []
@@ -636,7 +603,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
     outcomes = audit_grid(
         points,
-        num_cpus=args.cpus,
+        num_cpus=args.num_cpus,
         seed=args.seed,
         scale=args.scale,
         workers=args.workers,
@@ -681,13 +648,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     strategies = _parse_strategies(args.strategies)
     latencies = _parse_latencies(args.latencies)
     runner = ExperimentRunner(
-        num_cpus=args.cpus,
+        num_cpus=args.num_cpus,
         seed=args.seed,
         scale=args.scale,
         max_workers=args.workers,
         disk_cache=args.cache or None,
     )
-    machine = MachineConfig(num_cpus=args.cpus)
+    machine = runner.base_machine()
     jobs = [
         (workload, strategy, machine.with_transfer_cycles(cycles))
         for workload in workloads
@@ -713,7 +680,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         print(
             f"fleet: {len(jobs)} grid points ({len(workloads)} workloads x "
             f"{len(strategies)} strategies x {len(latencies)} latencies), "
-            f"{args.workers or 1} worker(s), {args.cpus} CPUs, scale {args.scale}"
+            f"{args.workers or 1} worker(s), {args.num_cpus} CPUs, scale {args.scale}"
         )
     code = 0
     failures = []
@@ -737,7 +704,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 "workloads": workloads,
                 "strategies": [s.name for s in strategies],
                 "latencies": list(latencies),
-                "cpus": args.cpus,
+                "cpus": args.num_cpus,
                 "scale": args.scale,
                 "seed": args.seed,
                 "points": len(jobs),
@@ -874,7 +841,7 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
         if doc["exists"]:
             doc["summary"] = ledger.summarize()
             entries = ledger.query(
-                workload=args.workload and _resolve_workload(args.workload),
+                workload=args.workload,
                 strategy=args.strategy,
                 outcome=args.outcome,
             )
@@ -920,7 +887,7 @@ def _cmd_ledger(args: argparse.Namespace) -> int:
                 f"{stats['events_per_sec']:>12,.0f} events/sec"
             )
     entries = ledger.query(
-        workload=args.workload and _resolve_workload(args.workload),
+        workload=args.workload,
         strategy=args.strategy,
         outcome=args.outcome,
     )
@@ -1090,37 +1057,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="run one configuration")
-    p.add_argument("--workload", required=True, choices=ALL_WORKLOAD_NAMES)
-    p.add_argument("--strategy", default="PREF", help="NP/PREF/EXCL/LPD/PWS/PBUF/ADAPT")
-    p.add_argument("--restructured", action="store_true")
-    _add_machine_args(p)
-    _add_adaptive_args(p)
+    _add_spec_args(p, ("workload", "restructured", *_POINT), required=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="bus-latency sweep for one workload")
-    p.add_argument("--workload", required=True, choices=ALL_WORKLOAD_NAMES)
     p.add_argument("--strategies", default="NP,PREF,EXCL,LPD,PWS")
     p.add_argument("--latencies", default="4,8,16,32")
-    p.add_argument("--restructured", action="store_true")
-    _add_machine_args(p)
+    _add_spec_args(p, ("workload", "restructured", *_FRAME, "protocol"), required=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
     p.add_argument("name", choices=sorted(_EXPERIMENTS) + ["all"])
     p.add_argument("--chart", action="store_true", help="render as a chart where supported")
-    _add_machine_args(p)
+    _add_spec_args(p, _FRAME)
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("stats", help="static trace statistics")
-    p.add_argument("--workload", required=True, choices=ALL_WORKLOAD_NAMES)
-    p.add_argument("--restructured", action="store_true")
-    _add_machine_args(p)
+    _add_spec_args(p, ("workload", "restructured", *_FRAME), required=True)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("analyze", help="sharing attribution + restructuring advice")
-    p.add_argument("--workload", required=True, choices=ALL_WORKLOAD_NAMES)
-    p.add_argument("--restructured", action="store_true")
-    _add_machine_args(p)
+    _add_spec_args(p, ("workload", "restructured", *_FRAME), required=True)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser(
@@ -1137,18 +1094,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--load", help="render a previously saved trace JSON instead of fetching")
     p.add_argument("--save", help="also write the fetched trace JSON here (Perfetto-loadable)")
-    p.add_argument("--workload", choices=ALL_WORKLOAD_NAMES)
     p.add_argument("--out", help="write the generated workload trace to this .gz file")
     p.add_argument("--info", help="print statistics of an existing workload trace file")
-    p.add_argument("--restructured", action="store_true")
-    _add_machine_args(p)
+    _add_spec_args(p, ("workload", "restructured", *_FRAME))
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser(
         "timeline", help="observed run: telemetry sparklines + Chrome trace export"
     )
-    p.add_argument("--workload", required=True, help="workload name (case-insensitive)")
-    p.add_argument("--strategy", default="PREF", help="NP/PREF/EXCL/LPD/PWS/PBUF/ADAPT")
+    _add_spec_args(p, ("workload", *_POINT), required=True)
     p.add_argument(
         "--quick", action="store_true", help="small 4-CPU, 0.05-scale run (CI smoke)"
     )
@@ -1162,16 +1116,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--out", help="trace JSON path (default results/timeline_<workload>_<strategy>.json)"
     )
-    _add_machine_args(p)
-    _add_adaptive_args(p)
     p.set_defaults(func=_cmd_timeline)
 
     p = sub.add_parser(
         "c2c", help="per-cache-line heat report (perf c2c analogue)"
     )
-    p.add_argument("--workload", help="workload name (case-insensitive)")
-    p.add_argument("--strategy", default="PWS", help="NP/PREF/EXCL/LPD/PWS/PBUF/ADAPT")
-    p.add_argument("--restructured", action="store_true")
+    _add_spec_args(p, ("workload", "restructured", *_POINT), strategy="PWS")
     p.add_argument(
         "--quick", action="store_true", help="small 4-CPU, 0.05-scale run (CI smoke)"
     )
@@ -1186,8 +1136,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--load", help="render a previously saved c2c JSON instead of simulating"
     )
-    _add_machine_args(p)
-    _add_adaptive_args(p)
     p.set_defaults(func=_cmd_c2c)
 
     p = sub.add_parser("cache", help="inspect or prune the on-disk result cache")
@@ -1202,9 +1150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="audited sweep of the invariant verification grid")
     p.add_argument("--quick", action="store_true", help="24-point smoke subset (CI)")
     p.add_argument("--workers", type=int, default=0, help="worker processes (default serial)")
-    p.add_argument("--cpus", type=int, default=4, help="processor count (default 4)")
-    p.add_argument("--scale", type=float, default=0.2, help="workload scale (default 0.2)")
-    p.add_argument("--seed", type=int, default=42, help="workload seed (default 42)")
+    _add_spec_args(p, _FRAME, num_cpus=4, scale=0.2)
     p.add_argument("--verbose", action="store_true", help="print every configuration")
     p.set_defaults(func=_cmd_audit)
 
@@ -1254,9 +1200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workloads", default="Water", help="comma-separated workload names")
     p.add_argument("--strategies", default="NP,PREF,EXCL,LPD,PWS")
     p.add_argument("--latencies", default="4,8,16,32")
-    p.add_argument("--cpus", type=int, default=12, help="processor count (default 12)")
-    p.add_argument("--scale", type=float, default=1.0, help="workload scale (default 1.0)")
-    p.add_argument("--seed", type=int, default=42, help="workload seed (default 42)")
+    _add_spec_args(p, _FRAME)
     p.add_argument(
         "--json", action="store_true",
         help="emit one JSON document (grid, outcomes, cache, metrics) instead of text",
@@ -1291,7 +1235,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"run-ledger directory (default {DEFAULT_LEDGER_DIR})",
     )
     p.add_argument("--tail", type=int, default=10, help="recent entries to print (default 10)")
-    p.add_argument("--workload", help="filter by workload (case-insensitive)")
+    p.add_argument("--workload", type=_workload, help="filter by workload (case-insensitive)")
     p.add_argument("--strategy", help="filter by strategy name")
     p.add_argument(
         "--outcome", choices=("ok", "error", "timeout"), help="filter by outcome"
@@ -1420,7 +1364,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # usage errors (2) and --help (0)
+        return exc.code
     try:
         return args.func(args)
     except ReproError as exc:

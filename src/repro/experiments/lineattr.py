@@ -13,11 +13,16 @@ structures (:mod:`repro.analysis.dynamic`), and check that
 * re-running on the restructured layout collapses those structures'
   false-sharing misses -- the measured counterpart of Table 4's
   miss-rate drops.
+
+It is also the one home of the two observed runs the diagnostic front
+ends share: :func:`profile_lines` feeds ``repro c2c`` and the service's
+``?view=c2c``, and :func:`record_timeline` feeds ``repro timeline`` and
+the service's engine trace.  Each caller picks its own window and label.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.analysis.advisor import advise
 from repro.analysis.dynamic import (
@@ -26,13 +31,18 @@ from repro.analysis.dynamic import (
     blamed_families,
     cross_reference,
 )
-from repro.experiments.runner import ExperimentRunner
+from repro.common.config import SimulationConfig
+from repro.experiments.runner import ExperimentRunner, RunJob
 from repro.metrics.formatting import format_table
+from repro.metrics.results import RunMetrics
 from repro.obs.lineprof import EFFICACY_BUCKETS
 from repro.prefetch.strategies import strategy_by_name
 from repro.workloads.registry import RESTRUCTURABLE_WORKLOAD_NAMES
 
-__all__ = ["FamilyDelta", "LineAttributionResult", "WorkloadLineAttribution", "render", "run"]
+__all__ = [
+    "FamilyDelta", "LineAttributionResult", "WorkloadLineAttribution", "profile_lines",
+    "record_timeline", "render", "run",
+]
 
 #: The strategy profiled: PWS is the paper's best prefetcher on these
 #: workloads, so its residual misses are the ones restructuring targets.
@@ -90,6 +100,35 @@ def _family_index(heats: list[StructureHeat]) -> dict[str, StructureHeat]:
     return {h.name: h for h in heats}
 
 
+def profile_lines(job: RunJob, window: int) -> tuple[RunMetrics, list[StructureHeat]]:
+    """Run ``job`` with the per-line heat profiler on.
+
+    Returns the observed result and its line heat folded onto the
+    trace's named structures, cross-referenced with the static advisor.
+    ``window`` is the invalidation-series window in cycles.  Observed
+    runs bypass the caches, so the runner is private to the run.
+    """
+    config = SimulationConfig(
+        observe=True, observe_lines=True, observe_window=window, observe_trace_capacity=0
+    )
+    runner = ExperimentRunner(job.num_cpus, job.seed, job.scale, sim_config=config)
+    result = runner.run(job.workload, job.strategy, job.machine, job.restructured)
+    arrays = runner.trace_metadata(job.workload, job.restructured).get("arrays") or []
+    heats = cross_reference(
+        attribute_lines(result.obs.lines, arrays),
+        advise(runner.clean_trace(job.workload, restructured=job.restructured)),
+    )
+    return result, heats
+
+
+def record_timeline(job: RunJob, window: int, events: int) -> RunMetrics:
+    """Run ``job`` with the observability taps on: ``window``-cycle
+    telemetry windows and an ``events``-deep timeline ring buffer."""
+    config = SimulationConfig(observe=True, observe_window=window, observe_trace_capacity=events)
+    runner = ExperimentRunner(job.num_cpus, job.seed, job.scale, sim_config=config)
+    return runner.run(job.workload, job.strategy, job.machine, job.restructured)
+
+
 def run(
     runner: ExperimentRunner | None = None,
     workloads: tuple[str, ...] = RESTRUCTURABLE_WORKLOAD_NAMES,
@@ -100,39 +139,25 @@ def run(
     layouts and fold the measurements onto named structures.
 
     ``runner`` only contributes the frame (CPU count, seed, scale): the
-    observed runs execute on a dedicated runner with ``observe_lines``
-    set, since telemetry-bearing results bypass the caches.
+    observed runs go through :func:`profile_lines`, since
+    telemetry-bearing results bypass the caches.
     """
     frame = runner or ExperimentRunner()
-    obs_runner = ExperimentRunner(
-        num_cpus=frame.num_cpus,
-        seed=frame.seed,
-        scale=frame.scale,
-        sim_config=replace(
-            frame.sim_config,
-            observe=True,
-            observe_lines=True,
-            observe_window=window,
-            observe_trace_capacity=0,
-        ),
-    )
     strat = strategy_by_name(strategy)
-    machine = obs_runner.base_machine()
+    machine = frame.base_machine()
     cells: dict[str, WorkloadLineAttribution] = {}
     for workload in workloads:
         heats: dict[bool, list[StructureHeat]] = {}
         problems = 0
         efficacy: dict[str, int] = {}
         for restructured in (False, True):
-            result = obs_runner.run(workload, strat, machine, restructured=restructured)
-            profile = result.obs.lines
+            result, heats[restructured] = profile_lines(
+                frame.job(workload, strat, machine, restructured), window
+            )
             problems += len(result.obs.reconcile(result))
-            arrays = obs_runner.trace_metadata(workload, restructured).get("arrays") or []
-            heats[restructured] = attribute_lines(profile, arrays)
             if not restructured:
-                efficacy = {b: profile.total(b) for b in EFFICACY_BUCKETS}
-        recommendations = advise(obs_runner.clean_trace(workload, restructured=False))
-        cross_reference(heats[False], recommendations)
+                efficacy = {b: result.obs.lines.total(b) for b in EFFICACY_BUCKETS}
+        recommendations = advise(frame.clean_trace(workload, restructured=False))
         blamed = blamed_families(heats[False])
         advised = {r.array: r.action for r in recommendations if r.action != "keep"}
         matched = [name for name in blamed if name in advised]

@@ -20,6 +20,7 @@ pointer, a mutable :class:`RunMetadata` record, and the
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -33,7 +34,7 @@ from repro.prefetch.strategies import (
     PrefetchStrategy,
     strategy_by_name,
 )
-from repro.workloads.registry import ALL_WORKLOAD_NAMES
+from repro.workloads.registry import resolve_workload
 
 # Kept as a module attribute for bench/layers.py, which wraps this name.
 from repro.perf.diskcache import content_key  # noqa: F401
@@ -73,13 +74,10 @@ class RunStatus(str, Enum):
         return self in (RunStatus.COMPLETED, RunStatus.FAILED)
 
 
-def _resolve_workload(name: str) -> str:
-    for canonical in ALL_WORKLOAD_NAMES:
-        if canonical.lower() == str(name).lower():
-            return canonical
-    raise ConfigurationError(
-        f"unknown workload {name!r}; expected one of {', '.join(ALL_WORKLOAD_NAMES)}"
-    )
+#: Integer and real-valued fields of :class:`ScenarioSpec` (the
+#: ``adapt_*`` knobs may also be None).
+_INT_FIELDS = ("num_cpus", "seed", "transfer_cycles", "adapt_window")
+_REAL_FIELDS = ("scale", "adapt_high", "adapt_low")
 
 
 @dataclass(frozen=True)
@@ -87,9 +85,12 @@ class ScenarioSpec:
     """One simulation request, validated and canonically hashable.
 
     Construction canonicalizes names (workloads and strategies resolve
-    case-insensitively, exactly as the CLI does) and validates every
-    field eagerly by building the machine and strategy objects, so a bad
-    request fails at the API boundary, never inside a worker.
+    case-insensitively) and numbers (integer fields reject booleans;
+    real fields must be finite and are stored as floats, so ``1`` and
+    ``1.0`` are one scenario with one key), and validates every field
+    eagerly by building the machine and strategy objects, so a bad
+    request fails at the API boundary, never inside a worker.  The CLI
+    builds its per-run options from these fields too.
 
     Attributes:
         workload: workload name (canonicalized; see ``repro list``).
@@ -117,12 +118,22 @@ class ScenarioSpec:
     adapt_window: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "workload", _resolve_workload(self.workload))
+        object.__setattr__(self, "workload", resolve_workload(self.workload))
         object.__setattr__(self, "strategy", strategy_by_name(str(self.strategy)).name)
-        if not isinstance(self.scale, (int, float)) or self.scale <= 0:
+        for name in _INT_FIELDS + _REAL_FIELDS:
+            value = getattr(self, name)
+            if value is None and name.startswith("adapt_"):
+                continue
+            real = name in _REAL_FIELDS
+            if isinstance(value, bool) or not isinstance(value, (int, float) if real else int):
+                kind = "a number" if real else "an integer"
+                raise ConfigurationError(f"{name} must be {kind}, got {value!r}")
+            if real:
+                if not math.isfinite(value):
+                    raise ConfigurationError(f"{name} must be finite, got {value!r}")
+                object.__setattr__(self, name, float(value))
+        if self.scale <= 0:
             raise ConfigurationError(f"scale must be positive, got {self.scale!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigurationError(f"seed must be an integer, got {self.seed!r}")
         if not isinstance(self.restructured, bool):
             raise ConfigurationError(
                 f"restructured must be a boolean, got {self.restructured!r}"

@@ -44,10 +44,33 @@ from repro.telemetry.tracing import (
     stitch_chrome_trace,
 )
 
-__all__ = ["RunScheduler"]
+__all__ = ["RunScheduler", "c2c_report", "engine_trace"]
 
 #: Frame key: the ExperimentRunner constructor arguments a spec pins.
 _Frame = tuple[int, int, float]
+
+#: The service's observed re-runs use the engine's default windows.
+_OBSERVED = SimulationConfig()
+
+
+def c2c_report(spec: ScenarioSpec) -> dict[str, Any]:
+    """The ``?view=c2c`` document: ``spec``'s per-cache-line attribution."""
+    from repro.analysis.dynamic import c2c_to_dict
+    from repro.experiments.lineattr import profile_lines
+
+    result, heats = profile_lines(spec.job(), _OBSERVED.observe_window)
+    return c2c_to_dict(result.obs.lines, heats, label=spec.label)
+
+
+def engine_trace(spec: ScenarioSpec) -> dict[str, Any]:
+    """``spec``'s engine timeline as a Chrome-trace document."""
+    from repro.experiments.lineattr import record_timeline
+    from repro.obs.export import chrome_trace
+
+    result = record_timeline(
+        spec.job(), _OBSERVED.observe_window, _OBSERVED.observe_trace_capacity
+    )
+    return chrome_trace(result.obs, label=spec.label)
 
 
 class RunScheduler:
@@ -517,36 +540,9 @@ class RunScheduler:
                 f"run {run_id} is {meta.status.value}; the c2c view needs a completed run"
             )
         loop = asyncio.get_running_loop()
-        report = await loop.run_in_executor(
-            self._executor, self._compute_c2c, meta.spec
-        )
+        report = await loop.run_in_executor(self._executor, c2c_report, meta.spec)
         self._c2c[run_id] = report
         return report
-
-    def _compute_c2c(self, spec: ScenarioSpec) -> dict[str, Any]:
-        from repro.analysis import advise
-        from repro.analysis.dynamic import attribute_lines, c2c_to_dict, cross_reference
-
-        # Observed runs bypass the disk cache by design, so this runner
-        # is private to the computation and never pollutes shared state.
-        runner = ExperimentRunner(
-            num_cpus=spec.num_cpus,
-            seed=spec.seed,
-            scale=spec.scale,
-            sim_config=SimulationConfig(
-                observe=True, observe_lines=True, observe_trace_capacity=0
-            ),
-        )
-        result = runner.run(
-            spec.workload, spec.strategy_obj(), spec.machine(), spec.restructured
-        )
-        profile = result.obs.lines
-        arrays = runner.trace_metadata(spec.workload, spec.restructured).get("arrays") or []
-        heats = cross_reference(
-            attribute_lines(profile, arrays),
-            advise(runner.clean_trace(spec.workload, restructured=spec.restructured)),
-        )
-        return c2c_to_dict(profile, heats, label=spec.label)
 
     async def trace_document(self, run_id: str, engine: bool = True) -> dict[str, Any]:
         """The run's stitched Chrome-trace document (``GET .../trace``).
@@ -571,37 +567,19 @@ class RunScheduler:
                 f"run {run_id} has no trace (submitted before tracing was enabled)"
             )
         spans = self.tracer.spans(meta.trace_id)
-        engine_trace = None
+        timeline = None
         if engine and meta.status is RunStatus.COMPLETED:
-            engine_trace = self._engine_traces.get(run_id)
-            if engine_trace is None:
+            timeline = self._engine_traces.get(run_id)
+            if timeline is None:
                 loop = asyncio.get_running_loop()
-                engine_trace = await loop.run_in_executor(
-                    self._executor, self._compute_engine_trace, meta.spec
-                )
-                self._engine_traces[run_id] = engine_trace
-        doc = stitch_chrome_trace(spans, engine_trace, label=meta.label)
+                timeline = await loop.run_in_executor(self._executor, engine_trace, meta.spec)
+                self._engine_traces[run_id] = timeline
+        doc = stitch_chrome_trace(spans, timeline, label=meta.label)
         doc["otherData"]["run_id"] = run_id
         doc["otherData"]["trace_id"] = meta.trace_id
         doc["otherData"]["status"] = meta.status.value
         doc["otherData"]["spans_dropped"] = self.tracer.dropped
         return doc
-
-    def _compute_engine_trace(self, spec: ScenarioSpec) -> dict[str, Any]:
-        from repro.obs.export import chrome_trace
-
-        # Observed runs bypass the disk cache by design, so this runner
-        # is private to the computation and never pollutes shared state.
-        runner = ExperimentRunner(
-            num_cpus=spec.num_cpus,
-            seed=spec.seed,
-            scale=spec.scale,
-            sim_config=SimulationConfig(observe=True),
-        )
-        result = runner.run(
-            spec.workload, spec.strategy_obj(), spec.machine(), spec.restructured
-        )
-        return chrome_trace(result.obs, label=spec.label)
 
     def cache_stats(self) -> dict[str, int] | None:
         """Combined disk-cache statistics across runner frames.

@@ -18,7 +18,9 @@ lies outside the sweep.
 2. **Sweep** -- a 2x2 sweep (NP/PREF x 4c/8c bus) polled to completion.
    The identical resubmission is deduped without a new simulation (the
    ledger's ``simulated_runs`` is unchanged), the PREF@8c result is
-   bit-identical to a direct in-process ``ExperimentRunner.run``, and
+   bit-identical to a direct in-process ``ExperimentRunner.run``, its
+   ``?view=c2c`` document equals the in-process
+   :func:`~repro.service.scheduler.c2c_report` of the same spec, and
    the listing and ``/metrics`` families check out.
 3. **Observability** -- the sampler's snapshots, the
    ``/metrics/history`` index and a monotone counter series, ``/slo``
@@ -52,6 +54,7 @@ from typing import Any
 
 from repro.experiments.runner import ExperimentRunner
 from repro.service.contracts import ScenarioSpec
+from repro.service.scheduler import c2c_report
 from repro.telemetry.ledger import RunLedger
 from repro.telemetry.timeseries import TimeSeriesStore
 from repro.telemetry.tracing import SERVICE_PID, check_chrome_events
@@ -397,7 +400,7 @@ def _traced_point(transcript: Transcript, base: str, out: Path) -> str:
 
 def _sweep(transcript: Transcript, base: str, out: Path) -> list[str]:
     """Phase 2: the sweep, its deduped resubmission, a bit-identical
-    result, the listing and the /metrics families."""
+    result and c2c view, the listing and the /metrics families."""
     submit, _ = _request(transcript, "POST", f"{base}/runs", SWEEP, expect=202)
     _require(submit["count"] == 4, f"sweep expanded to {submit['count']} runs, wanted 4")
     for ref in submit["runs"]:
@@ -432,6 +435,10 @@ def _sweep(transcript: Transcript, base: str, out: Path) -> list[str]:
     _require(result["metrics"] == direct.to_dict(),
              "HTTP result differs from a direct simulate() of the same spec")
     transcript.record("bit_identical", run_id=spec.run_id, exec_cycles=direct.exec_cycles)
+    view, _ = _request(transcript, "GET", f"{base}/runs/{spec.run_id}/result?view=c2c")
+    _require(view["report"] == json.loads(json.dumps(c2c_report(spec))),
+             "?view=c2c differs from the in-process line profile of the same spec")
+    transcript.record("c2c_view", run_id=spec.run_id, lines=view["report"]["num_lines"])
 
     listing, _ = _request(transcript, "GET", f"{base}/runs?status=completed")
     _require(listing["count"] >= 5, f"expected >=5 completed runs, got {listing['count']}")

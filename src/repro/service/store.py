@@ -98,8 +98,7 @@ def spec_from_ledger_entry(entry) -> ScenarioSpec | None:
             num_cpus=entry.num_cpus,
             seed=entry.seed,
             scale=entry.scale,
-            transfer_cycles=machine.get("transfer_cycles", 8),
-            protocol=machine.get("protocol", "illinois"),
+            **{key: machine[key] for key in ("transfer_cycles", "protocol") if key in machine},
         )
     except (ReproError, TypeError, ValueError):
         return None

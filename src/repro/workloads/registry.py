@@ -16,6 +16,7 @@ __all__ = [
     "RESTRUCTURABLE_WORKLOAD_NAMES",
     "generate_workload",
     "get_workload",
+    "resolve_workload",
 ]
 
 _REGISTRY: dict[str, type[Workload]] = {
@@ -31,14 +32,19 @@ RESTRUCTURABLE_WORKLOAD_NAMES: tuple[str, ...] = ("Topopt", "Pverify")
 _CANONICAL = {name.lower(): name for name in _REGISTRY}
 
 
-def get_workload(name: str) -> Workload:
-    """Instantiate a workload by (case-insensitive) name."""
-    canonical = _CANONICAL.get(name.lower())
+def resolve_workload(name: str) -> str:
+    """The canonical spelling of a workload name, matched case-insensitively."""
+    canonical = _CANONICAL.get(str(name).lower())
     if canonical is None:
         raise ConfigurationError(
-            f"unknown workload {name!r}; expected one of {sorted(_REGISTRY)}"
+            f"unknown workload {name!r}; expected one of {', '.join(ALL_WORKLOAD_NAMES)}"
         )
-    return _REGISTRY[canonical]()
+    return canonical
+
+
+def get_workload(name: str) -> Workload:
+    """Instantiate a workload by (case-insensitive) name."""
+    return _REGISTRY[resolve_workload(name)]()
 
 
 def generate_workload(

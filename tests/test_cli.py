@@ -1,8 +1,12 @@
 """Smoke tests for the command-line interface (tiny scales)."""
 
+import argparse
+import dataclasses
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _SPEC_FLAGS, _spec, build_parser, main
+from repro.service.contracts import ScenarioSpec
 from repro.sim.engine import ENGINE_VERSION
 
 SMALL = ["--cpus", "4", "--scale", "0.06"]
@@ -346,3 +350,85 @@ class TestAdaptCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "ADAPT" in out and "adaptive" in out
+
+
+def _subcommands():
+    parser = build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestScenarioOptions:
+    """The per-run flags come from one table over ScenarioSpec's fields."""
+
+    #: The per-command defaults that differ from the field defaults.
+    OVERRIDES = {("c2c", "strategy"): "PWS", ("audit", "num_cpus"): 4, ("audit", "scale"): 0.2}
+
+    #: Flags accepted and ignored before the table existed: these
+    #: commands build their runner from --cpus/--seed/--scale only.
+    REMOVED = [
+        ["sweep", "--workload", "Water", "--transfer", "4"],
+        *(
+            [*command, flag, value]
+            for command in (["experiment", "table1"], ["stats", "--workload", "Water"],
+                            ["analyze", "--workload", "Water"],
+                            ["trace", "--workload", "Water", "--out", "t.gz"])
+            for flag, value in (("--transfer", "4"), ("--protocol", "msi"))
+        ),
+    ]
+
+    #: Every command that simulates or generates one workload.
+    PER_RUN = [
+        ["simulate"], ["sweep"], ["stats"], ["analyze"], ["timeline", "--quick"],
+        ["c2c", "--quick"], ["trace", "--out", "t.gz"],
+    ]
+
+    def test_every_field_has_exactly_one_flag(self):
+        fields = [f.name for f in dataclasses.fields(ScenarioSpec)]
+        assert sorted(_SPEC_FLAGS) == sorted(fields)
+        flags = [flag for flag, _options in _SPEC_FLAGS.values()]
+        assert len(set(flags)) == len(flags)
+
+    def test_cli_defaults_are_field_defaults(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(ScenarioSpec)}
+        seen = set()
+        for command, parser in _subcommands().items():
+            if command == "ledger":  # --workload/--strategy filter the ledger
+                continue
+            for action in parser._actions:
+                if action.dest not in _SPEC_FLAGS or action.dest == "workload":
+                    continue
+                expected = self.OVERRIDES.get((command, action.dest), defaults[action.dest])
+                assert action.default == expected, (command, action.dest)
+                seen.add((command, action.dest))
+        assert set(self.OVERRIDES) <= seen
+
+    def test_simulate_spec_is_the_service_spec(self):
+        args = build_parser().parse_args(
+            ["simulate", "--workload", "water", "--strategy", "adapt", "--restructured",
+             "--cpus", "4", "--seed", "7", "--scale", "1", "--transfer", "32",
+             "--protocol", "msi", "--adapt-high", "0.9", "--adapt-low", "0.5",
+             "--adapt-window", "1024"]
+        )
+        body = {
+            "workload": "Water", "strategy": "ADAPT", "restructured": True, "num_cpus": 4,
+            "seed": 7, "scale": 1, "transfer_cycles": 32, "protocol": "msi",
+            "adapt_high": 0.9, "adapt_low": 0.5, "adapt_window": 1024,
+        }
+        spec = _spec(args)
+        assert spec == ScenarioSpec.from_dict(body)
+        assert spec.config_key == ScenarioSpec.from_dict(body).config_key
+
+    @pytest.mark.parametrize("argv", REMOVED, ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", PER_RUN, ids=lambda command: command[0])
+    def test_unknown_workload_exits_2(self, command, capsys):
+        assert main([*command, "--workload", "nosuch"]) == 2
+        assert "unknown workload" in capsys.readouterr().err.lower()
+
+    def test_workload_is_case_insensitive(self):
+        args = build_parser().parse_args(["stats", "--workload", "PVERIFY"])
+        assert args.workload == "Pverify"

@@ -188,6 +188,30 @@ class TestScenarioSpec:
         with pytest.raises(Exception):
             spec.workload = "Mp3d"
 
+    def test_integer_scale_is_the_float_scenario(self):
+        """``"scale": 1`` and ``1.0`` are one scenario: one key, shared
+        with the disk-cache entries the CLI's float ``--scale`` writes."""
+        as_int = ScenarioSpec.from_dict({"workload": "Water", "num_cpus": 2, "scale": 1})
+        as_float = ScenarioSpec.from_dict({"workload": "Water", "num_cpus": 2, "scale": 1.0})
+        assert as_int == as_float
+        assert type(as_int.scale) is float
+        assert as_int.config_key == as_float.config_key
+
+    @pytest.mark.parametrize(
+        "field",
+        ["num_cpus", "seed", "scale", "transfer_cycles", "adapt_high", "adapt_low",
+         "adapt_window"],
+    )
+    def test_booleans_rejected_in_numeric_fields(self, field):
+        body = {"workload": "Water", "strategy": "ADAPT", field: True}
+        with pytest.raises(ConfigurationError, match=field):
+            ScenarioSpec.from_dict(body)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_scale_rejected(self, value):
+        with pytest.raises(ConfigurationError, match="scale"):
+            ScenarioSpec.from_dict({"workload": "Water", "scale": value})
+
 
 # --------------------------------------------------------------------------
 # Stores
@@ -657,6 +681,52 @@ class TestHttpApi:
         assert status == 400 and "error" in doc
         status, doc = _http("POST", f"{base}/runs", dict(QUICK, bogus_field=1))
         assert status == 400 and "bogus_field" in doc["error"]
+
+    def test_integer_and_float_scale_dedup(self, service):
+        svc, base = service
+        status, first = _http("POST", f"{base}/runs", {"workload": "Water", "num_cpus": 2, "scale": 1})
+        assert status == 202 and not first["deduped"]
+        status, again = _http(
+            "POST", f"{base}/runs", {"workload": "Water", "num_cpus": 2, "scale": 1.0}
+        )
+        assert status == 202 and again["deduped"]
+        assert again["run_id"] == first["run_id"]
+
+    def test_non_finite_scale_is_400_and_queues_nothing(self, service):
+        """``json.loads`` accepts NaN; the spec must still reject it at
+        the boundary, and a sweep holding one such point queues none."""
+        svc, base = service
+        before = len(svc.store)
+        status, doc = _http("POST", f"{base}/runs", dict(QUICK, scale=float("nan")))
+        assert status == 400 and "scale" in doc["error"]
+        sweep = {"sweep": {"workload": "Water", "num_cpus": 2, "scale": [0.01, float("nan")]}}
+        status, doc = _http("POST", f"{base}/runs", sweep)
+        assert status == 400 and "scale" in doc["error"]
+        assert len(svc.store) == before
+
+    def test_c2c_view_matches_cli_export(self, service, tmp_path):
+        """``?view=c2c`` serves the same line profile ``repro c2c --json``
+        writes for the same point (the service's window is
+        SimulationConfig's 8192 cycles; only the label differs)."""
+        svc, base = service
+        body = dict(
+            workload="Pverify", strategy="PWS", num_cpus=4, scale=0.05, transfer_cycles=8
+        )
+        status, doc = _http("POST", f"{base}/runs", body)
+        assert status == 202
+        run_id = doc["run_id"]
+        assert _poll_completed(base, run_id)["status"] == "completed"
+        status, view = _http("GET", f"{base}/runs/{run_id}/result?view=c2c")
+        assert status == 200 and view["view"] == "c2c"
+
+        out = tmp_path / "c2c.json"
+        args = ["c2c", "--workload", "pverify", "--strategy", "PWS", "--quick",
+                "--window", "8192", "--json", str(out)]
+        assert cli_main(args) == 0
+        cli_doc = json.loads(out.read_text(encoding="utf-8"))
+        report = view["report"]
+        assert report.pop("label") != cli_doc.pop("label")
+        assert report == cli_doc
 
     def test_unknown_run_is_404(self, service):
         svc, base = service
