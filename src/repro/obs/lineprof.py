@@ -47,8 +47,9 @@ the prefetch still in flight) marks the pending record *demanded*.  At
 flight) -> **harmful**; demanded -> **late**; otherwise the block is
 *installed* awaiting its first use.  Installed records resolve as
 **useful** at the first demand access of the block by the prefetching
-CPU (the ``on_hit`` tap names the block of every access cycle -- hits,
-victim-cache recoveries and upgrade completions all fire it), as
+CPU (the engine tests the block of every access cycle -- hits,
+victim-cache recoveries and upgrade completions -- against
+``unused_prefetches`` and fires ``on_prefetch_used`` on a match), as
 **harmful** when an ``invalidate`` snoop destroys the line before use,
 and as **wasted** when the line leaves the cache unused (a later fill
 for the same (cpu, block) proves the eviction) or is still unused at
@@ -64,6 +65,7 @@ one bucket.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.taps import EngineObserver
@@ -86,6 +88,9 @@ MISS_BUCKETS: tuple[str, ...] = (
     "inval_false_prefetched",
     "prefetch_in_progress",
 )
+
+#: A ``MissCounts``'s buckets as a tuple parallel to :data:`MISS_BUCKETS`.
+_bucket_counts = attrgetter(*MISS_BUCKETS)
 
 #: Prefetch efficacy buckets (every issued prefetch lands in exactly one).
 EFFICACY_BUCKETS: tuple[str, ...] = (
@@ -447,7 +452,7 @@ class LineProfiler(EngineObserver):
         # Prefetch efficacy: in-flight prefetch fills (value: demanded?)
         # and installed-but-unused prefetched blocks, per CPU.
         self._pending: dict[tuple[int, int], bool] = {}
-        self._installed: list[set[int]] = [set() for _ in range(num_cpus)]
+        self.unused_prefetches: list[set[int]] = [set() for _ in range(num_cpus)]
 
     # ------------------------------------------------------------- internals
 
@@ -468,10 +473,8 @@ class LineProfiler(EngineObserver):
         """
         snap = self._miss_snap[cpu]
         metrics = self._procs[cpu].metrics
-        misses = metrics.misses
         line = None
-        for i, name in enumerate(MISS_BUCKETS):
-            now = getattr(misses, name)
+        for i, now in enumerate(_bucket_counts(metrics.misses)):
             if now != snap[i]:
                 if line is None:
                     line = self._line(block)
@@ -486,7 +489,7 @@ class LineProfiler(EngineObserver):
 
     def _resolve_installed(self, cpu: int, block: int, bucket: str) -> bool:
         """Pop an installed-unused record and credit ``bucket``."""
-        installed = self._installed[cpu]
+        installed = self.unused_prefetches[cpu]
         if block not in installed:
             return False
         installed.discard(block)
@@ -496,10 +499,8 @@ class LineProfiler(EngineObserver):
 
     # ------------------------------------------------------------- CPU cycles
 
-    def on_hit(self, cpu: int, start: int, block: int, cycles: int) -> None:
-        super().on_hit(cpu, start, block, cycles)
-        if block in self._installed[cpu]:
-            self._resolve_installed(cpu, block, "useful")
+    def on_prefetch_used(self, cpu: int, block: int) -> None:
+        self._resolve_installed(cpu, block, "useful")
 
     def on_miss_stall(self, cpu: int, block: int, start: int, end: int, sync: bool) -> None:
         super().on_miss_stall(cpu, block, start, end, sync)
@@ -553,7 +554,7 @@ class LineProfiler(EngineObserver):
         elif demanded:
             line.late += 1
         else:
-            self._installed[cpu].add(fill.block)
+            self.unused_prefetches[cpu].add(fill.block)
 
     # -------------------------------------------------------------- coherence
 
@@ -617,7 +618,7 @@ class LineProfiler(EngineObserver):
             else:
                 line.wasted += 1
         self._pending.clear()
-        for installed in self._installed:
+        for installed in self.unused_prefetches:
             for block in installed:
                 self._line(block).wasted += 1
             installed.clear()

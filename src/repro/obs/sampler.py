@@ -15,6 +15,13 @@ the end-of-run aggregate to the cycle.  The reconciliation identities
   ``sum(cpu_stall[i]) == CpuMetrics.stall_cycles``, and per window
   ``busy + stall + sync == overlap(window, [0, finish_time))``.
 
+CPU busy time is not tapped per slice.  A CPU's busy cycles follow one
+another from the moment it resumes after a stall (a fill, an upgrade, a
+full prefetch buffer, a lock or barrier wait) until it stalls again, so
+the sampler hears only of resumptions (:meth:`WindowedSampler.resume`)
+and places the busy cycles accrued since the last one, read off the
+CPU's running total, right after the CPU's open busy run.
+
 Occupancy-style quantities (outstanding MSHR fills, prefetch-buffer
 slots, bus queue depth) are step functions of time; the sampler stores
 their per-window *integrals* in unit-cycles, so ``integral / window``
@@ -37,15 +44,17 @@ def _acc(series: list[int], window: int, start: int, end: int, weight: int = 1) 
     """
     if end <= start or weight == 0:
         return
-    wi = start // window
-    while start < end:
-        bound = (wi + 1) * window
-        seg = min(end, bound) - start
-        while len(series) <= wi:
-            series.append(0)
-        series[wi] += seg * weight
-        start += seg
-        wi += 1
+    first = start // window
+    last = (end - 1) // window
+    if last >= len(series):
+        series.extend([0] * (last + 1 - len(series)))
+    if first == last:
+        series[first] += (end - start) * weight
+        return
+    series[first] += ((first + 1) * window - start) * weight
+    for w in range(first + 1, last):
+        series[w] += window * weight
+    series[last] += (end - last * window) * weight
 
 
 class _Step:
@@ -321,32 +330,42 @@ class WindowedSampler:
         self.bus_tiers: tuple[list[int], list[int], list[int]] = ([], [], [])
         self.cpu_busy: list[list[int]] = [[] for _ in range(num_cpus)]
         self.cpu_sync: list[list[int]] = [[] for _ in range(num_cpus)]
-        # Each CPU's open busy run [start, end), not yet in cpu_busy.
+        # Each CPU's open busy run [start, end), not yet in cpu_busy, and
+        # the CPU's busy-cycle total the runs account for so far.
         self._busy_start = [0] * num_cpus
         self._busy_end = [0] * num_cpus
+        self._busy_seen = [0] * num_cpus
         self._queue = _Step()
         self._mshr = _Step()
         self._pfbuf = _Step()
 
     # ------------------------------------------------------------ interval taps
 
-    def add_busy(self, cpu: int, start: int, cycles: int) -> None:
-        """A CPU busy slice of ``cycles`` starting at ``start``.
+    def resume(self, cpu: int, now: int, busy: int) -> None:
+        """The CPU runs again from ``now``, having accrued ``busy`` busy cycles.
 
-        Slices that continue the CPU's open run extend it (a hit streak
-        retires back-to-back gap and hit slices); any other slice closes
-        the run into ``cpu_busy`` and opens a new one.  Exact, because
+        ``busy`` is the CPU's running busy-cycle total.  A CPU's busy
+        cycles follow one another from its last resumption until it
+        stalls, so the ones not seen yet extend the open run.  When
+        ``now`` does not continue the run, the run is closed into
+        ``cpu_busy`` and a new one opens at ``now``.  Exact, because
         :func:`_acc` is additive over splits of an interval.
         """
-        end = self._busy_end[cpu]
-        if start != end:
+        end = self._busy_end[cpu] + busy - self._busy_seen[cpu]
+        self._busy_seen[cpu] = busy
+        if now != end:
             _acc(self.cpu_busy[cpu], self.window, self._busy_start[cpu], end)
-            self._busy_start[cpu] = start
-        self._busy_end[cpu] = start + cycles
+            self._busy_start[cpu] = end = now
+        self._busy_end[cpu] = end
 
-    def add_sync_wait(self, cpu: int, start: int, end: int) -> None:
-        """A lock/barrier wait from ``start`` to ``end``."""
+    def add_sync_wait(self, cpu: int, start: int, end: int, busy: int) -> None:
+        """A lock/barrier wait from ``start`` to ``end``; the CPU resumes at ``end``.
+
+        ``busy`` is the CPU's busy-cycle total at the wake-up (see
+        :meth:`resume`).
+        """
         _acc(self.cpu_sync[cpu], self.window, start, end)
+        self.resume(cpu, end, busy)
 
     def add_bus_slice(self, start: int, end: int, tier: int) -> None:
         """A granted bus occupancy slice in arbitration tier ``tier``."""
@@ -371,21 +390,27 @@ class WindowedSampler:
         self,
         exec_cycles: int,
         finish_times: list[int],
+        busy_totals: list[int],
         timeline: list,
         timeline_dropped: int,
     ) -> ObsReport:
         """Freeze the series into an :class:`ObsReport`.
 
-        Pads every series to the common window count, integrates the
-        step functions through ``exec_cycles`` and derives the per-CPU
-        stall series from the cycle identity ``busy + stall + sync ==
-        live`` (live = the window's overlap with ``[0, finish_time)``),
-        which is exactly how end-of-run stall cycles are derived.
+        Closes each CPU's open busy run, extended by the cycles of its
+        end-of-run busy total (``busy_totals``, see :meth:`resume`) not
+        seen yet.  Pads every series to the common window count,
+        integrates the step functions through ``exec_cycles`` and
+        derives the per-CPU stall series from the cycle identity ``busy
+        + stall + sync == live`` (live = the window's overlap with
+        ``[0, finish_time)``), which is exactly how end-of-run stall
+        cycles are derived.
         """
         window = self.window
         for cpu, series in enumerate(self.cpu_busy):
-            _acc(series, window, self._busy_start[cpu], self._busy_end[cpu])
-            self._busy_start[cpu] = self._busy_end[cpu]
+            end = self._busy_end[cpu] + busy_totals[cpu] - self._busy_seen[cpu]
+            _acc(series, window, self._busy_start[cpu], end)
+            self._busy_start[cpu] = self._busy_end[cpu] = end
+            self._busy_seen[cpu] = busy_totals[cpu]
         for step in (self._queue, self._mshr, self._pfbuf):
             step.flush(window, exec_cycles)
         num_windows = max(1, -(-exec_cycles // window)) if exec_cycles else 1

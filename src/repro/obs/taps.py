@@ -5,20 +5,30 @@
 bus) own one observer when ``SimulationConfig.observe`` is set and call
 its ``on_*`` hooks wherever simulated cycles are accounted.  Every hook
 is read-only with respect to simulated state -- an observed run is
-bit-identical to an unobserved one by construction.  Observed runs take
-the engine's hit-streak fast path like unobserved ones; it fires the
-same ``on_busy`` (gap) and ``on_hit`` taps the generic handlers fire.
+bit-identical to an unobserved one by construction.
+
+Observation costs per stall, not per event.  Observed runs take the
+engine's hit-streak fast path like unobserved ones, and no tap fires
+for a busy cycle: a CPU's busy cycles run back to back from each
+resumption, so the sampler is told only where the CPU resumes
+(``on_resume``, and ``on_sync_wait`` at the end of a wait) and reads
+the cycles off the CPU's busy counter.  The one per-hit check is a set
+test against ``unused_prefetches``, which is None unless the observer
+classifies prefetch efficacy.  With ``observe_trace_capacity=0`` the
+event taps build no event; they only count it as dropped.
 
 Tap sites (see DESIGN.md §5d for the full taxonomy):
 
 ===========================  =============================================
-engine ``run`` fast path      gap busy slices, plain-hit access cycles
-engine ``_dispatch``          instruction-gap busy slices
-engine ``_try_access``        hit access cycles, demand-miss MSHR allocs
+engine ``run`` fast path      first use of a prefetched block
+engine ``_try_access``        first use of a prefetched block, demand-miss
+                              MSHR allocs, prefetch merges
 engine ``_dispatch_prefetch`` prefetch issue/hit/squash/drop/buffer-stall
 engine ``_grant_fill``        coherence downgrades, in-flight poisonings
-engine ``_grant_upgrade``     invalidations, upgrade-completion access
-engine ``_fill_done``         MSHR fill lifetimes, poisoned-fill access
+engine ``_grant_upgrade``     invalidations; resumption at the grant (one
+                              busy cycle) and at the upgrade's completion
+engine ``_fill_done``         MSHR fill lifetimes; resumption of the
+                              stalled CPU and of a prefetch-buffer waiter
 engine ``_complete_access``   miss-stall spans, lock/barrier wait spans
 ``Bus.request``/``arbitrate`` queue depth, occupancy slices per tier
 ===========================  =============================================
@@ -47,6 +57,12 @@ class EngineObserver:
     the ring-buffered :class:`TimelineTracer`.
     """
 
+    #: Per-CPU sets of blocks whose prefetched copy the CPU has not
+    #: accessed yet, kept by observers that classify prefetch efficacy.
+    #: The engine reports an access to one through
+    #: :meth:`on_prefetch_used`; None: no observer asks.
+    unused_prefetches: list[set[int]] | None = None
+
     def __new__(cls, engine: "SimulationEngine") -> "EngineObserver":
         # The engine always constructs ``EngineObserver(self)``; when the
         # run asks for per-line attribution, hand back the subclass so
@@ -59,50 +75,58 @@ class EngineObserver:
 
     def __init__(self, engine: "SimulationEngine") -> None:
         cfg = engine.sim_config
-        self.engine = engine
+        self._metrics = [proc.metrics for proc in engine.procs]
         self.sampler = WindowedSampler(engine.machine.num_cpus, cfg.observe_window)
         self.tracer = TimelineTracer(cfg.observe_trace_capacity)
+        #: False with a zero-capacity ring: the event taps then build no
+        #: event and only count it into ``tracer.total``.
+        self._timeline = cfg.observe_trace_capacity > 0
 
     # ------------------------------------------------------------- CPU cycles
 
-    def on_busy(self, cpu: int, start: int, cycles: int) -> None:
-        """The CPU accrued ``cycles`` busy cycles starting at ``start``."""
-        if cycles > 0:
-            self.sampler.add_busy(cpu, start, cycles)
+    def on_resume(self, cpu: int, now: int) -> None:
+        """The CPU runs again from ``now`` after a stall.
 
-    def on_hit(self, cpu: int, start: int, block: int, cycles: int) -> None:
-        """The CPU spent ``cycles`` from ``start`` accessing its own ``block``.
-
-        Fires once per completed access that did not stall on a fill of
-        its own: a hit (victim-cache swap included), an upgrade
-        completion, or the critical-word access of a poisoned fill.
+        Fires where a stall on a fill, an upgrade or a full prefetch
+        buffer ends, and at an upgrade's grant for its one busy cycle;
+        :meth:`on_sync_wait` marks the end of a lock or barrier wait.
         """
-        self.sampler.add_busy(cpu, start, cycles)
+        self.sampler.resume(cpu, now, self._metrics[cpu].busy_cycles)
+
+    def on_prefetch_used(self, cpu: int, block: int) -> None:
+        """The CPU accessed ``block``, one of its :attr:`unused_prefetches`."""
 
     def on_sync_wait(self, cpu: int, start: int, end: int, kind: str, sync_id: int) -> None:
         """A lock/barrier wait span ended (recorded at wake-up)."""
-        self.sampler.add_sync_wait(cpu, start, end)
-        self.tracer.span(
-            "sync", kind, start, end - start, PID_CPU, cpu, {"id": sync_id}
-        )
+        self.sampler.add_sync_wait(cpu, start, end, self._metrics[cpu].busy_cycles)
+        if self._timeline:
+            self.tracer.span("sync", kind, start, end - start, PID_CPU, cpu, {"id": sync_id})
+        else:
+            self.tracer.total += 1
 
     def on_miss_stall(self, cpu: int, block: int, start: int, end: int, sync: bool) -> None:
         """A demand/sync access that missed completed after stalling."""
-        self.tracer.span(
-            "cpu",
-            "sync-miss-stall" if sync else "miss-stall",
-            start,
-            end - start,
-            PID_CPU,
-            cpu,
-            {"block": block},
-        )
+        if self._timeline:
+            self.tracer.span(
+                "cpu",
+                "sync-miss-stall" if sync else "miss-stall",
+                start,
+                end - start,
+                PID_CPU,
+                cpu,
+                {"block": block},
+            )
+        else:
+            self.tracer.total += 1
 
     # --------------------------------------------------------------- prefetch
 
     def on_prefetch(self, cpu: int, action: str, block: int, now: int) -> None:
         """A prefetch event: issue / hit / squash / drop / buffer-stall."""
-        self.tracer.instant("prefetch", action, now, PID_CPU, cpu, {"block": block})
+        if self._timeline:
+            self.tracer.instant("prefetch", action, now, PID_CPU, cpu, {"block": block})
+        else:
+            self.tracer.total += 1
 
     # ------------------------------------------------------------------- MSHR
 
@@ -113,6 +137,9 @@ class EngineObserver:
     def on_mshr_finish(self, cpu: int, fill: "OutstandingFill", now: int) -> None:
         """An outstanding fill completed (data arrived)."""
         self.sampler.mshr_change(now, -1, fill.is_prefetch)
+        if not self._timeline:
+            self.tracer.total += 1
+            return
         start = fill.issue_time if fill.issue_time >= 0 else now
         self.tracer.span(
             "mshr",
@@ -128,9 +155,12 @@ class EngineObserver:
 
     def on_snoop(self, victim_cpu: int, by_cpu: int, block: int, now: int, kind: str) -> None:
         """A snoop changed remote state: invalidate / downgrade / poison."""
-        self.tracer.instant(
-            "coherence", kind, now, PID_CPU, victim_cpu, {"block": block, "by": by_cpu}
-        )
+        if self._timeline:
+            self.tracer.instant(
+                "coherence", kind, now, PID_CPU, victim_cpu, {"block": block, "by": by_cpu}
+            )
+        else:
+            self.tracer.total += 1
 
     # -------------------------------------------------------------------- bus
 
@@ -142,6 +172,9 @@ class EngineObserver:
         """A transaction was granted; records the occupancy slice."""
         self.sampler.add_bus_slice(txn.grant_time, txn.completion_time, txn.tier)
         self.sampler.set_queue_depth(txn.grant_time, depth)
+        if not self._timeline:
+            self.tracer.total += 1
+            return
         self.tracer.span(
             "bus",
             txn.kind.name,
@@ -158,7 +191,8 @@ class EngineObserver:
         """Freeze the telemetry; called from ``collect_metrics``."""
         return self.sampler.finalize(
             exec_cycles,
-            [proc.metrics.finish_time for proc in self.engine.procs],
+            [m.finish_time for m in self._metrics],
+            [m.busy_cycles for m in self._metrics],
             self.tracer.events(),
             self.tracer.dropped,
         )

@@ -119,7 +119,9 @@ class TimelineTracer:
     Args:
         capacity: events retained (oldest evicted first).  0 disables
             event recording entirely (the sampler still runs); the drop
-            counter then counts every event.
+            counter then counts every event.  The engine's observer
+            builds no event for a zero-capacity ring: it adds to
+            :attr:`total` directly.
     """
 
     def __init__(self, capacity: int) -> None:

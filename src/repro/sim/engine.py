@@ -161,14 +161,19 @@ class SimulationEngine:
         )
         #: Flag-gated observability taps (None when disabled).  Like the
         #: auditor, every hook site is an ``if self._obs is not None``
-        #: branch, and observed runs take the hit-streak fast path too:
-        #: its gap and hit retirements fire the same ``on_busy`` /
-        #: ``on_hit`` taps the generic handlers fire.
+        #: branch.  Observed runs take the hit-streak fast path too, and
+        #: no tap fires for a busy cycle: the observer hears where a CPU
+        #: resumes after a stall and reads its busy counter.
         self._obs: EngineObserver | None = (
             EngineObserver(self) if sim_config.observe else None
         )
+        #: The observer's per-CPU sets of prefetched blocks not used yet
+        #: (None unless it classifies prefetch efficacy): every access
+        #: cycle tests its block against them.
+        self._unused_prefetches: list[set[int]] | None = None
         if self._obs is not None:
             self.bus.observer = self._obs
+            self._unused_prefetches = self._obs.unused_prefetches
         #: Flag-gated ADAPT feedback controller (None for every open-loop
         #: strategy).  Same discipline as the auditor/observer: the only
         #: hook site is an ``if self._throttle is not None`` branch at
@@ -210,9 +215,11 @@ class SimulationEngine:
         counts, coherence traffic, classification -- is identical to
         the pure-heap engine.
 
-        Observed runs take the fast path as well: a retired gap fires
-        ``on_busy`` and a retired hit fires ``on_hit``, exactly the taps
-        the generic handlers fire for them.
+        Observed runs take the fast path as well, and it fires no tap:
+        the streak's busy cycles follow the CPU's last resumption, which
+        the generic handlers report.  A hit only tests its block against
+        the observer's unused prefetches (when it keeps them), as the
+        generic hit does.
         """
         for proc in self.procs:
             self._push(_EV_CPU, 0, proc.cpu, 0)
@@ -228,10 +235,11 @@ class SimulationEngine:
         invalid = LineState.INVALID
         modified = LineState.MODIFIED
         # Per-CPU hot context: one list index + tuple unpack per popped
-        # CPU event instead of seven attribute chains.  The third entry
+        # CPU event instead of eight attribute chains.  The third entry
         # bounds the events a streak may retire inline; with streaks off
         # it is 0, which hands every CPU event to the generic handlers.
         streaks = self._hit_streaks
+        unused_prefetches = self._unused_prefetches
         ctx = [
             (
                 proc,
@@ -241,6 +249,7 @@ class SimulationEngine:
                 proc.mshr._fills,
                 proc.cache._by_block,
                 self._remote_caches[proc.cpu],
+                None if unused_prefetches is None else unused_prefetches[proc.cpu],
             )
             for proc in procs
         ]
@@ -269,7 +278,7 @@ class SimulationEngine:
                 else:  # _EV_FILLDONE
                     self._fill_done(procs[a], b, time)
                 continue
-            proc, events, num_events, metrics, mshr_fills, by_block, remote_caches = ctx[a]
+            proc, events, num_events, metrics, mshr_fills, by_block, remote_caches, unused = ctx[a]
             proc.scheduled = False
             now = time
             while True:  # ---------------- hit-streak fast path ----------------
@@ -288,8 +297,6 @@ class SimulationEngine:
                     gap = event.gap
                     proc.gap_done = True
                     metrics.busy_cycles += gap
-                    if obs is not None:
-                        obs.on_busy(a, now, gap)
                     t = now + gap
                     if heap and heap[0][0] <= t:
                         # Deferred push == what _schedule_cpu would do;
@@ -345,8 +352,8 @@ class SimulationEngine:
                 frame.last_use = now
                 metrics.busy_cycles += 1
                 metrics.demand_refs += 1
-                if obs is not None:
-                    obs.on_hit(a, now, block, 1)
+                if unused is not None and block in unused:
+                    obs.on_prefetch_used(a, block)
                 proc.pc = pc + 1
                 proc.gap_done = False
                 t = now + 1
@@ -393,7 +400,7 @@ class SimulationEngine:
             audit=self._audit.finalize() if self._audit is not None else None,
             obs=self._obs.finalize(exec_cycles) if self._obs is not None else None,
         )
-        self._audit = self._obs = self.bus.observer = None
+        self._audit = self._obs = self.bus.observer = self._unused_prefetches = None
         return metrics
 
     # ------------------------------------------------------------ heap utils
@@ -440,8 +447,6 @@ class SimulationEngine:
         if not proc.gap_done and event.gap > 0:
             proc.gap_done = True
             proc.metrics.busy_cycles += event.gap
-            if self._obs is not None:
-                self._obs.on_busy(proc.cpu, now, event.gap)
             self._schedule_cpu(proc, now + event.gap)
             return
         proc.gap_done = True  # gap (possibly zero) consumed
@@ -520,7 +525,6 @@ class SimulationEngine:
             metrics.busy_cycles += self._issue_cost
             if obs is not None:
                 obs.on_prefetch(proc.cpu, "drop", block, now)
-                obs.on_busy(proc.cpu, now, self._issue_cost)
             self._retire(proc, now + self._issue_cost)
             return
         if proc.mshr.lookup(block) is not None:
@@ -530,7 +534,6 @@ class SimulationEngine:
             metrics.busy_cycles += self._issue_cost
             if obs is not None:
                 obs.on_prefetch(proc.cpu, "squash", block, now)
-                obs.on_busy(proc.cpu, now, self._issue_cost)
             self._retire(proc, now + self._issue_cost)
             return
         if proc.cache.lookup_prefetch(block):
@@ -539,7 +542,6 @@ class SimulationEngine:
             metrics.busy_cycles += self._issue_cost
             if obs is not None:
                 obs.on_prefetch(proc.cpu, "hit", block, now)
-                obs.on_busy(proc.cpu, now, self._issue_cost)
             self._retire(proc, now + self._issue_cost)
             return
         if proc.mshr.prefetch_buffer_full:
@@ -562,7 +564,6 @@ class SimulationEngine:
         )
         if obs is not None:
             obs.on_prefetch(proc.cpu, "issue", block, now)
-            obs.on_busy(proc.cpu, now, self._issue_cost)
             obs.on_mshr_start(proc.cpu, fill, now)
         txn = self.bus.make_fill(
             proc.cpu,
@@ -637,8 +638,9 @@ class SimulationEngine:
             proc.cache.record_access(block, proc.acc_word_mask, now)
             cost = 1 + (_VICTIM_SWAP_CYCLES if result.victim_hit else 0)
             metrics.busy_cycles += cost
-            if self._obs is not None:
-                self._obs.on_hit(proc.cpu, now, block, cost)
+            unused = self._unused_prefetches
+            if unused is not None and block in unused[proc.cpu]:
+                self._obs.on_prefetch_used(proc.cpu, block)
             self._complete_access(proc, now + cost)
             return
 
@@ -848,16 +850,24 @@ class SimulationEngine:
             if not proc.acc_sync:
                 self._note_remote_write(proc, txn.block, proc.acc_word_mask)
             proc.cache.record_access(txn.block, proc.acc_word_mask, now)
+            # The access cycle falls at the grant; the CPU runs on from
+            # the upgrade's completion.
+            if obs is not None:
+                obs.on_resume(txn.cpu, now)
             proc.metrics.busy_cycles += 1
             if obs is not None:
-                obs.on_hit(txn.cpu, now, block, 1)
+                obs.on_resume(txn.cpu, txn.completion_time)
+                unused = self._unused_prefetches
+                if unused is not None and block in unused[txn.cpu]:
+                    obs.on_prefetch_used(txn.cpu, block)
             proc.waiting_block = -1
             proc.status = CpuStatus.RUNNING
             self._complete_access(proc, txn.completion_time)
         else:
             # Raced: a remote invalidation beat the upgrade.  Re-attempt
             # the access; it will classify as an invalidation miss and
-            # issue a full exclusive fill.
+            # issue a full exclusive fill.  (No resumption to observe:
+            # the CPU stalls again before its next busy cycle.)
             proc.waiting_block = -1
             self._schedule_cpu(proc, txn.completion_time)
 
@@ -870,8 +880,9 @@ class SimulationEngine:
 
     def _fill_done(self, proc: Processor, block: int, time: int) -> None:
         fill = proc.mshr.finish(block)
-        if self._obs is not None:
-            self._obs.on_mshr_finish(proc.cpu, fill, time)
+        obs = self._obs
+        if obs is not None:
+            obs.on_mshr_finish(proc.cpu, fill, time)
         if fill.poisoned:
             writeback = proc.cache.install_poisoned(block, fill.poisoned_word_mask, time)
         else:
@@ -884,19 +895,24 @@ class SimulationEngine:
 
         if fill.is_prefetch and self._pfbuf_waiters:
             waiter = self._pfbuf_waiters.popleft()
+            if obs is not None:
+                obs.on_resume(waiter, time)
             self._schedule_cpu(self.procs[waiter], time)
 
         if proc.status is CpuStatus.STALLED_FILL and proc.waiting_block == block:
             proc.waiting_block = -1
             proc.status = CpuStatus.RUNNING
+            if obs is not None:
+                obs.on_resume(proc.cpu, time)
             if fill.poisoned:
                 # The fill was invalidated in flight, but the stalled
                 # access still completes: hardware forwards the critical
                 # word to the CPU as the fill arrives.  The line itself
                 # stays INVALID in the cache.
                 proc.metrics.busy_cycles += 1
-                if self._obs is not None:
-                    self._obs.on_hit(proc.cpu, time, block, 1)
+                unused = self._unused_prefetches
+                if unused is not None and block in unused[proc.cpu]:
+                    obs.on_prefetch_used(proc.cpu, block)
                 proc.cache.record_access(block, proc.acc_word_mask, time)
                 if proc.acc_write and not proc.acc_sync:
                     self._note_remote_write(proc, block, proc.acc_word_mask)

@@ -30,12 +30,16 @@ from hypothesis import strategies as st
 from repro.common.config import MachineConfig, SimulationConfig
 from repro.experiments.runner import ExperimentRunner
 from repro.metrics.results import RunMetrics
+from repro.obs import export
 from repro.obs.export import chrome_trace, write_chrome_trace
 from repro.obs.sampler import ObsReport, WindowedSampler, _acc
 from repro.obs.tracer import PID_BUS, PID_CPU, ObsEvent, TimelineTracer
+from repro.prefetch.insertion import insert_prefetches
 from repro.prefetch.strategies import NP, PREF, PWS
+from repro.sim.engine import SimulationEngine
 from repro.telemetry.tracing import check_chrome_events
-from repro.workloads.registry import ALL_WORKLOAD_NAMES
+from repro.workloads.registry import ALL_WORKLOAD_NAMES, generate_workload
+from tests.engines import BusySliceEngine
 
 settings.register_profile("repro-ci", derandomize=True)
 settings.load_profile("repro-ci")
@@ -122,6 +126,70 @@ class TestObservationPayloadGolden:
         assert digest.hexdigest() == self.DIGEST
 
 
+class TestBusyWindowPlacement:
+    """Busy cycles land in the right windows, at a 64-cycle width.
+
+    No tap fires for a busy cycle: the sampler places the cycles a CPU
+    accrued since its last resumption after its open busy run.  The
+    4096-cycle golden can hide a cycle placed in the wrong window when
+    the two windows' values happen to match; at 64 cycles a misplaced
+    cycle shows.  Each diagnose point, with the line profile and the
+    timeline on, must give the same full report (windows, line profile,
+    timeline) on the fast path and on the generic handlers, and the
+    generic run's busy windows must equal the ones
+    :class:`~tests.engines.BusySliceEngine` builds from the busy counters alone.
+    """
+
+    CONFIG = SimulationConfig(observe=True, observe_lines=True, observe_window=64)
+
+    @classmethod
+    def problems(cls, workload, strategy, cycles):
+        """Differences between the fast run, the generic run and the reference."""
+        machine = MachineConfig(num_cpus=12).with_transfer_cycles(cycles)
+        trace = generate_workload(workload, num_cpus=12, seed=42, scale=0.05)
+        annotated, _report = insert_prefetches(trace, strategy, machine.cache)
+        runs = {}
+        for engine_class in (SimulationEngine, BusySliceEngine):
+            engine = engine_class(annotated, machine, cls.CONFIG)
+            engine.run()
+            runs[engine_class] = engine, engine.collect_metrics(strategy.name)
+        fast = runs[SimulationEngine][1]
+        reference, generic = runs[BusySliceEngine]
+        problems = []
+        if fast.obs.to_dict() != generic.obs.to_dict():
+            problems.append("fast-path report differs from the generic one")
+        expected = reference.padded_busy_windows(generic.obs.num_windows)
+        for cpu, series in enumerate(generic.obs.cpu_busy):
+            if series != expected[cpu]:
+                problems.append(f"cpu {cpu}: busy windows differ from the busy counters'")
+        return problems, fast
+
+    @pytest.mark.parametrize("workload", ALL_WORKLOAD_NAMES)
+    @pytest.mark.parametrize("point", [(PWS, 8), (PREF, 32)], ids=["c2c", "timeline"])
+    def test_fast_generic_and_reference_agree(self, workload, point):
+        problems, _fast = self.problems(workload, *point)
+        assert problems == []
+
+    def test_run_extended_across_a_sync_wait_is_caught(self, monkeypatch):
+        """Must-fail control: the sampler does not restart the run at a wait's end.
+
+        The cycles a CPU runs after a barrier then join the busy run it
+        left before the wait.  Every sum stays the same, so
+        ``reconcile`` passes -- its blind spot -- but the busy windows
+        leave the reference's.
+        """
+
+        def extend_across_wait(sampler, cpu, start, end, busy):
+            _acc(sampler.cpu_sync[cpu], sampler.window, start, end)
+            run_end = sampler._busy_end[cpu] + busy - sampler._busy_seen[cpu]
+            sampler.resume(cpu, run_end, busy)
+
+        monkeypatch.setattr(WindowedSampler, "add_sync_wait", extend_across_wait)
+        problems, fast = self.problems("Water", PWS, 8)
+        assert fast.obs.reconcile(fast) == []
+        assert any("busy windows differ" in p for p in problems)
+
+
 # ----------------------------------------------------------- reconciliation
 
 
@@ -183,7 +251,7 @@ class TestSamplerProperties:
             sampler.add_bus_slice(start, start + dur, tier)
             total += dur
             horizon = max(horizon, start + dur)
-        report = sampler.finalize(horizon, [horizon], [], 0)
+        report = sampler.finalize(horizon, [horizon], [0], [], 0)
         assert sum(report.bus_busy) == total
         for w in range(report.num_windows):
             assert (
@@ -208,17 +276,21 @@ class TestSamplerProperties:
 
         Each CPU's slices follow one another in time, with a random
         idle step before each (zero makes it continue the open run).
+        The sampler hears only of the resumption at each slice's start
+        and reads the slice's cycles off the running busy total.
         """
         sampler = WindowedSampler(num_cpus=2, window=window)
         expected = [[], []]
         clock = [0, 0]
+        busy = [0, 0]
         for cpu, idle, cycles in slices:
             start = clock[cpu] + idle
-            sampler.add_busy(cpu, start, cycles)
+            sampler.resume(cpu, start, busy[cpu])
+            busy[cpu] += cycles
             _acc(expected[cpu], window, start, start + cycles)
             clock[cpu] = start + cycles
         horizon = max(1, *clock)
-        report = sampler.finalize(horizon, [horizon, horizon], [], 0)
+        report = sampler.finalize(horizon, [horizon, horizon], busy, [], 0)
         for cpu in range(2):
             windows = report.num_windows
             assert report.cpu_busy[cpu] == expected[cpu] + [0] * (windows - len(expected[cpu]))
@@ -265,7 +337,7 @@ class TestSamplerProperties:
             horizon = max(horizon, now)
         for cycle in range(t, horizon):
             timeline[cycle] = level
-        report = sampler.finalize(horizon, [horizon], [], 0)
+        report = sampler.finalize(horizon, [horizon], [0], [], 0)
         assert sum(report.bus_queue) == sum(timeline.values())
         assert report.peak_queue == max(
             [lvl for _, lvl in moves], default=0
@@ -309,6 +381,20 @@ class TestChromeTraceExport:
             report = dataclasses.replace(report, timeline=[], timeline_dropped=0)
         else:
             assert report.timeline
+        path = write_chrome_trace(report, tmp_path / "trace.json", label="Water/PREF")
+        expected = json.dumps(chrome_trace(report, label="Water/PREF")) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize(
+        "events",
+        [0, 1, export._CHUNK - 1, export._CHUNK, export._CHUNK + 1],
+        ids=["none", "one", "chunk-1", "chunk", "chunk+1"],
+    )
+    def test_export_bytes_at_chunk_edges(self, tmp_path, events):
+        """Chunked writing matches one ``json.dumps`` at every chunk edge."""
+        report = _run("Water", PREF, observe=True).obs
+        assert len(report.timeline) > export._CHUNK
+        report = dataclasses.replace(report, timeline=report.timeline[:events])
         path = write_chrome_trace(report, tmp_path / "trace.json", label="Water/PREF")
         expected = json.dumps(chrome_trace(report, label="Water/PREF")) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
@@ -369,6 +455,26 @@ class TestTimelineTracer:
         tracer.span("bus", "READ", 0, 8, PID_BUS, 0)
         assert len(tracer) == 0
         assert tracer.dropped == 1
+
+    def test_disabled_ring_counts_what_a_large_ring_records(self):
+        """A c2c-configured run records no event but counts every one.
+
+        Its taps build no event, so ``timeline_dropped`` must equal the
+        number of events the same point records with a ring that drops
+        none.
+        """
+        runs = {}
+        for capacity in (0, 1 << 20):
+            config = dataclasses.replace(
+                TestObservationPayloadGolden.C2C, observe_trace_capacity=capacity
+            )
+            runner = ExperimentRunner(num_cpus=12, seed=42, scale=0.05, sim_config=config)
+            machine = runner.base_machine().with_transfer_cycles(8)
+            runs[capacity] = runner.run("Mp3d", PWS, machine).obs
+        disabled, recorded = runs[0], runs[1 << 20]
+        assert disabled.timeline == []
+        assert recorded.timeline_dropped == 0
+        assert disabled.timeline_dropped == len(recorded.timeline) > 0
 
     def test_engine_honours_trace_capacity(self):
         result = _run("Water", NP, observe=True, observe_trace_capacity=16)

@@ -28,7 +28,7 @@ from repro.sim.engine import SimulationEngine, simulate
 from repro.common.config import SimulationConfig
 from repro.trace.events import Barrier, LockAcquire, LockRelease, MemRef, Prefetch
 from repro.trace.stream import CpuTrace, MultiTrace
-from tests.engines import GenericPathEngine
+from tests.engines import BusySliceEngine, GenericPathEngine
 
 NUM_CPUS = 3
 BLOCKS = [0x1000 * i for i in range(1, 9)]
@@ -215,6 +215,12 @@ VARIANTS = {
         ),
         None,
     ),
+    # An upgrade holds the bus past its one access cycle, so the CPU
+    # runs on from the upgrade's completion, not from grant + 1.
+    "slow-upgrade": (
+        lambda n: MachineConfig(num_cpus=n, bus=BusConfig(upgrade_occupancy=5)),
+        None,
+    ),
 }
 
 
@@ -226,9 +232,10 @@ class TestFastPathMatchesGenericPath:
     run's metrics must equal the generic (observed and audited) run's
     with its payloads stripped, and the observed fast run must equal the
     observed generic run in full: windows, per-line profile and
-    timeline.  The final cache contents must match too: they hold the
-    word masks and LRU stamps that only later misses would turn into
-    metrics.
+    timeline.  The generic run's busy windows must equal the ones its
+    :class:`BusySliceEngine` builds from the busy counters alone.  The
+    final cache contents must match too: they hold the word masks and
+    LRU stamps that only later misses would turn into metrics.
     """
 
     #: Line profile and timeline both on; a 16-cycle window cuts these
@@ -240,6 +247,8 @@ class TestFastPathMatchesGenericPath:
         engine = engine_class(trace, machine_config, sim_config, adaptive=adaptive)
         engine.run()
         metrics = engine.collect_metrics("NP")
+        if engine_class is BusySliceEngine:
+            assert metrics.obs.cpu_busy == engine.padded_busy_windows(metrics.obs.num_windows)
         caches = [
             (
                 sorted(
@@ -272,7 +281,7 @@ class TestFastPathMatchesGenericPath:
             machine_config,
             dataclasses.replace(self.OBSERVED, audit=True),
             adaptive,
-            GenericPathEngine,
+            BusySliceEngine,
         )
         assert generic.obs is not None and generic.audit.passed
         assert dataclasses.replace(generic, audit=None).to_dict() == observed.to_dict()
