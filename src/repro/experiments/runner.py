@@ -22,9 +22,13 @@ An :class:`ExperimentRunner` pins the experimental frame and memoises
   Figure 2 and Figure 3 all share runs.
 
 Annotated (prefetch-inserted) traces are not cached here:
-:func:`~repro.prefetch.insertion.insert_prefetches` memoises them for
-the most recent clean trace only, so consecutive runs of one workload
-and strategy on several buses share one insertion.
+:func:`~repro.prefetch.insertion.insert_prefetches` memoises, for the
+most recent clean trace only, one filter plan per cache geometry (the
+oracle's miss indices, shared by every strategy) and one annotation
+per set of strategy fields it reads.  So consecutive runs of one
+workload and strategy on several buses share one insertion, every
+strategy on that trace shares one filter pass, and ADAPT reuses PWS's
+annotated trace.
 
 On top of the in-memory memo the runner optionally layers
 
@@ -57,8 +61,8 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, field, fields, replace
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Any
 
@@ -117,6 +121,14 @@ def grid_label(workload: str, strategy: str, restructured: bool, transfer_cycles
     return f"{workload}/{strategy_label(strategy, restructured)}@{transfer_cycles}c"
 
 
+@cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    """A dataclass's field names.  Strategy fields are all scalars, so
+    reading them gives what ``dataclasses.asdict`` copies, without its
+    deep copy."""
+    return tuple(f.name for f in fields(cls))
+
+
 @dataclass(frozen=True)
 class RunJob:
     """The full input of one simulation, and so its identity.
@@ -151,13 +163,14 @@ class RunJob:
         ``engine_version``, so behavior-altering engine changes never
         serve stale cache entries.
         """
+        strategy = self.strategy
         return {
             "workload": self.workload,
             "restructured": self.restructured,
             "num_cpus": self.num_cpus,
             "seed": self.seed,
             "scale": self.scale,
-            "strategy": asdict(self.strategy),
+            "strategy": {name: getattr(strategy, name) for name in _field_names(type(strategy))},
             "machine": self.machine.describe(),
             "engine_version": ENGINE_VERSION,
         }

@@ -15,7 +15,8 @@ JSON by a SHA-256 content hash of exactly those inputs, so
 Writes are atomic (a uniquely named temp file + ``os.replace``) so a
 crashed or killed run can never leave a torn entry; unreadable entries
 are treated as misses and overwritten; stale temp files orphaned by a
-crashed writer are swept on first use.
+crashed writer are swept by an instance's first store (a reader never
+sees a temp file, so a read-only session never pays the sweep).
 
 The cache is size-capped: when the entries exceed ``max_bytes`` the
 oldest (by modification time) are evicted first -- entries are pure
@@ -93,7 +94,8 @@ class ResultDiskCache:
         return self.root / key[:2] / f"{key}.json"
 
     def _sweep_orphans(self) -> None:
-        """Remove temp files orphaned by crashed writers (once per instance).
+        """Remove temp files orphaned by crashed writers (once per instance,
+        on its first store).
 
         Only files older than :data:`_ORPHAN_MAX_AGE_SECONDS` are
         removed: a younger temp file may be a live writer's in-flight
@@ -118,7 +120,6 @@ class ResultDiskCache:
         A corrupt or truncated entry counts as a miss (it will be
         re-simulated and overwritten).
         """
-        self._sweep_orphans()
         path = self._path(key)
         try:
             with path.open("r", encoding="utf-8") as fh:

@@ -10,7 +10,10 @@ oracle cannot cover invalidation misses.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.common.config import CacheConfig
+from repro.trace.events import MemRef, TraceEvent
 
 __all__ = ["FilterCache"]
 
@@ -25,39 +28,50 @@ class FilterCache:
     """
 
     def __init__(self, config: CacheConfig) -> None:
-        self._block_size = config.block_size
         self._num_sets = config.num_sets
         self._assoc = config.associativity
         self._block_shift = config.block_size.bit_length() - 1
         self._set_mask = self._num_sets - 1
-        # sets[i] is a list of tags, most recently used last.
+        # sets[i] lists the resident line numbers, most recently used last.
         self._sets: list[list[int]] = [[] for _ in range(self._num_sets)]
         self.accesses = 0
         self.misses = 0
 
-    def block_of(self, addr: int) -> int:
-        """Block address containing ``addr``."""
-        return addr & ~(self._block_size - 1)
-
     def access(self, addr: int) -> bool:
-        """Reference ``addr``; returns True on a hit.
+        """Reference ``addr``; returns True on a hit."""
+        return not self.miss_indices([MemRef(addr)])
+
+    def miss_indices(self, events: Sequence[TraceEvent]) -> list[int]:
+        """Reference every :class:`MemRef` of ``events`` in order; the
+        indices of those that miss.
 
         Misses allocate (copy-back caches allocate on both read and
         write misses); replacement is LRU within the set.
         """
-        self.accesses += 1
-        block = self.block_of(addr)
-        ways = self._sets[(block >> self._block_shift) & self._set_mask]
-        try:
-            ways.remove(block)
-        except ValueError:
-            self.misses += 1
-            if len(ways) >= self._assoc:
-                ways.pop(0)
-            ways.append(block)
-            return False
-        ways.append(block)
-        return True
+        sets = self._sets
+        assoc = self._assoc
+        shift = self._block_shift
+        set_mask = self._set_mask
+        misses: list[int] = []
+        accesses = 0
+        for index, event in enumerate(events):
+            if type(event) is not MemRef:
+                continue
+            accesses += 1
+            line = event.addr >> shift
+            ways = sets[line & set_mask]
+            if ways and ways[-1] == line:
+                continue  # hit on the most recently used way
+            if line in ways:
+                ways.remove(line)
+            else:
+                misses.append(index)
+                if len(ways) >= assoc:
+                    del ways[0]
+            ways.append(line)
+        self.accesses += accesses
+        self.misses += len(misses)
+        return misses
 
     @property
     def miss_rate(self) -> float:

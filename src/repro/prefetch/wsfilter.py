@@ -12,8 +12,9 @@ and prefetching its misses, *in addition to* the PREF candidates.
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import Container, Sequence
 
-from repro.trace.events import MemRef
+from repro.trace.events import MemRef, TraceEvent
 from repro.trace.stream import MultiTrace
 
 __all__ = ["AssociativeFilter", "find_write_shared_blocks"]
@@ -36,16 +37,33 @@ class AssociativeFilter:
 
     def access(self, addr: int) -> bool:
         """Reference ``addr``; returns True on a hit."""
-        self.accesses += 1
-        block = addr & self._block_mask
-        if block in self._lines:
-            self._lines.move_to_end(block)
-            return True
-        self.misses += 1
-        if len(self._lines) >= self.capacity:
-            self._lines.popitem(last=False)
-        self._lines[block] = None
-        return False
+        return not self.miss_indices([MemRef(addr)], {addr & self._block_mask})
+
+    def miss_indices(self, events: Sequence[TraceEvent], blocks: Container[int]) -> list[int]:
+        """Reference every :class:`MemRef` of ``events`` whose block is in
+        ``blocks``, in order; the indices of those that miss."""
+        lines = self._lines
+        capacity = self.capacity
+        mask = self._block_mask
+        misses: list[int] = []
+        accesses = 0
+        for index, event in enumerate(events):
+            if type(event) is not MemRef:
+                continue
+            block = event.addr & mask
+            if block not in blocks:
+                continue
+            accesses += 1
+            if block in lines:
+                lines.move_to_end(block)
+                continue
+            misses.append(index)
+            if len(lines) >= capacity:
+                lines.popitem(last=False)
+            lines[block] = None
+        self.accesses += accesses
+        self.misses += len(misses)
+        return misses
 
 
 def find_write_shared_blocks(trace: MultiTrace, block_size: int = 32) -> set[int]:
@@ -57,18 +75,13 @@ def find_write_shared_blocks(trace: MultiTrace, block_size: int = 32) -> set[int
     sharing analysis).
     """
     mask = ~(block_size - 1)
-    cpus_by_block: dict[int, int] = {}
+    seen: set[int] = set()
+    shared: set[int] = set()
     written: set[int] = set()
     for cpu_trace in trace:
-        bit = 1 << cpu_trace.cpu
-        for event in cpu_trace:
-            if type(event) is MemRef:
-                block = event.addr & mask
-                cpus_by_block[block] = cpus_by_block.get(block, 0) | bit
-                if event.is_write:
-                    written.add(block)
-    return {
-        block
-        for block, cpu_bits in cpus_by_block.items()
-        if block in written and (cpu_bits & (cpu_bits - 1))  # >= 2 CPUs
-    }
+        refs = [event for event in cpu_trace.events if type(event) is MemRef]
+        blocks = {ref.addr & mask for ref in refs}
+        written |= {ref.addr & mask for ref in refs if ref.is_write}
+        shared |= blocks & seen  # >= 2 CPUs
+        seen |= blocks
+    return shared & written

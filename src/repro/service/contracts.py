@@ -40,6 +40,9 @@ from repro.workloads.registry import resolve_workload
 from repro.perf.diskcache import content_key  # noqa: F401
 
 __all__ = [
+    "MAX_CPUS",
+    "MAX_CPU_SCALE",
+    "MAX_STRATEGY_LABEL",
     "RUN_ID_LENGTH",
     "RunMetadata",
     "RunRef",
@@ -74,6 +77,15 @@ class RunStatus(str, Enum):
         return self in (RunStatus.COMPLETED, RunStatus.FAILED)
 
 
+#: Bounds on what one spec may ask a worker to generate and simulate.
+#: Trace length grows with ``num_cpus * scale``; the paper's frame is
+#: 12 CPUs at scale 1.0 (12), and the bound allows four times that.
+MAX_CPUS = 64
+MAX_CPU_SCALE = 48.0
+#: Longest strategy label: derived names such as ``PREF(d=400)`` are
+#: short, and a stacked one is parsed one suffix per recursion.
+MAX_STRATEGY_LABEL = 64
+
 #: Integer and real-valued fields of :class:`ScenarioSpec` (the
 #: ``adapt_*`` knobs may also be None).
 _INT_FIELDS = ("num_cpus", "seed", "transfer_cycles", "adapt_window")
@@ -97,7 +109,10 @@ class ScenarioSpec:
         strategy: strategy label -- one of the paper's five, PBUF/ADAPT,
             or a derived name like ``"PREF(d=400)"``.
         restructured: run the restructured workload variant.
-        num_cpus / seed / scale: the experiment-runner frame.
+        num_cpus / seed / scale: the experiment-runner frame (at most
+            :data:`MAX_CPUS` CPUs, and ``num_cpus * scale`` at most
+            :data:`MAX_CPU_SCALE`, so no request can wedge a worker in
+            generation).
         transfer_cycles: contended data-bus transfer latency (the
             paper's 4..32-cycle sweep axis).
         protocol: ``"illinois"`` or ``"msi"``.
@@ -119,7 +134,13 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workload", resolve_workload(self.workload))
-        object.__setattr__(self, "strategy", strategy_by_name(str(self.strategy)).name)
+        label = str(self.strategy)
+        if len(label) > MAX_STRATEGY_LABEL:
+            raise ConfigurationError(
+                f"strategy label longer than {MAX_STRATEGY_LABEL} characters: "
+                f"{label[:MAX_STRATEGY_LABEL]!r}..."
+            )
+        object.__setattr__(self, "strategy", strategy_by_name(label).name)
         for name in _INT_FIELDS + _REAL_FIELDS:
             value = getattr(self, name)
             if value is None and name.startswith("adapt_"):
@@ -134,6 +155,13 @@ class ScenarioSpec:
                 object.__setattr__(self, name, float(value))
         if self.scale <= 0:
             raise ConfigurationError(f"scale must be positive, got {self.scale!r}")
+        if not 1 <= self.num_cpus <= MAX_CPUS:
+            raise ConfigurationError(f"num_cpus must be in [1, {MAX_CPUS}], got {self.num_cpus!r}")
+        if self.num_cpus * self.scale > MAX_CPU_SCALE:
+            raise ConfigurationError(
+                f"num_cpus * scale must be at most {MAX_CPU_SCALE:g} (four times the "
+                f"paper's 12 CPUs at scale 1.0), got {self.num_cpus} * {self.scale!r}"
+            )
         if not isinstance(self.restructured, bool):
             raise ConfigurationError(
                 f"restructured must be a boolean, got {self.restructured!r}"

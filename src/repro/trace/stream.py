@@ -67,6 +67,8 @@ class CpuTrace:
         """
         held: set[int] = set()
         for i, event in enumerate(self.events):
+            if type(event) is MemRef:
+                continue  # the bulk of every stream; no lock state
             if isinstance(event, LockAcquire):
                 if event.lock_id in held:
                     raise TraceError(
@@ -84,7 +86,8 @@ class CpuTrace:
 
     def barrier_sequence(self) -> list[int]:
         """The ordered list of barrier ids this CPU participates in."""
-        return [e.barrier_id for e in self.events if isinstance(e, Barrier)]
+        # Exact types, as the engine dispatches.
+        return [e.barrier_id for e in self.events if type(e) is Barrier]
 
 
 class MultiTrace:

@@ -234,6 +234,8 @@ class TestDiskCache:
 
         again = ResultDiskCache(tmp_path / "c")  # sweep runs once per instance
         assert again.load(key) == {"metric": 1}
+        assert stale.exists()  # loads never sweep: readers never see temps
+        again.store(content_key({"k": 2}), {"metric": 2}, {"k": 2})
         assert not stale.exists()
         assert fresh.exists()  # young temp may belong to a live writer
 

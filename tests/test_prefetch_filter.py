@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.common.config import CacheConfig
 from repro.prefetch.filter import FilterCache
 from repro.prefetch.wsfilter import AssociativeFilter, find_write_shared_blocks
-from repro.trace.events import MemRef
+from repro.trace.events import MemRef, Prefetch
 from repro.trace.stream import CpuTrace, MultiTrace
 
 
@@ -47,6 +47,42 @@ class TestFilterCache:
             for b in blocks:
                 f.access(b)
         assert f.misses == 128  # every access a miss (sequential sweep)
+
+
+def _reference_lru_misses(addrs, num_sets, assoc, block_size):
+    """The filter's semantics written out per reference: LRU sets of blocks."""
+    sets = [[] for _ in range(num_sets)]
+    misses = []
+    for i, addr in enumerate(addrs):
+        block = addr // block_size
+        ways = sets[block % num_sets]
+        if block in ways:
+            ways.remove(block)
+        else:
+            misses.append(i)
+            if len(ways) == assoc:
+                ways.pop(0)
+        ways.append(block)
+    return misses
+
+
+class TestFilterMissIndices:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=4095), max_size=300),
+        st.sampled_from([(256, 16, 1), (256, 16, 2), (512, 32, 4), (128, 32, 4)]),
+    )
+    def test_matches_the_per_reference_lru(self, addrs, geometry):
+        size, block, assoc = geometry
+        config = CacheConfig(size_bytes=size, block_size=block, associativity=assoc)
+        events = []
+        for addr in addrs:
+            events.append(MemRef(addr))
+            if addr % 7 == 0:
+                events.append(Prefetch(addr))  # not a demand reference: skipped
+        positions = [i for i, e in enumerate(events) if type(e) is MemRef]
+        got = FilterCache(config).miss_indices(events)
+        want = _reference_lru_misses(addrs, config.num_sets, assoc, block)
+        assert got == [positions[i] for i in want]
 
 
 class TestAssociativeFilter:

@@ -19,6 +19,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.common.config import MachineConfig
@@ -28,6 +30,8 @@ from repro.perf.diskcache import ResultDiskCache
 from repro.prefetch.strategies import strategy_by_name
 from repro.service.api import ReproService, ServiceConfig, serve_in_thread
 from repro.service.contracts import (
+    MAX_CPU_SCALE,
+    MAX_CPUS,
     RUN_ID_LENGTH,
     RunMetadata,
     RunStatus,
@@ -211,6 +215,69 @@ class TestScenarioSpec:
     def test_non_finite_scale_rejected(self, value):
         with pytest.raises(ConfigurationError, match="scale"):
             ScenarioSpec.from_dict({"workload": "Water", "scale": value})
+
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ({"num_cpus": 10**30}, "num_cpus"),
+            ({"num_cpus": MAX_CPUS + 1, "scale": 0.05}, "num_cpus"),
+            ({"num_cpus": 0}, "num_cpus"),
+            ({"scale": 1e12}, "scale"),
+            ({"num_cpus": 12, "scale": MAX_CPU_SCALE / 12 * 1.01}, "scale"),
+            ({"strategy": "PREF" + "(d=1)" * 2000}, "strategy label"),
+        ],
+    )
+    def test_oversized_frames_rejected(self, body, match):
+        """A spec that would wedge the service's worker in generation
+        (or the strategy parser) is a 400, not a run."""
+        with pytest.raises(ConfigurationError, match=match):
+            ScenarioSpec.from_dict({"workload": "Water", **body})
+
+    def test_largest_frames_accepted(self):
+        ScenarioSpec.from_dict({"workload": "Water", "num_cpus": MAX_CPUS, "scale": 0.75})
+        ScenarioSpec.from_dict({"workload": "Water", "num_cpus": 12, "scale": MAX_CPU_SCALE / 12})
+        ScenarioSpec.from_dict({"workload": "Water", "strategy": "PREF(d=400)(d=200)"})
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.text(max_size=12)
+    | st.sampled_from(
+        ["Water", "mp3d", "PREF", "ADAPT", "PREF(d=400)", "PWS(d=0)", "msi", "illinois"]
+    )
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+_SPEC_FIELDS = [f.name for f in dataclasses.fields(ScenarioSpec)]
+
+
+class TestScenarioSpecFuzz:
+    """Untrusted request bodies: a spec or a ConfigurationError, nothing else."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.dictionaries(st.sampled_from(_SPEC_FIELDS) | st.text(max_size=8), _JSON_VALUES, max_size=6),
+            st.fixed_dictionaries(
+                {"workload": st.sampled_from(["Water", "topopt"])},
+                optional={name: _JSON_VALUES for name in _SPEC_FIELDS if name != "workload"},
+            ),
+            _JSON_VALUES,
+        )
+    )
+    def test_json_shaped_bodies(self, body):
+        try:
+            spec = ScenarioSpec.from_dict(body)
+        except ConfigurationError:
+            return
+        assert spec.num_cpus * spec.scale <= MAX_CPU_SCALE
+        assert ScenarioSpec.from_dict(spec.to_dict()) == spec
 
 
 # --------------------------------------------------------------------------

@@ -1,9 +1,15 @@
 """Tests for the five workload kernels (small scales for speed)."""
 
+import random
+
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, TraceError
+from repro.layout.arrays import ArrayHandle
+from repro.layout.records import FieldSpec, RecordType
+from repro.trace.events import MemRef
 from repro.trace.stats import compute_stats
+from repro.workloads.base import TraceBuilder
 from repro.workloads.registry import (
     ALL_WORKLOAD_NAMES,
     RESTRUCTURABLE_WORKLOAD_NAMES,
@@ -141,3 +147,65 @@ class TestRestructuring:
         a = [e.addr for e in plain[0].memrefs()][:200]
         b = [e.addr for e in restr[0].memrefs()][:200]
         assert a != b
+
+
+_RECORD = RecordType("rec", [FieldSpec("a", 4), FieldSpec("pos", 4, 3), FieldSpec("wide", 8)])
+
+
+class TestTraceBuilder:
+    """The emitter builds exactly what ``MemRef(array.addr(...), ...)``
+    with a ``randint`` gap built, and fails as the layout checks fail."""
+
+    @pytest.mark.parametrize("mean_gap", [1, 2, 3, 5])
+    def test_matches_the_reference_construction(self, mean_gap):
+        shared = ArrayHandle("s", 0x10000, _RECORD, 50, True)
+        private = ArrayHandle("p", 0x800, _RECORD, 7, False)
+        builder = TraceBuilder(0, random.Random(9), mean_gap=mean_gap)
+        reference = random.Random(9)
+        plan = random.Random(mean_gap)
+        expected = []
+        for _ in range(2000):
+            array = plan.choice((shared, private))
+            index = plan.randrange(array.count)
+            field = plan.choice((None, "a", "pos", "wide"))
+            element = plan.randrange(3) if field == "pos" else 0
+            gap = plan.choice((None, None, 0, 7))
+            is_write = plan.random() < 0.4
+            (builder.write if is_write else builder.read)(array, index, field, element, gap)
+            if gap is None:
+                gap = reference.randint(max(0, mean_gap - 1), mean_gap + 1)
+            size = array.field_size(field) if field is not None else 4
+            expected.append(MemRef(array.addr(index, field, element), is_write, gap, size, array.shared))
+            builder.lock((1, 0x40), None)
+            reference.randint(max(0, mean_gap - 1), mean_gap + 1)
+        emitted = [e for e in builder.finish() if type(e) is MemRef]
+        slots = ("addr", "is_write", "gap", "size", "shared", "prefetched")
+        assert [tuple(getattr(e, a) for a in slots) for e in emitted] == [
+            tuple(getattr(e, a) for a in slots) for e in expected
+        ]
+        assert builder.rng.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize(
+        "args",
+        [(50, "a", 0), (-1, None, 0), (0, "nope", 0), (0, "pos", 3), (0, "a", 1), (0, "pos", -1)],
+    )
+    def test_layout_errors_are_the_layouts(self, args):
+        array = ArrayHandle("s", 0x10000, _RECORD, 50, True)
+        with pytest.raises(ConfigurationError) as expected:
+            array.addr(*args)
+        builder = TraceBuilder(0, random.Random(1))
+        for emit in (builder.read, builder.write):
+            with pytest.raises(ConfigurationError) as raised:
+                emit(array, *args)
+            assert str(raised.value) == str(expected.value)
+        assert builder.events == []
+
+    def test_whole_record_ignores_element_and_bad_gaps_fail(self):
+        array = ArrayHandle("s", 0x10000, _RECORD, 50, True)
+        builder = TraceBuilder(0, random.Random(1))
+        builder.read(array, 3, None, 99, gap=1)
+        assert builder.events[0].addr == array.addr(3) and builder.events[0].size == 4
+        with pytest.raises(TraceError, match="gap must be non-negative"):
+            builder.write(array, 3, "a", gap=-1)
+        with pytest.raises(TraceError, match="address must be non-negative"):
+            builder.read(ArrayHandle("n", -64, _RECORD, 2, False), 0, gap=1)
