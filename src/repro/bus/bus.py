@@ -38,6 +38,7 @@ from functools import partial
 from heapq import heappop, heappush
 
 from repro.bus.transaction import TIER_PREFETCH, BusTransaction, TransactionKind
+from repro.common.codec import FieldTable
 from repro.common.config import BusConfig
 from repro.common.errors import SimulationError
 
@@ -75,26 +76,24 @@ class BusStats:
 
     def to_dict(self) -> dict:
         """JSON-safe dict; ``ops_by_kind`` keyed by kind *name*."""
-        return {
-            "busy_cycles": self.busy_cycles,
-            "ops_by_kind": {kind.name: n for kind, n in self.ops_by_kind.items()},
-            "demand_ops": self.demand_ops,
-            "prefetch_ops": self.prefetch_ops,
-            "total_wait_cycles": self.total_wait_cycles,
-        }
+        data = _BUS_FIELDS.encode(self)
+        data["ops_by_kind"] = {kind.name: n for kind, n in self.ops_by_kind.items()}
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "BusStats":
-        """Exact inverse of :meth:`to_dict`."""
-        return cls(
-            busy_cycles=data["busy_cycles"],
-            ops_by_kind={
-                TransactionKind[name]: n for name, n in data["ops_by_kind"].items()
-            },
-            demand_ops=data["demand_ops"],
-            prefetch_ops=data["prefetch_ops"],
-            total_wait_cycles=data["total_wait_cycles"],
-        )
+        """Exact inverse of :meth:`to_dict`; ValueError unless ``data``
+        and its ``ops_by_kind`` carry exactly this version's names."""
+        stats = cls(*_BUS_FIELDS.decode(data))
+        stats.ops_by_kind = dict(zip(_KINDS, _KIND_FIELDS.decode(stats.ops_by_kind)))
+        return stats
+
+
+#: The field tables of :class:`BusStats` and of its ``ops_by_kind`` map
+#: (kinds in declaration order; iterating the enum class itself is slow).
+_BUS_FIELDS = FieldTable.of(BusStats)
+_KINDS = tuple(TransactionKind)
+_KIND_FIELDS = FieldTable("ops_by_kind", [kind.name for kind in _KINDS])
 
 
 class Bus:

@@ -307,12 +307,17 @@ def main(argv: list[str] | None = None) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text + "\n", encoding="utf-8")
     if args.json:
+        doc = result.to_dict()
+        # The runner's disk-cache traffic: which points a warm cache served.
+        cache = runner.disk_cache
+        doc["disk_cache"] = (
+            {"hits": cache.hits, "misses": cache.misses, "stores": cache.stores}
+            if cache is not None
+            else None
+        )
         out = Path(args.json)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(
-            json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0 if result.claim_holds else 1
 
 

@@ -380,17 +380,34 @@ class ExperimentRunner:
             return None
         return self.disk_cache
 
+    def cached(self, config_key: str) -> RunMetrics | None:
+        """The disk-cached result under ``config_key``, or None on a miss.
+
+        The one decode site for cached results: :meth:`run` and
+        :meth:`run_many` look points up here, and so does the service's
+        result read.  An entry that does not decode to this version's
+        :class:`RunMetrics` counts as a miss, so the point is
+        re-simulated and its entry overwritten.
+        """
+        cache = self._usable_cache
+        data = cache.load(config_key) if cache is not None else None
+        if data is None:
+            return None
+        try:
+            return RunMetrics.from_dict(data)
+        except (AttributeError, KeyError, TypeError, ValueError):
+            cache.reject()
+            return None
+
     def _lookup(self, job: RunJob) -> tuple[RunMetrics | None, str]:
         """A memo or disk-cache hit for ``job``, with its kind (``"memo"``
         or ``"hit"``); a disk hit is memoised."""
         result = self._results.get(job)
         if result is not None:
             return result, "memo"
-        cache = self._usable_cache
-        data = cache.load(job.config_key) if cache is not None else None
-        if data is None:
-            return None, "hit"
-        result = self._results[job] = RunMetrics.from_dict(data)
+        result = self.cached(job.config_key)
+        if result is not None:
+            self._results[job] = result
         return result, "hit"
 
     def _keep(self, job: RunJob, result: RunMetrics) -> None:

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.audit.report import AuditReport
 from repro.bus.bus import BusStats
+from repro.common.codec import FieldTable
 from repro.obs.sampler import ObsReport
 
 __all__ = ["CpuMetrics", "MissCounts", "RunMetrics"]
@@ -89,12 +89,13 @@ class MissCounts:
 
     def to_dict(self) -> dict[str, int]:
         """JSON-safe dict of the raw counters (properties are derived)."""
-        return dataclasses.asdict(self)
+        return _MISS_FIELDS.encode(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, int]) -> "MissCounts":
-        """Exact inverse of :meth:`to_dict`."""
-        return cls(**data)
+        """Exact inverse of :meth:`to_dict`; ValueError unless ``data``
+        carries exactly this version's counters."""
+        return cls(*_MISS_FIELDS.decode(data))
 
 
 @dataclass
@@ -158,16 +159,17 @@ class CpuMetrics:
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-safe dict; ``misses`` nested via :meth:`MissCounts.to_dict`."""
-        data = dataclasses.asdict(self)
+        data = _CPU_FIELDS.encode(self)
         data["misses"] = self.misses.to_dict()
         return data
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "CpuMetrics":
-        """Exact inverse of :meth:`to_dict`."""
-        data = dict(data)
-        data["misses"] = MissCounts.from_dict(data["misses"])
-        return cls(**data)
+        """Exact inverse of :meth:`to_dict`; ValueError unless ``data``
+        carries exactly this version's fields."""
+        cpu = cls(*_CPU_FIELDS.decode(data))
+        cpu.misses = MissCounts.from_dict(cpu.misses)
+        return cpu
 
 
 @dataclass
@@ -328,14 +330,9 @@ class RunMetrics:
         process-parallel runner rely on to make cached/parallel runs
         indistinguishable from in-process ones.
         """
-        data = {
-            "workload": self.workload,
-            "strategy": self.strategy,
-            "machine": self.machine,
-            "exec_cycles": self.exec_cycles,
-            "per_cpu": [c.to_dict() for c in self.per_cpu],
-            "bus": self.bus.to_dict(),
-        }
+        data = _RUN_FIELDS.encode(self)
+        data["per_cpu"] = [c.to_dict() for c in self.per_cpu]
+        data["bus"] = self.bus.to_dict()
         if self.audit is not None:
             data["audit"] = self.audit.to_dict()
         if self.obs is not None:
@@ -344,19 +341,21 @@ class RunMetrics:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunMetrics":
-        """Exact inverse of :meth:`to_dict`."""
-        audit = data.get("audit")
-        obs = data.get("obs")
-        return cls(
-            workload=data["workload"],
-            strategy=data["strategy"],
-            machine=data["machine"],
-            exec_cycles=data["exec_cycles"],
-            per_cpu=[CpuMetrics.from_dict(c) for c in data["per_cpu"]],
-            bus=BusStats.from_dict(data["bus"]),
-            audit=AuditReport.from_dict(audit) if audit is not None else None,
-            obs=ObsReport.from_dict(obs) if obs is not None else None,
-        )
+        """Exact inverse of :meth:`to_dict`.
+
+        Raises ValueError when any record's keys differ from this
+        version's fields, so a stored result of another schema never
+        decodes to a partial or zero-filled object.
+        """
+        run = cls(*_RUN_FIELDS.decode(data))
+        cpu_from_dict = CpuMetrics.from_dict
+        run.per_cpu = [cpu_from_dict(cpu) for cpu in run.per_cpu]
+        run.bus = BusStats.from_dict(run.bus)
+        if run.audit is not None:
+            run.audit = AuditReport.from_dict(run.audit)
+        if run.obs is not None:
+            run.obs = ObsReport.from_dict(run.obs)
+        return run
 
     def describe(self) -> dict[str, Any]:
         """Flat summary dict (JSON-friendly; used by reports and caching)."""
@@ -388,3 +387,9 @@ class RunMetrics:
                 "prefetch_in_progress": mc.prefetch_in_progress,
             },
         }
+
+
+#: Each record's field table: its ``to_dict`` and ``from_dict`` both read it.
+_MISS_FIELDS = FieldTable.of(MissCounts)
+_CPU_FIELDS = FieldTable.of(CpuMetrics)
+_RUN_FIELDS = FieldTable.of(RunMetrics, optional=("audit", "obs"))

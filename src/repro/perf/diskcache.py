@@ -13,10 +13,15 @@ JSON by a SHA-256 content hash of exactly those inputs, so
   always safe -- entries are pure derived data.
 
 Writes are atomic (a uniquely named temp file + ``os.replace``) so a
-crashed or killed run can never leave a torn entry; unreadable entries
-are treated as misses and overwritten; stale temp files orphaned by a
-crashed writer are swept by an instance's first store (a reader never
-sees a temp file, so a read-only session never pays the sweep).
+crashed or killed run can never leave a torn entry.  Unreadable entries
+are treated as misses and overwritten, and so is an entry that does not
+decode to this version's :class:`~repro.metrics.results.RunMetrics`:
+valid JSON with a field missing, an extra field or an unknown bus
+operation kind.  The runner decodes every hit and reports such an
+entry through :meth:`ResultDiskCache.reject`.  Stale temp files
+orphaned by a crashed writer are swept by an instance's first store (a
+reader never sees a temp file, so a read-only session never pays the
+sweep).
 
 The cache is size-capped: when the entries exceed ``max_bytes`` the
 oldest (by modification time) are evicted first -- entries are pure
@@ -83,6 +88,7 @@ class ResultDiskCache:
 
     def __init__(self, root: str | Path, max_bytes: int | None = DEFAULT_MAX_BYTES) -> None:
         self.root = Path(root)
+        self._dir = str(self.root)
         self.max_bytes = max_bytes
         self.hits = 0
         self.misses = 0
@@ -90,8 +96,12 @@ class ResultDiskCache:
         self.evictions = 0
         self._swept = False
 
+    def _file(self, key: str) -> str:
+        # String operations: a hit pays no pathlib joins.
+        return f"{self._dir}{os.sep}{key[:2]}{os.sep}{key}.json"
+
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._file(key))
 
     def _sweep_orphans(self) -> None:
         """Remove temp files orphaned by crashed writers (once per instance,
@@ -120,16 +130,20 @@ class ResultDiskCache:
         A corrupt or truncated entry counts as a miss (it will be
         re-simulated and overwritten).
         """
-        path = self._path(key)
         try:
-            with path.open("r", encoding="utf-8") as fh:
-                entry = json.load(fh)
-            metrics = entry["metrics"]
-        except (OSError, ValueError, KeyError):
+            with open(self._file(key), encoding="utf-8") as fh:
+                metrics = json.load(fh)["metrics"]
+        except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             return None
         self.hits += 1
         return metrics
+
+    def reject(self) -> None:
+        """Recount the last :meth:`load` hit as a miss: the caller rejected its
+        metrics as another schema (re-simulated and overwritten)."""
+        self.hits -= 1
+        self.misses += 1
 
     def store(self, key: str, metrics: dict[str, Any], inputs: dict[str, Any]) -> None:
         """Atomically persist ``metrics`` under ``key``.

@@ -481,6 +481,9 @@ class ReproService:
                 body = json.loads(raw_body.decode("utf-8")) if raw_body else None
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ConfigurationError(f"request body is not valid JSON: {exc}")
+            except RecursionError:
+                # The decoder recurses once per nesting level.
+                raise ConfigurationError("request body is nested too deeply")
             if not isinstance(body, dict):
                 raise ConfigurationError("request body must be a JSON object")
             if "sweep" in body:

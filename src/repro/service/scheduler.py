@@ -200,7 +200,7 @@ class RunScheduler:
                 self._submissions.inc(result="dedup")
                 self._submit_span(existing, "dedup")
                 return existing, True
-            if existing.status is RunStatus.COMPLETED and self._result_available(existing):
+            if existing.status is RunStatus.COMPLETED and self.result(existing.run_id) is not None:
                 self._submissions.inc(result="dedup")
                 self._submit_span(existing, "dedup")
                 return existing, True
@@ -469,18 +469,6 @@ class RunScheduler:
 
     # --------------------------------------------------------------- queries
 
-    def _result_available(self, meta: RunMetadata) -> bool:
-        if meta.run_id in self._results:
-            return True
-        if self.cache_dir is None:
-            return False
-        runner = self._runner(
-            (meta.spec.num_cpus, meta.spec.seed, meta.spec.scale)
-        )
-        if runner.disk_cache is None:
-            return False
-        return runner.disk_cache.load(meta.config_key) is not None
-
     def result(self, run_id: str) -> RunMetrics | None:
         """The completed run's metrics, from memory or the disk cache."""
         cached = self._results.get(run_id)
@@ -490,13 +478,9 @@ class RunScheduler:
         if meta is None or meta.status is not RunStatus.COMPLETED or self.cache_dir is None:
             return None
         runner = self._runner((meta.spec.num_cpus, meta.spec.seed, meta.spec.scale))
-        if runner.disk_cache is None:
-            return None
-        data = runner.disk_cache.load(meta.config_key)
-        if data is None:
-            return None
-        result = RunMetrics.from_dict(data)
-        self._results[run_id] = result
+        result = runner.cached(meta.config_key)
+        if result is not None:
+            self._results[run_id] = result
         return result
 
     def progress(self, run_id: str) -> dict[str, Any] | None:

@@ -336,6 +336,36 @@ class TestAdaptiveExperiment:
         assert adaptive.main(args) == 0
         assert "claim HOLDS" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("prewarm", [True, False])
+    def test_gate_reads_the_drift_gates_cache(self, tmp_path, prewarm):
+        """CI runs the ADAPT gate on the cache the drift gate just
+        filled: only the 10 ADAPT points (5 workloads x 2 buses) miss;
+        NP/PREF/PWS are 30 hits.  Skipping the drift run (the control)
+        must break the pinned traffic."""
+        import dataclasses
+        import json
+
+        from repro.experiments import adaptive
+        from repro.experiments.runner import ExperimentRunner
+        from repro.telemetry import drift
+
+        cache = tmp_path / "cache"
+        frame = dataclasses.replace(drift.QUICK_FRAME, num_cpus=2, scale=0.02)
+        assert adaptive.QUICK_LATENCIES == frame.transfer_latencies
+        if prewarm:
+            warm = ExperimentRunner(
+                num_cpus=frame.num_cpus, seed=frame.seed, scale=frame.scale, disk_cache=cache
+            )
+            drift.collect_summaries(warm, frame)
+        out = tmp_path / "adaptive.json"
+        adaptive.main(
+            ["--quick", "--cpus", "2", "--scale", "0.02", "--seed", str(frame.seed),
+             "--cache", str(cache), "--out", "", "--json", str(out)]
+        )
+        traffic = json.loads(out.read_text(encoding="utf-8"))["disk_cache"]
+        pinned = {"hits": 30, "misses": 10, "stores": 10}
+        assert (traffic == pinned) is prewarm, traffic
+
     def test_tiny_sweep_runs_end_to_end(self):
         """Smoke: the real run() wiring produces a full grid of cells."""
         from repro.experiments.adaptive import run

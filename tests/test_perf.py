@@ -16,11 +16,16 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.bus import bus as bus_module
 from repro.bus.bus import BusStats
 from repro.bus.transaction import TransactionKind
 from repro.common.config import CacheConfig, MachineConfig
 from repro.experiments.runner import ExperimentRunner
+from repro.common.codec import FieldTable
+from repro.metrics import results as results_module
 from repro.metrics.results import CpuMetrics, MissCounts, RunMetrics
 from repro.perf.diskcache import ResultDiskCache, content_key
 from repro.perf.history import FLOOR_RATIO, check_floor, floor_gate, load_history, newest
@@ -181,6 +186,106 @@ class TestSerialization:
         assert restored.describe() == result.describe()
 
 
+
+def _asdict_rendering(run: RunMetrics) -> dict:
+    """The ``to_dict`` rendering as written through ``dataclasses.asdict``
+    before the field tables: the reference the codecs must match."""
+    bus = run.bus
+    data = {
+        "workload": run.workload,
+        "strategy": run.strategy,
+        "machine": run.machine,
+        "exec_cycles": run.exec_cycles,
+        "per_cpu": [dataclasses.asdict(c) for c in run.per_cpu],
+        "bus": {
+            "busy_cycles": bus.busy_cycles,
+            "ops_by_kind": {kind.name: n for kind, n in bus.ops_by_kind.items()},
+            "demand_ops": bus.demand_ops,
+            "prefetch_ops": bus.prefetch_ops,
+            "total_wait_cycles": bus.total_wait_cycles,
+        },
+    }
+    assert run.audit is None and run.obs is None  # generated runs carry neither
+    return data
+
+
+def _assert_codec_matches_reference(run: RunMetrics) -> None:
+    encoded = run.to_dict()
+    assert encoded == _asdict_rendering(run)
+    assert json.dumps(encoded) == json.dumps(_asdict_rendering(run))  # key order too
+    assert RunMetrics.from_dict(json.loads(json.dumps(encoded))) == run
+
+
+_counter = st.integers(min_value=0, max_value=2**40)
+
+
+@st.composite
+def _run_metrics(draw) -> RunMetrics:
+    def record(cls, **fixed):
+        names = [f.name for f in dataclasses.fields(cls) if f.name not in fixed]
+        return cls(**fixed, **{name: draw(_counter) for name in names})
+
+    num_cpus = draw(st.integers(min_value=1, max_value=64))
+    per_cpu = [record(CpuMetrics, cpu=i, misses=record(MissCounts)) for i in range(num_cpus)]
+    ops = {kind: draw(_counter) for kind in TransactionKind}
+    bus = record(BusStats, ops_by_kind=ops)
+    return RunMetrics(
+        workload=draw(st.sampled_from(["Water", "Mp3d", "Topopt"])),
+        strategy=draw(st.sampled_from(["NP", "PWS", "PREF+restructured"])),
+        machine={"num_cpus": num_cpus, "bus": {"transfer_cycles": draw(_counter)}},
+        exec_cycles=draw(_counter),
+        per_cpu=per_cpu,
+        bus=bus,
+    )
+
+
+class TestFieldTableCodecs:
+    """The field-table codecs against the ``asdict`` rendering they replaced."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_run_metrics())
+    def test_to_dict_matches_asdict_and_round_trips(self, run):
+        _assert_codec_matches_reference(run)
+
+    def test_simulated_result_matches_reference(self):
+        result = _one_result()
+        _assert_codec_matches_reference(result)
+
+    @pytest.mark.parametrize(
+        "module,table", [
+            (results_module, "_MISS_FIELDS"),
+            (results_module, "_CPU_FIELDS"),
+            (results_module, "_RUN_FIELDS"),
+            (bus_module, "_BUS_FIELDS"),
+        ],
+    )
+    def test_a_table_missing_a_field_fails_the_check(self, module, table, monkeypatch):
+        """Must-fail control: the check sees a field table short of one field."""
+        run = _one_result()
+        full = getattr(module, table)
+        short = FieldTable(full.owner, full.names[:-1], full.optional)
+        monkeypatch.setattr(module, table, short)
+        with pytest.raises((AssertionError, ValueError)):
+            _assert_codec_matches_reference(run)
+
+    @pytest.mark.parametrize("damage", ["extra", "missing", "unknown_kind"])
+    def test_a_record_of_another_schema_is_refused(self, damage):
+        data = _one_result().to_dict()
+        _damage(data, damage)
+        with pytest.raises(ValueError):
+            RunMetrics.from_dict(data)
+
+
+def _damage(metrics: dict, how: str) -> None:
+    """Give a ``RunMetrics.to_dict()`` record another version's schema."""
+    if how == "extra":
+        metrics["per_cpu"][0]["future_counter"] = 1
+    elif how == "missing":
+        del metrics["per_cpu"][0]["upgrades"]
+    else:
+        metrics["bus"]["ops_by_kind"]["SNARF"] = 1
+
+
 # ------------------------------------------------------------- disk cache
 
 
@@ -264,6 +369,9 @@ class TestDiskCache:
         cache.store(key, {"metric": 1}, {"k": 2})
         cache._path(key).write_text("{torn", encoding="utf-8")
         assert cache.load(key) is None
+        cache._path(key).write_text("[1, 2]", encoding="utf-8")  # JSON, not an entry
+        assert cache.load(key) is None
+        assert (cache.hits, cache.misses) == (0, 2)
 
     def test_warm_runner_resimulates_nothing(self, tmp_path):
         """A fresh runner over a warm cache serves every grid point from
@@ -286,6 +394,75 @@ class TestDiskCache:
         assert json.dumps([r.to_dict() for r in first], sort_keys=True) == json.dumps(
             [r.to_dict() for r in second], sort_keys=True
         )
+
+    @pytest.mark.parametrize("damage", ["extra", "missing", "unknown_kind"])
+    def test_entry_of_another_schema_is_a_miss_and_overwritten(self, tmp_path, damage):
+        """Valid JSON that does not decode to this version's RunMetrics
+        is a miss: re-simulated, stored over, never a crash or a
+        zero-filled field."""
+        machine = MachineConfig(num_cpus=4)
+        cold = ExperimentRunner(num_cpus=4, scale=0.1, disk_cache=tmp_path / "c")
+        fresh = cold.run("Water", PREF, machine)
+        key = cold.job("Water", PREF, machine).config_key
+        path = cold.disk_cache._path(key)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        _damage(entry["metrics"], damage)
+        path.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+
+        runner = ExperimentRunner(num_cpus=4, scale=0.1, disk_cache=tmp_path / "c")
+        assert runner.run("Water", PREF, machine) == fresh
+        disk = runner.disk_cache
+        assert (disk.hits, disk.misses, disk.stores) == (0, 1, 1)
+        assert json.loads(path.read_text(encoding="utf-8"))["metrics"] == fresh.to_dict()
+
+    def test_writer_killed_before_replace_loses_nothing_committed(self, tmp_path):
+        """SIGKILL between the temp file's write and ``os.replace``: the
+        committed entry still loads, the torn one is a miss, and its
+        orphan temp goes only to a later store, once past the cutoff."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        from repro.perf import diskcache
+
+        root = tmp_path / "c"
+        result = _one_result()
+        key_a, key_b = content_key({"entry": "A"}), content_key({"entry": "B"})
+        child = f"""
+import json, os, signal, sys
+from repro.perf.diskcache import ResultDiskCache
+cache = ResultDiskCache(sys.argv[1])
+metrics = json.loads(sys.stdin.read())
+cache.store({key_a!r}, metrics, {{"entry": "A"}})
+os.replace = lambda *args: os.kill(os.getpid(), signal.SIGKILL)
+cache.store({key_b!r}, metrics, {{"entry": "B"}})
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(diskcache.__file__).parents[2])}
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(root)],
+            input=json.dumps(result.to_dict()), text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == -signal.SIGKILL
+
+        reader = ResultDiskCache(root)
+        assert RunMetrics.from_dict(reader.load(key_a)) == result
+        assert reader.load(key_b) is None
+        assert (reader.hits, reader.misses) == (1, 1)
+        orphans = list(root.glob("*/*.tmp"))
+        assert len(orphans) == 1 and orphans[0].name.startswith(key_b[:8])
+        orphan = orphans[0]
+
+        ResultDiskCache(root).store(content_key({"entry": "C"}), {}, {})
+        assert orphan.exists()  # young: it may belong to a live writer
+        cutoff = diskcache._ORPHAN_MAX_AGE_SECONDS
+        old = orphan.stat().st_mtime - cutoff - 60
+        os.utime(orphan, (old, old))
+        assert ResultDiskCache(root).load(key_a) is not None
+        assert orphan.exists()  # a reader never sweeps
+        ResultDiskCache(root).store(content_key({"entry": "D"}), {}, {})
+        assert not orphan.exists()
+        assert RunMetrics.from_dict(ResultDiskCache(root).load(key_a)) == result
 
     def test_engine_version_partitions_the_cache(self, tmp_path):
         runner = ExperimentRunner(num_cpus=4, scale=0.1, disk_cache=tmp_path / "c")

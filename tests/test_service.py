@@ -51,6 +51,7 @@ from repro.telemetry.ledger import LedgerEntry, RunLedger
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.timeseries import TimeSeriesStore
 from repro.telemetry.tracing import check_chrome_events
+from tests.test_perf import _damage
 
 #: The CI-speed frame used throughout: tiny but a real simulation.
 QUICK = dict(workload="Water", num_cpus=2, scale=0.02, transfer_cycles=4)
@@ -619,6 +620,55 @@ class TestScheduler:
 
         _run(second_life())
 
+    @pytest.mark.parametrize("damage", ["extra", "missing", "unknown_kind"])
+    def test_cached_result_of_another_schema_is_a_miss_and_rerun(self, tmp_path, damage):
+        """A hydrated run whose cache entry does not decode to this
+        version's RunMetrics has no result (not a crash); resubmitting
+        re-simulates it and overwrites the entry."""
+        cache_dir = str(tmp_path / "cache")
+        ledger = RunLedger(tmp_path / "ledger")
+        spec = ScenarioSpec(**QUICK)
+
+        async def first_life():
+            scheduler = RunScheduler(ledger=ledger, cache_dir=cache_dir)
+            await scheduler.start()
+            try:
+                meta, _ = await scheduler.submit(spec)
+                while not meta.status.terminal:
+                    await asyncio.sleep(0.05)
+                return scheduler.result(meta.run_id).to_dict()
+            finally:
+                await scheduler.close()
+
+        first = _run(first_life())
+        path = ResultDiskCache(cache_dir)._path(spec.config_key)
+        entry = json.loads(path.read_text(encoding="utf-8"))
+        _damage(entry["metrics"], damage)
+        path.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+
+        async def second_life():
+            store = LedgerRunStore(ledger)
+            scheduler = RunScheduler(store=store, ledger=ledger, cache_dir=cache_dir)
+            await scheduler.start()
+            try:
+                meta = store.by_key(spec.config_key)
+                assert meta is not None and meta.status is RunStatus.COMPLETED
+                assert scheduler.result(meta.run_id) is None
+                disk = scheduler._runner((spec.num_cpus, spec.seed, spec.scale)).disk_cache
+                assert (disk.hits, disk.misses) == (0, 1)
+                again, deduped = await scheduler.submit(spec)
+                assert again is meta and not deduped
+                while not meta.status.terminal:
+                    await asyncio.sleep(0.05)
+                assert meta.status is RunStatus.COMPLETED
+                assert (disk.hits, disk.stores) == (0, 1)
+                return scheduler.result(meta.run_id).to_dict()
+            finally:
+                await scheduler.close()
+
+        assert _run(second_life()) == first
+        assert json.loads(path.read_text(encoding="utf-8"))["metrics"] == first
+
 
 # --------------------------------------------------------------------------
 # HTTP API end to end (real socket, stdlib client)
@@ -748,6 +798,22 @@ class TestHttpApi:
         assert status == 400 and "error" in doc
         status, doc = _http("POST", f"{base}/runs", dict(QUICK, bogus_field=1))
         assert status == 400 and "bogus_field" in doc["error"]
+
+    def test_deeply_nested_body_is_400_and_queues_nothing(self, service):
+        """The JSON decoder recurses per nesting level; 100k levels (200 KB,
+        under the body cap) must be a client error, not a server one."""
+        svc, base = service
+        before = len(svc.store)
+        req = urllib.request.Request(
+            f"{base}/runs", data=b"[" * 100_000 + b"]" * 100_000, method="POST"
+        )
+        req.add_header("Content-Type", "application/json")
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(req, timeout=30)
+        assert caught.value.code == 400
+        assert "nested too deeply" in json.loads(caught.value.read())["error"]
+        assert len(svc.store) == before
+        assert svc.scheduler.queue_depth() == 0
 
     def test_integer_and_float_scale_dedup(self, service):
         svc, base = service
