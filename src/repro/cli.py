@@ -17,8 +17,9 @@ Commands:
   invalidation ping-pong, prefetch efficacy; optional JSON export;
 * ``cache`` -- inspect or prune the on-disk result cache;
 * ``fleet`` -- run a strategy/latency grid with full fleet telemetry:
-  live worker progress + ETA, run-ledger records, stall watchdog,
-  optional per-worker profiling, Prometheus/JSON metrics export;
+  live worker progress + ETA, run-ledger records, heartbeat-silence
+  stall flags, a per-job deadline (``--job-timeout``), Prometheus/JSON
+  metrics export;
 * ``drift`` -- paper-drift gate: replay the key Tullsen & Eggers
   comparisons (speedup extremes, miss-rate directions, bus-utilization
   ordering) against tolerance bands; nonzero exit on divergence;
@@ -50,7 +51,7 @@ Examples::
     python -m repro analyze --workload Pverify
     python -m repro timeline --workload water --quick
     python -m repro c2c --workload pverify --strategy PWS --quick
-    python -m repro fleet --workloads Water,Mp3d --workers 4 --profile
+    python -m repro fleet --workloads Water,Mp3d --workers 4 --job-timeout 600
     python -m repro drift --quick
     python -m repro ledger --tail 5
     python -m repro cache --prune
@@ -632,9 +633,7 @@ def _telemetry_from_args(args: argparse.Namespace, progress: bool) -> "Telemetry
         ledger=ledger,
         progress=progress,
         stall_timeout=args.stall_timeout,
-        kill_stalled=args.kill_stalled,
         job_timeout=args.job_timeout,
-        profile=args.profile,
     )
 
 
@@ -751,18 +750,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         )
         if not as_json:
             print(f"metrics: wrote {out.with_suffix('.prom')} and {out.with_suffix('.json')}")
-    if args.profile:
-        if not as_json:
-            print()
-            print(telemetry.merged_profile.render(n=args.profile_top))
-        if args.profile_out:
-            Path(args.profile_out).parent.mkdir(parents=True, exist_ok=True)
-            Path(args.profile_out).write_text(
-                json_module.dumps(telemetry.merged_profile.to_json(), indent=2) + "\n",
-                encoding="utf-8",
-            )
-            if not as_json:
-                print(f"profile: wrote {args.profile_out}")
     return code
 
 
@@ -801,15 +788,6 @@ def _cmd_drift(args: argparse.Namespace) -> int:
         except FleetError as exc:
             print(f"error: drift grid incomplete -- {exc}", file=sys.stderr)
             return 2
-        if args.profile:
-            print(telemetry.merged_profile.render(n=args.profile_top))
-            if args.profile_out:
-                Path(args.profile_out).parent.mkdir(parents=True, exist_ok=True)
-                Path(args.profile_out).write_text(
-                    json_module.dumps(telemetry.merged_profile.to_json(), indent=2)
-                    + "\n",
-                    encoding="utf-8",
-                )
         if args.metrics_out:
             out = Path(args.metrics_out)
             telemetry.registry.write(
@@ -1167,24 +1145,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-progress", action="store_true", help="disable the live progress line")
         p.add_argument(
             "--stall-timeout", type=float, default=DEFAULT_STALL_TIMEOUT,
-            help=f"heartbeat silence before a worker counts as stalled (default {DEFAULT_STALL_TIMEOUT:g}s)",
-        )
-        p.add_argument(
-            "--kill-stalled", action="store_true",
-            help="SIGKILL stalled workers (turns hangs into structured failures)",
+            help=f"heartbeat silence before a worker is flagged stalled (default {DEFAULT_STALL_TIMEOUT:g}s)",
         )
         p.add_argument(
             "--job-timeout", type=float, default=None,
-            help="per-job result deadline in seconds (parallel backend only)",
+            help="per-job result deadline in seconds; the worker is killed on expiry "
+            "(parallel backend only)",
         )
-        p.add_argument(
-            "--profile", action="store_true",
-            help="cProfile every worker run; print the merged hot-function table",
-        )
-        p.add_argument(
-            "--profile-top", type=int, default=15, help="profile rows to print (default 15)"
-        )
-        p.add_argument("--profile-out", help="write the merged profile as JSON here")
         p.add_argument(
             "--metrics-out",
             help="metrics export basename (writes <name>.prom and <name>.json)",

@@ -44,7 +44,7 @@ On top of the in-memory memo the runner optionally layers
   are *byte-identical* to serial ones and come back in job order; and
 * **fleet telemetry** (``telemetry=`` on :meth:`run_many`, see
   :mod:`repro.telemetry.fleet`): a ledger entry per simulation, live
-  heartbeats with a stall watchdog, per-run profiling and a metrics
+  heartbeats with stall flags, a per-job deadline and a metrics
   registry.  A batch without a config runs under a disabled one, on
   the same path.  A failed grid point never aborts the batch: every
   failure is collected (and ledgered when telemetry is on) and raised
@@ -61,7 +61,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 from pathlib import Path
 from typing import Any
@@ -191,14 +191,12 @@ class Execution:
         wall_seconds: insertion plus simulation wall time.
         events: trace events retired.
         worker_pid: the process that executed the job.
-        profile_rows: ``cProfile`` rows, when the probe asked for them.
     """
 
     metrics: Any
     wall_seconds: float
     events: int
     worker_pid: int
-    profile_rows: list = field(default_factory=list)
 
 
 def execute(
@@ -213,14 +211,13 @@ def execute(
     the job's machine and collects the metrics under the job's strategy
     label.  Without a ``probe`` the engine runs through
     :func:`~repro.sim.engine.simulate`; with one it runs under the
-    probe's heartbeat sampler, ``cProfile`` and spans, as the probe
-    asks, and the probe keeps the returned :class:`Execution`.
+    probe's heartbeat sampler and spans, as the probe asks, and the
+    probe keeps the returned :class:`Execution`.
     """
     started = time.perf_counter()
     annotated, _report = insert_prefetches(trace, job.strategy, job.machine.cache)
     events = sum(len(cpu_trace) for cpu_trace in annotated.cpus)
     adaptive = job.strategy.adaptive_config()
-    rows: list = []
     if probe is None:
         metrics = simulate(
             annotated,
@@ -231,10 +228,10 @@ def execute(
         )
     else:
         engine = SimulationEngine(annotated, job.machine, sim_config, adaptive=adaptive)
-        with probe.watch(engine, events, started) as rows:
+        with probe.watch(engine, events, started):
             engine.run()
             metrics = engine.collect_metrics(job.strategy_label)
-    done = Execution(metrics, time.perf_counter() - started, events, os.getpid(), rows)
+    done = Execution(metrics, time.perf_counter() - started, events, os.getpid())
     if probe is not None:
         probe.execution = done
     return done
@@ -451,10 +448,10 @@ class ExperimentRunner:
         """Simulate a batch of configurations, in parallel if configured.
 
         ``jobs`` holds ``(workload, strategy, machine)`` or
-        ``(workload, strategy, machine, restructured)`` tuples.  Memo
-        and disk-cache hits are resolved first; only genuinely new
-        configurations are simulated (each distinct one exactly once,
-        duplicates collapse).  Serially each goes through :meth:`run`;
+        ``(workload, strategy, machine, restructured)`` tuples.
+        Duplicates collapse first; then each distinct configuration is
+        looked up once in the memo and the disk cache, in order of first
+        appearance, and only genuinely new ones are simulated.  Serially each goes through :meth:`run`;
         with ``max_workers > 1`` they fan out over a process pool.
         Results are returned in **job order** regardless of completion
         order, and -- simulation being a pure function -- are
@@ -463,28 +460,28 @@ class ExperimentRunner:
         With a :class:`~repro.telemetry.fleet.TelemetryConfig` the
         batch additionally appends a run-ledger entry per disk hit and
         per fresh simulation, streams worker heartbeats to a live fleet
-        progress line with a stall watchdog, optionally profiles each
-        run, and updates the config's metrics registry.  Either way a
-        failed point does not abort the batch: every failure is
-        collected (and ledgered, ``outcome: error``/``timeout``) into
-        one :class:`~repro.telemetry.fleet.FleetError`, raised after
-        all surviving points have been stored.
+        progress line with stall flags, bounds each pooled point by its
+        ``job_timeout`` and updates the config's metrics registry.
+        Either way a failed point does not abort the batch: every
+        failure is collected (and ledgered, ``outcome: error``/
+        ``timeout``) into one :class:`~repro.telemetry.fleet.FleetError`,
+        raised after all surviving points have been stored.
         """
         if telemetry is None:
             telemetry = TelemetryConfig(enabled=False)
-        batch = [self.job(*job) for job in jobs]
-        results: list[RunMetrics | None] = [None] * len(batch)
+        positions: dict[RunJob, list[int]] = {}
+        for i, job in enumerate(jobs):
+            positions.setdefault(self.job(*job), []).append(i)
+        results: list[RunMetrics | None] = [None] * len(jobs)
         todo: dict[RunJob, list[int]] = {}
-        recorded: set[RunJob] = set()
-        for i, job in enumerate(batch):
+        for job, where in positions.items():
             result, kind = self._lookup(job)
             if result is None:
-                todo.setdefault(job, []).append(i)
+                todo[job] = where
             else:
-                results[i] = result
-                if job not in recorded:
-                    recorded.add(job)
-                    telemetry.record_hit(job, result, kind)
+                for i in where:
+                    results[i] = result
+                telemetry.record_hit(job, result, kind)
         if todo:
             failures = self._execute_pending(todo, results, telemetry)
             if failures:
@@ -505,11 +502,11 @@ class ExperimentRunner:
         """Execute a batch's fresh points into ``results``; return the failures.
 
         Pooled, each future is awaited with the telemetry's
-        ``job_timeout``; on expiry the worker (known from its
-        heartbeats) is killed so pool shutdown cannot block forever.  A
-        killed or crashed worker breaks the pool: its future and any
-        still-unfinished ones fail as ``timeout`` (when the watchdog
-        flagged them) or ``error``.  Completed results are kept.
+        ``job_timeout``, the one deadline: on expiry the point fails as
+        ``timeout`` and its worker (known from its heartbeats) is killed
+        so pool shutdown cannot block forever.  A killed or crashed
+        worker breaks the pool, and every still-unfinished point fails
+        as ``error``.  Completed results are kept.
         """
         pending = list(todo)
         failures: list[JobFailure] = []
@@ -540,11 +537,7 @@ class ExperimentRunner:
                     failure = ("timeout", f"no result within {batch.timeout:g}s")
                     batch.kill(j)
                 except BrokenProcessPool:
-                    failure = (
-                        ("timeout", "worker killed after heartbeat stall")
-                        if batch.stalled(j)
-                        else ("error", "worker pool broke (a worker process died)")
-                    )
+                    failure = ("error", "worker pool broke (a worker process died)")
                 except Exception as exc:
                     failure = ("error", str(exc) or type(exc).__name__)
                 else:

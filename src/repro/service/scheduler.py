@@ -415,7 +415,6 @@ class RunScheduler:
             ledger=self.ledger,
             progress=False,
             job_timeout=self.job_timeout,
-            kill_stalled=self.job_timeout is not None,
             registry=self.registry,
             monitor_hook=self._capture_monitor,
             trace_contexts=trace_ctxs if trace_ctxs else None,

@@ -7,17 +7,16 @@ the experiment fleet is doing right now and what it has done before.
 * :mod:`~repro.telemetry.ledger` -- append-only JSONL run ledger: one
   structured record per simulation (identity, outcome, cache status,
   wall time, result summary) plus a query API.
-* :mod:`~repro.telemetry.heartbeat` -- live worker heartbeats, the
-  parent-side fleet monitor (progress + ETA) and the stall watchdog.
+* :mod:`~repro.telemetry.heartbeat` -- live worker heartbeats and the
+  parent-side fleet monitor (progress + ETA, heartbeat-silence stall
+  flags).
 * :mod:`~repro.telemetry.registry` -- dependency-free counters, gauges
   and histograms with Prometheus-text and JSON export.
-* :mod:`~repro.telemetry.profiling` -- per-worker ``cProfile`` capture
-  merged into a fleet-wide hot-function table.
 * :mod:`~repro.telemetry.drift` -- paper-drift detection: replay the
   key Tullsen & Eggers comparisons against tolerance bands.
 * :mod:`~repro.telemetry.fleet` -- :class:`TelemetryConfig` (the knob
-  bundle ``ExperimentRunner.run_many`` accepts) and the telemetered
-  pool worker.
+  bundle ``ExperimentRunner.run_many`` accepts, ``job_timeout`` -- the
+  one deadline for a pool worker -- included) and the per-job probe.
 * :mod:`~repro.telemetry.tracing` -- end-to-end request tracing:
   dependency-free spans (trace/span/parent ids), a ring-buffered
   collector, and Chrome-trace stitching of service stages over the
@@ -54,7 +53,6 @@ from repro.telemetry.heartbeat import (
     Heartbeat,
     HeartbeatSender,
     JobProgress,
-    Watchdog,
 )
 from repro.telemetry.ledger import (
     DEFAULT_LEDGER_DIR,
@@ -62,7 +60,6 @@ from repro.telemetry.ledger import (
     LedgerEntry,
     RunLedger,
 )
-from repro.telemetry.profiling import MergedProfile, profiled
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -117,7 +114,6 @@ __all__ = [
     "JobProgress",
     "LEDGER_SCHEMA_VERSION",
     "LedgerEntry",
-    "MergedProfile",
     "MetricsRegistry",
     "QUICK_FRAME",
     "RunLedger",
@@ -129,7 +125,6 @@ __all__ = [
     "TSDB_SCHEMA_VERSION",
     "TelemetryConfig",
     "TimeSeriesStore",
-    "Watchdog",
     "default_rules",
     "downsample",
     "evaluate",
@@ -138,7 +133,6 @@ __all__ = [
     "load_rules",
     "new_span_id",
     "new_trace_id",
-    "profiled",
     "quantile_from_buckets",
     "render_waterfall",
     "run_drift",

@@ -7,17 +7,16 @@ every hook is a no-op -- no heartbeat queue, monitor or sampler
 threads, ``multiprocessing.Manager``, ledger or timeout -- so plain and
 telemetered batches take the same execution path and return identical
 results.  The config carries the ledger, progress rendering,
-heartbeat/watchdog tuning, per-job timeout, profiling switch, metrics
-registry and the fleet-wide merged profile, and records every batch
-outcome (disk hit, fresh run, failure) into them.
+heartbeat and stall-flag tuning, the per-job timeout and the metrics
+registry, and records every batch outcome (disk hit, fresh run,
+failure) into them.
 
 :class:`Probe` is what one telemetered execution runs under inside
 :func:`repro.experiments.runner.execute`: a heartbeat sampler on the
-running engine, an optional ``cProfile`` wrap and ``worker.run`` /
-``engine.simulate`` trace spans.  It is picklable, so the same probe
-rides to pool workers.  :class:`FleetBatch` is the parent side of one
-batch: the heartbeat queue, the :class:`FleetMonitor` with its
-watchdog, and the progress line.
+running engine and ``worker.run`` / ``engine.simulate`` trace spans.
+It is picklable, so the same probe rides to pool workers.
+:class:`FleetBatch` is the parent side of one batch: the heartbeat
+queue, the :class:`FleetMonitor` and the progress line.
 
 This module never imports the runner (the runner imports *us*); jobs
 are the runner's :class:`~repro.experiments.runner.RunJob` objects,
@@ -44,11 +43,9 @@ from repro.telemetry.heartbeat import (
     EngineSampler,
     FleetMonitor,
     HeartbeatSender,
-    Watchdog,
     render_fleet_progress,
 )
 from repro.telemetry.ledger import LedgerEntry, RunLedger
-from repro.telemetry.profiling import MergedProfile, profiled
 from repro.telemetry.registry import MetricsRegistry
 
 # Kept as module attributes for bench/layers.py, which wraps these names.
@@ -108,8 +105,8 @@ class JobFailure:
     Attributes:
         config_key: the point's content key (its identity in a batch).
         label: human-readable grid-point label.
-        kind: ``"error"`` (worker raised) or ``"timeout"`` (watchdog
-            kill or ``job_timeout`` expiry).
+        kind: ``"error"`` (the job raised, or its worker process died)
+            or ``"timeout"`` (no result within ``job_timeout``).
         message: one-line cause.
     """
 
@@ -129,7 +126,6 @@ class Probe:
         queue: heartbeat queue (a manager proxy across processes);
             None sends neither heartbeats nor spans.
         heartbeat_interval: seconds between heartbeats.
-        profile: wrap the engine run in ``cProfile``.
         trace_ctx: ``(trace_id, parent_span_id)``; when set, a
             ``worker.run`` span and its ``engine.simulate`` child ride
             the heartbeat queue as ``{"kind": "span", "span": {...}}``
@@ -143,27 +139,25 @@ class Probe:
     label: str
     queue: Any = None
     heartbeat_interval: float = DEFAULT_BEAT_INTERVAL
-    profile: bool = False
     trace_ctx: tuple[str, str | None] | None = None
     execution: Any = None
 
     @contextmanager
-    def watch(self, engine: Any, total_events: int, started: float) -> Iterator[list]:
-        """Run the block (the engine's run) under the probe; yields profile rows.
+    def watch(self, engine: Any, total_events: int, started: float) -> Iterator[None]:
+        """Run the block (the engine's run) under the probe.
 
         ``started`` is the ``perf_counter`` reading at which the
         execution began: the ``worker.run`` span covers it all.
         """
         sim_wall, sim_t0 = time.time(), time.perf_counter()
-        with profiled(self.profile) as rows:
-            if self.queue is None:
-                yield rows
-            else:
-                sender = HeartbeatSender(self.queue, self.heartbeat_interval)
-                with EngineSampler(
-                    engine, sender, self.index, self.label, total_events, self.heartbeat_interval
-                ):
-                    yield rows
+        if self.queue is None:
+            yield
+        else:
+            sender = HeartbeatSender(self.queue, self.heartbeat_interval)
+            with EngineSampler(
+                engine, sender, self.index, self.label, total_events, self.heartbeat_interval
+            ):
+                yield
         if self.trace_ctx is not None and self.queue is not None:
             self._ship_spans(engine, total_events, started, sim_wall, time.perf_counter() - sim_t0)
 
@@ -207,7 +201,7 @@ class TelemetryConfig:
 
     The config itself never crosses a process boundary -- workers get
     only a :class:`Probe` -- so it may hold live objects (registry,
-    merged profile, ledger).
+    ledger).
 
     Attributes:
         enabled: False makes every hook a no-op, in the style of
@@ -216,19 +210,15 @@ class TelemetryConfig:
         ledger: run ledger to append to (None records nothing).
         progress: render the live fleet progress line to stderr.
         heartbeat_interval: seconds between worker heartbeats.
-        stall_timeout: heartbeat silence before the watchdog flags a job.
-        kill_stalled: SIGKILL stalled workers (turns a hang into a
-            structured ``timeout`` failure instead of waiting forever).
-        job_timeout: overall per-batch result deadline in seconds for
-            each pending job (None waits indefinitely); expiry is
-            recorded as a ``timeout`` failure.
-        profile: wrap each worker run in ``cProfile`` and merge the
-            results into :attr:`merged_profile`.
+        stall_timeout: heartbeat silence before a job is flagged
+            ``stalled`` (a report only; nothing is killed).
+        job_timeout: the one deadline for a pool worker: seconds each
+            pending job's result is awaited (None waits indefinitely).
+            On expiry the job's worker is killed and the point recorded
+            as a ``timeout`` failure.  Serial batches ignore it.
         registry: metrics registry updated with run/cache/event counts
             (a fresh one by default; share one across batches to
             aggregate a session).
-        merged_profile: fleet-wide hot-function aggregate (filled only
-            when :attr:`profile` is set).
         monitor_hook: called with the live
             :class:`~repro.telemetry.heartbeat.FleetMonitor` right after
             the batch builds it, so an embedding layer (the service
@@ -252,11 +242,8 @@ class TelemetryConfig:
     progress: bool = False
     heartbeat_interval: float = DEFAULT_BEAT_INTERVAL
     stall_timeout: float = DEFAULT_STALL_TIMEOUT
-    kill_stalled: bool = False
     job_timeout: float | None = None
-    profile: bool = False
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
-    merged_profile: MergedProfile = field(default_factory=MergedProfile)
     monitor_hook: Callable[[Any], None] | None = None
     trace_contexts: dict[str, tuple[str, str | None]] | None = None
     span_sink: Callable[[dict[str, Any]], None] | None = None
@@ -313,8 +300,6 @@ class TelemetryConfig:
         metrics["cache"].inc(result=cache)
         metrics["events"].inc(execution.events)
         metrics["wall"].observe(execution.wall_seconds)
-        if self.profile:
-            self.merged_profile.merge(execution.profile_rows)
         self._ledger(job, "ok", cache, result=execution.metrics, execution=execution)
 
     def record_failure(self, job: Any, failure: JobFailure) -> None:
@@ -367,7 +352,7 @@ class FleetBatch:
 
     Enabled, entering it builds the heartbeat queue (a manager queue
     when the batch fans over a process pool), the :class:`FleetMonitor`
-    with its :class:`Watchdog`, and the progress line.  Disabled, it
+    and the progress line.  Disabled, it
     builds nothing, :meth:`probe` returns None and every other method is
     a no-op.
     """
@@ -398,12 +383,7 @@ class FleetBatch:
             self._queue,
             {j: job.label for j, job in enumerate(self.jobs)},
             keys={j: job.config_key for j, job in enumerate(self.jobs)},
-            # The watchdog only kills on the pool: in-process there is
-            # no one to kill, but stalls are still flagged.
-            watchdog=Watchdog(
-                stall_timeout=telemetry.stall_timeout,
-                kill=telemetry.kill_stalled and self.parallel,
-            ),
+            stall_timeout=telemetry.stall_timeout,
             render=render_fleet_progress if telemetry.progress else None,
             span_sink=telemetry.span_sink,
         )
@@ -437,7 +417,6 @@ class FleetBatch:
             label=job.label,
             queue=self._queue,
             heartbeat_interval=self.telemetry.heartbeat_interval,
-            profile=self.telemetry.profile,
             trace_ctx=self.telemetry.trace_context(job.config_key),
         )
 
@@ -446,13 +425,16 @@ class FleetBatch:
         if self.monitor is not None:
             self.monitor.mark_done(j)
 
-    def stalled(self, j: int) -> bool:
-        """True when the watchdog flagged job ``j``."""
-        return self.monitor is not None and self.monitor.jobs[j].stalled
-
     def kill(self, j: int) -> None:
-        """SIGKILL job ``j``'s worker (known from its heartbeats), if any."""
-        pid = self.monitor.jobs[j].pid if self.monitor is not None else 0
+        """SIGKILL job ``j``'s worker (known from its heartbeats), if any.
+
+        Drains the heartbeat queue first, so a beat the monitor thread
+        has not read yet still names the worker.
+        """
+        if self.monitor is None:
+            return
+        self.monitor.tick()
+        pid = self.monitor.jobs[j].pid
         if pid:
             try:
                 os.kill(pid, signal.SIGKILL)

@@ -1,4 +1,4 @@
-"""Live worker heartbeats, fleet progress aggregation and a watchdog.
+"""Live worker heartbeats, fleet progress aggregation and stall flags.
 
 Parallel grid sweeps through
 :class:`~repro.experiments.runner.ExperimentRunner` were a black box: a
@@ -10,22 +10,23 @@ missing signal path:
   ``multiprocessing`` queue at a bounded rate;
 * the parent-side :class:`FleetMonitor` drains the queue on a thread,
   folds beats into per-job :class:`JobProgress`, renders a one-line
-  fleet progress view with an ETA, and
-* a :class:`Watchdog` inside the monitor flags -- and optionally kills
-  -- workers whose beats stall for longer than ``stall_timeout``.
+  fleet progress view with an ETA, and flags jobs whose beats fall
+  silent for longer than ``stall_timeout``.
 
 The sender side is deliberately engine-agnostic: rather than hooking the
 simulation loop (which would cost cycles even when telemetry is off),
 the worker samples the *running engine's* public counters
-(``engine.now``, per-processor program counters) from a daemon thread.
-A wedged engine therefore still produces silence -- exactly the signal
-the watchdog needs -- while a healthy one pays nothing on its hot path.
+(``engine.now``, per-processor program counters) from a daemon thread,
+so a healthy engine pays nothing on its hot path.  Flags read silence
+only: a dead or GIL-starved worker goes silent, but a pure-Python hang
+keeps its sampler beating.  A stall flag is a report, never an action;
+``job_timeout`` (see :mod:`repro.telemetry.fleet`) is the one deadline
+that ends a pool worker's job.
 """
 
 from __future__ import annotations
 
 import os
-import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -37,14 +38,13 @@ __all__ = [
     "Heartbeat",
     "HeartbeatSender",
     "JobProgress",
-    "Watchdog",
     "render_fleet_progress",
 ]
 
 #: Default seconds between worker heartbeats.
 DEFAULT_BEAT_INTERVAL = 0.25
 
-#: Default seconds of heartbeat silence before the watchdog flags a worker.
+#: Default seconds of heartbeat silence before a worker is flagged stalled.
 DEFAULT_STALL_TIMEOUT = 60.0
 
 
@@ -55,7 +55,7 @@ class Heartbeat:
     Attributes:
         job: index of the job in the batch (parent-assigned).
         label: human-readable grid-point label.
-        pid: worker process id (watchdog kill target).
+        pid: worker process id (the ``job_timeout`` kill target).
         phase: ``"generate"``, ``"insert"``, ``"simulate"`` or ``"done"``.
         cycles: simulated cycles completed so far.
         events: trace events retired so far.
@@ -108,10 +108,9 @@ class EngineSampler:
     A daemon thread wakes every ``interval`` seconds, reads the engine's
     simulated clock and per-CPU program counters (safe under the GIL --
     both are plain attribute reads of int fields) and emits a heartbeat.
-    The engine's hot loop is untouched: zero cost when telemetry is off,
-    and a hung engine stops producing *progress* while the thread keeps
-    running -- so stalls are visible as unchanged counters or, if the
-    whole process died, as queue silence.
+    The engine's hot loop is untouched: zero cost when telemetry is off.
+    The thread keeps beating while the engine runs, whether or not the
+    engine makes progress; only a dead process falls silent.
     """
 
     def __init__(
@@ -184,88 +183,19 @@ class JobProgress:
         return min(1.0, self.events / self.total_events)
 
 
-@dataclass
-class StallEvent:
-    """One watchdog detection: a worker went silent past the timeout."""
-
-    job: int
-    label: str
-    pid: int
-    silent_seconds: float
-    killed: bool = False
-
-
-class Watchdog:
-    """Flags (and optionally kills) workers whose heartbeats stall.
-
-    Args:
-        stall_timeout: seconds of silence before a job counts as stalled.
-        kill: send SIGKILL to the silent worker's PID.  With a process
-            pool this deliberately breaks the pool -- the runner treats
-            the resulting ``BrokenProcessPool`` as a structured failure
-            of the unfinished grid points, which beats hanging forever.
-        on_stall: callback per new stall (progress line, logging).
-
-    Clock injection (``clock=``) keeps the stall arithmetic testable
-    without real sleeping.
-    """
-
-    def __init__(
-        self,
-        stall_timeout: float = DEFAULT_STALL_TIMEOUT,
-        kill: bool = False,
-        on_stall: Callable[[StallEvent], None] | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.stall_timeout = stall_timeout
-        self.kill = kill
-        self.on_stall = on_stall
-        self.clock = clock
-        self.stalls: list[StallEvent] = []
-
-    def check(self, jobs: dict[int, JobProgress]) -> list[StallEvent]:
-        """Scan running jobs; returns stalls newly detected this call."""
-        now = self.clock()
-        fresh: list[StallEvent] = []
-        for progress in jobs.values():
-            if progress.stalled or progress.phase in ("pending", "done"):
-                continue
-            if progress.last_beat and now - progress.last_beat > self.stall_timeout:
-                progress.stalled = True
-                event = StallEvent(
-                    job=progress.job,
-                    label=progress.label,
-                    pid=progress.pid,
-                    silent_seconds=now - progress.last_beat,
-                )
-                if self.kill and progress.pid:
-                    event.killed = self._kill(progress.pid)
-                self.stalls.append(event)
-                fresh.append(event)
-                if self.on_stall is not None:
-                    self.on_stall(event)
-        return fresh
-
-    @staticmethod
-    def _kill(pid: int) -> bool:
-        try:
-            os.kill(pid, signal.SIGKILL)
-            return True
-        except (OSError, ProcessLookupError):
-            return False
-
-
 class FleetMonitor:
-    """Parent-side aggregator: queue drain, progress, ETA, watchdog.
+    """Parent-side aggregator: queue drain, progress, ETA, stall flags.
 
     Args:
         queue: the heartbeat queue shared with the workers.
         labels: job-index -> label for the whole batch (jobs not yet
             started render as pending).
-        watchdog: optional :class:`Watchdog` run on every poll tick.
+        stall_timeout: seconds of heartbeat silence after which every
+            :meth:`tick` flags a running job ``stalled`` (None flags
+            nothing).  Any later beat clears the flag.
         render: callback fed the rendered progress line (e.g. print to
             stderr); None disables rendering.
-        poll_interval: queue-drain and watchdog period in seconds.
+        poll_interval: queue-drain and stall-check period in seconds.
         clock: time source (injectable for tests).
         span_sink: callback fed worker-emitted trace spans (the
             ``{"kind": "span", "span": {...}}`` messages that share the
@@ -283,7 +213,7 @@ class FleetMonitor:
         self,
         queue: Any,
         labels: dict[int, str],
-        watchdog: Watchdog | None = None,
+        stall_timeout: float | None = None,
         render: Callable[[str], None] | None = None,
         poll_interval: float = 0.2,
         clock: Callable[[], float] = time.monotonic,
@@ -291,7 +221,7 @@ class FleetMonitor:
         keys: dict[int, str] | None = None,
     ) -> None:
         self.queue = queue
-        self.watchdog = watchdog
+        self.stall_timeout = stall_timeout
         self.render = render
         self.poll_interval = poll_interval
         self.clock = clock
@@ -334,7 +264,7 @@ class FleetMonitor:
             self.done.add(job)
 
     def tick(self) -> None:
-        """One poll cycle: drain the queue, run the watchdog, render.
+        """One poll cycle: drain the queue, flag silent jobs, render.
 
         The queue carries two message kinds: :class:`Heartbeat` objects
         (progress) and, when tracing is on, finished-span dicts tagged
@@ -354,13 +284,22 @@ class FleetMonitor:
                         self.span_sink(beat.get("span") or {})
                     except Exception:
                         pass  # tracing is best-effort; progress is not
-        if self.watchdog is not None:
-            with self._lock:
-                self.watchdog.check(
-                    {j: p for j, p in self.jobs.items() if j not in self.done}
-                )
+        if self.stall_timeout is not None:
+            self._flag_stalls()
         if self.render is not None:
             self.render(self.progress_line())
+
+    def _flag_stalls(self) -> None:
+        now = self.clock()
+        with self._lock:
+            for j, progress in self.jobs.items():
+                if (
+                    j not in self.done
+                    and progress.phase not in ("pending", "done")
+                    and progress.last_beat
+                    and now - progress.last_beat > self.stall_timeout
+                ):
+                    progress.stalled = True
 
     # ------------------------------------------------------------- reporting
 

@@ -23,7 +23,7 @@ from repro.bus import bus as bus_module
 from repro.bus.bus import BusStats
 from repro.bus.transaction import TransactionKind
 from repro.common.config import CacheConfig, MachineConfig
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.runner import ExperimentRunner, RunJob
 from repro.common.codec import FieldTable
 from repro.metrics import results as results_module
 from repro.metrics.results import CpuMetrics, MissCounts, RunMetrics
@@ -582,6 +582,33 @@ class TestParallelRunner:
         assert calls == [("Water", PREF, machine, False), ("Water", PWS, machine, False)]
         runner.run_many(jobs)  # all memo hits now
         assert len(calls) == 2
+
+    def test_batch_looks_each_distinct_job_up_once(self, tmp_path, monkeypatch):
+        """A disk-warm point costs three ``RunJob`` hashes (grouping, memo
+        probe, memo store), a memo hit two, and each distinct point is
+        recorded once, in order of first appearance."""
+        machine = MachineConfig(num_cpus=4)
+        jobs = [("Water", PREF, machine), ("Water", NP, machine), ("Water", PREF, machine)]
+        ExperimentRunner(num_cpus=4, scale=0.05, disk_cache=tmp_path).run_many(jobs)
+        runner = ExperimentRunner(num_cpus=4, scale=0.05, disk_cache=tmp_path)
+        hashes = []
+        real_hash = RunJob.__hash__
+        monkeypatch.setattr(RunJob, "__hash__", lambda job: hashes.append(job) or real_hash(job))
+        telemetry = TelemetryConfig()
+        recorded = []
+        monkeypatch.setattr(
+            telemetry, "record_hit",
+            lambda job, result, kind: recorded.append((job.strategy.name, kind)),
+        )
+        results = runner.run_many(jobs, telemetry=telemetry)
+        assert len(hashes) == len(jobs) + 2 * 2
+        assert recorded == [("PREF", "hit"), ("NP", "hit")]
+        assert results[0] is results[2] and results[1].strategy == "NP"
+        hashes.clear()
+        recorded.clear()
+        runner.run_many(jobs, telemetry=telemetry)
+        assert len(hashes) == len(jobs) + 2
+        assert recorded == [("PREF", "memo"), ("NP", "memo")]
 
     def test_plain_batch_failure_raises_fleet_error_after_storing_survivors(self):
         machine = MachineConfig(num_cpus=4)

@@ -1,12 +1,12 @@
 """Tests for the fleet telemetry subsystem (`repro.telemetry`).
 
 Covers the run ledger (round-trip, torn lines, concurrent multiprocess
-writers), heartbeats and the stall watchdog (synthetic clock, no real
-sleeping), the metrics registry (Prometheus text format), profiling
-merge, paper-drift evaluation (passing on healthy summaries, failing
-on perturbed ones, replay from a ledger), the telemetered
-ExperimentRunner path (bit-identity with un-telemetered runs,
-structured worker failures) and the new CLI commands.
+writers), heartbeats and the monitor's stall flags (synthetic clock,
+no real sleeping), the metrics registry (Prometheus text format),
+paper-drift evaluation (passing on healthy summaries, failing on
+perturbed ones, replay from a ledger), the telemetered ExperimentRunner
+path (bit-identity with un-telemetered runs, structured worker
+failures, the ``job_timeout`` deadline) and the new CLI commands.
 """
 
 from __future__ import annotations
@@ -35,11 +35,8 @@ from repro.telemetry.heartbeat import (
     FleetMonitor,
     Heartbeat,
     HeartbeatSender,
-    JobProgress,
-    Watchdog,
 )
 from repro.telemetry.ledger import LEDGER_SCHEMA_VERSION, LedgerEntry, RunLedger
-from repro.telemetry.profiling import MergedProfile, profiled
 from repro.telemetry.registry import MetricsRegistry
 from repro.workloads.registry import ALL_WORKLOAD_NAMES
 
@@ -213,31 +210,38 @@ class TestHeartbeats:
         assert "1/2" in line and "eta" in line
 
     def test_watchdog_flags_silent_jobs(self):
-        clock = _FakeClock(now=1.0)
-        dog = Watchdog(stall_timeout=5.0, clock=clock)
-        jobs = {0: JobProgress(job=0, label="a", pid=1, phase="simulate", last_beat=1.0)}
+        clock = _FakeClock(now=1.0)  # nonzero: last_beat == 0 means "never beat"
+        q = queue_module.SimpleQueue()
+        monitor = FleetMonitor(q, {0: "a"}, stall_timeout=5.0, clock=clock)
+        q.put(Heartbeat(job=0, label="a", pid=1, phase="simulate"))
+        monitor.tick()
         clock.now = 5.0
-        assert dog.check(jobs) == []  # within timeout
+        monitor.tick()
+        assert not monitor.jobs[0].stalled  # within timeout
         clock.now = 7.0
-        (event,) = dog.check(jobs)
-        assert event.job == 0 and event.silent_seconds == pytest.approx(6.0)
-        assert jobs[0].stalled
-        assert dog.check(jobs) == []  # flagged once, not repeatedly
+        monitor.tick()
+        assert monitor.jobs[0].stalled
+        assert monitor.snapshot()["stalled"] == 1
+        assert "1 STALLED" in monitor.progress_line()
+        monitor.tick()
+        assert monitor.snapshot()["stalled"] == 1  # a flag, not a tally
 
     def test_watchdog_ignores_pending_and_done(self):
-        clock = _FakeClock(now=100.0)
-        dog = Watchdog(stall_timeout=5.0, clock=clock)
-        jobs = {
-            0: JobProgress(job=0, label="a", phase="pending"),
-            1: JobProgress(job=1, label="b", phase="done", last_beat=1.0),
-        }
-        assert dog.check(jobs) == []
+        clock = _FakeClock(now=1.0)
+        q = queue_module.SimpleQueue()
+        monitor = FleetMonitor(q, {0: "a", 1: "b", 2: "c"}, stall_timeout=5.0, clock=clock)
+        q.put(Heartbeat(job=1, label="b", pid=1, phase="done"))
+        q.put(Heartbeat(job=2, label="c", pid=2, phase="simulate"))
+        monitor.tick()
+        monitor.mark_done(2)  # finished out of band (its future's result)
+        clock.now = 100.0
+        monitor.tick()
+        assert not any(p.stalled for p in monitor.jobs.values())
 
     def test_beat_clears_stall_flag(self):
         clock = _FakeClock(now=1.0)  # nonzero: last_beat == 0 means "never beat"
         q = queue_module.SimpleQueue()
-        dog = Watchdog(stall_timeout=5.0, clock=clock)
-        monitor = FleetMonitor(q, {0: "a"}, watchdog=dog, clock=clock)
+        monitor = FleetMonitor(q, {0: "a"}, stall_timeout=5.0, clock=clock)
         q.put(Heartbeat(job=0, label="a", pid=1, phase="simulate"))
         monitor.tick()
         clock.now = 10.0
@@ -319,35 +323,6 @@ class TestMetricsRegistry:
         )
         assert "n_total 3" in (tmp_path / "m.prom").read_text()
         assert json.loads((tmp_path / "m.json").read_text())["n_total"]["samples"]
-
-
-# -------------------------------------------------------------- profiling
-
-
-class TestProfiling:
-    def test_profiled_off_is_empty(self):
-        with profiled(False) as rows:
-            sum(range(1000))
-        assert rows == []
-
-    def test_profiled_collects_and_merges(self):
-        with profiled(True) as rows:
-            sorted(range(1000))
-        assert rows and all("where" in r for r in rows)
-        merged = MergedProfile()
-        merged.merge(rows)
-        merged.merge(rows)
-        assert merged.runs == 2
-        top = merged.top(5)
-        assert len(top) <= 5
-        # Merging the same rows twice doubles the counts.
-        twice = next(r for r in merged.top(1000) if r["where"] == rows[0]["where"])
-        assert twice["ncalls"] == 2 * rows[0]["ncalls"]
-        assert "fleet profile: 2 runs merged" in merged.render()
-        assert merged.to_json()["runs"] == 2
-
-    def test_empty_render(self):
-        assert "no profile data" in MergedProfile().render()
 
 
 # ------------------------------------------------------------------ drift
@@ -596,6 +571,49 @@ class TestTelemeteredRunner:
         outcomes = sorted(e.outcome for e in ledger.entries())
         assert outcomes == ["error", "ok"]
 
+    def test_job_timeout_is_the_one_deadline(self, tmp_path, monkeypatch):
+        """A pooled point that hangs in the engine fails as ``timeout``.
+
+        The hang sleeps in Python, so its sampler keeps beating and no
+        stall flag could catch it: only ``job_timeout`` ends it, by
+        killing the worker.  The batch returns, the failure is ledgered
+        and the point that finished stays memoised.
+        """
+        import time
+
+        from repro.sim.engine import SimulationEngine
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the hang is patched into the parent; workers must fork")
+        run = SimulationEngine.run
+
+        def hang_on_slow_bus(engine):
+            if engine.machine.bus.transfer_cycles != 32:
+                return run(engine)
+            deadline = time.monotonic() + 30.0  # bounds the test if no kill comes
+            while time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise RuntimeError("the hung worker was not killed")
+
+        monkeypatch.setattr(SimulationEngine, "run", hang_on_slow_bus)
+        ledger = RunLedger(tmp_path)
+        telemetry = TelemetryConfig(ledger=ledger, job_timeout=0.5)
+        runner = ExperimentRunner(num_cpus=4, scale=0.05, max_workers=2)
+        machine = self._machine()
+        jobs = [("Water", NP, machine), ("Water", NP, machine.with_transfer_cycles(32))]
+        started = time.monotonic()
+        with pytest.raises(FleetError) as excinfo:
+            runner.run_many(jobs, telemetry=telemetry)
+        assert time.monotonic() - started < 20.0
+        (failure,) = excinfo.value.failures
+        assert failure.kind == "timeout" and failure.label == "Water/NP@32c"
+        assert "0.5s" in failure.message
+        by_outcome = {e.outcome: e for e in ledger.entries()}
+        assert sorted(by_outcome) == ["ok", "timeout"]
+        assert by_outcome["timeout"].config_key == failure.config_key
+        assert runner.cached_run_count == 1
+        assert runner.run_many(jobs[:1])[0].exec_cycles > 0  # a memo hit
+
     def test_registry_counts_runs(self):
         telemetry = TelemetryConfig()
         runner = ExperimentRunner(num_cpus=4, scale=0.05)
@@ -606,17 +624,6 @@ class TestTelemeteredRunner:
         assert families["cache"].value(result="off") == 1
         assert families["events"].value() > 0
         assert families["wall"].count() == 1
-
-    def test_profile_merges_across_runs(self):
-        telemetry = TelemetryConfig(profile=True)
-        runner = ExperimentRunner(num_cpus=4, scale=0.05)
-        machine = self._machine()
-        runner.run_many(
-            [("Water", NP, machine), ("Water", PREF, machine)], telemetry=telemetry
-        )
-        assert telemetry.merged_profile.runs == 2
-        top = telemetry.merged_profile.top(10)
-        assert any("engine" in r["where"] for r in top)
 
     def test_heartbeat_overhead_tripwire(self):
         """Telemetered runs must not meaningfully slow the engine.
