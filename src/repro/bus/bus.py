@@ -80,10 +80,18 @@ class BusStats:
         data["ops_by_kind"] = {kind.name: n for kind, n in self.ops_by_kind.items()}
         return data
 
+    def to_row(self) -> list:
+        """Positional form; ``ops_by_kind`` nested as a row in kind order."""
+        row = _BUS_FIELDS.row(self)
+        ops = self.ops_by_kind
+        row[_OPS_AT] = [ops[kind] for kind in _KINDS]
+        return row
+
     @classmethod
-    def from_dict(cls, data: dict) -> "BusStats":
-        """Exact inverse of :meth:`to_dict`; ValueError unless ``data``
-        and its ``ops_by_kind`` carry exactly this version's names."""
+    def from_dict(cls, data: dict | list) -> "BusStats":
+        """Exact inverse of :meth:`to_dict` and :meth:`to_row`; ValueError
+        unless ``data`` and its ``ops_by_kind`` carry exactly this
+        version's names (or, as rows, their counts)."""
         stats = cls(*_BUS_FIELDS.decode(data))
         stats.ops_by_kind = dict(zip(_KINDS, _KIND_FIELDS.decode(stats.ops_by_kind)))
         return stats
@@ -94,6 +102,7 @@ class BusStats:
 _BUS_FIELDS = FieldTable.of(BusStats)
 _KINDS = tuple(TransactionKind)
 _KIND_FIELDS = FieldTable("ops_by_kind", [kind.name for kind in _KINDS])
+_OPS_AT = _BUS_FIELDS.names.index("ops_by_kind")
 
 
 class Bus:

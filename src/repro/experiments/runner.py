@@ -284,9 +284,15 @@ def _execute_in_worker(
 ) -> Execution:
     """Process-pool worker: :func:`execute` on this process's trace LRU.
 
-    The metrics cross back in their ``to_dict()`` form, exactly what
-    the disk cache stores, so pooled and cached results share a format.
+    A telemetered worker first sends a ``generate`` heartbeat naming its
+    pid, so ``job_timeout`` can kill it while it is still generating or
+    inserting, before the engine's sampler beats.  The metrics cross
+    back in their ``to_dict()`` form, which keeps any ``audit`` and
+    ``obs`` payload (the disk cache's :meth:`RunMetrics.to_row` form
+    carries neither).
     """
+    if probe is not None:
+        probe.beat("generate")
     done = execute(job, sim_config, process_trace(job), probe)
     return replace(done, metrics=done.metrics.to_dict())
 
@@ -382,9 +388,11 @@ class ExperimentRunner:
 
         The one decode site for cached results: :meth:`run` and
         :meth:`run_many` look points up here, and so does the service's
-        result read.  An entry that does not decode to this version's
-        :class:`RunMetrics` counts as a miss, so the point is
-        re-simulated and its entry overwritten.
+        result read.  Entries hold :meth:`RunMetrics.to_row`; one that
+        does not decode to this version's :class:`RunMetrics` (another
+        ``ROW_SCHEMA``, a row of another length, an entry written
+        before rows) counts as a miss, so the point is re-simulated and
+        its entry overwritten.
         """
         cache = self._usable_cache
         data = cache.load(config_key) if cache is not None else None
@@ -411,7 +419,7 @@ class ExperimentRunner:
         """Store a fresh result on disk (when usable) and in the memo."""
         cache = self._usable_cache
         if cache is not None:
-            cache.store(job.config_key, result.to_dict(), job.payload())
+            cache.store(job.config_key, result.to_row(), job.payload())
         self._results[job] = result
 
     # ----------------------------------------------------------------- runs

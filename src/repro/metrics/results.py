@@ -1,4 +1,13 @@
-"""Result containers produced by one simulation run."""
+"""Result containers produced by one simulation run.
+
+Each record has two lossless encodings, both driven by its field
+table (:class:`~repro.common.codec.FieldTable`): ``to_dict`` keys every
+value by its field name (the pool crossing, the service API and the
+bench digests read it), and ``to_row`` lists the values in field order
+(the disk cache stores it: a 12-CPU result is about a quarter of the
+bytes, since the dict form repeats some 500 key strings).
+``RunMetrics.from_dict`` decodes either.
+"""
 
 from __future__ import annotations
 
@@ -6,11 +15,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.audit.report import AuditReport
-from repro.bus.bus import BusStats
-from repro.common.codec import FieldTable
+from repro.bus.bus import _BUS_FIELDS, _KIND_FIELDS, BusStats
+from repro.common.codec import FieldTable, schema_tag
 from repro.obs.sampler import ObsReport
 
-__all__ = ["CpuMetrics", "MissCounts", "RunMetrics"]
+__all__ = ["ROW_SCHEMA", "CpuMetrics", "MissCounts", "RunMetrics"]
 
 
 @dataclass
@@ -91,10 +100,14 @@ class MissCounts:
         """JSON-safe dict of the raw counters (properties are derived)."""
         return _MISS_FIELDS.encode(self)
 
+    def to_row(self) -> list[int]:
+        """The raw counters in field order."""
+        return _MISS_FIELDS.row(self)
+
     @classmethod
-    def from_dict(cls, data: dict[str, int]) -> "MissCounts":
-        """Exact inverse of :meth:`to_dict`; ValueError unless ``data``
-        carries exactly this version's counters."""
+    def from_dict(cls, data: dict[str, int] | list[int]) -> "MissCounts":
+        """Exact inverse of :meth:`to_dict` and :meth:`to_row`; ValueError
+        unless ``data`` carries exactly this version's counters."""
         return cls(*_MISS_FIELDS.decode(data))
 
 
@@ -163,10 +176,16 @@ class CpuMetrics:
         data["misses"] = self.misses.to_dict()
         return data
 
+    def to_row(self) -> list[Any]:
+        """Positional form; ``misses`` nested via :meth:`MissCounts.to_row`."""
+        row = _CPU_FIELDS.row(self)
+        row[_MISSES_AT] = self.misses.to_row()
+        return row
+
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CpuMetrics":
-        """Exact inverse of :meth:`to_dict`; ValueError unless ``data``
-        carries exactly this version's fields."""
+    def from_dict(cls, data: dict[str, Any] | list[Any]) -> "CpuMetrics":
+        """Exact inverse of :meth:`to_dict` and :meth:`to_row`; ValueError
+        unless ``data`` carries exactly this version's fields."""
         cpu = cls(*_CPU_FIELDS.decode(data))
         cpu.misses = MissCounts.from_dict(cpu.misses)
         return cpu
@@ -339,15 +358,36 @@ class RunMetrics:
             data["obs"] = self.obs.to_dict()
         return data
 
+    def to_row(self) -> dict[str, Any]:
+        """The compact form the disk cache stores.
+
+        :meth:`to_dict` with every per-CPU and bus record as a row, and
+        :data:`ROW_SCHEMA` under ``"row_schema"`` first.  The six run
+        fields stay keyed: they cost a few dozen bytes, and a loaded
+        entry's ``exec_cycles`` or ``machine`` reads by name.  Carries
+        no ``audit`` or ``obs`` payload (such runs bypass the cache).
+        """
+        data = {"row_schema": ROW_SCHEMA, **_RUN_FIELDS.encode(self)}
+        data["per_cpu"] = [c.to_row() for c in self.per_cpu]
+        data["bus"] = self.bus.to_row()
+        return data
+
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunMetrics":
-        """Exact inverse of :meth:`to_dict`.
+        """Exact inverse of :meth:`to_dict` and of :meth:`to_row`.
 
-        Raises ValueError when any record's keys differ from this
-        version's fields, so a stored result of another schema never
-        decodes to a partial or zero-filled object.
+        Raises ValueError when any record's keys (or a row's length)
+        differ from this version's fields, or a row form's
+        ``row_schema`` is not :data:`ROW_SCHEMA`, so a stored result of
+        another schema never decodes to a partial or zero-filled object.
         """
-        run = cls(*_RUN_FIELDS.decode(data))
+        if "row_schema" in data:
+            values = _ROW_FIELDS.decode(data)
+            if values[0] != ROW_SCHEMA:
+                raise ValueError(f"row schema {values[0]!r} is not {ROW_SCHEMA!r}")
+            run = cls(*values[1:])
+        else:
+            run = cls(*_RUN_FIELDS.decode(data))
         cpu_from_dict = CpuMetrics.from_dict
         run.per_cpu = [cpu_from_dict(cpu) for cpu in run.per_cpu]
         run.bus = BusStats.from_dict(run.bus)
@@ -389,7 +429,15 @@ class RunMetrics:
         }
 
 
-#: Each record's field table: its ``to_dict`` and ``from_dict`` both read it.
+#: Each record's field table: its ``to_dict``, ``to_row`` and ``from_dict`` read it.
 _MISS_FIELDS = FieldTable.of(MissCounts)
 _CPU_FIELDS = FieldTable.of(CpuMetrics)
 _RUN_FIELDS = FieldTable.of(RunMetrics, optional=("audit", "obs"))
+_ROW_FIELDS = FieldTable("RunMetrics row", ("row_schema", *_RUN_FIELDS.names))
+_MISSES_AT = _CPU_FIELDS.names.index("misses")
+
+#: The tag of :meth:`RunMetrics.to_row`: a hash of the ordered field
+#: names of every record a row nests.  Rows carry no names, so a row
+#: written under other tables (a field renamed, added, dropped or
+#: moved) is refused by this tag, not misread by position.
+ROW_SCHEMA = schema_tag(_MISS_FIELDS, _CPU_FIELDS, _BUS_FIELDS, _KIND_FIELDS, _RUN_FIELDS)

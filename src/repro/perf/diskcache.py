@@ -2,8 +2,8 @@
 
 Every simulation in the reproduction is a pure function of its inputs:
 (workload spec, scale, seed, prefetch strategy, machine config, engine
-version).  The cache keys serialized :class:`~repro.metrics.results.RunMetrics`
-JSON by a SHA-256 content hash of exactly those inputs, so
+version).  The cache keys each stored result by a SHA-256 content hash
+of exactly those inputs, so
 
 * re-running a bench session skips every already-simulated grid point,
 * any input change (including :data:`repro.sim.engine.ENGINE_VERSION`,
@@ -12,12 +12,19 @@ JSON by a SHA-256 content hash of exactly those inputs, so
 * deleting the cache directory (``results/.cache/`` by default) is
   always safe -- entries are pure derived data.
 
+An entry is two lines: the stored value as compact JSON (the runner
+stores :meth:`~repro.metrics.results.RunMetrics.to_row`), then
+``{"inputs", "key"}`` with sorted keys, so an entry stays readable when
+debugging.  :meth:`ResultDiskCache.load` reads and decodes the first
+line only; a hit never parses the inputs.
+
 Writes are atomic (a uniquely named temp file + ``os.replace``) so a
 crashed or killed run can never leave a torn entry.  Unreadable entries
-are treated as misses and overwritten, and so is an entry that does not
-decode to this version's :class:`~repro.metrics.results.RunMetrics`:
-valid JSON with a field missing, an extra field or an unknown bus
-operation kind.  The runner decodes every hit and reports such an
+(and a first line without its terminator) are treated as misses and
+overwritten, and so is an entry that does not decode to this version's
+:class:`~repro.metrics.results.RunMetrics`: a row of another
+``ROW_SCHEMA`` or length, or a single-line entry written before the
+two-line format.  The runner decodes every hit and reports such an
 entry through :meth:`ResultDiskCache.reject`.  Stale temp files
 orphaned by a crashed writer are swept by an instance's first store (a
 reader never sees a temp file, so a read-only session never pays the
@@ -76,6 +83,9 @@ _PRUNE_EVERY_STORES = 64
 class ResultDiskCache:
     """A directory of ``<key[:2]>/<key>.json`` result entries.
 
+    Each entry holds the stored value on its first line and the key and
+    hashed inputs on its second (see the module docstring).
+
     Args:
         root: cache directory (created lazily on first store).
         max_bytes: size cap enforced oldest-first (None disables it).
@@ -124,32 +134,42 @@ class ResultDiskCache:
             except OSError:
                 pass  # concurrent sweep or writer won the race; retry next session
 
-    def load(self, key: str) -> dict[str, Any] | None:
-        """The cached metrics dict for ``key``, or None on a miss.
+    def load(self, key: str) -> Any:
+        """The value stored under ``key``, or None on a miss.
 
-        A corrupt or truncated entry counts as a miss (it will be
+        Reads and decodes the entry's first line only.  A corrupt entry,
+        or one whose first line is unterminated (torn, or written
+        before the two-line format), counts as a miss (it will be
         re-simulated and overwritten).
         """
         try:
-            with open(self._file(key), encoding="utf-8") as fh:
-                metrics = json.load(fh)["metrics"]
-        except (OSError, ValueError, KeyError, TypeError):
+            # Raw descriptor reads: a hit pays no buffered file object.
+            fd = os.open(self._file(key), os.O_RDONLY)
+            try:
+                data = os.read(fd, os.fstat(fd).st_size)
+            finally:
+                os.close(fd)
+            end = data.find(b"\n")
+            if end < 0:
+                raise ValueError("unterminated entry line")
+            value = json.loads(data[:end])
+        except (OSError, ValueError):
             self.misses += 1
             return None
         self.hits += 1
-        return metrics
+        return value
 
     def reject(self) -> None:
         """Recount the last :meth:`load` hit as a miss: the caller rejected its
-        metrics as another schema (re-simulated and overwritten)."""
+        value as another schema (re-simulated and overwritten)."""
         self.hits -= 1
         self.misses += 1
 
-    def store(self, key: str, metrics: dict[str, Any], inputs: dict[str, Any]) -> None:
-        """Atomically persist ``metrics`` under ``key``.
+    def store(self, key: str, value: Any, inputs: dict[str, Any]) -> None:
+        """Atomically persist ``value`` (any JSON-native value) under ``key``.
 
-        ``inputs`` (the hashed payload) is stored alongside for
-        debuggability -- entries are self-describing.
+        ``inputs`` (the hashed payload) is stored on the entry's second
+        line for debuggability -- entries are self-describing.
 
         The temp file is uniquely named per call (``mkstemp``), so
         concurrent writers -- including threads sharing one PID -- can
@@ -160,11 +180,12 @@ class ResultDiskCache:
         self._sweep_orphans()
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"key": key, "inputs": inputs, "metrics": metrics}
+        head = json.dumps(value, separators=(",", ":"))
+        tail = json.dumps({"key": key, "inputs": inputs}, sort_keys=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{key[:8]}.", suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, sort_keys=True))  # C encoder; same bytes
+                fh.write(f"{head}\n{tail}\n")
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -221,22 +242,26 @@ class ResultDiskCache:
         self.evictions += removed
         return removed, freed
 
-    def stats(self) -> dict[str, int]:
-        """Session counters + on-disk footprint, as one JSON-safe snapshot.
-
-        The counters (hits/misses/stores/evictions) cover *this
-        instance's* lifetime; ``entries``/``bytes`` reflect the shared
-        on-disk state.  Consumed by fleet telemetry (``repro fleet``)
-        and useful anywhere the cache's effectiveness needs reporting.
-        """
+    def counters(self) -> dict[str, int]:
+        """This instance's hits/misses/stores/evictions."""
         return {
             "hits": self.hits,
             "misses": self.misses,
             "stores": self.stores,
             "evictions": self.evictions,
-            "entries": len(self),
-            "bytes": self.total_bytes(),
         }
+
+    def stats(self) -> dict[str, int]:
+        """Session counters + on-disk footprint, as one JSON-safe snapshot.
+
+        The counters (:meth:`counters`) cover *this instance's*
+        lifetime; ``entries``/``bytes`` reflect the shared on-disk
+        state, read in one walk of the directory.  Consumed by fleet
+        telemetry (``repro fleet``) and the service's ``/metrics`` and
+        TSDB snapshots.
+        """
+        sizes = [size for _, size, _ in self._entries()]
+        return {**self.counters(), "entries": len(sizes), "bytes": sum(sizes)}
 
     def clear(self) -> None:
         """Delete every cached entry (the whole cache directory)."""

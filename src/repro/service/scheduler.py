@@ -569,7 +569,7 @@ class RunScheduler:
 
         Session counters (hits/misses/stores/evictions) sum over every
         frame's cache instance; the on-disk footprint (entries/bytes) is
-        read once -- all instances share one directory.
+        read in one directory walk -- all instances share one directory.
         """
         caches = [r.disk_cache for r in self._runners.values() if r.disk_cache is not None]
         if self.cache_dir is not None and not caches:
@@ -578,13 +578,10 @@ class RunScheduler:
             caches = [ResultDiskCache(self.cache_dir)]
         if not caches:
             return None
-        stats = {"hits": 0, "misses": 0, "stores": 0, "evictions": 0}
-        for cache in caches:
-            snapshot = cache.stats()
-            for key in stats:
-                stats[key] += snapshot[key]
-        stats["entries"] = len(caches[0])
-        stats["bytes"] = caches[0].total_bytes()
+        stats = caches[0].stats()
+        for cache in caches[1:]:
+            for key, value in cache.counters().items():
+                stats[key] += value
         return stats
 
     def queue_depth(self) -> int:

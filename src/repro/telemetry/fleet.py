@@ -42,6 +42,7 @@ from repro.telemetry.heartbeat import (
     DEFAULT_STALL_TIMEOUT,
     EngineSampler,
     FleetMonitor,
+    Heartbeat,
     HeartbeatSender,
     render_fleet_progress,
 )
@@ -141,6 +142,15 @@ class Probe:
     heartbeat_interval: float = DEFAULT_BEAT_INTERVAL
     trace_ctx: tuple[str, str | None] | None = None
     execution: Any = None
+
+    def beat(self, phase: str) -> None:
+        """Send one heartbeat naming this process (best-effort).
+
+        Its pid is what :meth:`FleetBatch.kill` reads, so a worker sends
+        one before any stage that could hang.
+        """
+        if self.queue is not None:
+            HeartbeatSender(self.queue).emit(Heartbeat(self.index, self.label, os.getpid(), phase))
 
     @contextmanager
     def watch(self, engine: Any, total_events: int, started: float) -> Iterator[None]:
@@ -428,6 +438,8 @@ class FleetBatch:
     def kill(self, j: int) -> None:
         """SIGKILL job ``j``'s worker (known from its heartbeats), if any.
 
+        A pool worker's first beat (``generate``) goes out before any
+        stage of the job, so a started job always names its worker.
         Drains the heartbeat queue first, so a beat the monitor thread
         has not read yet still names the worker.
         """

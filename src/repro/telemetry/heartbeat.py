@@ -56,7 +56,8 @@ class Heartbeat:
         job: index of the job in the batch (parent-assigned).
         label: human-readable grid-point label.
         pid: worker process id (the ``job_timeout`` kill target).
-        phase: ``"generate"``, ``"insert"``, ``"simulate"`` or ``"done"``.
+        phase: ``"generate"`` (a pool worker's first beat, sent before
+            generation and insertion), ``"simulate"`` or ``"done"``.
         cycles: simulated cycles completed so far.
         events: trace events retired so far.
         total_events: trace events in the job (0 until known).

@@ -24,9 +24,9 @@ from repro.bus.bus import BusStats
 from repro.bus.transaction import TransactionKind
 from repro.common.config import CacheConfig, MachineConfig
 from repro.experiments.runner import ExperimentRunner, RunJob
-from repro.common.codec import FieldTable
+from repro.common.codec import FieldTable, schema_tag
 from repro.metrics import results as results_module
-from repro.metrics.results import CpuMetrics, MissCounts, RunMetrics
+from repro.metrics.results import ROW_SCHEMA, CpuMetrics, MissCounts, RunMetrics
 from repro.perf.diskcache import ResultDiskCache, content_key
 from repro.perf.history import FLOOR_RATIO, check_floor, floor_gate, load_history, newest
 from repro.prefetch.insertion import insert_prefetches
@@ -160,6 +160,7 @@ class TestSerialization:
     def test_miss_counts_round_trip(self):
         mc = MissCounts(1, 2, 3, 4, 5, 6, 7)
         assert MissCounts.from_dict(mc.to_dict()) == mc
+        assert MissCounts.from_dict(mc.to_row()) == mc
 
     def test_bus_stats_round_trip(self):
         stats = BusStats(busy_cycles=99, demand_ops=5, prefetch_ops=2, total_wait_cycles=17)
@@ -169,10 +170,12 @@ class TestSerialization:
         assert restored == stats
         # enum keys survive the name-keyed JSON rendering
         assert TransactionKind.UPGRADE in restored.ops_by_kind
+        assert BusStats.from_dict(stats.to_row()) == stats
 
     def test_cpu_metrics_round_trip(self):
         cm = CpuMetrics(cpu=3, demand_refs=100, misses=MissCounts(1, 0, 2, 0, 3, 0, 1))
         assert CpuMetrics.from_dict(cm.to_dict()) == cm
+        assert CpuMetrics.from_dict(cm.to_row()) == cm
 
     def test_run_metrics_exact_round_trip_through_json(self):
         """A real simulation result survives to_dict -> JSON -> from_dict
@@ -209,11 +212,31 @@ def _asdict_rendering(run: RunMetrics) -> dict:
     return data
 
 
+def _row_rendering(run: RunMetrics) -> dict:
+    """The ``to_row`` form derived from the ``asdict`` reference: every
+    nested record's values in its key order, the tag first."""
+    data = _asdict_rendering(run)
+    per_cpu = []
+    for cpu in data["per_cpu"]:
+        cpu["misses"] = list(cpu["misses"].values())
+        per_cpu.append(list(cpu.values()))
+    data["bus"]["ops_by_kind"] = list(data["bus"]["ops_by_kind"].values())
+    return {
+        "row_schema": ROW_SCHEMA,
+        **data,
+        "per_cpu": per_cpu,
+        "bus": list(data["bus"].values()),
+    }
+
+
 def _assert_codec_matches_reference(run: RunMetrics) -> None:
     encoded = run.to_dict()
     assert encoded == _asdict_rendering(run)
     assert json.dumps(encoded) == json.dumps(_asdict_rendering(run))  # key order too
     assert RunMetrics.from_dict(json.loads(json.dumps(encoded))) == run
+    row = run.to_row()
+    assert json.dumps(row) == json.dumps(_row_rendering(run))
+    assert RunMetrics.from_dict(json.loads(json.dumps(row))) == run
 
 
 _counter = st.integers(min_value=0, max_value=2**40)
@@ -237,6 +260,10 @@ def _run_metrics(draw) -> RunMetrics:
         per_cpu=per_cpu,
         bus=bus,
     )
+
+
+#: Ways a stored row can be of another version's schema; each must be refused.
+ROW_DAMAGE = ["extra", "missing", "unknown_kind", "short_misses", "wrong_tag"]
 
 
 class TestFieldTableCodecs:
@@ -268,15 +295,37 @@ class TestFieldTableCodecs:
         with pytest.raises((AssertionError, ValueError)):
             _assert_codec_matches_reference(run)
 
-    @pytest.mark.parametrize("damage", ["extra", "missing", "unknown_kind"])
+    @pytest.mark.parametrize("damage", ROW_DAMAGE)
     def test_a_record_of_another_schema_is_refused(self, damage):
+        row = _one_result().to_row()
+        _damage(row, damage)
+        with pytest.raises(ValueError):
+            RunMetrics.from_dict(row)
+
+    @pytest.mark.parametrize("damage", ["extra", "missing", "unknown_kind"])
+    def test_a_dict_of_another_schema_is_refused(self, damage):
         data = _one_result().to_dict()
-        _damage(data, damage)
+        _damage_dict(data, damage)
         with pytest.raises(ValueError):
             RunMetrics.from_dict(data)
 
 
-def _damage(metrics: dict, how: str) -> None:
+def _damage(row: dict, how: str) -> None:
+    """Give a ``RunMetrics.to_row()`` record another version's schema."""
+    cpu = row["per_cpu"][0]
+    if how == "extra":
+        cpu.append(1)
+    elif how == "missing":
+        del cpu[-1]
+    elif how == "unknown_kind":
+        row["bus"][bus_module._OPS_AT].append(1)  # a count for a kind this version lacks
+    elif how == "short_misses":
+        del cpu[results_module._MISSES_AT][-1]
+    else:
+        row["row_schema"] = "0" * len(ROW_SCHEMA)
+
+
+def _damage_dict(metrics: dict, how: str) -> None:
     """Give a ``RunMetrics.to_dict()`` record another version's schema."""
     if how == "extra":
         metrics["per_cpu"][0]["future_counter"] = 1
@@ -284,6 +333,33 @@ def _damage(metrics: dict, how: str) -> None:
         del metrics["per_cpu"][0]["upgrades"]
     else:
         metrics["bus"]["ops_by_kind"]["SNARF"] = 1
+
+
+def _entry_lines(path: Path) -> list[str]:
+    """A disk-cache entry's two lines, without their terminators."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert len(lines) == 3 and lines[2] == "", "an entry is two terminated lines"
+    return lines[:2]
+
+
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+def _damage_entry(path: Path, how: str) -> None:
+    """Rewrite a runner's entry so its row has another version's schema.
+
+    ``pre_change`` replaces it with the single-line entry written before
+    rows: ``{"inputs", "key", "metrics"}`` with the metrics as a dict.
+    """
+    head, tail = _entry_lines(path)
+    row = json.loads(head)
+    if how == "pre_change":
+        old = {**json.loads(tail), "metrics": RunMetrics.from_dict(row).to_dict()}
+        path.write_text(json.dumps(old, sort_keys=True), encoding="utf-8")
+        return
+    _damage(row, how)
+    path.write_text(f"{_compact(row)}\n{tail}\n", encoding="utf-8")
 
 
 # ------------------------------------------------------------- disk cache
@@ -345,14 +421,18 @@ class TestDiskCache:
         assert fresh.exists()  # young temp may belong to a live writer
 
     def test_store_bytes_match_sorted_dumps(self, tmp_path):
-        """An entry on disk is exactly ``json.dumps(entry, sort_keys=True)``."""
+        """An entry on disk is the value as compact JSON, then the key and
+        inputs as ``json.dumps(..., sort_keys=True)``, one line each."""
         cache = ResultDiskCache(tmp_path / "c")
         inputs = {"workload": "Water", "scale": 0.05, "strategy": {"name": "PWS", "distance": 100}}
-        metrics = {"exec_cycles": 12345, "miss_rate": 0.0625, "per_cpu": [{"b": 1.5, "a": None}], "note": "é"}
+        value = {"exec_cycles": 12345, "note": "é\nx", "per_cpu": [[1.5, None]], "a": 0.0625}
         key = content_key(inputs)
-        cache.store(key, metrics, inputs)
-        entry = {"key": key, "inputs": inputs, "metrics": metrics}
-        assert cache._path(key).read_bytes() == json.dumps(entry, sort_keys=True).encode("utf-8")
+        cache.store(key, value, inputs)
+        tail = json.dumps({"key": key, "inputs": inputs}, sort_keys=True)
+        expected = f"{_compact(value)}\n{tail}\n"
+        assert cache._path(key).read_bytes() == expected.encode("utf-8")
+        assert _entry_lines(cache._path(key)) == [_compact(value), tail]
+        assert list(json.loads(tail)) == ["inputs", "key"]
 
     def test_store_load_round_trip(self, tmp_path):
         cache = ResultDiskCache(tmp_path / "c")
@@ -395,7 +475,7 @@ class TestDiskCache:
             [r.to_dict() for r in second], sort_keys=True
         )
 
-    @pytest.mark.parametrize("damage", ["extra", "missing", "unknown_kind"])
+    @pytest.mark.parametrize("damage", ROW_DAMAGE + ["pre_change"])
     def test_entry_of_another_schema_is_a_miss_and_overwritten(self, tmp_path, damage):
         """Valid JSON that does not decode to this version's RunMetrics
         is a miss: re-simulated, stored over, never a crash or a
@@ -403,17 +483,92 @@ class TestDiskCache:
         machine = MachineConfig(num_cpus=4)
         cold = ExperimentRunner(num_cpus=4, scale=0.1, disk_cache=tmp_path / "c")
         fresh = cold.run("Water", PREF, machine)
-        key = cold.job("Water", PREF, machine).config_key
-        path = cold.disk_cache._path(key)
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        _damage(entry["metrics"], damage)
-        path.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+        path = cold.disk_cache._path(cold.job("Water", PREF, machine).config_key)
+        _damage_entry(path, damage)
+        self._assert_missed_and_rewritten(tmp_path, fresh, path)
 
+    @staticmethod
+    def _assert_missed_and_rewritten(tmp_path: Path, fresh: RunMetrics, path: Path) -> None:
         runner = ExperimentRunner(num_cpus=4, scale=0.1, disk_cache=tmp_path / "c")
-        assert runner.run("Water", PREF, machine) == fresh
+        assert runner.run("Water", PREF, MachineConfig(num_cpus=4)) == fresh
         disk = runner.disk_cache
         assert (disk.hits, disk.misses, disk.stores) == (0, 1, 1)
-        assert json.loads(path.read_text(encoding="utf-8"))["metrics"] == fresh.to_dict()
+        assert _entry_lines(path)[0] == _compact(fresh.to_row())
+
+    @pytest.mark.parametrize("change", ["dropped", "reordered"])
+    def test_entry_written_under_other_field_tables_is_a_miss(self, tmp_path, monkeypatch, change):
+        """A row stored by a version whose field tables differ carries
+        another ``ROW_SCHEMA``.  A reordered table keeps every row's
+        length, so only the tag refuses it: without the tag it would
+        decode, wrongly, by position."""
+        machine = MachineConfig(num_cpus=4)
+        fresh = ExperimentRunner(num_cpus=4, scale=0.1).run("Water", PREF, machine)
+        full = results_module._MISS_FIELDS
+        names = full.names[:-1] if change == "dropped" else full.names[::-1]
+        other = FieldTable(full.owner, names)
+        monkeypatch.setattr(results_module, "_MISS_FIELDS", other)
+        monkeypatch.setattr(
+            results_module,
+            "ROW_SCHEMA",
+            schema_tag(
+                other,
+                results_module._CPU_FIELDS,
+                bus_module._BUS_FIELDS,
+                bus_module._KIND_FIELDS,
+                results_module._RUN_FIELDS,
+            ),
+        )
+        cold = ExperimentRunner(num_cpus=4, scale=0.1, disk_cache=tmp_path / "c")
+        cold.run("Water", PREF, machine)
+        monkeypatch.undo()
+        path = cold.disk_cache._path(cold.job("Water", PREF, machine).config_key)
+        row = json.loads(_entry_lines(path)[0])
+        assert row["row_schema"] != ROW_SCHEMA
+        at = results_module._MISSES_AT
+        width = len(fresh.to_row()["per_cpu"][0][at])
+        assert (len(row["per_cpu"][0][at]) == width) == (change == "reordered")
+        self._assert_missed_and_rewritten(tmp_path, fresh, path)
+
+    def test_a_warm_hit_decodes_only_the_first_line(self, tmp_path, monkeypatch):
+        """A torn or garbage second line is still a hit: ``inputs`` is
+        never decoded.  The hit makes one load and one decode."""
+        machine = MachineConfig(num_cpus=4)
+        cold = ExperimentRunner(num_cpus=4, scale=0.1, disk_cache=tmp_path / "c")
+        fresh = cold.run("Water", PREF, machine)
+        path = cold.disk_cache._path(cold.job("Water", PREF, machine).config_key)
+        head, _tail = _entry_lines(path)
+        path.write_text(head + '\n{"inputs": {"work\x00 not json', encoding="utf-8")
+
+        calls = []
+        load, from_dict = ResultDiskCache.load, RunMetrics.__dict__["from_dict"].__func__
+
+        def counted_load(self, key):
+            calls.append("load")
+            return load(self, key)
+
+        def counted_from_dict(cls, data):
+            calls.append("from_dict")
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(ResultDiskCache, "load", counted_load)
+        monkeypatch.setattr(RunMetrics, "from_dict", classmethod(counted_from_dict))
+        warm = ExperimentRunner(num_cpus=4, scale=0.1, disk_cache=tmp_path / "c")
+        assert warm.run("Water", PREF, machine) == fresh
+        assert calls == ["load", "from_dict"]
+        disk = warm.disk_cache
+        assert (disk.hits, disk.misses, disk.stores) == (1, 0, 0)
+
+    def test_a_twelve_cpu_entry_is_a_quarter_of_its_dict(self, tmp_path):
+        """A 12-CPU entry, inputs included, is about 2.1 KB; the single-line
+        entry with the keyed dict the cache stored before rows was about
+        8.5 KB."""
+        machine = MachineConfig(num_cpus=12)
+        runner = ExperimentRunner(num_cpus=12, scale=0.05, disk_cache=tmp_path / "c")
+        result = runner.run("Water", PWS, machine)
+        path = runner.disk_cache._path(runner.job("Water", PWS, machine).config_key)
+        head = _entry_lines(path)[0]
+        assert path.stat().st_size < 2200
+        assert 4 * len(head) < len(json.dumps(result.to_dict(), sort_keys=True))
 
     def test_writer_killed_before_replace_loses_nothing_committed(self, tmp_path):
         """SIGKILL between the temp file's write and ``os.replace``: the

@@ -26,6 +26,7 @@ from repro.cli import main as cli_main
 from repro.common.config import MachineConfig
 from repro.common.errors import ConfigurationError, ReproError
 from repro.experiments.runner import ExperimentRunner
+from repro.metrics.results import RunMetrics
 from repro.perf.diskcache import ResultDiskCache
 from repro.prefetch.strategies import strategy_by_name
 from repro.service.api import ReproService, ServiceConfig, serve_in_thread
@@ -51,7 +52,7 @@ from repro.telemetry.ledger import LedgerEntry, RunLedger
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.timeseries import TimeSeriesStore
 from repro.telemetry.tracing import check_chrome_events
-from tests.test_perf import _damage
+from tests.test_perf import ROW_DAMAGE, _compact, _damage_entry, _entry_lines
 
 #: The CI-speed frame used throughout: tiny but a real simulation.
 QUICK = dict(workload="Water", num_cpus=2, scale=0.02, transfer_cycles=4)
@@ -620,7 +621,7 @@ class TestScheduler:
 
         _run(second_life())
 
-    @pytest.mark.parametrize("damage", ["extra", "missing", "unknown_kind"])
+    @pytest.mark.parametrize("damage", ROW_DAMAGE + ["pre_change"])
     def test_cached_result_of_another_schema_is_a_miss_and_rerun(self, tmp_path, damage):
         """A hydrated run whose cache entry does not decode to this
         version's RunMetrics has no result (not a crash); resubmitting
@@ -642,9 +643,7 @@ class TestScheduler:
 
         first = _run(first_life())
         path = ResultDiskCache(cache_dir)._path(spec.config_key)
-        entry = json.loads(path.read_text(encoding="utf-8"))
-        _damage(entry["metrics"], damage)
-        path.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+        _damage_entry(path, damage)
 
         async def second_life():
             store = LedgerRunStore(ledger)
@@ -667,7 +666,7 @@ class TestScheduler:
                 await scheduler.close()
 
         assert _run(second_life()) == first
-        assert json.loads(path.read_text(encoding="utf-8"))["metrics"] == first
+        assert _entry_lines(path)[0] == _compact(RunMetrics.from_dict(first).to_row())
 
 
 # --------------------------------------------------------------------------
@@ -1344,6 +1343,39 @@ class TestCacheGauges:
         # Re-export overwrites (gauge semantics), never double counts.
         export_cache_stats(registry, cache.stats())
         assert 'repro_cache_session_ops{op="hits"} 1' in registry.render_prometheus()
+
+    def test_a_snapshot_walks_the_cache_directory_once(self, tmp_path, monkeypatch):
+        """``stats()`` and the scheduler's snapshot over three runner
+        frames each read the on-disk footprint in one directory walk."""
+        from pathlib import PosixPath
+
+        cache_dir = tmp_path / "cache"
+        writer = ResultDiskCache(cache_dir)
+        for i in range(3):
+            writer.store(f"{i:02d}" * 32, {"m": i}, {"i": i})
+        scheduler = RunScheduler(cache_dir=str(cache_dir))
+        for seed in (1, 2, 3):
+            scheduler._runner((2, seed, 0.02)).disk_cache.load("00" * 32)
+        walks = []
+        glob = PosixPath.glob
+
+        def counted(self, pattern):
+            walks.append(pattern)
+            return glob(self, pattern)
+
+        monkeypatch.setattr(PosixPath, "glob", counted)
+        assert writer.stats() == {
+            "hits": 0, "misses": 0, "stores": 3, "evictions": 0,
+            "entries": 3, "bytes": writer.total_bytes(),
+        }
+        walks.clear()
+        assert ResultDiskCache(cache_dir).stats()["entries"] == 3
+        assert len(walks) == 1
+        walks.clear()
+        stats = scheduler.cache_stats()
+        assert len(walks) == 1
+        assert (stats["hits"], stats["misses"], stats["entries"]) == (3, 0, 3)
+        assert stats["bytes"] == writer.total_bytes()
 
 
 # --------------------------------------------------------------------------

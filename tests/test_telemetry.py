@@ -614,6 +614,39 @@ class TestTelemeteredRunner:
         assert runner.cached_run_count == 1
         assert runner.run_many(jobs[:1])[0].exec_cycles > 0  # a memo hit
 
+    def test_job_timeout_kills_a_worker_hung_before_the_engine(self, tmp_path, monkeypatch):
+        """A pooled point that hangs in insertion, before the engine's
+        sampler beats, is still killed on its deadline.
+
+        The worker's first heartbeat (``generate``) names its pid before
+        any stage runs, so pool shutdown does not wait out the hang.
+        """
+        import time
+
+        from repro.experiments import runner as runner_module
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the hang is patched into the parent; workers must fork")
+        insert = runner_module.insert_prefetches
+
+        def hang_on_pref(trace, strategy, cache):
+            if strategy.name == "PREF":
+                time.sleep(8.0)
+            return insert(trace, strategy, cache)
+
+        monkeypatch.setattr(runner_module, "insert_prefetches", hang_on_pref)
+        ledger = RunLedger(tmp_path)
+        telemetry = TelemetryConfig(ledger=ledger, job_timeout=0.5)
+        runner = ExperimentRunner(num_cpus=4, scale=0.05, max_workers=2)
+        machine = self._machine()
+        started = time.monotonic()
+        with pytest.raises(FleetError) as excinfo:
+            runner.run_many([("Water", NP, machine), ("Water", PREF, machine)], telemetry=telemetry)
+        assert time.monotonic() - started < 6.0
+        (failure,) = excinfo.value.failures
+        assert failure.kind == "timeout" and failure.label == "Water/PREF@8c"
+        assert sorted(e.outcome for e in ledger.entries()) == ["ok", "timeout"]
+
     def test_registry_counts_runs(self):
         telemetry = TelemetryConfig()
         runner = ExperimentRunner(num_cpus=4, scale=0.05)
