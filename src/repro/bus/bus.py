@@ -104,6 +104,13 @@ _KINDS = tuple(TransactionKind)
 _KIND_FIELDS = FieldTable("ops_by_kind", [kind.name for kind in _KINDS])
 _OPS_AT = _BUS_FIELDS.names.index("ops_by_kind")
 
+# The kinds a transaction is built with, read as globals: reading an enum
+# member off its class costs about ten global reads on CPython 3.11.
+_FILL = TransactionKind.FILL
+_FILL_EX = TransactionKind.FILL_EX
+_UPGRADE = TransactionKind.UPGRADE
+_WRITEBACK = TransactionKind.WRITEBACK
+
 
 class Bus:
     """The contended memory resource shared by all CPUs.
@@ -129,13 +136,33 @@ class Bus:
         #: Min-heap of ``(eligible_time, seq)``; granted entries are
         #: dropped lazily when they reach the top.
         self._eligible: list[tuple[int, int]] = []
-        #: ``_rr_order[last]``: CPUs in round-robin order after ``last``.
-        self._rr_order = [
-            tuple((last + 1 + i) % num_cpus for i in range(num_cpus))
-            for last in range(num_cpus)
-        ]
         self._last_granted_cpu = num_cpus - 1
         self._seq = 0
+        #: ``_service_order[last]``: every queue in grant order after CPU
+        #: ``last`` -- tier by tier, round-robin within a tier (demand
+        #: priority); without it, per CPU in round-robin order the tuple
+        #: of that CPU's tier queues.
+        rr_orders = [
+            [(last + 1 + i) % num_cpus for i in range(num_cpus)] for last in range(num_cpus)
+        ]
+        queues = self._queues
+        if config.demand_priority:
+            self._service_order = [
+                tuple(tier[cpu] for tier in queues for cpu in order) for order in rr_orders
+            ]
+        else:
+            self._service_order = [
+                tuple(tuple(tier[cpu] for tier in queues) for cpu in order) for order in rr_orders
+            ]
+        # BusConfig derives these on every read; a transaction is built
+        # per miss, so they are read once here.
+        self._contention_free = config.contention_free
+        self._demand_priority = config.demand_priority
+        self._fill_delay = config.uncontended_cycles
+        self._fill_occupancy = config.transfer_cycles
+        self._upgrade_delay = max(0, config.upgrade_latency - config.upgrade_occupancy)
+        self._upgrade_occupancy = config.upgrade_occupancy
+        self._writeback_occupancy = config.effective_writeback_occupancy
         #: Optional observability tap (:class:`repro.obs.taps.EngineObserver`);
         #: set by the engine when ``SimulationConfig.observe`` is on.
         #: Read-only with respect to bus state.
@@ -169,30 +196,28 @@ class Bus:
         self, cpu: int, block: int, exclusive: bool, is_demand: bool, now: int, word_mask: int = 0
     ) -> BusTransaction:
         """Build (not queue) a fill transaction issued at ``now``."""
-        kind = TransactionKind.FILL_EX if exclusive else TransactionKind.FILL
         return BusTransaction(
-            cpu=cpu,
-            block=block,
-            kind=kind,
-            is_demand=is_demand,
-            issue_time=now,
-            eligible_time=now + self.config.uncontended_cycles,
-            occupancy=self.config.transfer_cycles,
-            word_mask=word_mask,
+            cpu,
+            block,
+            _FILL_EX if exclusive else _FILL,
+            is_demand,
+            now,
+            now + self._fill_delay,
+            self._fill_occupancy,
+            word_mask,
         )
 
     def make_upgrade(self, cpu: int, block: int, now: int, word_mask: int) -> BusTransaction:
         """Build an upgrade (invalidate-others) transaction."""
-        uncontended = max(0, self.config.upgrade_latency - self.config.upgrade_occupancy)
         return BusTransaction(
-            cpu=cpu,
-            block=block,
-            kind=TransactionKind.UPGRADE,
-            is_demand=True,
-            issue_time=now,
-            eligible_time=now + uncontended,
-            occupancy=self.config.upgrade_occupancy,
-            word_mask=word_mask,
+            cpu,
+            block,
+            _UPGRADE,
+            True,
+            now,
+            now + self._upgrade_delay,
+            self._upgrade_occupancy,
+            word_mask,
         )
 
     def make_writeback(self, cpu: int, block: int, now: int) -> BusTransaction:
@@ -200,11 +225,11 @@ class Bus:
         return BusTransaction(
             cpu=cpu,
             block=block,
-            kind=TransactionKind.WRITEBACK,
+            kind=_WRITEBACK,
             is_demand=False,
             issue_time=now,
             eligible_time=now + 1,
-            occupancy=self.config.effective_writeback_occupancy,
+            occupancy=self._writeback_occupancy,
         )
 
     # ----------------------------------------------------------- arbitration
@@ -231,7 +256,7 @@ class Bus:
         while heap[0][1] not in pending:
             heappop(heap)
         earliest_eligible = heap[0][0]
-        if self.config.contention_free:
+        if self._contention_free:
             return max(now, earliest_eligible)
         return max(now, self.free_at, earliest_eligible)
 
@@ -240,65 +265,60 @@ class Bus:
 
         Returns the granted transaction with ``grant_time`` and
         ``completion_time`` filled in, or ``None`` when the bus is busy
-        or nothing is eligible yet.
+        or nothing is eligible yet.  With demand priority the winner is
+        the first eligible head by tier, then by round-robin CPU order;
+        without it, the first CPU in round-robin order with an eligible
+        head, taking its lowest-``seq`` one.
         """
-        if not self._pending:
+        pending = self._pending
+        if not pending:
             return None
-        if not self.config.contention_free and now < self.free_at:
+        contention_free = self._contention_free
+        if not contention_free and now < self.free_at:
             return None
-        chosen = self._choose(now)
-        if chosen is None:
-            return None
-        del self._pending[chosen.seq]
+        service_order = self._service_order[self._last_granted_cpu]
+        if self._demand_priority:
+            for queue in service_order:
+                if queue and queue[0].eligible_time <= now:
+                    break
+            else:
+                return None
+        else:
+            for tiers in service_order:
+                queue = None
+                for candidate in tiers:
+                    if candidate and candidate[0].eligible_time <= now and (
+                        queue is None or candidate[0].seq < queue[0].seq
+                    ):
+                        queue = candidate
+                if queue is not None:
+                    break
+            else:
+                return None
+        chosen = queue.popleft()
+        del pending[chosen.seq]
+        occupancy = chosen.occupancy
         chosen.grant_time = now
-        chosen.completion_time = now + chosen.occupancy
-        if self.config.contention_free:
+        chosen.completion_time = done = now + occupancy
+        if contention_free:
             # Unlimited bandwidth: transactions overlap freely; free_at
             # only tracks the last completion for end-of-run accounting.
-            self.free_at = max(self.free_at, chosen.completion_time)
+            if done > self.free_at:
+                self.free_at = done
         else:
-            self.free_at = chosen.completion_time
+            self.free_at = done
         self._last_granted_cpu = chosen.cpu
-        self._account(chosen)
-        if self.observer is not None:
-            self.observer.on_bus_grant(chosen, len(self._pending))
-        return chosen
-
-    def _choose(self, now: int) -> BusTransaction | None:
-        """Dequeue the winner among eligible queue heads, or None.
-
-        With demand priority: the first eligible head by tier, then by
-        round-robin CPU order.  Without it: the first CPU in round-robin
-        order with an eligible head, taking its lowest-``seq`` one.
-        """
-        order = self._rr_order[self._last_granted_cpu]
-        if self.config.demand_priority:
-            for queues in self._queues:
-                for cpu in order:
-                    queue = queues[cpu]
-                    if queue and queue[0].eligible_time <= now:
-                        return queue.popleft()
-            return None
-        for cpu in order:
-            best: deque[BusTransaction] | None = None
-            for queues in self._queues:
-                queue = queues[cpu]
-                if queue and queue[0].eligible_time <= now and (
-                    best is None or queue[0].seq < best[0].seq
-                ):
-                    best = queue
-            if best is not None:
-                return best.popleft()
-        return None
-
-    def _account(self, txn: BusTransaction) -> None:
-        self.stats.busy_cycles += txn.occupancy
-        self.stats.ops_by_kind[txn.kind] += 1
-        if txn.is_demand:
-            self.stats.demand_ops += 1
+        stats = self.stats
+        stats.busy_cycles += occupancy
+        stats.ops_by_kind[chosen.kind] += 1
+        if chosen.is_demand:
+            stats.demand_ops += 1
         else:
-            self.stats.prefetch_ops += 1
-        wait = txn.grant_time - txn.eligible_time
-        if wait < 0:
+            stats.prefetch_ops += 1
+        wait = now - chosen.eligible_time
+        if wait < 0:  # pragma: no cover - only eligible heads are granted
             raise SimulationError("transaction granted before it was eligible")
-        self.stats.total_wait_cycles += wait
+        stats.total_wait_cycles += wait
+        if self.observer is not None:
+            self.observer.on_bus_grant(chosen, len(pending))
+        return chosen

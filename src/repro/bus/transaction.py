@@ -16,6 +16,10 @@ class TransactionKind(IntEnum):
     WRITEBACK = 3   # copy-back of a dirty victim
 
 
+#: Read as a global in the constructor: reading an enum member off its
+#: class costs about ten global reads on CPython 3.11.
+_WRITEBACK = TransactionKind.WRITEBACK
+
 #: Arbitration tiers (lower is served first when demand priority is on):
 #: demand fills/upgrades, then writebacks, then prefetches.
 TIER_DEMAND = 0
@@ -81,7 +85,7 @@ class BusTransaction:
         self.grant_time = -1
         self.completion_time = -1
         self.seq = -1
-        if kind is TransactionKind.WRITEBACK:
+        if kind is _WRITEBACK:
             self.tier = TIER_WRITEBACK
         else:
             self.tier = TIER_DEMAND if is_demand else TIER_PREFETCH

@@ -312,7 +312,8 @@ class ExperimentRunner:
             (:meth:`run_many`, :meth:`sweep`, :meth:`compare`).  None,
             0 or 1 keeps everything serial and in-process (default).
         disk_cache: directory for the persistent result cache (see
-            :mod:`repro.perf.diskcache`); None disables it.
+            :mod:`repro.perf.diskcache`), or a cache instance to share
+            with other runners; None disables it.
         sim_config: engine-level options applied to every run.  When
             ``sim_config.audit`` is set the disk cache is bypassed in
             both directions: a cache hit would skip the audit entirely,
@@ -327,7 +328,7 @@ class ExperimentRunner:
         seed: int = 42,
         scale: float = 1.0,
         max_workers: int | None = None,
-        disk_cache: str | Path | None = None,
+        disk_cache: str | Path | ResultDiskCache | None = None,
         sim_config: SimulationConfig | None = None,
     ) -> None:
         self.num_cpus = num_cpus
@@ -335,7 +336,10 @@ class ExperimentRunner:
         self.scale = scale
         self.max_workers = max_workers
         self.sim_config = sim_config if sim_config is not None else SimulationConfig()
-        self.disk_cache = ResultDiskCache(disk_cache) if disk_cache else None
+        if isinstance(disk_cache, ResultDiskCache):
+            self.disk_cache = disk_cache
+        else:
+            self.disk_cache = ResultDiskCache(disk_cache) if disk_cache else None
         self._traces: OrderedDict[tuple, MultiTrace] = OrderedDict()
         self._results: dict[RunJob, RunMetrics] = {}
         self._trace_metadata: dict[tuple, dict[str, Any]] = {}

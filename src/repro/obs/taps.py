@@ -20,7 +20,9 @@ event taps build no event; they only count it as dropped.
 Tap sites (see DESIGN.md §5d for the full taxonomy):
 
 ===========================  =============================================
-engine ``run`` fast path      first use of a prefetched block
+engine ``run`` fast path      first use of a prefetched block, demand-miss
+                              MSHR allocs, prefetch merges, prefetch
+                              issue/hit/squash
 engine ``_try_access``        first use of a prefetched block, demand-miss
                               MSHR allocs, prefetch merges
 engine ``_dispatch_prefetch`` prefetch issue/hit/squash/drop/buffer-stall
@@ -28,7 +30,9 @@ engine ``_grant_fill``        coherence downgrades, in-flight poisonings
 engine ``_grant_upgrade``     invalidations; resumption at the grant (one
                               busy cycle) and at the upgrade's completion
 engine ``_fill_done``         MSHR fill lifetimes; resumption of the
-                              stalled CPU and of a prefetch-buffer waiter
+                              stalled CPU and of a prefetch-buffer waiter;
+                              first use of a prefetched block and the
+                              miss-stall span of the access it completes
 engine ``_complete_access``   miss-stall spans, lock/barrier wait spans
 ``Bus.request``/``arbitrate`` queue depth, occupancy slices per tier
 ===========================  =============================================

@@ -43,7 +43,7 @@ FLOOR_WORKLOAD = "grid-cold"
 
 #: A fresh grid-cold run fails the floor below this fraction of the
 #: newest recorded ``points_per_s``.  Forcing every run onto the generic
-#: engine path costs about 0.75x on grid-cold, so the floor sits between
+#: engine path costs about 0.6x on grid-cold, so the floor sits between
 #: the two populations (the "Saturated grid digest" CI step's comment
 #: gives the runs it was sized on).
 FLOOR_RATIO = 0.85

@@ -304,7 +304,7 @@ class ReproService:
         assert self.tsdb is not None
         while True:
             await asyncio.sleep(self.config.snapshot_interval)
-            self._snapshot_once()
+            self._append_snapshot(await self._cache_stats())
             self._evaluate_slo()
 
     async def _stop_sampler(self) -> None:
@@ -320,12 +320,22 @@ class ReproService:
         """Append one snapshot of registry + cache gauges + ledger."""
         if self.tsdb is None:
             return None
+        return self._append_snapshot(self.scheduler.cache_stats())
+
+    def _append_snapshot(self, stats: dict[str, int] | None) -> dict[str, Any] | None:
+        """Append one snapshot with the cache ``stats`` already read."""
         # Fold live cache stats into the registry first, exactly as a
         # /metrics scrape would -- snapshots and scrapes must agree.
-        stats = self.scheduler.cache_stats()
         if stats is not None:
             export_cache_stats(self.registry, stats)
         return self.tsdb.append_snapshot(registry=self.registry, ledger=self.ledger)
+
+    async def _cache_stats(self) -> dict[str, int] | None:
+        """The scheduler's cache stats, read in a thread: the footprint is
+        a walk of the whole cache directory, which would block the event
+        loop (not the simulation executor either, where it would queue
+        behind batches)."""
+        return await asyncio.to_thread(self.scheduler.cache_stats)
 
     def _evaluate_slo(self) -> SloReport | None:
         """Judge the rules against the store; export + log verdicts."""
@@ -619,7 +629,7 @@ class ReproService:
         )
 
     async def _get_metrics(self) -> tuple[int, bytes, str]:
-        stats = self.scheduler.cache_stats()
+        stats = await self._cache_stats()
         if stats is not None:
             export_cache_stats(self.registry, stats)
         text = self.registry.render_prometheus()

@@ -32,6 +32,7 @@ from repro.common.config import SimulationConfig
 from repro.common.errors import ReproError
 from repro.experiments.runner import ExperimentRunner
 from repro.metrics.results import RunMetrics
+from repro.perf.diskcache import ResultDiskCache
 from repro.service.contracts import RunMetadata, RunStatus, RunStore, ScenarioSpec, utc_now
 from repro.service.store import InMemoryRunStore
 from repro.telemetry.fleet import FleetError, TelemetryConfig
@@ -114,7 +115,16 @@ class RunScheduler:
         self.max_batch = max(1, max_batch)
         self.sim_config = sim_config if sim_config is not None else SimulationConfig()
         self.tracer = tracer if tracer is not None else SpanTracer(enabled=False)
-        self._runners: dict[_Frame, ExperimentRunner] = {}
+        #: One result cache shared by every runner, so its session
+        #: counters stay monotone when the frame's runner is replaced.
+        self._disk_cache = ResultDiskCache(cache_dir) if cache_dir else None
+        #: The runner of the frame the last batch ran on.  Only the
+        #: executor thread replaces it, so the memory a frame's traces
+        #: and memo hold is freed when the service moves on to another.
+        self._frame_runner: tuple[_Frame, ExperimentRunner] | None = None
+        #: Decodes cached results for the event loop's result reads;
+        #: it runs nothing, so it holds no trace.
+        self._reader = ExperimentRunner(disk_cache=self._disk_cache, sim_config=self.sim_config)
         self._results: dict[str, RunMetrics] = {}
         self._c2c: dict[str, dict[str, Any]] = {}
         self._engine_traces: dict[str, dict[str, Any]] = {}
@@ -452,18 +462,19 @@ class RunScheduler:
         self._monitor = monitor
 
     def _runner(self, frame: _Frame) -> ExperimentRunner:
-        runner = self._runners.get(frame)
-        if runner is None:
-            num_cpus, seed, scale = frame
-            runner = ExperimentRunner(
-                num_cpus=num_cpus,
-                seed=seed,
-                scale=scale,
-                max_workers=self.max_workers,
-                disk_cache=self.cache_dir,
-                sim_config=self.sim_config,
-            )
-            self._runners[frame] = runner
+        """The runner of ``frame``; it replaces the previous frame's."""
+        if self._frame_runner is not None and self._frame_runner[0] == frame:
+            return self._frame_runner[1]
+        num_cpus, seed, scale = frame
+        runner = ExperimentRunner(
+            num_cpus=num_cpus,
+            seed=seed,
+            scale=scale,
+            max_workers=self.max_workers,
+            disk_cache=self._disk_cache,
+            sim_config=self.sim_config,
+        )
+        self._frame_runner = (frame, runner)
         return runner
 
     # --------------------------------------------------------------- queries
@@ -476,8 +487,7 @@ class RunScheduler:
         meta = self.store.get(run_id)
         if meta is None or meta.status is not RunStatus.COMPLETED or self.cache_dir is None:
             return None
-        runner = self._runner((meta.spec.num_cpus, meta.spec.seed, meta.spec.scale))
-        result = runner.cached(meta.config_key)
+        result = self._reader.cached(meta.config_key)
         if result is not None:
             self._results[run_id] = result
         return result
@@ -565,24 +575,14 @@ class RunScheduler:
         return doc
 
     def cache_stats(self) -> dict[str, int] | None:
-        """Combined disk-cache statistics across runner frames.
+        """The shared disk cache's statistics, or None without one.
 
-        Session counters (hits/misses/stores/evictions) sum over every
-        frame's cache instance; the on-disk footprint (entries/bytes) is
-        read in one directory walk -- all instances share one directory.
+        Session counters (hits/misses/stores/evictions) cover every
+        frame's runs; the on-disk footprint (entries/bytes) is read in
+        one directory walk, so callers on the event loop run this in a
+        thread.
         """
-        caches = [r.disk_cache for r in self._runners.values() if r.disk_cache is not None]
-        if self.cache_dir is not None and not caches:
-            from repro.perf.diskcache import ResultDiskCache
-
-            caches = [ResultDiskCache(self.cache_dir)]
-        if not caches:
-            return None
-        stats = caches[0].stats()
-        for cache in caches[1:]:
-            for key, value in cache.counters().items():
-                stats[key] += value
-        return stats
+        return self._disk_cache.stats() if self._disk_cache is not None else None
 
     def queue_depth(self) -> int:
         """Runs queued but not yet executing."""

@@ -58,6 +58,22 @@ _EV_FILLDONE = 2
 #: Extra cycles charged for swapping a line in from the victim cache.
 _VICTIM_SWAP_CYCLES = 1
 
+# Enum members the per-event handlers read.  On CPython 3.11 reading a
+# member off its class costs about as much as ten global reads.
+_INVALID = LineState.INVALID
+_SHARED = LineState.SHARED
+_PRIVATE = LineState.PRIVATE
+_MODIFIED = LineState.MODIFIED
+_READ = BusOp.READ
+_READ_EX = BusOp.READ_EX
+_UPGRADE_OP = BusOp.UPGRADE
+_FILL_EX = TransactionKind.FILL_EX
+_UPGRADE = TransactionKind.UPGRADE
+_WRITEBACK = TransactionKind.WRITEBACK
+_RUNNING = CpuStatus.RUNNING
+_STALLED_FILL = CpuStatus.STALLED_FILL
+_STALLED_UPGRADE = CpuStatus.STALLED_UPGRADE
+
 
 def simulate(
     trace: MultiTrace,
@@ -84,8 +100,9 @@ def simulate(
 class SimulationEngine:
     """One simulation run's mutable state.  See module docstring."""
 
-    #: Retire hit streaks inline in :meth:`run` (read once per run).
-    #: Only test subclasses set it False, to drive every CPU event
+    #: Retire streaks inline in :meth:`run`, and a stalled access on
+    #: its landed fill in :meth:`_fill_done`.  Only test subclasses set
+    #: it False, to drive every CPU event and every such completion
     #: through the generic ``_dispatch`` / ``_try_access`` handlers the
     #: fast path must match bit for bit.
     _hit_streaks = True
@@ -153,6 +170,19 @@ class SimulationEngine:
         #: A victim buffer may hold a copy the tag map does not show, so
         #: with one every remote cache is snooped.
         self._has_victim = machine.cache.victim_cache_lines > 0
+        self._contention_free = machine.bus.contention_free
+        #: The protocol's snoop decisions as ``_snoop_actions[op][state]``
+        #: and its fill states as ``[others_have_copy]``, read by the
+        #: grant handlers in place of a method call per cache.
+        self._snoop_actions = tuple(
+            tuple(self.protocol.snoop(state, op) for state in LineState) for op in BusOp
+        )
+        self._read_fill_state = tuple(
+            self.protocol.fill_state(BusOp.READ, have) for have in (False, True)
+        )
+        self._read_ex_fill_state = tuple(
+            self.protocol.fill_state(BusOp.READ_EX, have) for have in (False, True)
+        )
         #: Flag-gated sanitizer (None when disabled; all hook sites are
         #: ``if audit is not None`` branches, so the disabled engine
         #: stays on its original code paths and results are identical).
@@ -190,36 +220,46 @@ class SimulationEngine:
     def run(self) -> None:
         """Execute the whole trace; raises on deadlock or runaway clocks.
 
-        The CPU-event handler is inlined here as a *hit-streak fast
-        path*: a CPU whose next event time is strictly earlier than the
-        heap head (``heap[0][0]``) would be popped next with nothing in
-        between, so its gap + cache-hit ``MemRef`` events retire right
-        in the loop -- no ``_schedule_cpu`` heappush, no
-        ``begin_access`` bookkeeping, no ``lookup_demand`` call.
-        The streak ends (falling back to the generic ``_dispatch`` /
-        ``_try_access`` handlers, or to the heap) the moment it sees
+        The CPU-event handler is inlined here as a *hit-streak fast path*:
+        a CPU whose next event time is strictly earlier than the heap
+        head (``heap[0][0]``) would be popped next with nothing in
+        between, so its gaps, cache-hit ``MemRef`` events and prefetch
+        squashes, hits and issues retire right in the loop -- no
+        ``_schedule_cpu`` heappush, no ``begin_access`` bookkeeping, no
+        ``lookup_demand`` call.  A streak also ends in the loop, with
+        the CPU stalled, on
 
-        * a non-``MemRef`` event (prefetch, lock, barrier),
-        * an in-flight fill for the block, an invalid/absent line
-          (miss), a victim-cache candidate, or a write hit needing an
-          UPGRADE, or
-        * a continuation time that is not strictly earlier than the
-          heap head (a same/earlier-timestamped foreign event exists).
+        * a demand miss (the line absent or INVALID, no fill in flight):
+          classified, its MSHR fill started, queued at the bus;
+        * a demand access to a block with a fill in flight (a merge,
+          counted as ``prefetch_in_progress`` when the fill is a
+          prefetch);
+        * a write hit on a line that needs an UPGRADE, queued at the bus.
+
+        It hands the CPU to the generic ``_dispatch`` / ``_try_access``
+        handlers on a lock or barrier event, on every prefetch under
+        ADAPT's throttle, on a prefetch meeting a full prefetch buffer,
+        and, with victim buffers, on any miss or prefetch whose line is
+        not valid in the main array (a parked copy may serve it).  It
+        hands the CPU back to the heap when the continuation time is
+        not strictly earlier than the heap head (a same/earlier-
+        timestamped foreign event exists).
 
         Side effects on the inline path replicate the generic handlers
-        bit for bit, and the strict ``< heap[0][0]`` guard preserves
-        the global event order (ties run in push order, and a deferred
-        push lands exactly where the generic push would -- the
-        continuation is handed to ``heappushpop``, which is push-then-
-        pop fused into one sift), so simulated behavior -- cycle
-        counts, coherence traffic, classification -- is identical to
-        the pure-heap engine.
+        bit for bit, taps included (``on_prefetch``, ``on_mshr_start``
+        and the bus's ``on_bus_request``, in the generic order), and the
+        strict ``< heap[0][0]`` guard preserves the global event order
+        (ties run in push order, and a deferred push lands exactly where
+        the generic push would -- the continuation is handed to
+        ``heappushpop``, which is push-then-pop fused into one sift), so
+        simulated behavior -- cycle counts, coherence traffic,
+        classification -- is identical to the pure-heap engine.
 
-        Observed runs take the fast path as well, and it fires no tap:
-        the streak's busy cycles follow the CPU's last resumption, which
-        the generic handlers report.  A hit only tests its block against
-        the observer's unused prefetches (when it keeps them), as the
-        generic hit does.
+        Observed runs take the fast path as well.  No tap fires for a
+        busy cycle: the streak's busy cycles follow the CPU's last
+        resumption, which the handlers that end a stall report.  A hit
+        only tests its block against the observer's unused prefetches
+        (when it keeps them), as the generic hit does.
         """
         for proc in self.procs:
             self._push(_EV_CPU, 0, proc.cpu, 0)
@@ -232,10 +272,23 @@ class SimulationEngine:
         block_size = self._block_size
         offset_mask = self._offset_mask
         needs_upgrade = self._needs_upgrade
-        invalid = LineState.INVALID
-        modified = LineState.MODIFIED
+        issue_cost = self._issue_cost
+        invalid = _INVALID
+        modified = _MODIFIED
+        stalled_fill = _STALLED_FILL
+        stalled_upgrade = _STALLED_UPGRADE
+        make_fill = self.bus.make_fill
+        make_upgrade = self.bus.make_upgrade
+        request = self.bus.request
+        schedule_arb = self._schedule_arb
+        record_misses = self._record_misses
+        miss_indices = self.miss_indices
+        # A miss may find a copy parked in a victim buffer, and ADAPT's
+        # throttle decides per prefetch: those stay generic.
+        inline_misses = not self._has_victim
+        inline_prefetches = self._throttle is None
         # Per-CPU hot context: one list index + tuple unpack per popped
-        # CPU event instead of eight attribute chains.  The third entry
+        # CPU event instead of nine attribute chains.  The third entry
         # bounds the events a streak may retire inline; with streaks off
         # it is 0, which hands every CPU event to the generic handlers.
         streaks = self._hit_streaks
@@ -246,6 +299,7 @@ class SimulationEngine:
                 proc.events,
                 len(proc.events) if streaks else 0,
                 proc.metrics,
+                proc.mshr,
                 proc.mshr._fills,
                 proc.cache._by_block,
                 self._remote_caches[proc.cpu],
@@ -278,7 +332,7 @@ class SimulationEngine:
                 else:  # _EV_FILLDONE
                     self._fill_done(procs[a], b, time)
                 continue
-            proc, events, num_events, metrics, mshr_fills, by_block, remote_caches, unused = ctx[a]
+            proc, events, num_events, metrics, mshr, mshr_fills, by_block, remote_caches, unused = ctx[a]
             proc.scheduled = False
             now = time
             while True:  # ---------------- hit-streak fast path ----------------
@@ -290,9 +344,6 @@ class SimulationEngine:
                     self._dispatch(proc, now)  # retires the CPU; any event, streaks off
                     break
                 event = events[pc]
-                if type(event) is not MemRef:
-                    self._dispatch(proc, now)
-                    break
                 if not proc.gap_done and event.gap > 0:
                     gap = event.gap
                     proc.gap_done = True
@@ -312,51 +363,157 @@ class SimulationEngine:
                         )
                     now = t
                     self.now = t
-                addr = event.addr
-                block = addr & block_mask
-                frame = by_block.get(block)
-                if (
-                    frame is None
-                    or frame.state is invalid
-                    or block in mshr_fills
-                ):
-                    # Miss, victim-cache candidate, or in-flight fill:
-                    # the generic path classifies and stalls.  Nothing
-                    # has been touched yet, so the hand-off is exact.
-                    self._dispatch(proc, now)
-                    break
-                is_write = event.is_write
-                if is_write and needs_upgrade[frame.state]:
-                    self._dispatch(proc, now)
-                    break
-                size = event.size
-                # Inlined _word_mask.
-                if (addr & 3) + size <= 4:
-                    mask = 1 << ((addr & offset_mask) >> 2)
+                etype = type(event)
+                if etype is MemRef:
+                    addr = event.addr
+                    block = addr & block_mask
+                    size = event.size
+                    # Inlined _word_mask.
+                    if (addr & 3) + size <= 4:
+                        mask = 1 << ((addr & offset_mask) >> 2)
+                    else:
+                        mask = word_mask_for(addr, size, block_size)
+                    is_write = event.is_write
+                    frame = by_block.get(block)
+                    if frame is None or frame.state is invalid or block in mshr_fills:
+                        # _try_access's miss or merge: stall on a fill.
+                        in_flight = mshr_fills.get(block)
+                        if in_flight is None and not inline_misses:
+                            # Nothing has been touched yet: exact hand-off.
+                            self._dispatch(proc, now)
+                            break
+                        proc.gap_done = True
+                        proc.begin_access(
+                            addr, block, is_write, mask, "retire", now,
+                            False, event.shared, event.prefetched,
+                        )
+                        proc.acc_counted = True
+                        if in_flight is not None:
+                            # Merging with our own demand fill cannot
+                            # happen: demand accesses are serialized.
+                            if in_flight.is_prefetch:
+                                metrics.misses.prefetch_in_progress += 1
+                                if obs is not None:
+                                    obs.on_prefetch(a, "merge", block, now)
+                        else:
+                            # Inlined lookup_demand + _classify_miss.
+                            if record_misses:
+                                miss_indices.append((a, pc))
+                            m = metrics.misses
+                            if frame is None:
+                                if event.prefetched:
+                                    m.nonsharing_prefetched += 1
+                                else:
+                                    m.nonsharing_unprefetched += 1
+                            elif frame.remote_written & (frame.words_accessed | mask):
+                                if event.prefetched:
+                                    m.inval_true_prefetched += 1
+                                else:
+                                    m.inval_true_unprefetched += 1
+                            elif event.prefetched:
+                                m.inval_false_prefetched += 1
+                            else:
+                                m.inval_false_unprefetched += 1
+                            fill = mshr.start(block, False, is_write, mask, now)
+                            if obs is not None:
+                                obs.on_mshr_start(a, fill, now)
+                            request(make_fill(a, block, is_write, True, now, mask if is_write else 0))
+                            schedule_arb()
+                        proc.status = stalled_fill
+                        proc.waiting_block = block
+                        proc.acc_missed = True
+                        break
+                    if is_write and needs_upgrade[frame.state]:
+                        # _try_access's write hit on SHARED: stall on an
+                        # UPGRADE (the lookup refreshes the LRU stamp).
+                        proc.gap_done = True
+                        proc.begin_access(
+                            addr, block, True, mask, "retire", now,
+                            False, event.shared, event.prefetched,
+                        )
+                        frame.last_use = now
+                        metrics.upgrades += 1
+                        request(make_upgrade(a, block, now, mask))
+                        schedule_arb()
+                        proc.status = stalled_upgrade
+                        proc.waiting_block = block
+                        proc.acc_missed = True
+                        break
+                    # Plain hit: replicate lookup_demand + record_access +
+                    # _complete_access("retire") for the hit case.
+                    if is_write:
+                        frame.state = modified
+                        for cache in remote_caches:
+                            # Inlined CoherentCache.note_remote_write.
+                            rframe = cache._by_block.get(block)
+                            if rframe is not None:
+                                if rframe.state is invalid:
+                                    rframe.remote_written |= mask
+                            elif cache.victim.capacity:
+                                cache.victim.note_remote_write(block, mask)
+                    frame.words_accessed |= mask
+                    frame.filled_by_prefetch = False
+                    frame.last_use = now
+                    metrics.busy_cycles += 1
+                    metrics.demand_refs += 1
+                    if unused is not None and block in unused:
+                        obs.on_prefetch_used(a, block)
+                    t = now + 1
+                elif etype is Prefetch and inline_prefetches:
+                    # _dispatch_prefetch's squash, hit and issue.
+                    addr = event.addr
+                    block = addr & block_mask
+                    if block in mshr_fills:
+                        # A fill for this block is already in flight; squash.
+                        metrics.prefetches_issued += 1
+                        metrics.prefetch_squashed += 1
+                        metrics.busy_cycles += issue_cost
+                        if obs is not None:
+                            obs.on_prefetch(a, "squash", block, now)
+                    else:
+                        frame = by_block.get(block)
+                        if frame is not None and frame.state is not invalid:
+                            metrics.prefetches_issued += 1
+                            metrics.prefetch_hits += 1
+                            metrics.busy_cycles += issue_cost
+                            if obs is not None:
+                                obs.on_prefetch(a, "hit", block, now)
+                        elif (
+                            not inline_misses
+                            or mshr._prefetches_in_flight >= mshr.prefetch_buffer_depth
+                        ):
+                            # A copy parked in a victim buffer would be a
+                            # hit; a full buffer stalls the CPU.
+                            self._dispatch(proc, now)
+                            break
+                        else:
+                            metrics.prefetches_issued += 1
+                            metrics.prefetch_fills += 1
+                            metrics.busy_cycles += issue_cost
+                            # Inlined _word_mask(addr, 4).
+                            if addr & 3:
+                                intended = word_mask_for(addr, 4, block_size)
+                            else:
+                                intended = 1 << ((addr & offset_mask) >> 2)
+                            exclusive = event.exclusive
+                            fill = mshr.start(block, True, exclusive, intended, now)
+                            if obs is not None:
+                                obs.on_prefetch(a, "issue", block, now)
+                                obs.on_mshr_start(a, fill, now)
+                            request(
+                                make_fill(
+                                    a, block, exclusive, False, now, intended if exclusive else 0
+                                )
+                            )
+                            schedule_arb()
+                    t = now + issue_cost
                 else:
-                    mask = word_mask_for(addr, size, block_size)
-                # Plain hit: replicate lookup_demand + record_access +
-                # _complete_access("retire") for the hit case.
-                if is_write:
-                    frame.state = modified
-                    for cache in remote_caches:
-                        # Inlined CoherentCache.note_remote_write.
-                        rframe = cache._by_block.get(block)
-                        if rframe is not None:
-                            if rframe.state is invalid:
-                                rframe.remote_written |= mask
-                        elif cache.victim.capacity:
-                            cache.victim.note_remote_write(block, mask)
-                frame.words_accessed |= mask
-                frame.filled_by_prefetch = False
-                frame.last_use = now
-                metrics.busy_cycles += 1
-                metrics.demand_refs += 1
-                if unused is not None and block in unused:
-                    obs.on_prefetch_used(a, block)
+                    # Locks, barriers, and every prefetch under ADAPT.
+                    self._dispatch(proc, now)
+                    break
+                # The event retired (_retire): continue the streak at t.
                 proc.pc = pc + 1
                 proc.gap_done = False
-                t = now + 1
                 if heap and heap[0][0] <= t:
                     proc.scheduled = True
                     self._seq = seq = self._seq + 1
@@ -413,7 +570,7 @@ class SimulationEngine:
         if proc.scheduled:
             raise SimulationError(f"cpu {proc.cpu} double-scheduled")
         proc.scheduled = True
-        proc.status = CpuStatus.RUNNING
+        proc.status = _RUNNING
         self._push(_EV_CPU, time, proc.cpu, 0)
 
     def _word_mask(self, addr: int, size: int) -> int:
@@ -423,6 +580,16 @@ class SimulationEngine:
         return word_mask_for(addr, size, self._block_size)
 
     def _schedule_arb(self) -> None:
+        arb_time = self._arb_time
+        if arb_time is not None:
+            # No arbitration can come before ``now`` nor, on a contended
+            # bus, before the current grant ends; a live one due by then
+            # already is the earliest.
+            bound = self.now
+            if not self._contention_free and self.bus.free_at > bound:
+                bound = self.bus.free_at
+            if arb_time <= bound:
+                return
         t = self.bus.next_arbitration_time(self.now)
         if t is None:
             return
@@ -760,9 +927,9 @@ class SimulationEngine:
         txn = self.bus.arbitrate(now)
         if txn is not None:
             kind = txn.kind
-            if kind is TransactionKind.UPGRADE:
+            if kind is _UPGRADE:
                 self._grant_upgrade(txn, now)
-            elif kind is TransactionKind.WRITEBACK:
+            elif kind is _WRITEBACK:
                 pass  # occupancy accounted by the bus; no coherence effects
             else:
                 self._grant_fill(txn, now)
@@ -777,27 +944,35 @@ class SimulationEngine:
         if fill is None:  # pragma: no cover - engine invariant
             raise SimulationError(f"granted fill with no MSHR entry: {txn!r}")
         fill.granted = True
-        fill.completion_time = txn.completion_time
+        fill.completion_time = done = txn.completion_time
 
-        exclusive = txn.kind is TransactionKind.FILL_EX
-        op = BusOp.READ_EX if exclusive else BusOp.READ
+        exclusive = txn.kind is _FILL_EX
+        op = _READ_EX if exclusive else _READ
+        actions = self._snoop_actions[op]
         word_mask = txn.word_mask
         obs = self._obs
         snoop_all = self._has_victim
-        invalid = LineState.INVALID
+        invalid = _INVALID
         others_have = False
         for other, cache, by_block, mshr in self._remotes[cpu]:
-            # A cache with no valid frame for the block (and no victim
-            # buffer) would snoop to (False, False) with no side effects.
-            frame = by_block.get(block)
-            if snoop_all or (frame is not None and frame.state is not invalid):
+            if snoop_all:
                 had, _supplied = cache.snoop(block, op, word_mask)
+            else:
+                # CoherentCache.snoop for a cache with no victim buffer:
+                # only a valid frame reacts.
+                frame = by_block.get(block)
+                had = frame is not None and frame.state is not invalid
                 if had:
-                    others_have = True
-                    if obs is not None:
-                        obs.on_snoop(
-                            other, cpu, block, now, "invalidate" if exclusive else "downgrade"
-                        )
+                    action = actions[frame.state]
+                    if action.invalidated:
+                        frame.remote_written = word_mask
+                    frame.state = action.new_state
+            if had:
+                others_have = True
+                if obs is not None:
+                    obs.on_snoop(
+                        other, cpu, block, now, "invalidate" if exclusive else "downgrade"
+                    )
             remote_fill = mshr._fills.get(block)
             if remote_fill is not None and remote_fill.granted and not remote_fill.poisoned:
                 others_have = True
@@ -813,18 +988,19 @@ class SimulationEngine:
                     # transfer, memory updated in the same transaction).
                     # Only reachable with contention_free=True -- a
                     # contended bus serializes fills completely.
-                    remote_fill.fill_state = LineState.SHARED
+                    remote_fill.fill_state = _SHARED
 
         if not exclusive:
-            fill.fill_state = self.protocol.fill_state(BusOp.READ, others_have)
+            fill.fill_state = self._read_fill_state[others_have]
         elif fill.is_prefetch:
             # Exclusive prefetch: the block arrives clean but exclusive
             # (Illinois private state); the eventual write hits silently.
-            fill.fill_state = LineState.PRIVATE
+            fill.fill_state = _PRIVATE
         else:
-            fill.fill_state = self.protocol.fill_state(BusOp.READ_EX, others_have)
+            fill.fill_state = self._read_ex_fill_state[others_have]
 
-        self._push(_EV_FILLDONE, txn.completion_time, cpu, block)
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (done, seq, _EV_FILLDONE, cpu, block))
 
     def _grant_upgrade(self, txn: BusTransaction, now: int) -> None:
         proc = self.procs[txn.cpu]
@@ -832,21 +1008,21 @@ class SimulationEngine:
         word_mask = txn.word_mask
         obs = self._obs
         snoop_all = self._has_victim
-        invalid = LineState.INVALID
+        invalid = _INVALID
         for other, cache, by_block, mshr in self._remotes[txn.cpu]:
             frame = by_block.get(block)
             if snoop_all or (frame is not None and frame.state is not invalid):
-                had, _supplied = cache.snoop(block, BusOp.UPGRADE, word_mask)
+                had, _supplied = cache.snoop(block, _UPGRADE_OP, word_mask)
                 if had and obs is not None:
                     obs.on_snoop(other, txn.cpu, block, now, "invalidate")
             if mshr.snoop_invalidate(block, word_mask) and obs is not None:
                 obs.on_snoop(other, txn.cpu, block, now, "poison")
 
-        if proc.status is not CpuStatus.STALLED_UPGRADE or proc.waiting_block != txn.block:
+        if proc.status is not _STALLED_UPGRADE or proc.waiting_block != txn.block:
             raise SimulationError(f"upgrade granted for cpu {txn.cpu} not waiting on it")
 
         if proc.cache.state_of(txn.block).is_valid:
-            proc.cache.set_state(txn.block, LineState.MODIFIED)
+            proc.cache.set_state(txn.block, _MODIFIED)
             if not proc.acc_sync:
                 self._note_remote_write(proc, txn.block, proc.acc_word_mask)
             proc.cache.record_access(txn.block, proc.acc_word_mask, now)
@@ -861,7 +1037,7 @@ class SimulationEngine:
                 if unused is not None and block in unused[txn.cpu]:
                     obs.on_prefetch_used(txn.cpu, block)
             proc.waiting_block = -1
-            proc.status = CpuStatus.RUNNING
+            proc.status = _RUNNING
             self._complete_access(proc, txn.completion_time)
         else:
             # Raced: a remote invalidation beat the upgrade.  Re-attempt
@@ -883,10 +1059,11 @@ class SimulationEngine:
         obs = self._obs
         if obs is not None:
             obs.on_mshr_finish(proc.cpu, fill, time)
+        cache = proc.cache
         if fill.poisoned:
-            writeback = proc.cache.install_poisoned(block, fill.poisoned_word_mask, time)
+            writeback = cache.install_poisoned(block, fill.poisoned_word_mask, time)
         else:
-            writeback = proc.cache.fill(block, fill.fill_state, fill.is_prefetch, time)
+            writeback = cache._install(block, fill.fill_state, fill.is_prefetch, time)
         if writeback is not None:
             proc.metrics.writebacks += 1
             wb = self.bus.make_writeback(proc.cpu, writeback.block, time)
@@ -899,9 +1076,9 @@ class SimulationEngine:
                 obs.on_resume(waiter, time)
             self._schedule_cpu(self.procs[waiter], time)
 
-        if proc.status is CpuStatus.STALLED_FILL and proc.waiting_block == block:
+        if proc.status is _STALLED_FILL and proc.waiting_block == block:
             proc.waiting_block = -1
-            proc.status = CpuStatus.RUNNING
+            proc.status = _RUNNING
             if obs is not None:
                 obs.on_resume(proc.cpu, time)
             if fill.poisoned:
@@ -913,16 +1090,67 @@ class SimulationEngine:
                 unused = self._unused_prefetches
                 if unused is not None and block in unused[proc.cpu]:
                     obs.on_prefetch_used(proc.cpu, block)
-                proc.cache.record_access(block, proc.acc_word_mask, time)
+                cache.record_access(block, proc.acc_word_mask, time)
                 if proc.acc_write and not proc.acc_sync:
                     self._note_remote_write(proc, block, proc.acc_word_mask)
                 self._complete_access(proc, time + 1)
+            elif (
+                self._hit_streaks
+                and proc.acc_cont == "retire"
+                and not proc.acc_sync
+                and not (proc.acc_write and self._needs_upgrade[fill.fill_state])
+            ):
+                # The access hits the line just installed: _try_access's
+                # hit and _complete_access's "retire", flattened.  It
+                # completes *inline*, before any same-timestamp bus grant
+                # can snoop the line away.
+                self._retire_fill_hit(proc, block, time)
             else:
-                # Complete the access *inline*, before any same-timestamp
-                # bus grant can snoop the just-installed line away.
-                # (Re-scheduling a CPU event here lets N CPUs contending
-                # for one hot line livelock: each fill is invalidated by
-                # the next CPU's grant before the owner's event runs.)
+                # A sync access, a write landing SHARED that still needs
+                # an upgrade, or any access with streaks off: the generic
+                # handler, again inline (re-scheduling a CPU event here
+                # lets N CPUs contending for one hot line livelock: each
+                # fill is invalidated by the next CPU's grant before the
+                # owner's event runs).
                 self._try_access(proc, time)
         if self._audit is not None:
             self._audit.after_fill_done(proc, block)
+
+    def _retire_fill_hit(self, proc: Processor, block: int, time: int) -> None:
+        """Complete a stalled non-sync ``retire`` access on its landed fill.
+
+        Exactly what ``_try_access`` then ``_complete_access`` do for it:
+        the fill leaves nothing in flight for the block and a valid line
+        that needs no upgrade, so the lookup is a plain hit.
+        """
+        cpu = proc.cpu
+        frame = proc.cache._by_block[block]
+        mask = proc.acc_word_mask
+        if proc.acc_write:
+            frame.state = _MODIFIED
+            self._note_remote_write(proc, block, mask)
+        frame.words_accessed |= mask
+        frame.filled_by_prefetch = False
+        frame.last_use = time
+        metrics = proc.metrics
+        metrics.busy_cycles += 1
+        obs = self._obs
+        unused = self._unused_prefetches
+        if unused is not None and block in unused[cpu]:
+            obs.on_prefetch_used(cpu, block)
+        done = time + 1
+        if self._audit is not None:
+            self._audit.on_access_complete(proc)
+        if obs is not None and proc.acc_missed:
+            obs.on_miss_stall(cpu, block, proc.acc_start, done, False)
+        metrics.demand_refs += 1
+        if proc.acc_missed:
+            metrics.miss_wait_cycles += max(0, done - proc.acc_start - 1)
+        proc.in_access = False
+        proc.pc += 1
+        proc.gap_done = False
+        if proc.scheduled:  # pragma: no cover - engine invariant
+            raise SimulationError(f"cpu {cpu} double-scheduled")
+        proc.scheduled = True
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (done, seq, _EV_CPU, cpu, 0))

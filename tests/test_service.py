@@ -550,6 +550,43 @@ class TestScheduler:
         assert metas[1].error == "[error] msi exploded"
         assert results[0] is not None and results[1] is None
 
+    def test_a_frame_switch_frees_the_last_frames_traces(self, tmp_path):
+        """Runs on two (num_cpus, seed, scale) frames leave at most one
+        frame's clean traces held, and the cache's session counters never
+        fall when the frame's runner is replaced."""
+        from repro.experiments.runner import TRACE_CACHE_SIZE
+
+        def held_traces(scheduler):
+            runners = [scheduler._reader]
+            if scheduler._frame_runner is not None:
+                runners.append(scheduler._frame_runner[1])
+            return sum(len(runner._traces) for runner in runners)
+
+        async def scenario():
+            scheduler = RunScheduler(cache_dir=str(tmp_path / "cache"))
+            await scheduler.start()
+            snapshots = []
+            try:
+                for seed in (42, 43):
+                    for workload in ("Water", "Mp3d", "LocusRoute"):
+                        spec = ScenarioSpec(**dict(QUICK, workload=workload, seed=seed))
+                        meta, _ = await scheduler.submit(spec)
+                        while not meta.status.terminal:
+                            await asyncio.sleep(0.02)
+                        assert meta.status is RunStatus.COMPLETED
+                        assert scheduler.result(meta.run_id) is not None
+                        snapshots.append(scheduler.cache_stats())
+                return held_traces(scheduler), snapshots
+            finally:
+                await scheduler.close()
+
+        held, snapshots = _run(scenario())
+        assert held <= TRACE_CACHE_SIZE
+        for key in ("hits", "misses", "stores"):
+            series = [snapshot[key] for snapshot in snapshots]
+            assert series == sorted(series), (key, series)
+        assert snapshots[-1]["stores"] == 6
+
     def test_failed_run_surfaces_job_failure_detail(self, tmp_path, monkeypatch):
         from repro.telemetry.fleet import FleetError, JobFailure
 
@@ -1328,6 +1365,38 @@ class TestSmokeCheckers:
 
 
 class TestCacheGauges:
+    def test_a_scrape_walks_the_cache_off_the_event_loop(self, tmp_path, monkeypatch):
+        """A slow cache-footprint walk holds up the scrape that asked for
+        it, not the event loop: a health check sent meanwhile answers."""
+        import threading
+        import time
+
+        real_entries = ResultDiskCache._entries
+
+        def slow_entries(self):
+            time.sleep(0.5)
+            return real_entries(self)
+
+        monkeypatch.setattr(ResultDiskCache, "_entries", slow_entries)
+        config = ServiceConfig(host="127.0.0.1", port=0, cache_dir=str(tmp_path / "cache"))
+        svc, base, stop = serve_in_thread(config)
+        try:
+            scrape: list = []
+            scraper = threading.Thread(
+                target=lambda: scrape.append(_http("GET", f"{base}/metrics"))
+            )
+            scraper.start()
+            time.sleep(0.1)
+            started = time.perf_counter()
+            status, _ = _http("GET", f"{base}/healthz")
+            took = time.perf_counter() - started
+            scraper.join()
+        finally:
+            stop()
+        assert status == 200
+        assert took < 0.2, took
+        assert scrape[0][0] == 200 and "repro_cache_entries 0" in scrape[0][1]
+
     def test_export_cache_stats(self, tmp_path):
         cache = ResultDiskCache(tmp_path / "cache")
         cache.store("ab" * 32, {"m": 1}, {"i": 1})

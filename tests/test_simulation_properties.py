@@ -9,7 +9,7 @@ final cache states, metric identities, and determinism.
 import dataclasses
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 # Derandomize: CI and the tier-1 gate need run-to-run determinism.  The
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 settings.register_profile("repro-ci", derandomize=True)
 settings.load_profile("repro-ci")
 
+from repro.cache.mshr import OutstandingFill
 from repro.coherence.protocol import LineState
 from repro.common.config import BusConfig, CacheConfig, MachineConfig
 from repro.prefetch.adaptive import AdaptiveConfig
@@ -224,6 +225,65 @@ VARIANTS = {
 }
 
 
+#: Hand-built traces that reach every branch the fast path retires
+#: inline (and the hand-offs beside them) on the default machine.  The
+#: gaps space the CPUs out so each access meets the state named for it.
+_A, _B, _C, _E, _F, _G = BLOCKS[:6]
+
+#: CPU 0 reads word 0 of A and of B; CPU 1 then writes word 4 of A and
+#: word 0 of B, so CPU 0's re-reads are a false- and a true-sharing
+#: invalidation miss.
+SHARING_MISSES = MultiTrace(
+    "sharing-misses",
+    [
+        CpuTrace(0, [MemRef(_A), MemRef(_A, gap=300), MemRef(_B), MemRef(_B, gap=300)]),
+        CpuTrace(1, [MemRef(_A + 16, is_write=True, gap=150), MemRef(_B, is_write=True, gap=500)]),
+    ],
+)
+
+#: CPU 0 issues a prefetch after a gap, squashes a duplicate, merges a
+#: demand read into the fill in flight, hits the landed line, then fills
+#: its prefetch buffer and stalls on the seventeenth.
+PREFETCHES = MultiTrace(
+    "prefetches",
+    [
+        CpuTrace(
+            0,
+            [Prefetch(_C, gap=3), Prefetch(_C), MemRef(_C), Prefetch(_C + 4)]
+            + [Prefetch(0x40000 + 0x1000 * i) for i in range(17)]
+            + [MemRef(_C, gap=2)],
+        ),
+        CpuTrace(1, [MemRef(_A)]),
+    ],
+)
+
+#: CPU 1's read turns CPU 0's PRIVATE copy of E SHARED, so CPU 0's write
+#: hit needs an upgrade.  Both CPUs then miss on F a few cycles apart:
+#: on a contention-free bus CPU 1's exclusive grant poisons CPU 0's
+#: granted fill.
+UPGRADE_AND_POISON = MultiTrace(
+    "upgrade-and-poison",
+    [
+        CpuTrace(0, [MemRef(_E), MemRef(_E, is_write=True, gap=300), MemRef(_F, gap=200)]),
+        CpuTrace(1, [MemRef(_E, gap=150), MemRef(_F, is_write=True, gap=365)]),
+    ],
+)
+
+#: CPU 0's demand write to word 4 of G merges into its exclusive
+#: prefetch of word 0, whose grant invalidated CPU 1's copy.  Only the
+#: write's own remote-write note, made when the fill lands, turns CPU 1's
+#: re-read of word 4 into a true-sharing miss.
+MERGED_WRITE = MultiTrace(
+    "merged-write",
+    [
+        CpuTrace(0, [Prefetch(_G, exclusive=True, gap=150), MemRef(_G + 16, is_write=True)]),
+        CpuTrace(1, [MemRef(_G + 16), MemRef(_G + 16, gap=400)]),
+    ],
+)
+
+INLINE_EXAMPLES = (SHARING_MISSES, PREFETCHES, UPGRADE_AND_POISON, MERGED_WRITE)
+
+
 class TestFastPathMatchesGenericPath:
     """The hit-streak fast path against the generic handlers.
 
@@ -270,8 +330,15 @@ class TestFastPathMatchesGenericPath:
     # that shrinking one takes Hypothesis minutes per variant.
     @pytest.mark.parametrize("variant", sorted(VARIANTS))
     @given(trace=mixed_traces())
+    @example(trace=SHARING_MISSES)
+    @example(trace=PREFETCHES)
+    @example(trace=UPGRADE_AND_POISON)
+    @example(trace=MERGED_WRITE)
     @settings(max_examples=40, deadline=None, phases=[Phase.explicit, Phase.generate])
     def test_same_metrics(self, variant, trace):
+        self.check_same(variant, trace)
+
+    def check_same(self, variant, trace):
         make_machine, adaptive = VARIANTS[variant]
         machine_config = make_machine(trace.num_cpus)
         fast, fast_caches = self.run(trace, machine_config, SimulationConfig(), adaptive)
@@ -292,8 +359,9 @@ class TestFastPathMatchesGenericPath:
         """Every event of the generic engine is dispatched by ``_dispatch``.
 
         Guards the differential above against comparing the fast path
-        with itself: on a trace of hits the fast path dispatches only
-        the cold miss and the end of the trace.
+        with itself: on a trace of hits after one cold miss the fast
+        path dispatches only the end of the trace (it stalls on the miss
+        itself).
         """
 
         def dispatches(engine_class):
@@ -312,4 +380,50 @@ class TestFastPathMatchesGenericPath:
             return Counting.calls
 
         assert dispatches(GenericPathEngine) == 21
-        assert dispatches(SimulationEngine) == 2
+        assert dispatches(SimulationEngine) == 1
+
+    def test_examples_reach_every_inline_branch(self, monkeypatch):
+        """The explicit examples keep reaching the branches they are for,
+        whatever the trace generator comes to draw."""
+        totals: dict[str, int] = {}
+        for trace in INLINE_EXAMPLES:
+            result = simulate(trace, MachineConfig(num_cpus=trace.num_cpus))
+            for cpu in result.per_cpu:
+                counts = {**cpu.to_dict(), **cpu.misses.to_dict()}
+                for name, value in counts.items():
+                    if isinstance(value, int):
+                        totals[name] = totals.get(name, 0) + value
+        for name in (
+            "upgrades",
+            "prefetch_squashed",
+            "prefetch_hits",
+            "prefetch_fills",
+            "prefetch_buffer_stalls",
+            "prefetch_in_progress",
+            "inval_false_unprefetched",
+            "inval_true_unprefetched",
+        ):
+            assert totals[name] > 0, name
+
+        poisoned = []
+        real_poison = OutstandingFill.poison
+
+        def counting_poison(fill, mask):
+            poisoned.append(fill.block)
+            real_poison(fill, mask)
+
+        monkeypatch.setattr(OutstandingFill, "poison", counting_poison)
+        simulate(UPGRADE_AND_POISON, VARIANTS["contention-free"][0](2))
+        assert poisoned == [_F]
+
+    def test_a_misclassifying_reference_fails_the_differential(self, monkeypatch):
+        """Must-fail control: a generic classifier that swaps true and
+        false sharing disagrees with the fast path's inline one."""
+        real_classify = SimulationEngine._classify_miss
+
+        def swapped(engine, proc, invalidation, false_sharing):
+            real_classify(engine, proc, invalidation, invalidation and not false_sharing)
+
+        monkeypatch.setattr(GenericPathEngine, "_classify_miss", swapped)
+        with pytest.raises(AssertionError):
+            self.check_same("illinois", SHARING_MISSES)
