@@ -10,6 +10,7 @@ fills complete and snoops are applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.cache.frame import CacheFrame
 from repro.cache.victim import VictimCache
@@ -52,6 +53,11 @@ class EvictedLine:
     dirty: bool
 
 
+# Enum members and the LRU key the fill path reads, as module globals.
+_INVALID = LineState.INVALID
+_MODIFIED = LineState.MODIFIED
+_last_use = attrgetter("last_use")
+
 #: Shared results: only a victim hit that displaces a dirty line builds one.
 _HIT = LookupResult(hit=True)
 _MISS = LookupResult(hit=False)
@@ -62,6 +68,10 @@ _VICTIM_HIT = LookupResult(hit=True, victim_hit=True)
 
 class CoherentCache:
     """One CPU's data cache.
+
+    Frames are created on first use: a set holds no way list until its
+    first install, and no more frames than fills have needed, so an
+    engine's construction allocates no per-set storage.
 
     Args:
         config: geometry/policy.
@@ -81,8 +91,8 @@ class CoherentCache:
         # frames[set][way], allocated lazily: a set grows by one frame
         # each time an install finds no invalid way while it is still
         # short of ``associativity``, so allocated ways are always a
-        # prefix and a missing way is a never-filled INVALID frame.
-        self._frames: list[list[CacheFrame]] = [[] for _ in range(self._num_sets)]
+        # prefix and a missing set or way is a never-filled INVALID frame.
+        self._frames: dict[int, list[CacheFrame]] = {}
         # Fast tag -> frame map for snooping (avoids scanning sets).
         self._by_block: dict[int, CacheFrame] = {}
         self.victim = VictimCache(config.victim_cache_lines, protocol)
@@ -92,9 +102,6 @@ class CoherentCache:
     def block_of(self, addr: int) -> int:
         """Block (line) address containing ``addr``."""
         return addr & ~(self._block_size - 1)
-
-    def _set_index(self, block: int) -> int:
-        return (block >> self._block_shift) & self._set_mask
 
     # ---------------------------------------------------------------- lookup
 
@@ -158,7 +165,7 @@ class CoherentCache:
         """
         frame = self._by_block.get(block)
         if frame is None:
-            return LineState.INVALID
+            return _INVALID
         return frame.state
 
     def has_valid_copy(self, block: int) -> bool:
@@ -181,37 +188,48 @@ class CoherentCache:
         return self._install(block, state, by_prefetch, now)
 
     def _install(self, block: int, state: LineState, by_prefetch: bool, now: int) -> EvictedLine | None:
-        set_idx = self._set_index(block)
-        ways = self._frames[set_idx]
-        # Prefer the first invalid way, then a new way while the set is
-        # short, then the LRU way: the choice a fully allocated set
-        # would make, since its never-filled ways follow the filled ones.
-        target: CacheFrame | None = None
-        for frame in ways:
-            if not frame.valid:
-                target = frame
-                break
-        if target is None:
-            if len(ways) < self._assoc:
-                target = CacheFrame()
-                ways.append(target)
-            else:
-                target = min(ways, key=lambda f: f.last_use)
-
+        set_idx = (block >> self._block_shift) & self._set_mask
+        ways = self._frames.get(set_idx)
         writeback: EvictedLine | None = None
-        if target.block >= 0:
-            self._by_block.pop(target.block, None)
-            if target.valid:
-                displaced = self.victim.insert(
-                    target.block, target.state, target.words_accessed, target.remote_written
-                )
-                if self.victim.capacity == 0:
-                    if target.dirty:
-                        writeback = EvictedLine(target.block, dirty=True)
-                elif displaced is not None:
-                    writeback = EvictedLine(displaced[0], dirty=True)
+        if ways is None:
+            target = CacheFrame()
+            self._frames[set_idx] = [target]
+        else:
+            # Prefer the first invalid way, then a new way while the set
+            # is short, then the LRU way: the choice a fully allocated set
+            # would make, since its never-filled ways follow the filled
+            # ones.
+            for target in ways:
+                if target.state is _INVALID:
+                    break
+            else:
+                if len(ways) < self._assoc:
+                    target = CacheFrame()
+                    ways.append(target)
+                else:
+                    target = min(ways, key=_last_use)
+            old = target.block
+            if old >= 0:
+                self._by_block.pop(old, None)
+                old_state = target.state
+                if old_state is not _INVALID:
+                    victim = self.victim
+                    if victim.capacity == 0:
+                        if old_state is _MODIFIED:
+                            writeback = EvictedLine(old, dirty=True)
+                    else:
+                        displaced = victim.insert(
+                            old, old_state, target.words_accessed, target.remote_written
+                        )
+                        if displaced is not None:
+                            writeback = EvictedLine(displaced[0], dirty=True)
 
-        target.fill(block, state, by_prefetch, now)
+        target.block = block
+        target.state = state
+        target.words_accessed = 0
+        target.remote_written = 0
+        target.filled_by_prefetch = by_prefetch
+        target.last_use = now
         self._by_block[block] = target
         return writeback
 
@@ -236,7 +254,7 @@ class CoherentCache:
         data invalidated before use".  Returns a dirty victim to write
         back, as :meth:`fill` does.
         """
-        writeback = self._install(block, LineState.INVALID, by_prefetch=True, now=now)
+        writeback = self._install(block, _INVALID, by_prefetch=True, now=now)
         frame = self._by_block.get(block)
         if frame is not None:
             frame.remote_written = remote_written
@@ -251,7 +269,7 @@ class CoherentCache:
         written words until the eventual invalidation miss is classified.
         """
         frame = self._by_block.get(block)
-        if frame is not None and frame.state is LineState.INVALID:
+        if frame is not None and frame.state is _INVALID:
             frame.note_remote_write(writer_word_mask)
         elif frame is None and self.victim.capacity:
             self.victim.note_remote_write(block, writer_word_mask)

@@ -6,9 +6,17 @@ from repro.coherence.protocol import LineState
 
 __all__ = ["CacheFrame"]
 
+# Read per lookup and per snoop: a module global is cheaper on CPython
+# than a member read off its enum class.
+_INVALID = LineState.INVALID
+
 
 class CacheFrame:
     """One block frame: tag, coherence state, and classification metadata.
+
+    :class:`~repro.cache.coherent.CoherentCache` creates a frame the
+    first time a fill needs a new way of its set, and then refills that
+    frame in place (it writes the fields below directly).
 
     Attributes:
         block: block (line) byte address currently tagged, or -1 if the
@@ -43,7 +51,7 @@ class CacheFrame:
 
     def __init__(self) -> None:
         self.block = -1
-        self.state = LineState.INVALID
+        self.state = _INVALID
         self.words_accessed = 0
         self.remote_written = 0
         self.filled_by_prefetch = False
@@ -52,21 +60,7 @@ class CacheFrame:
     @property
     def valid(self) -> bool:
         """True when the frame holds a usable copy."""
-        return self.state is not LineState.INVALID
-
-    @property
-    def dirty(self) -> bool:
-        """True when eviction must write the block back."""
-        return self.state is LineState.MODIFIED
-
-    def fill(self, block: int, state: LineState, by_prefetch: bool, now: int) -> None:
-        """Load a new block into the frame."""
-        self.block = block
-        self.state = state
-        self.words_accessed = 0
-        self.remote_written = 0
-        self.filled_by_prefetch = by_prefetch
-        self.last_use = now
+        return self.state is not _INVALID
 
     def record_access(self, word_mask: int, now: int) -> None:
         """Note a local demand access touching ``word_mask`` words."""
@@ -83,7 +77,7 @@ class CacheFrame:
         accumulating remote writes until this CPU misses on the line.
         """
         self.remote_written = writer_word_mask
-        self.state = LineState.INVALID
+        self.state = _INVALID
 
     def note_remote_write(self, writer_word_mask: int) -> None:
         """Accumulate a remote write observed while this copy is invalid."""

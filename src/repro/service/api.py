@@ -418,6 +418,8 @@ class ReproService:
                 try:
                     content_length = int(value.strip())
                 except ValueError:
+                    content_length = -1
+                if content_length < 0:
                     return 400, _error_body("bad Content-Length"), "application/json", {}
         if content_length > MAX_BODY_BYTES:
             return 413, _error_body("request body too large"), "application/json", {}

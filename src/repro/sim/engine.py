@@ -152,9 +152,14 @@ class SimulationEngine:
             state.is_valid and self.protocol.write_hit_needs_upgrade(state)
             for state in LineState
         )
-        #: Every cache but cpu i's, for the remote-write classifier loop.
-        self._remote_caches = [
-            tuple(p.cache for p in self.procs if p.cpu != i)
+        #: Every cache but cpu i's, as ``(tag map, victim buffer or
+        #: None)``, for the remote-write classifier loop.
+        self._remote_tags = [
+            tuple(
+                (p.cache._by_block, p.cache.victim if p.cache.victim.capacity else None)
+                for p in self.procs
+                if p.cpu != i
+            )
             for i in range(machine.num_cpus)
         ]
         #: Every CPU but cpu i, as ``(cpu, cache, tag map, MSHRs)`` for
@@ -302,7 +307,7 @@ class SimulationEngine:
                 proc.mshr,
                 proc.mshr._fills,
                 proc.cache._by_block,
-                self._remote_caches[proc.cpu],
+                self._remote_tags[proc.cpu],
                 None if unused_prefetches is None else unused_prefetches[proc.cpu],
             )
             for proc in procs
@@ -332,7 +337,7 @@ class SimulationEngine:
                 else:  # _EV_FILLDONE
                     self._fill_done(procs[a], b, time)
                 continue
-            proc, events, num_events, metrics, mshr, mshr_fills, by_block, remote_caches, unused = ctx[a]
+            proc, events, num_events, metrics, mshr, mshr_fills, by_block, remote_tags, unused = ctx[a]
             proc.scheduled = False
             now = time
             while True:  # ---------------- hit-streak fast path ----------------
@@ -443,14 +448,14 @@ class SimulationEngine:
                     # _complete_access("retire") for the hit case.
                     if is_write:
                         frame.state = modified
-                        for cache in remote_caches:
-                            # Inlined CoherentCache.note_remote_write.
-                            rframe = cache._by_block.get(block)
+                        for rtags, rvictim in remote_tags:
+                            # Inlined _note_remote_write.
+                            rframe = rtags.get(block)
                             if rframe is not None:
                                 if rframe.state is invalid:
                                     rframe.remote_written |= mask
-                            elif cache.victim.capacity:
-                                cache.victim.note_remote_write(block, mask)
+                            elif rvictim is not None:
+                                rvictim.note_remote_write(block, mask)
                     frame.words_accessed |= mask
                     frame.filled_by_prefetch = False
                     frame.last_use = now
@@ -801,7 +806,7 @@ class SimulationEngine:
             if proc.acc_write:
                 proc.cache.set_state(block, LineState.MODIFIED)
                 if not proc.acc_sync:
-                    self._note_remote_write(proc, block, proc.acc_word_mask)
+                    self._note_remote_write(proc.cpu, block, proc.acc_word_mask)
             proc.cache.record_access(block, proc.acc_word_mask, now)
             cost = 1 + (_VICTIM_SWAP_CYCLES if result.victim_hit else 0)
             metrics.busy_cycles += cost
@@ -1003,56 +1008,90 @@ class SimulationEngine:
         heappush(self._heap, (done, seq, _EV_FILLDONE, cpu, block))
 
     def _grant_upgrade(self, txn: BusTransaction, now: int) -> None:
-        proc = self.procs[txn.cpu]
+        cpu = txn.cpu
         block = txn.block
         word_mask = txn.word_mask
         obs = self._obs
         snoop_all = self._has_victim
         invalid = _INVALID
-        for other, cache, by_block, mshr in self._remotes[txn.cpu]:
-            frame = by_block.get(block)
-            if snoop_all or (frame is not None and frame.state is not invalid):
+        actions = self._snoop_actions[_UPGRADE_OP]
+        for other, cache, by_block, mshr in self._remotes[cpu]:
+            if snoop_all:
                 had, _supplied = cache.snoop(block, _UPGRADE_OP, word_mask)
-                if had and obs is not None:
-                    obs.on_snoop(other, txn.cpu, block, now, "invalidate")
-            if mshr.snoop_invalidate(block, word_mask) and obs is not None:
-                obs.on_snoop(other, txn.cpu, block, now, "poison")
+            else:
+                # CoherentCache.snoop for a cache with no victim buffer.
+                frame = by_block.get(block)
+                had = frame is not None and frame.state is not invalid
+                if had:
+                    action = actions[frame.state]
+                    if action.invalidated:
+                        frame.remote_written = word_mask
+                    frame.state = action.new_state
+            if had and obs is not None:
+                obs.on_snoop(other, cpu, block, now, "invalidate")
+            # A granted fill is poisoned, as by
+            # MissStatusRegisters.snoop_invalidate (the words accumulate).
+            remote_fill = mshr._fills.get(block)
+            if remote_fill is not None and remote_fill.granted:
+                remote_fill.poisoned = True
+                remote_fill.poisoned_word_mask |= word_mask
+                if obs is not None:
+                    obs.on_snoop(other, cpu, block, now, "poison")
 
-        if proc.status is not _STALLED_UPGRADE or proc.waiting_block != txn.block:
-            raise SimulationError(f"upgrade granted for cpu {txn.cpu} not waiting on it")
+        proc = self.procs[cpu]
+        if proc.status is not _STALLED_UPGRADE or proc.waiting_block != block:
+            raise SimulationError(f"upgrade granted for cpu {cpu} not waiting on it")
 
-        if proc.cache.state_of(txn.block).is_valid:
-            proc.cache.set_state(txn.block, _MODIFIED)
+        done = txn.completion_time
+        frame = proc.cache._by_block.get(block)
+        if frame is not None and frame.state is not invalid:
+            # The write completes: the line turns MODIFIED and records
+            # the access.
+            mask = proc.acc_word_mask
+            frame.state = _MODIFIED
             if not proc.acc_sync:
-                self._note_remote_write(proc, txn.block, proc.acc_word_mask)
-            proc.cache.record_access(txn.block, proc.acc_word_mask, now)
+                self._note_remote_write(cpu, block, mask)
+            frame.words_accessed |= mask
+            frame.filled_by_prefetch = False
+            frame.last_use = now
             # The access cycle falls at the grant; the CPU runs on from
             # the upgrade's completion.
             if obs is not None:
-                obs.on_resume(txn.cpu, now)
+                obs.on_resume(cpu, now)
             proc.metrics.busy_cycles += 1
             if obs is not None:
-                obs.on_resume(txn.cpu, txn.completion_time)
+                obs.on_resume(cpu, done)
                 unused = self._unused_prefetches
-                if unused is not None and block in unused[txn.cpu]:
-                    obs.on_prefetch_used(txn.cpu, block)
+                if unused is not None and block in unused[cpu]:
+                    obs.on_prefetch_used(cpu, block)
             proc.waiting_block = -1
             proc.status = _RUNNING
-            self._complete_access(proc, txn.completion_time)
+            self._complete_access(proc, done)
         else:
             # Raced: a remote invalidation beat the upgrade.  Re-attempt
             # the access; it will classify as an invalidation miss and
             # issue a full exclusive fill.  (No resumption to observe:
             # the CPU stalls again before its next busy cycle.)
             proc.waiting_block = -1
-            self._schedule_cpu(proc, txn.completion_time)
+            self._schedule_cpu(proc, done)
 
-    def _note_remote_write(self, writer: Processor, block: int, mask: int) -> None:
-        """Report a completed demand write to every other cache's
-        false-sharing bookkeeping (trace-driven: even silent write hits
-        are visible to the classifier, as in Charlie)."""
-        for cache in self._remote_caches[writer.cpu]:
-            cache.note_remote_write(block, mask)
+    def _note_remote_write(self, cpu: int, block: int, mask: int) -> None:
+        """Report a completed demand write by ``cpu`` to every other
+        cache's false-sharing bookkeeping (trace-driven: even silent
+        write hits are visible to the classifier, as in Charlie).
+
+        :meth:`CoherentCache.note_remote_write` per cache, in one loop:
+        an invalidated copy accumulates the written words, and a block
+        absent from the main array may sit invalidated in a victim
+        buffer.
+        """
+        for by_block, victim in self._remote_tags[cpu]:
+            frame = by_block.get(block)
+            if frame is not None:
+                if frame.state is _INVALID:
+                    frame.remote_written |= mask
+            elif victim is not None:
+                victim.note_remote_write(block, mask)
 
     def _fill_done(self, proc: Processor, block: int, time: int) -> None:
         fill = proc.mshr.finish(block)
@@ -1092,7 +1131,7 @@ class SimulationEngine:
                     obs.on_prefetch_used(proc.cpu, block)
                 cache.record_access(block, proc.acc_word_mask, time)
                 if proc.acc_write and not proc.acc_sync:
-                    self._note_remote_write(proc, block, proc.acc_word_mask)
+                    self._note_remote_write(proc.cpu, block, proc.acc_word_mask)
                 self._complete_access(proc, time + 1)
             elif (
                 self._hit_streaks
@@ -1128,7 +1167,7 @@ class SimulationEngine:
         mask = proc.acc_word_mask
         if proc.acc_write:
             frame.state = _MODIFIED
-            self._note_remote_write(proc, block, mask)
+            self._note_remote_write(cpu, block, mask)
         frame.words_accessed |= mask
         frame.filled_by_prefetch = False
         frame.last_use = time

@@ -91,11 +91,11 @@ class TestLazyFrames:
 
     def test_sets_start_empty_and_grow_to_associativity(self, protocol):
         cache = make_cache(protocol, associativity=4)
-        assert cache._frames[0] == []
+        assert cache._frames.get(0, []) == []
         for i in range(10):
             cache.fill(i * self.STRIDE, LineState.SHARED, by_prefetch=False, now=i)
             assert len(cache._frames[0]) == min(i + 1, 4)
-        assert all(ways == [] for ways in cache._frames[1:])
+        assert all(cache._frames.get(s, []) == [] for s in range(1, cache.config.num_sets))
 
     def test_invalidated_way_is_reused_before_a_new_way(self, protocol):
         cache = make_cache(protocol, associativity=4)

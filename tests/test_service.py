@@ -15,8 +15,10 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import socket
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 import pytest
 from hypothesis import given, settings
@@ -848,6 +850,29 @@ class TestHttpApi:
             urllib.request.urlopen(req, timeout=30)
         assert caught.value.code == 400
         assert "nested too deeply" in json.loads(caught.value.read())["error"]
+        assert len(svc.store) == before
+        assert svc.scheduler.queue_depth() == 0
+
+    @pytest.mark.parametrize("length", ["-5", "-0x1", "five"])
+    def test_bad_content_length_is_400_and_reads_no_body(self, service, length):
+        """A negative length must not reach ``readexactly`` (which raises
+        into the 500 backstop); the body after it is never parsed."""
+        svc, base = service
+        before = len(svc.store)
+        host, port = urlsplit(base).hostname, urlsplit(base).port
+        body = json.dumps(QUICK).encode()
+        request = (
+            f"POST /runs HTTP/1.1\r\nHost: {host}\r\nContent-Length: {length}\r\n\r\n"
+        ).encode() + body
+        with socket.create_connection((host, port), timeout=30) as sock:
+            sock.sendall(request)
+            sock.shutdown(socket.SHUT_WR)
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"400"
+        assert json.loads(payload)["error"] == "bad Content-Length"
         assert len(svc.store) == before
         assert svc.scheduler.queue_depth() == 0
 

@@ -1,0 +1,661 @@
+"""Test-only references for the bus-side handlers both engine paths share.
+
+``TestFastPathMatchesGenericPath`` holds the hit-streak fast path to
+:class:`tests.engines.GenericPathEngine`, but both sides call the same
+bus-side code: the upgrade grant (``SimulationEngine._grant_upgrade``)
+and the fill install (``CoherentCache._install``).  A bug there makes
+both sides agree, so only the goldens would see it.  As
+``tests/test_bus.py``'s ``LinearScanArbiter`` does for arbitration, the
+references here restate each handler in its plainest form: fully
+allocated sets of plain records, and the Illinois invalidation rule
+written out.  Derandomized hypothesis schedules drive the handler and
+its reference side by side.  The must-fail controls mutate one rule of
+a reference and show that a fixed schedule then fails the comparison.
+"""
+
+from __future__ import annotations
+
+import copy
+from collections import OrderedDict
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.cache.coherent import CoherentCache
+from repro.coherence.protocol import BusOp, IllinoisProtocol, LineState
+from repro.common.config import CacheConfig, MachineConfig, SimulationConfig
+from repro.sim.engine import SimulationEngine
+from repro.sim.processor import CpuStatus
+from repro.trace.events import MemRef
+from repro.trace.stream import CpuTrace, MultiTrace
+
+settings.register_profile("repro-ci", derandomize=True)
+settings.load_profile("repro-ci")
+
+INVALID, SHARED, PRIVATE, MODIFIED = (
+    LineState.INVALID,
+    LineState.SHARED,
+    LineState.PRIVATE,
+    LineState.MODIFIED,
+)
+VALID_STATES = (SHARED, PRIVATE, MODIFIED)
+
+# --------------------------------------------------------------------------
+# The fill install
+# --------------------------------------------------------------------------
+
+#: A 1 KB cache of 32-byte blocks: 32 frames, so a few tags per set
+#: fill every associativity tested here.
+SIZE, BLOCK = 1024, 32
+
+
+class Way:
+    """One way of a fully allocated set; tag -1 until first filled."""
+
+    __slots__ = ("block", "state", "words", "remote", "by_prefetch", "last_use")
+
+    def __init__(self) -> None:
+        self.block = -1
+        self.state = INVALID
+        self.words = 0
+        self.remote = 0
+        self.by_prefetch = False
+        self.last_use = 0
+
+    def fields(self) -> tuple:
+        return (self.block, self.state, self.words, self.remote, self.by_prefetch, self.last_use)
+
+
+class ReferenceCache:
+    """The install rule over fully allocated sets, LRU and a victim FIFO.
+
+    A fill picks the first INVALID way of its set (never-filled ways are
+    INVALID and come last), else the least recently used way, the first
+    one on a tie.  The tag map entry of the victim way's old tag is
+    dropped whether or not it still names that way: that is the stale
+    tag bug ``tests/test_cache.py::TestStaleTag`` pins.  A valid victim
+    is parked in the victim buffer, or written back if dirty when there
+    is none; a dirty line the buffer pushes out is written back.
+
+    ``lru_first``, ``fix_stale_tag`` and ``drop_pushed_out`` are the
+    must-fail mutations.
+    """
+
+    def __init__(
+        self,
+        config: CacheConfig,
+        *,
+        lru_first: bool = False,
+        fix_stale_tag: bool = False,
+        drop_pushed_out: bool = False,
+    ):
+        self.num_sets = config.num_sets
+        self.block_size = config.block_size
+        self.sets = [[Way() for _ in range(config.associativity)] for _ in range(self.num_sets)]
+        self.tags: dict[int, tuple[int, int]] = {}
+        self.victim_lines = config.victim_cache_lines
+        self.victim: OrderedDict[int, list] = OrderedDict()
+        self.lru_first = lru_first
+        self.fix_stale_tag = fix_stale_tag
+        self.drop_pushed_out = drop_pushed_out
+
+    def set_of(self, block: int) -> int:
+        return (block // self.block_size) % self.num_sets
+
+    def way_of(self, block: int) -> Way | None:
+        where = self.tags.get(block)
+        return None if where is None else self.sets[where[0]][where[1]]
+
+    def has_valid_copy(self, block: int) -> bool:
+        way = self.way_of(block)
+        if way is not None and way.state is not INVALID:
+            return True
+        entry = self.victim.get(block)
+        return entry is not None and entry[0] is not INVALID
+
+    def park(self, block: int, state: LineState, words: int, remote: int) -> int | None:
+        """VictimCache.insert: the dirty block pushed out, if any."""
+        if self.victim_lines == 0 or state is INVALID:
+            return None
+        pushed = None
+        if block in self.victim:
+            del self.victim[block]
+        elif len(self.victim) >= self.victim_lines:
+            old, entry = self.victim.popitem(last=False)
+            if entry[0] is MODIFIED and not self.drop_pushed_out:
+                pushed = old
+        self.victim[block] = [state, words, remote]
+        return pushed
+
+    def install(self, block: int, state: LineState, by_prefetch: bool, now: int) -> tuple | None:
+        """Fill ``block``; returns ``(block, dirty)`` to write back, or None."""
+        s = self.set_of(block)
+        ways = self.sets[s]
+        invalid = [w for w, way in enumerate(ways) if way.state is INVALID]
+        lru = min(range(len(ways)), key=lambda w: ways[w].last_use)
+        if self.lru_first and all(way.block >= 0 for way in ways):
+            choice = lru
+        else:
+            choice = invalid[0] if invalid else lru
+        way = ways[choice]
+        writeback = None
+        if way.block >= 0:
+            if not self.fix_stale_tag or self.tags.get(way.block) == (s, choice):
+                self.tags.pop(way.block, None)
+            if way.state is not INVALID:
+                if self.victim_lines == 0:
+                    if way.state is MODIFIED:
+                        writeback = (way.block, True)
+                else:
+                    pushed = self.park(way.block, way.state, way.words, way.remote)
+                    if pushed is not None:
+                        writeback = (pushed, True)
+        way.block, way.state, way.words, way.remote = block, state, 0, 0
+        way.by_prefetch, way.last_use = by_prefetch, now
+        self.tags[block] = (s, choice)
+        return writeback
+
+    def install_poisoned(self, block: int, remote: int, now: int) -> tuple | None:
+        writeback = self.install(block, INVALID, True, now)
+        self.way_of(block).remote = remote
+        return writeback
+
+    def snoop(self, block: int, op: BusOp, mask: int) -> None:
+        """A remote READ downgrades valid copies; READ_EX invalidates them."""
+        for entry in (self.way_of(block), self.victim.get(block)):
+            if entry is None:
+                continue
+            if isinstance(entry, Way):
+                if entry.state is INVALID:
+                    continue
+                if op is BusOp.READ:
+                    entry.state = SHARED
+                else:
+                    entry.state, entry.remote = INVALID, mask
+            elif entry[0] is not INVALID:
+                entry[0] = SHARED if op is BusOp.READ else INVALID
+                if op is not BusOp.READ:
+                    entry[2] = mask
+
+    def touch(self, block: int, mask: int, now: int) -> None:
+        way = self.way_of(block)
+        if way is not None:
+            way.words |= mask
+            way.by_prefetch = False
+            way.last_use = now
+
+    def remote_write(self, block: int, mask: int) -> None:
+        way = self.way_of(block)
+        if way is not None:
+            if way.state is INVALID:
+                way.remote |= mask
+        elif block in self.victim and self.victim[block][0] is INVALID:
+            self.victim[block][2] |= mask
+
+    def lookup(self, block: int, mask: int, now: int) -> tuple:
+        """lookup_demand as ``(hit, invalidation, false_sharing, victim_hit, writeback)``."""
+        way = self.way_of(block)
+        if way is not None:
+            if way.state is not INVALID:
+                way.last_use = now
+                return (True, False, False, False, None)
+            return (False, True, way.remote & (way.words | mask) == 0, False, None)
+        entry = self.victim.get(block)
+        if entry is not None and entry[0] is not INVALID:
+            del self.victim[block]
+            writeback = self.install(block, entry[0], False, now)
+            way = self.way_of(block)
+            way.words, way.remote = entry[1], entry[2]
+            return (True, False, False, True, writeback)
+        if entry is not None:
+            del self.victim[block]
+            return (False, True, entry[2] & (entry[1] | mask) == 0, False, None)
+        return (False, False, False, False, None)
+
+
+def _evicted(line) -> tuple | None:
+    return None if line is None else (line.block, line.dirty)
+
+
+def _lookup_fields(result) -> tuple:
+    return (
+        result.hit,
+        result.invalidation_miss,
+        result.false_sharing,
+        result.victim_hit,
+        _evicted(result.writeback),
+    )
+
+
+class FrameTracker:
+    """Maps the cache's frames to ``(set, way)`` without reading its sets.
+
+    A frame is created only by an install, which maps it at once, so a
+    frame object first seen in the tag map is the next way of its set.
+    """
+
+    def __init__(self, reference: ReferenceCache) -> None:
+        self.reference = reference
+        self.where: dict[int, tuple[int, int]] = {}
+        self.frames: list = []
+        self.allocated = [0] * reference.num_sets
+
+    def update(self, cache: CoherentCache) -> None:
+        for block, frame in cache._by_block.items():
+            if id(frame) not in self.where:
+                s = self.reference.set_of(block)
+                self.where[id(frame)] = (s, self.allocated[s])
+                self.allocated[s] += 1
+                self.frames.append(frame)
+
+    def check(self, cache: CoherentCache) -> None:
+        ref = self.reference
+        self.update(cache)
+        assert {b: self.where[id(f)] for b, f in cache._by_block.items()} == ref.tags
+        for frame in self.frames:
+            s, w = self.where[id(frame)]
+            got = (
+                frame.block,
+                frame.state,
+                frame.words_accessed,
+                frame.remote_written,
+                frame.filled_by_prefetch,
+                frame.last_use,
+            )
+            assert got == ref.sets[s][w].fields(), (s, w)
+        # A way the cache has not allocated is one a fill never chose.
+        for s, ways in enumerate(ref.sets):
+            assert all(way.block == -1 for way in ways[self.allocated[s]:]), s
+        assert [
+            (b, e.state, e.words_accessed, e.remote_written)
+            for b, e in cache.victim._entries.items()
+        ] == [(b, *entry) for b, entry in ref.victim.items()]
+
+
+def _block(config: CacheConfig, index: int) -> int:
+    """Block ``index`` of 12: six tags in each of sets 0 and 1."""
+    return (index % 6) * config.num_sets * BLOCK + (index // 6) * BLOCK
+
+
+_FILL_STEP = st.tuples(
+    st.just("fill"), st.integers(0, 11), st.sampled_from(VALID_STATES), st.booleans()
+)
+#: Fills weigh double: every rule under test needs full sets.
+_INSTALL_STEP = st.one_of(
+    _FILL_STEP,
+    _FILL_STEP,
+    st.tuples(st.just("poisoned"), st.integers(0, 11), st.integers(1, 255)),
+    st.tuples(
+        st.just("snoop"), st.integers(0, 11), st.sampled_from([BusOp.READ, BusOp.READ_EX]),
+        st.integers(0, 255),
+    ),
+    st.tuples(st.just("touch"), st.integers(0, 11), st.integers(1, 255)),
+    st.tuples(st.just("remote_write"), st.integers(0, 11), st.integers(1, 255)),
+    st.tuples(st.just("lookup"), st.integers(0, 11), st.integers(1, 255)),
+)
+
+
+def run_install_schedule(config: CacheConfig, steps, **mutation) -> None:
+    """Drive a cache and its reference through ``steps``, comparing all
+    state after each one.  A fill is skipped when the block has a valid
+    copy (the engine starts fills only for lines it cannot use)."""
+    cache = CoherentCache(config, IllinoisProtocol(), cpu=0)
+    ref = ReferenceCache(config, **mutation)
+    tracker = FrameTracker(ref)
+    now = 0
+    for step in steps:
+        now += 1
+        op, block = step[0], _block(config, step[1])
+        if op in ("fill", "poisoned") and ref.has_valid_copy(block):
+            continue
+        if op == "fill":
+            _, _, state, by_prefetch = step
+            got = _evicted(cache.fill(block, state, by_prefetch, now))
+            assert got == ref.install(block, state, by_prefetch, now)
+        elif op == "poisoned":
+            got = _evicted(cache.install_poisoned(block, step[2], now))
+            assert got == ref.install_poisoned(block, step[2], now)
+        elif op == "snoop":
+            cache.snoop(block, step[2], step[3])
+            ref.snoop(block, step[2], step[3])
+        elif op == "touch":
+            cache.record_access(block, step[2], now)
+            ref.touch(block, step[2], now)
+        elif op == "remote_write":
+            cache.note_remote_write(block, step[2])
+            ref.remote_write(block, step[2])
+        else:
+            assert _lookup_fields(cache.lookup_demand(block, step[2], now)) == ref.lookup(
+                block, step[2], now
+            )
+        tracker.check(cache)
+
+
+#: Four tags into one 4-way set; the invalidated one is not the LRU way.
+INVALID_BEATS_LRU = [("fill", i, SHARED, False) for i in range(4)] + [
+    ("snoop", 2, BusOp.READ_EX, 1),
+    ("fill", 4, SHARED, False),
+]
+
+#: TestStaleTag's schedule on a 2-way set: X gets a second way while its
+#: stale INVALID tag sits in the first, then W reuses the stale way.
+STALE_TAG = [
+    ("fill", 0, SHARED, False),  # Z
+    ("fill", 1, SHARED, False),  # X
+    ("snoop", 0, BusOp.READ_EX, 1),
+    ("snoop", 1, BusOp.READ_EX, 1),
+    ("fill", 1, MODIFIED, False),  # X into Z's way
+    ("fill", 2, SHARED, False),  # W into X's stale way
+]
+
+#: Direct-mapped with a 2-line victim buffer: the dirty first line is
+#: parked, then pushed out by the third eviction and written back.
+VICTIM_PUSH_OUT = [("fill", 0, MODIFIED, False)] + [
+    ("fill", i, SHARED, False) for i in range(1, 4)
+]
+
+
+class TestInstallReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        associativity=st.sampled_from([1, 2, 4]),
+        victim_lines=st.sampled_from([0, 2]),
+        steps=st.lists(_INSTALL_STEP, max_size=80),
+    )
+    @example(associativity=4, victim_lines=0, steps=INVALID_BEATS_LRU)
+    @example(associativity=2, victim_lines=0, steps=STALE_TAG)
+    @example(associativity=1, victim_lines=2, steps=VICTIM_PUSH_OUT)
+    def test_matches_reference(self, associativity, victim_lines, steps):
+        config = CacheConfig(
+            size_bytes=SIZE, block_size=BLOCK, associativity=associativity,
+            victim_cache_lines=victim_lines,
+        )
+        run_install_schedule(config, steps)
+
+    @pytest.mark.parametrize(
+        "steps, associativity, victim_lines, mutation",
+        [
+            (INVALID_BEATS_LRU, 4, 0, {"lru_first": True}),
+            (STALE_TAG, 2, 0, {"fix_stale_tag": True}),
+            (VICTIM_PUSH_OUT, 1, 2, {"drop_pushed_out": True}),
+        ],
+        ids=["lru-over-invalid", "stale-tag-fixed", "pushed-out-line-dropped"],
+    )
+    def test_a_mutated_reference_fails(self, steps, associativity, victim_lines, mutation):
+        config = CacheConfig(
+            size_bytes=SIZE, block_size=BLOCK, associativity=associativity,
+            victim_cache_lines=victim_lines,
+        )
+        run_install_schedule(config, steps)
+        with pytest.raises(AssertionError):
+            run_install_schedule(config, steps, **mutation)
+
+
+# --------------------------------------------------------------------------
+# The upgrade grant
+# --------------------------------------------------------------------------
+
+
+class TapRecorder:
+    """An observer stand-in that records every tap call in order."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple] = []
+
+    def __getattr__(self, name: str):
+        if not name.startswith("on_"):
+            raise AttributeError(name)
+        return lambda *args: self.calls.append((name, *args))
+
+
+#: The upgraded block and a bystander in another set.
+TARGET, BYSTANDER = 0x4000, 0x4020
+
+_FRAME = st.one_of(
+    st.none(),
+    st.tuples(
+        st.sampled_from((INVALID,) + VALID_STATES), st.integers(0, 255), st.integers(0, 255),
+        st.booleans(),
+    ),
+)
+_PARKED = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from((INVALID,) + VALID_STATES), st.integers(0, 255), st.integers(0, 255)),
+)
+#: An in-flight fill: (prefetch, exclusive, granted, poisoned, poison mask).
+_FILL = st.one_of(
+    st.none(),
+    st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.integers(0, 255)),
+)
+
+
+@st.composite
+def upgrade_scenarios(draw):
+    num_cpus = draw(st.integers(2, 4))
+    victim_lines = draw(st.sampled_from([0, 2]))
+    remotes = []
+    for _ in range(num_cpus - 1):
+        frame = draw(_FRAME)
+        parked = draw(_PARKED) if victim_lines and frame is None else None
+        remotes.append((frame, parked, draw(_FILL), draw(_FRAME)))
+    return {
+        "num_cpus": num_cpus,
+        "victim_lines": victim_lines,
+        "protocol": draw(st.sampled_from(["illinois", "msi"])),
+        "writer": draw(st.integers(0, num_cpus - 1)),
+        "writer_state": draw(st.sampled_from([SHARED, INVALID, None])),
+        "mask": draw(st.integers(1, 255)),
+        "sync": draw(st.booleans()),
+        "stall": draw(st.integers(0, 300)),
+        "remotes": remotes,
+    }
+
+
+def build_upgrade(sc: dict) -> tuple[SimulationEngine, object]:
+    """An engine whose writer is stalled on a granted UPGRADE of TARGET."""
+    n = sc["num_cpus"]
+    machine = MachineConfig(
+        num_cpus=n,
+        cache=CacheConfig(victim_cache_lines=sc["victim_lines"]),
+        protocol=sc["protocol"],
+    )
+    trace = MultiTrace("upgrade", [CpuTrace(c, [MemRef(0x100000)]) for c in range(n)])
+    engine = SimulationEngine(trace, machine, SimulationConfig())
+    engine._obs = TapRecorder()
+
+    def place(cache, block, frame, now):
+        if frame is None:
+            return
+        state, words, remote, by_prefetch = frame
+        cache.fill(block, SHARED, by_prefetch, now)
+        installed = cache._by_block[block]
+        installed.state, installed.words_accessed, installed.remote_written = state, words, remote
+
+    others = [c for c in range(n) if c != sc["writer"]]
+    for cpu, (frame, parked, fill, bystander) in zip(others, sc["remotes"]):
+        cache, mshr = engine.procs[cpu].cache, engine.procs[cpu].mshr
+        place(cache, TARGET, frame, 1)
+        place(cache, BYSTANDER, bystander, 2)
+        if parked is not None:
+            state, words, remote = parked
+            cache.victim.insert(TARGET, SHARED, words, remote)
+            cache.victim._entries[TARGET].state = state
+        if fill is not None:
+            is_prefetch, exclusive, granted, poisoned, poison_mask = fill
+            started = mshr.start(TARGET, is_prefetch, exclusive, 0, 3)
+            started.granted, started.poisoned = granted, poisoned
+            started.poisoned_word_mask = poison_mask
+
+    writer = engine.procs[sc["writer"]]
+    if sc["writer_state"] is not None:
+        writer.cache.fill(TARGET, SHARED, False, 4)
+        writer.cache._by_block[TARGET].state = sc["writer_state"]
+    start = 10
+    writer.begin_access(
+        addr=TARGET + 4, block=TARGET, is_write=True, word_mask=sc["mask"], cont="retire",
+        now=start, sync=sc["sync"],
+    )
+    writer.acc_counted = writer.acc_missed = True
+    writer.status = CpuStatus.STALLED_UPGRADE
+    writer.waiting_block = TARGET
+    txn = engine.bus.make_upgrade(writer.cpu, TARGET, start, sc["mask"])
+    engine.bus.request(txn)
+    granted = engine.bus.arbitrate(txn.eligible_time + sc["stall"])
+    assert granted is txn
+    return engine, txn
+
+
+def snapshot(engine: SimulationEngine) -> dict:
+    """Everything an upgrade grant may touch, as plain data."""
+    cpus = []
+    for proc in engine.procs:
+        m = proc.metrics
+        cpus.append(
+            {
+                "frames": {
+                    b: [
+                        f.state, f.words_accessed, f.remote_written, f.filled_by_prefetch,
+                        f.last_use,
+                    ]
+                    for b, f in proc.cache._by_block.items()
+                },
+                "parked": {
+                    b: [e.state, e.words_accessed, e.remote_written]
+                    for b, e in proc.cache.victim._entries.items()
+                },
+                "fills": {
+                    f.block: [f.granted, f.poisoned, f.poisoned_word_mask, f.fill_state]
+                    for f in proc.mshr.outstanding_fills()
+                },
+                "proc": [
+                    proc.status, proc.waiting_block, proc.pc, proc.in_access, proc.scheduled,
+                    m.busy_cycles, m.demand_refs, m.sync_refs, m.miss_wait_cycles,
+                ],
+            }
+        )
+    heap = sorted((t, kind, a, b) for t, _seq, kind, a, b in engine._heap)
+    return {"cpus": cpus, "heap": heap, "taps": list(engine._obs.calls)}
+
+
+def reference_upgrade(
+    before: dict, writer: int, mask: int, sync: bool, now: int, done: int, start: int,
+    *, poison_ungranted: bool = False, skip_remote_note: bool = False,
+) -> dict:
+    """What granting the writer's UPGRADE of TARGET must leave behind.
+
+    Every other CPU, in CPU order: a valid copy (main array or victim
+    buffer) turns INVALID with the written words as its remote mask (tap
+    ``invalidate``), and a fill already granted on the bus is poisoned,
+    accumulating the words (tap ``poison``).  Then, if the writer still
+    holds a valid line, the write completes at the grant: MODIFIED, its
+    words recorded, one busy cycle, and -- unless it is a sync access --
+    every other cache's INVALID tag (or invalidated parked copy, when the
+    main array has no tag) accumulates the words; the CPU resumes at the
+    upgrade's completion.  Otherwise the race is lost and the CPU is
+    rescheduled at completion to retry the access.
+    """
+    after = copy.deepcopy(before)
+    taps = after["taps"]
+    cpus = after["cpus"]
+    others = [c for c in range(len(cpus)) if c != writer]
+    for cpu in others:
+        had = False
+        for entry in (cpus[cpu]["frames"].get(TARGET), cpus[cpu]["parked"].get(TARGET)):
+            if entry is not None and entry[0] is not INVALID:
+                entry[0], entry[2] = INVALID, mask
+                had = True
+        if had:
+            taps.append(("on_snoop", cpu, writer, TARGET, now, "invalidate"))
+        fill = cpus[cpu]["fills"].get(TARGET)
+        if fill is not None and (fill[0] or poison_ungranted):
+            fill[1] = True
+            fill[2] |= mask
+            taps.append(("on_snoop", cpu, writer, TARGET, now, "poison"))
+    own = cpus[writer]["frames"].get(TARGET)
+    proc = cpus[writer]["proc"]
+    if own is not None and own[0] is not INVALID:
+        own[0] = MODIFIED
+        own[1] |= mask
+        own[3] = False
+        own[4] = now
+        if not sync and not skip_remote_note:
+            for cpu in others:
+                frame = cpus[cpu]["frames"].get(TARGET)
+                parked = cpus[cpu]["parked"].get(TARGET)
+                if frame is not None:
+                    if frame[0] is INVALID:
+                        frame[2] |= mask
+                elif parked is not None and parked[0] is INVALID:
+                    parked[2] |= mask
+        taps += [("on_resume", writer, now), ("on_resume", writer, done)]
+        taps.append(("on_miss_stall", writer, TARGET, start, done, sync))
+        proc[5] += 1
+        if sync:
+            proc[7] += 1
+        else:
+            proc[6] += 1
+            proc[8] += max(0, done - start - 1)
+        proc[2] += 1
+        proc[3] = False
+    proc[0], proc[1], proc[4] = CpuStatus.RUNNING, -1, True
+    after["heap"] = sorted(after["heap"] + [(done, 0, writer, 0)])
+    return after
+
+
+def run_upgrade(sc: dict, **mutation) -> None:
+    engine, txn = build_upgrade(sc)
+    before = snapshot(engine)
+    now = txn.grant_time
+    engine._grant_upgrade(txn, now)
+    expected = reference_upgrade(
+        before, sc["writer"], sc["mask"], sc["sync"], now, txn.completion_time, 10, **mutation
+    )
+    assert snapshot(engine) == expected
+
+
+def _scenario(**overrides) -> dict:
+    """Three CPUs, no victim buffer; CPU 0 upgrades a SHARED line."""
+    sc = {
+        "num_cpus": 3,
+        "victim_lines": 0,
+        "protocol": "illinois",
+        "writer": 0,
+        "writer_state": SHARED,
+        "mask": 0b10,
+        "sync": False,
+        "stall": 0,
+        "remotes": [(None, None, None, None), (None, None, None, None)],
+    }
+    sc.update(overrides)
+    return sc
+
+
+class TestUpgradeGrantReference:
+    @settings(max_examples=200, deadline=None)
+    @given(sc=upgrade_scenarios())
+    def test_matches_reference(self, sc):
+        run_upgrade(sc)
+
+    @pytest.mark.parametrize(
+        "sc, mutation",
+        [
+            # CPU 1 has a fill queued but not granted: it must not be poisoned.
+            (
+                _scenario(remotes=[(None, None, (False, False, False, False, 0), None)] * 2),
+                {"poison_ungranted": True},
+            ),
+            # CPU 2 holds an INVALID tag: the completed write adds to its mask.
+            (
+                _scenario(
+                    remotes=[(None, None, None, None), ((INVALID, 1, 4, False), None, None, None)]
+                ),
+                {"skip_remote_note": True},
+            ),
+        ],
+        ids=["poison-ignores-granted", "no-remote-write-note"],
+    )
+    def test_a_mutated_reference_fails(self, sc, mutation):
+        run_upgrade(sc)
+        with pytest.raises(AssertionError):
+            run_upgrade(sc, **mutation)

@@ -314,7 +314,7 @@ class TestFastPathMatchesGenericPath:
                 sorted(
                     (f.block, f.state, f.words_accessed, f.remote_written,
                      f.filled_by_prefetch, f.last_use)
-                    for ways in proc.cache._frames
+                    for ways in proc.cache._frames.values()
                     for f in ways
                 ),
                 [
