@@ -111,9 +111,9 @@ class CoherentCache:
         ``word_mask`` is the word(s) this access touches, used by the
         false-sharing rule for invalidation misses.  On a hit the
         frame's LRU stamp is refreshed but the word-access bitmap is
-        *not* updated here -- the engine calls :meth:`record_access`
-        once the access (including any upgrade) actually completes,
-        keeping classification and completion atomic.
+        *not* updated here -- the engine records the access once it
+        (including any upgrade) actually completes, keeping
+        classification and completion atomic.
         """
         frame = self._by_block.get(block)
         if frame is not None:
@@ -141,20 +141,6 @@ class CoherentCache:
             false_sharing = (remote_written & (accessed | word_mask)) == 0
             return _FALSE_SHARING_MISS if false_sharing else _TRUE_SHARING_MISS
         return _MISS
-
-    def lookup_prefetch(self, block: int) -> bool:
-        """True if a prefetch to ``block`` would hit (no bus op needed).
-
-        Prefetch hits never change state: per the paper's EXCL definition,
-        "if the prefetch hits in the cache, no bus operation is initiated,
-        even if the cache line is in the shared state."  Victim-cache
-        residency counts as a hit for prefetch purposes (the data is
-        on-chip and recoverable without the bus).
-        """
-        frame = self._by_block.get(block)
-        if frame is not None and frame.valid:
-            return True
-        return self.victim.has_valid_copy(block)
 
     def state_of(self, block: int) -> LineState:
         """Coherence state of ``block`` (INVALID when not present).
@@ -233,18 +219,6 @@ class CoherentCache:
         self._by_block[block] = target
         return writeback
 
-    def record_access(self, block: int, word_mask: int, now: int) -> None:
-        """Mark a completed demand access to ``block``."""
-        frame = self._by_block.get(block)
-        if frame is not None:
-            frame.record_access(word_mask, now)
-
-    def set_state(self, block: int, state: LineState) -> None:
-        """Force the coherence state of a resident block (upgrades)."""
-        frame = self._by_block.get(block)
-        if frame is not None:
-            frame.state = state
-
     def install_poisoned(self, block: int, remote_written: int, now: int) -> EvictedLine | None:
         """Install a fill that was invalidated while in flight.
 
@@ -259,20 +233,6 @@ class CoherentCache:
         if frame is not None:
             frame.remote_written = remote_written
         return writeback
-
-    def note_remote_write(self, block: int, writer_word_mask: int) -> None:
-        """Record a remote write for false-sharing classification.
-
-        The trace-driven engine reports *every* completed demand write
-        (including silent write hits on MODIFIED lines, which a real
-        snooper would not see); invalidated local copies accumulate the
-        written words until the eventual invalidation miss is classified.
-        """
-        frame = self._by_block.get(block)
-        if frame is not None and frame.state is _INVALID:
-            frame.note_remote_write(writer_word_mask)
-        elif frame is None and self.victim.capacity:
-            self.victim.note_remote_write(block, writer_word_mask)
 
     # ---------------------------------------------------------------- snooping
 

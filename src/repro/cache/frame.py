@@ -62,12 +62,6 @@ class CacheFrame:
         """True when the frame holds a usable copy."""
         return self.state is not _INVALID
 
-    def record_access(self, word_mask: int, now: int) -> None:
-        """Note a local demand access touching ``word_mask`` words."""
-        self.words_accessed |= word_mask
-        self.filled_by_prefetch = False
-        self.last_use = now
-
     def invalidate(self, writer_word_mask: int) -> None:
         """Invalidate in response to a remote exclusive request.
 
@@ -78,10 +72,6 @@ class CacheFrame:
         """
         self.remote_written = writer_word_mask
         self.state = _INVALID
-
-    def note_remote_write(self, writer_word_mask: int) -> None:
-        """Accumulate a remote write observed while this copy is invalid."""
-        self.remote_written |= writer_word_mask
 
     def miss_is_false_sharing(self, current_access_mask: int) -> bool:
         """Classify the invalidation miss happening now on this frame.

@@ -20,20 +20,18 @@ event taps build no event; they only count it as dropped.
 Tap sites (see DESIGN.md §5d for the full taxonomy):
 
 ===========================  =============================================
-engine ``run`` fast path      first use of a prefetched block, demand-miss
-                              MSHR allocs, prefetch merges, prefetch
-                              issue/hit/squash
-engine ``_try_access``        first use of a prefetched block, demand-miss
-                              MSHR allocs, prefetch merges
-engine ``_dispatch_prefetch`` prefetch issue/hit/squash/drop/buffer-stall
+engine ``run`` fast path      first use of a prefetched block (inline hit)
+engine ``_merge``             prefetch merges
+engine ``_miss``              demand-miss MSHR allocs
+engine ``_prefetch``          prefetch issue/hit/squash/drop/buffer-stall
+engine ``_complete_hit``      first use of a prefetched block; resumption
+                              at an upgrade's completion; miss-stall
+                              spans, lock/barrier wait spans
 engine ``_grant_fill``        coherence downgrades, in-flight poisonings
 engine ``_grant_upgrade``     invalidations; resumption at the grant (one
-                              busy cycle) and at the upgrade's completion
+                              busy cycle)
 engine ``_fill_done``         MSHR fill lifetimes; resumption of the
-                              stalled CPU and of a prefetch-buffer waiter;
-                              first use of a prefetched block and the
-                              miss-stall span of the access it completes
-engine ``_complete_access``   miss-stall spans, lock/barrier wait spans
+                              stalled CPU and of a prefetch-buffer waiter
 ``Bus.request``/``arbitrate`` queue depth, occupancy slices per tier
 ===========================  =============================================
 """

@@ -88,16 +88,78 @@ MAX_BODY_BYTES = 1 << 20
 #: Most grid points one sweep POST may expand to.
 MAX_SWEEP_POINTS = 4096
 
+#: Most header lines one request may send; more is answered 431.
+MAX_HEADER_LINES = 100
+
+#: Seconds a client has to send its whole request (request line, headers
+#: and body).  A silent client, or one that stops short of its
+#: ``Content-Length``, is answered 408 and disconnected.
+REQUEST_READ_TIMEOUT_S = 10.0
+
 _REASONS = {
     200: "OK",
     202: "Accepted",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     409: "Conflict",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
 }
+
+
+class _RefusedRequest(Exception):
+    """A request the reader refuses, answered ``status`` with the message."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader) -> str:
+    try:
+        return (await reader.readline()).decode("latin-1")
+    except ValueError:  # longer than the stream's line limit (64 KiB)
+        raise _RefusedRequest(431, "request line or header line too long") from None
+
+
+async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
+    """Read one request: ``(method, target, body)``.
+
+    At most :data:`MAX_HEADER_LINES` header lines and a body of at most
+    :data:`MAX_BODY_BYTES`; raises :class:`_RefusedRequest` otherwise.
+    """
+    request_line = (await _read_line(reader)).strip()
+    if not request_line:
+        raise _RefusedRequest(400, "empty request")
+    parts = request_line.split()
+    if len(parts) != 3:
+        raise _RefusedRequest(400, f"malformed request line: {request_line!r}")
+    method, target, _version = parts
+    content_length = 0
+    for _ in range(MAX_HEADER_LINES + 1):
+        line = await _read_line(reader)
+        if line in ("\r\n", "\n", ""):
+            break
+        name, _, value = line.partition(":")
+        if name.strip().lower() == "content-length":
+            try:
+                content_length = int(value.strip())
+            except ValueError:
+                content_length = -1
+            if content_length < 0:
+                raise _RefusedRequest(400, "bad Content-Length")
+    else:
+        raise _RefusedRequest(431, f"more than {MAX_HEADER_LINES} header lines")
+    if content_length > MAX_BODY_BYTES:
+        raise _RefusedRequest(413, "request body too large")
+    try:
+        body = await reader.readexactly(content_length) if content_length else b""
+    except asyncio.IncompleteReadError:
+        raise _RefusedRequest(400, "request body shorter than Content-Length") from None
+    return method, target, body
 
 
 @dataclass
@@ -401,29 +463,14 @@ class ReproService:
     async def _handle_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[int, bytes, str, dict[str, str]]:
-        request_line = (await reader.readline()).decode("latin-1").strip()
-        if not request_line:
-            return 400, _error_body("empty request"), "application/json", {}
-        parts = request_line.split()
-        if len(parts) != 3:
-            return 400, _error_body(f"malformed request line: {request_line!r}"), "application/json", {}
-        method, target, _version = parts
-        content_length = 0
-        while True:
-            line = (await reader.readline()).decode("latin-1")
-            if line in ("\r\n", "\n", ""):
-                break
-            name, _, value = line.partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    content_length = -1
-                if content_length < 0:
-                    return 400, _error_body("bad Content-Length"), "application/json", {}
-        if content_length > MAX_BODY_BYTES:
-            return 413, _error_body("request body too large"), "application/json", {}
-        raw_body = await reader.readexactly(content_length) if content_length else b""
+        try:
+            method, target, raw_body = await asyncio.wait_for(
+                _read_request(reader), REQUEST_READ_TIMEOUT_S
+            )
+        except _RefusedRequest as exc:
+            return exc.status, _error_body(str(exc)), "application/json", {}
+        except asyncio.TimeoutError:
+            return 408, _error_body("request not received in time"), "application/json", {}
 
         url = urlsplit(target)
         path = url.path.rstrip("/") or "/"

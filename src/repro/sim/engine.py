@@ -28,7 +28,8 @@ from repro.audit.sanitizer import EngineAuditor
 from repro.bus.bus import Bus
 from repro.bus.transaction import BusTransaction, TransactionKind
 from repro.cache.coherent import CoherentCache
-from repro.cache.mshr import MissStatusRegisters
+from repro.cache.frame import CacheFrame
+from repro.cache.mshr import MissStatusRegisters, OutstandingFill
 from repro.coherence.protocol import BusOp, IllinoisProtocol, LineState, MSIProtocol
 from repro.common.addressing import word_mask_for
 from repro.common.config import MachineConfig, SimulationConfig
@@ -100,11 +101,10 @@ def simulate(
 class SimulationEngine:
     """One simulation run's mutable state.  See module docstring."""
 
-    #: Retire streaks inline in :meth:`run`, and a stalled access on
-    #: its landed fill in :meth:`_fill_done`.  Only test subclasses set
-    #: it False, to drive every CPU event and every such completion
-    #: through the generic ``_dispatch`` / ``_try_access`` handlers the
-    #: fast path must match bit for bit.
+    #: Retire hit streaks inline in :meth:`run`.  Only test subclasses
+    #: set it False, to drive every CPU event through the generic
+    #: ``_dispatch`` / ``_try_access`` handlers the fast path must match
+    #: bit for bit.
     _hit_streaks = True
 
     def __init__(
@@ -228,37 +228,33 @@ class SimulationEngine:
         The CPU-event handler is inlined here as a *hit-streak fast path*:
         a CPU whose next event time is strictly earlier than the heap
         head (``heap[0][0]``) would be popped next with nothing in
-        between, so its gaps, cache-hit ``MemRef`` events and prefetch
-        squashes, hits and issues retire right in the loop -- no
-        ``_schedule_cpu`` heappush, no ``begin_access`` bookkeeping, no
-        ``lookup_demand`` call.  A streak also ends in the loop, with
-        the CPU stalled, on
+        between, so its gaps and plain cache-hit ``MemRef`` events retire
+        right in the loop -- no ``_schedule_cpu`` heappush, no
+        ``begin_access`` bookkeeping.  Every other CPU-side transition is
+        one flat method that the loop and the generic ``_dispatch`` /
+        ``_try_access`` handlers both call: ``_miss`` (classification,
+        MSHR fill, bus request), ``_merge`` (a demand access to a block
+        with a fill in flight), ``_upgrade`` (a write hit that needs an
+        UPGRADE), ``_prefetch`` (ADAPT drop, squash, hit, issue or
+        buffer-full stall) and ``_note_remote_write``.  A miss, merge or
+        upgrade ends the streak with the CPU stalled; a prefetch that
+        retires continues it.
 
-        * a demand miss (the line absent or INVALID, no fill in flight):
-          classified, its MSHR fill started, queued at the bus;
-        * a demand access to a block with a fill in flight (a merge,
-          counted as ``prefetch_in_progress`` when the fill is a
-          prefetch);
-        * a write hit on a line that needs an UPGRADE, queued at the bus.
+        The loop hands the CPU to ``_dispatch`` on a lock or barrier
+        event, and, with victim buffers, on a miss whose block has no tag
+        in the main array (``lookup_demand`` may find a parked copy).  It
+        hands the CPU back to the heap when the continuation time is not
+        strictly earlier than the heap head (a same/earlier-timestamped
+        foreign event exists).
 
-        It hands the CPU to the generic ``_dispatch`` / ``_try_access``
-        handlers on a lock or barrier event, on every prefetch under
-        ADAPT's throttle, on a prefetch meeting a full prefetch buffer,
-        and, with victim buffers, on any miss or prefetch whose line is
-        not valid in the main array (a parked copy may serve it).  It
-        hands the CPU back to the heap when the continuation time is
-        not strictly earlier than the heap head (a same/earlier-
-        timestamped foreign event exists).
-
-        Side effects on the inline path replicate the generic handlers
-        bit for bit, taps included (``on_prefetch``, ``on_mshr_start``
-        and the bus's ``on_bus_request``, in the generic order), and the
-        strict ``< heap[0][0]`` guard preserves the global event order
-        (ties run in push order, and a deferred push lands exactly where
-        the generic push would -- the continuation is handed to
-        ``heappushpop``, which is push-then-pop fused into one sift), so
+        The strict ``< heap[0][0]`` guard preserves the global event
+        order (ties run in push order, and a deferred push lands exactly
+        where the generic push would -- the continuation is handed to
+        ``heappushpop``, which is push-then-pop fused into one sift), and
+        the inline hit replicates ``_complete_hit`` for a plain hit, so
         simulated behavior -- cycle counts, coherence traffic,
-        classification -- is identical to the pure-heap engine.
+        classification, every tap -- is identical to the pure-heap
+        engine.
 
         Observed runs take the fast path as well.  No tap fires for a
         busy cycle: the streak's busy cycles follow the CPU's last
@@ -280,20 +276,14 @@ class SimulationEngine:
         issue_cost = self._issue_cost
         invalid = _INVALID
         modified = _MODIFIED
-        stalled_fill = _STALLED_FILL
-        stalled_upgrade = _STALLED_UPGRADE
-        make_fill = self.bus.make_fill
-        make_upgrade = self.bus.make_upgrade
-        request = self.bus.request
-        schedule_arb = self._schedule_arb
-        record_misses = self._record_misses
-        miss_indices = self.miss_indices
-        # A miss may find a copy parked in a victim buffer, and ADAPT's
-        # throttle decides per prefetch: those stay generic.
-        inline_misses = not self._has_victim
-        inline_prefetches = self._throttle is None
+        miss = self._miss
+        merge = self._merge
+        upgrade = self._upgrade
+        prefetch = self._prefetch
+        note_remote_write = self._note_remote_write
+        has_victim = self._has_victim
         # Per-CPU hot context: one list index + tuple unpack per popped
-        # CPU event instead of nine attribute chains.  The third entry
+        # CPU event instead of several attribute chains.  The third entry
         # bounds the events a streak may retire inline; with streaks off
         # it is 0, which hands every CPU event to the generic handlers.
         streaks = self._hit_streaks
@@ -304,10 +294,8 @@ class SimulationEngine:
                 proc.events,
                 len(proc.events) if streaks else 0,
                 proc.metrics,
-                proc.mshr,
                 proc.mshr._fills,
                 proc.cache._by_block,
-                self._remote_tags[proc.cpu],
                 None if unused_prefetches is None else unused_prefetches[proc.cpu],
             )
             for proc in procs
@@ -337,7 +325,7 @@ class SimulationEngine:
                 else:  # _EV_FILLDONE
                     self._fill_done(procs[a], b, time)
                 continue
-            proc, events, num_events, metrics, mshr, mshr_fills, by_block, remote_tags, unused = ctx[a]
+            proc, events, num_events, metrics, mshr_fills, by_block, unused = ctx[a]
             proc.scheduled = False
             now = time
             while True:  # ---------------- hit-streak fast path ----------------
@@ -380,82 +368,37 @@ class SimulationEngine:
                         mask = word_mask_for(addr, size, block_size)
                     is_write = event.is_write
                     frame = by_block.get(block)
-                    if frame is None or frame.state is invalid or block in mshr_fills:
-                        # _try_access's miss or merge: stall on a fill.
-                        in_flight = mshr_fills.get(block)
-                        if in_flight is None and not inline_misses:
-                            # Nothing has been touched yet: exact hand-off.
+                    if (
+                        frame is None
+                        or frame.state is invalid
+                        or block in mshr_fills
+                        or (is_write and needs_upgrade[frame.state])
+                    ):
+                        fill = mshr_fills.get(block)
+                        if fill is None and frame is None and has_victim:
                             self._dispatch(proc, now)
                             break
+                        # _dispatch's begin_access, then _try_access's
+                        # transition: the CPU stalls.
                         proc.gap_done = True
                         proc.begin_access(
                             addr, block, is_write, mask, "retire", now,
                             False, event.shared, event.prefetched,
                         )
-                        proc.acc_counted = True
-                        if in_flight is not None:
-                            # Merging with our own demand fill cannot
-                            # happen: demand accesses are serialized.
-                            if in_flight.is_prefetch:
-                                metrics.misses.prefetch_in_progress += 1
-                                if obs is not None:
-                                    obs.on_prefetch(a, "merge", block, now)
+                        if fill is not None:
+                            merge(proc, fill, now)
+                        elif frame is None:
+                            miss(proc, now, False, False)
+                        elif frame.state is invalid:
+                            miss(proc, now, True, frame.miss_is_false_sharing(mask))
                         else:
-                            # Inlined lookup_demand + _classify_miss.
-                            if record_misses:
-                                miss_indices.append((a, pc))
-                            m = metrics.misses
-                            if frame is None:
-                                if event.prefetched:
-                                    m.nonsharing_prefetched += 1
-                                else:
-                                    m.nonsharing_unprefetched += 1
-                            elif frame.remote_written & (frame.words_accessed | mask):
-                                if event.prefetched:
-                                    m.inval_true_prefetched += 1
-                                else:
-                                    m.inval_true_unprefetched += 1
-                            elif event.prefetched:
-                                m.inval_false_prefetched += 1
-                            else:
-                                m.inval_false_unprefetched += 1
-                            fill = mshr.start(block, False, is_write, mask, now)
-                            if obs is not None:
-                                obs.on_mshr_start(a, fill, now)
-                            request(make_fill(a, block, is_write, True, now, mask if is_write else 0))
-                            schedule_arb()
-                        proc.status = stalled_fill
-                        proc.waiting_block = block
-                        proc.acc_missed = True
+                            upgrade(proc, frame, now)
                         break
-                    if is_write and needs_upgrade[frame.state]:
-                        # _try_access's write hit on SHARED: stall on an
-                        # UPGRADE (the lookup refreshes the LRU stamp).
-                        proc.gap_done = True
-                        proc.begin_access(
-                            addr, block, True, mask, "retire", now,
-                            False, event.shared, event.prefetched,
-                        )
-                        frame.last_use = now
-                        metrics.upgrades += 1
-                        request(make_upgrade(a, block, now, mask))
-                        schedule_arb()
-                        proc.status = stalled_upgrade
-                        proc.waiting_block = block
-                        proc.acc_missed = True
-                        break
-                    # Plain hit: replicate lookup_demand + record_access +
-                    # _complete_access("retire") for the hit case.
+                    # Plain hit: _complete_hit at ``now`` with the
+                    # "retire" continuation, flattened.
                     if is_write:
                         frame.state = modified
-                        for rtags, rvictim in remote_tags:
-                            # Inlined _note_remote_write.
-                            rframe = rtags.get(block)
-                            if rframe is not None:
-                                if rframe.state is invalid:
-                                    rframe.remote_written |= mask
-                            elif rvictim is not None:
-                                rvictim.note_remote_write(block, mask)
+                        note_remote_write(a, block, mask)
                     frame.words_accessed |= mask
                     frame.filled_by_prefetch = False
                     frame.last_use = now
@@ -464,59 +407,14 @@ class SimulationEngine:
                     if unused is not None and block in unused:
                         obs.on_prefetch_used(a, block)
                     t = now + 1
-                elif etype is Prefetch and inline_prefetches:
-                    # _dispatch_prefetch's squash, hit and issue.
-                    addr = event.addr
-                    block = addr & block_mask
-                    if block in mshr_fills:
-                        # A fill for this block is already in flight; squash.
-                        metrics.prefetches_issued += 1
-                        metrics.prefetch_squashed += 1
-                        metrics.busy_cycles += issue_cost
-                        if obs is not None:
-                            obs.on_prefetch(a, "squash", block, now)
-                    else:
-                        frame = by_block.get(block)
-                        if frame is not None and frame.state is not invalid:
-                            metrics.prefetches_issued += 1
-                            metrics.prefetch_hits += 1
-                            metrics.busy_cycles += issue_cost
-                            if obs is not None:
-                                obs.on_prefetch(a, "hit", block, now)
-                        elif (
-                            not inline_misses
-                            or mshr._prefetches_in_flight >= mshr.prefetch_buffer_depth
-                        ):
-                            # A copy parked in a victim buffer would be a
-                            # hit; a full buffer stalls the CPU.
-                            self._dispatch(proc, now)
-                            break
-                        else:
-                            metrics.prefetches_issued += 1
-                            metrics.prefetch_fills += 1
-                            metrics.busy_cycles += issue_cost
-                            # Inlined _word_mask(addr, 4).
-                            if addr & 3:
-                                intended = word_mask_for(addr, 4, block_size)
-                            else:
-                                intended = 1 << ((addr & offset_mask) >> 2)
-                            exclusive = event.exclusive
-                            fill = mshr.start(block, True, exclusive, intended, now)
-                            if obs is not None:
-                                obs.on_prefetch(a, "issue", block, now)
-                                obs.on_mshr_start(a, fill, now)
-                            request(
-                                make_fill(
-                                    a, block, exclusive, False, now, intended if exclusive else 0
-                                )
-                            )
-                            schedule_arb()
+                elif etype is Prefetch:
+                    if not prefetch(proc, event, now):
+                        break  # stalled on a full prefetch buffer
                     t = now + issue_cost
                 else:
-                    # Locks, barriers, and every prefetch under ADAPT.
-                    self._dispatch(proc, now)
+                    self._dispatch(proc, now)  # locks and barriers
                     break
-                # The event retired (_retire): continue the streak at t.
+                # The event retired: continue the streak at t.
                 proc.pc = pc + 1
                 proc.gap_done = False
                 if heap and heap[0][0] <= t:
@@ -576,7 +474,8 @@ class SimulationEngine:
             raise SimulationError(f"cpu {proc.cpu} double-scheduled")
         proc.scheduled = True
         proc.status = _RUNNING
-        self._push(_EV_CPU, time, proc.cpu, 0)
+        self._seq = seq = self._seq + 1
+        heappush(self._heap, (time, seq, _EV_CPU, proc.cpu, 0))
 
     def _word_mask(self, addr: int, size: int) -> int:
         """:func:`word_mask_for`; an access inside one word sets one bit."""
@@ -638,7 +537,10 @@ class SimulationEngine:
             )
             self._try_access(proc, now)
         elif etype is Prefetch:
-            self._dispatch_prefetch(proc, event, now)
+            if self._prefetch(proc, event, now):
+                proc.pc += 1
+                proc.gap_done = False
+                self._schedule_cpu(proc, now + self._issue_cost)
         elif etype is LockAcquire:
             if self.locks.try_acquire(event.lock_id, proc.cpu):
                 proc.begin_access(
@@ -682,78 +584,67 @@ class SimulationEngine:
         else:  # pragma: no cover - trace validation prevents this
             raise SimulationError(f"cpu {proc.cpu}: unknown event type {etype.__name__}")
 
-    def _dispatch_prefetch(self, proc: Processor, event: Prefetch, now: int) -> None:
+    def _prefetch(self, proc: Processor, event: Prefetch, now: int) -> bool:
+        """Issue a prefetch instruction; False if it stalls the CPU.
+
+        A prefetch that retires costs ``issue_cost`` busy cycles and the
+        caller steps past it.  Under ADAPT's throttle it may be dropped
+        without a cache probe; otherwise it is squashed behind a fill in
+        flight, hits a valid copy in the main array or a victim buffer
+        (no bus operation, even on a SHARED line: the paper's EXCL rule),
+        or starts a fill.  A full prefetch buffer stalls the CPU until a
+        prefetch fill lands.
+        """
+        cpu = proc.cpu
         block = event.addr & self._block_mask
         metrics = proc.metrics
+        mshr = proc.mshr
         obs = self._obs
         throttle = self._throttle
         if throttle is not None and not throttle.should_issue(now):
             # ADAPT backoff: the windowed bus-utilization estimate is
-            # above the watermark, so shed this prefetch.  The
-            # instruction still retires in one cycle (like a squash) but
-            # no cache probe and no bus transaction happen.
-            metrics.prefetches_issued += 1
+            # above the watermark, so shed this prefetch.
             metrics.prefetch_dropped += 1
-            metrics.busy_cycles += self._issue_cost
-            if obs is not None:
-                obs.on_prefetch(proc.cpu, "drop", block, now)
-            self._retire(proc, now + self._issue_cost)
-            return
-        if proc.mshr.lookup(block) is not None:
-            # A fill for this block is already in flight; squash.
-            metrics.prefetches_issued += 1
+            action = "drop"
+        elif block in mshr._fills:
             metrics.prefetch_squashed += 1
-            metrics.busy_cycles += self._issue_cost
-            if obs is not None:
-                obs.on_prefetch(proc.cpu, "squash", block, now)
-            self._retire(proc, now + self._issue_cost)
-            return
-        if proc.cache.lookup_prefetch(block):
-            metrics.prefetches_issued += 1
-            metrics.prefetch_hits += 1
-            metrics.busy_cycles += self._issue_cost
-            if obs is not None:
-                obs.on_prefetch(proc.cpu, "hit", block, now)
-            self._retire(proc, now + self._issue_cost)
-            return
-        if proc.mshr.prefetch_buffer_full:
-            metrics.prefetch_buffer_stalls += 1
-            proc.status = CpuStatus.STALLED_PFBUF
-            self._pfbuf_waiters.append(proc.cpu)
-            if obs is not None:
-                obs.on_prefetch(proc.cpu, "buffer-stall", block, now)
-            return
+            action = "squash"
+        else:
+            cache = proc.cache
+            frame = cache._by_block.get(block)
+            if (frame is not None and frame.state is not _INVALID) or (
+                self._has_victim and cache.victim.has_valid_copy(block)
+            ):
+                metrics.prefetch_hits += 1
+                action = "hit"
+            elif mshr._prefetches_in_flight >= mshr.prefetch_buffer_depth:
+                metrics.prefetch_buffer_stalls += 1
+                proc.status = CpuStatus.STALLED_PFBUF
+                self._pfbuf_waiters.append(cpu)
+                if obs is not None:
+                    obs.on_prefetch(cpu, "buffer-stall", block, now)
+                return False
+            else:
+                metrics.prefetch_fills += 1
+                metrics.prefetches_issued += 1
+                metrics.busy_cycles += self._issue_cost
+                exclusive = event.exclusive
+                intended = self._word_mask(event.addr, 4)
+                fill = mshr.start(block, True, exclusive, intended, now)
+                if obs is not None:
+                    obs.on_prefetch(cpu, "issue", block, now)
+                    obs.on_mshr_start(cpu, fill, now)
+                bus = self.bus
+                bus.request(
+                    bus.make_fill(cpu, block, exclusive, False, now, intended if exclusive else 0)
+                )
+                self._schedule_arb()
+                return True
         metrics.prefetches_issued += 1
-        metrics.prefetch_fills += 1
         metrics.busy_cycles += self._issue_cost
-        intended = self._word_mask(event.addr, 4)
-        fill = proc.mshr.start(
-            block,
-            is_prefetch=True,
-            exclusive=event.exclusive,
-            intended_word_mask=intended,
-            now=now,
-        )
         if obs is not None:
-            obs.on_prefetch(proc.cpu, "issue", block, now)
-            obs.on_mshr_start(proc.cpu, fill, now)
-        txn = self.bus.make_fill(
-            proc.cpu,
-            block,
-            exclusive=event.exclusive,
-            is_demand=False,
-            now=now,
-            word_mask=intended if event.exclusive else 0,
-        )
-        self.bus.request(txn)
-        self._schedule_arb()
-        self._retire(proc, now + self._issue_cost)
-
-    def _retire(self, proc: Processor, time: int) -> None:
-        """Advance past the current event and schedule the next step."""
-        proc.pc += 1
-        proc.gap_done = False
-        self._schedule_cpu(proc, time)
+            obs.on_prefetch(cpu, action, block, now)
+        return True
 
     # ---------------------------------------------------------- access logic
 
@@ -765,163 +656,194 @@ class SimulationEngine:
         when the engine wakes the CPU.
         """
         block = proc.acc_block
-        metrics = proc.metrics
-
-        in_flight = proc.mshr.lookup(block)
-        if in_flight is not None:
-            if not proc.acc_counted:
-                proc.acc_counted = True
-                if proc.acc_sync:
-                    metrics.sync_misses += 1
-                elif in_flight.is_prefetch:
-                    metrics.misses.prefetch_in_progress += 1
-                    if self._obs is not None:
-                        self._obs.on_prefetch(proc.cpu, "merge", block, now)
-                # else: merging with our own demand fill cannot happen --
-                # demand accesses are serialized per CPU.
-            proc.status = CpuStatus.STALLED_FILL
-            proc.waiting_block = block
-            proc.acc_missed = True
+        fill = proc.mshr._fills.get(block)
+        if fill is not None:
+            self._merge(proc, fill, now)
             return
-
-        result = proc.cache.lookup_demand(block, proc.acc_word_mask, now)
+        cache = proc.cache
+        result = cache.lookup_demand(block, proc.acc_word_mask, now)
         if result.writeback is not None:
-            metrics.writebacks += 1
-            wb = self.bus.make_writeback(proc.cpu, result.writeback.block, now)
-            self.bus.request(wb)
-            self._schedule_arb()
-        if result.hit:
-            if result.victim_hit:
-                metrics.victim_hits += 1
-            state = proc.cache.state_of(block)
-            if proc.acc_write and self.protocol.write_hit_needs_upgrade(state):
-                metrics.upgrades += 1
-                txn = self.bus.make_upgrade(proc.cpu, block, now, proc.acc_word_mask)
-                self.bus.request(txn)
-                self._schedule_arb()
-                proc.status = CpuStatus.STALLED_UPGRADE
-                proc.waiting_block = block
-                proc.acc_missed = True
-                return
-            if proc.acc_write:
-                proc.cache.set_state(block, LineState.MODIFIED)
-                if not proc.acc_sync:
-                    self._note_remote_write(proc.cpu, block, proc.acc_word_mask)
-            proc.cache.record_access(block, proc.acc_word_mask, now)
-            cost = 1 + (_VICTIM_SWAP_CYCLES if result.victim_hit else 0)
-            metrics.busy_cycles += cost
-            unused = self._unused_prefetches
-            if unused is not None and block in unused[proc.cpu]:
-                self._obs.on_prefetch_used(proc.cpu, block)
-            self._complete_access(proc, now + cost)
+            self._write_back(proc, result.writeback.block, now)
+        if not result.hit:
+            self._miss(proc, now, result.invalidation_miss, result.false_sharing)
             return
+        frame = cache._by_block[block]
+        swap = 0
+        if result.victim_hit:
+            proc.metrics.victim_hits += 1
+            swap = _VICTIM_SWAP_CYCLES
+        if proc.acc_write and self._needs_upgrade[frame.state]:
+            self._upgrade(proc, frame, now)
+        else:
+            # The swap's cycle is charged only when the access completes.
+            proc.metrics.busy_cycles += swap
+            self._complete_hit(proc, frame, now, now + 1 + swap)
 
-        # Miss: classify (once per access), then fetch.
+    def _merge(self, proc: Processor, fill: OutstandingFill, now: int) -> None:
+        """The access finds a fill for its block in flight: wait for it.
+
+        Counted once per access: as a sync miss, or as the
+        prefetch-in-progress bucket when the fill is a prefetch (merging
+        with our own demand fill cannot happen: demand accesses are
+        serialized per CPU).
+        """
         if not proc.acc_counted:
             proc.acc_counted = True
-            self._classify_miss(proc, result.invalidation_miss, result.false_sharing)
-        fill = proc.mshr.start(
-            block,
-            is_prefetch=False,
-            exclusive=proc.acc_write,
-            intended_word_mask=proc.acc_word_mask,
-            now=now,
-        )
-        if self._obs is not None:
-            self._obs.on_mshr_start(proc.cpu, fill, now)
-        txn = self.bus.make_fill(
-            proc.cpu,
-            block,
-            exclusive=proc.acc_write,
-            is_demand=True,
-            now=now,
-            word_mask=proc.acc_word_mask if proc.acc_write else 0,
-        )
-        self.bus.request(txn)
-        self._schedule_arb()
-        proc.status = CpuStatus.STALLED_FILL
-        proc.waiting_block = block
+            if proc.acc_sync:
+                proc.metrics.sync_misses += 1
+            elif fill.is_prefetch:
+                proc.metrics.misses.prefetch_in_progress += 1
+                if self._obs is not None:
+                    self._obs.on_prefetch(proc.cpu, "merge", proc.acc_block, now)
+        proc.status = _STALLED_FILL
+        proc.waiting_block = proc.acc_block
         proc.acc_missed = True
 
-    def _classify_miss(self, proc: Processor, invalidation: bool, false_sharing: bool) -> None:
+    def _miss(self, proc: Processor, now: int, invalidation: bool, false_sharing: bool) -> None:
+        """A demand or sync miss: classify it, start its fill, queue it.
+
+        Classified once per access (a write that loses its upgrade race
+        misses again uncounted): a sync miss, or one of the six cause x
+        coverage buckets of Figure 3.  ``invalidation`` and
+        ``false_sharing`` come from the line's tag (CacheFrame or
+        victim buffer), as ``lookup_demand`` reports them.
+        """
         metrics = proc.metrics
-        if proc.acc_sync:
-            metrics.sync_misses += 1
-            return
-        if self._record_misses:
-            self.miss_indices.append((proc.cpu, proc.pc))
-        m = metrics.misses
-        prefetched = proc.acc_prefetched
-        if invalidation:
-            if false_sharing:
-                if prefetched:
-                    m.inval_false_prefetched += 1
-                else:
-                    m.inval_false_unprefetched += 1
+        if not proc.acc_counted:
+            proc.acc_counted = True
+            if proc.acc_sync:
+                metrics.sync_misses += 1
             else:
-                if prefetched:
+                if self._record_misses:
+                    self.miss_indices.append((proc.cpu, proc.pc))
+                m = metrics.misses
+                if not invalidation:
+                    if proc.acc_prefetched:
+                        m.nonsharing_prefetched += 1
+                    else:
+                        m.nonsharing_unprefetched += 1
+                elif false_sharing:
+                    if proc.acc_prefetched:
+                        m.inval_false_prefetched += 1
+                    else:
+                        m.inval_false_unprefetched += 1
+                elif proc.acc_prefetched:
                     m.inval_true_prefetched += 1
                 else:
                     m.inval_true_unprefetched += 1
-        else:
-            if prefetched:
-                m.nonsharing_prefetched += 1
-            else:
-                m.nonsharing_unprefetched += 1
+        cpu = proc.cpu
+        block = proc.acc_block
+        write = proc.acc_write
+        mask = proc.acc_word_mask
+        fill = proc.mshr.start(block, False, write, mask, now)
+        if self._obs is not None:
+            self._obs.on_mshr_start(cpu, fill, now)
+        bus = self.bus
+        bus.request(bus.make_fill(cpu, block, write, True, now, mask if write else 0))
+        self._schedule_arb()
+        proc.status = _STALLED_FILL
+        proc.waiting_block = block
+        proc.acc_missed = True
 
-    def _complete_access(self, proc: Processor, time: int) -> None:
-        """Run the access continuation at ``time`` and step the CPU."""
+    def _upgrade(self, proc: Processor, frame: CacheFrame, now: int) -> None:
+        """A write hit on a line that needs an UPGRADE: queue it and stall.
+
+        The hit refreshes the line's LRU stamp; the write completes when
+        the upgrade is granted (:meth:`_grant_upgrade`).
+        """
+        frame.last_use = now
+        proc.metrics.upgrades += 1
+        self.bus.request(self.bus.make_upgrade(proc.cpu, proc.acc_block, now, proc.acc_word_mask))
+        self._schedule_arb()
+        proc.status = _STALLED_UPGRADE
+        proc.waiting_block = proc.acc_block
+        proc.acc_missed = True
+
+    def _complete_hit(
+        self, proc: Processor, frame: CacheFrame, now: int, done: int, resume: bool = False
+    ) -> None:
+        """Complete the current access on ``frame`` and run its continuation.
+
+        The access cycle falls at ``now``.  A write turns the line
+        MODIFIED -- except a line a poisoned fill left INVALID, where the
+        access completes on the forwarded word -- and a non-sync write is
+        noted in every other cache.  The CPU runs on from ``done``; with
+        ``resume`` (an upgrade that held the bus past the access cycle)
+        the observer hears it resume there.  A lock release hands the
+        lock to its next waiter; a barrier arrival blocks the CPU or
+        wakes every CPU waiting there.
+        """
+        cpu = proc.cpu
+        block = proc.acc_block
+        mask = proc.acc_word_mask
+        sync = proc.acc_sync
+        if proc.acc_write:
+            if frame.state is not _INVALID:
+                frame.state = _MODIFIED
+            if not sync:
+                self._note_remote_write(cpu, block, mask)
+        frame.words_accessed |= mask
+        frame.filled_by_prefetch = False
+        frame.last_use = now
+        metrics = proc.metrics
+        metrics.busy_cycles += 1
+        obs = self._obs
+        if obs is not None:
+            if resume:
+                obs.on_resume(cpu, done)
+            unused = self._unused_prefetches
+            if unused is not None and block in unused[cpu]:
+                obs.on_prefetch_used(cpu, block)
         if self._audit is not None:
             self._audit.on_access_complete(proc)
-        obs = self._obs
-        if obs is not None and proc.acc_missed:
-            obs.on_miss_stall(proc.cpu, proc.acc_block, proc.acc_start, time, proc.acc_sync)
-        cont = proc.acc_cont
-        metrics = proc.metrics
-        if proc.acc_sync:
+        missed = proc.acc_missed
+        if obs is not None and missed:
+            obs.on_miss_stall(cpu, block, proc.acc_start, done, sync)
+        if sync:
             metrics.sync_refs += 1
         else:
             metrics.demand_refs += 1
-            if proc.acc_missed:
+            if missed:
                 # Everything beyond the one-cycle hit access is time the
                 # CPU waited on the memory subsystem for this miss.
-                metrics.miss_wait_cycles += max(0, time - proc.acc_start - 1)
-        if cont == "retire":
-            proc.end_access()
-            self._retire(proc, time)
-        elif cont == "release":
+                metrics.miss_wait_cycles += max(0, done - proc.acc_start - 1)
+        cont = proc.acc_cont
+        proc.in_access = False
+        proc.waiting_block = -1
+        if cont == "release":
             lock_id = proc.acc_lock_id
-            proc.end_access()
-            waiter = self.locks.release(lock_id, proc.cpu)
+            waiter = self.locks.release(lock_id, cpu)
             if waiter is not None:
                 wproc = self.procs[waiter]
                 if obs is not None:
-                    obs.on_sync_wait(waiter, wproc.block_started, time, "lock-wait", lock_id)
-                wproc.metrics.sync_wait_cycles += time - wproc.block_started
-                self._schedule_cpu(wproc, time)
-            self._retire(proc, time)
+                    obs.on_sync_wait(waiter, wproc.block_started, done, "lock-wait", lock_id)
+                wproc.metrics.sync_wait_cycles += done - wproc.block_started
+                self._schedule_cpu(wproc, done)
         elif cont == "barrier":
             barrier_id = proc.acc_lock_id
-            proc.end_access()
-            woken = self.barriers.arrive(barrier_id, proc.cpu)
+            woken = self.barriers.arrive(barrier_id, cpu)
             if woken is None:
                 proc.pc += 1
                 proc.gap_done = False
                 proc.status = CpuStatus.BLOCKED_BARRIER
-                proc.block_started = time
-                self.barriers.block(barrier_id, proc.cpu)
-            else:
-                for cpu in woken:
-                    wproc = self.procs[cpu]
-                    if obs is not None:
-                        obs.on_sync_wait(
-                            cpu, wproc.block_started, time, "barrier-wait", barrier_id
-                        )
-                    wproc.metrics.sync_wait_cycles += time - wproc.block_started
-                    self._schedule_cpu(wproc, time)
-                self._retire(proc, time)
-        else:  # pragma: no cover
-            raise SimulationError(f"unknown access continuation {cont!r}")
+                proc.block_started = done
+                self.barriers.block(barrier_id, cpu)
+                return
+            for other in woken:
+                wproc = self.procs[other]
+                if obs is not None:
+                    obs.on_sync_wait(other, wproc.block_started, done, "barrier-wait", barrier_id)
+                wproc.metrics.sync_wait_cycles += done - wproc.block_started
+                self._schedule_cpu(wproc, done)
+        proc.pc += 1
+        proc.gap_done = False
+        self._schedule_cpu(proc, done)
+
+    def _write_back(self, proc: Processor, block: int, now: int) -> None:
+        """Queue the write-back of a dirty line displaced from ``proc``'s cache."""
+        proc.metrics.writebacks += 1
+        self.bus.request(self.bus.make_writeback(proc.cpu, block, now))
+        self._schedule_arb()
 
     # --------------------------------------------------------------- bus side
 
@@ -1045,28 +967,11 @@ class SimulationEngine:
         done = txn.completion_time
         frame = proc.cache._by_block.get(block)
         if frame is not None and frame.state is not invalid:
-            # The write completes: the line turns MODIFIED and records
-            # the access.
-            mask = proc.acc_word_mask
-            frame.state = _MODIFIED
-            if not proc.acc_sync:
-                self._note_remote_write(cpu, block, mask)
-            frame.words_accessed |= mask
-            frame.filled_by_prefetch = False
-            frame.last_use = now
-            # The access cycle falls at the grant; the CPU runs on from
-            # the upgrade's completion.
+            # The write completes: its access cycle falls at the grant,
+            # and the CPU runs on from the upgrade's completion.
             if obs is not None:
                 obs.on_resume(cpu, now)
-            proc.metrics.busy_cycles += 1
-            if obs is not None:
-                obs.on_resume(cpu, done)
-                unused = self._unused_prefetches
-                if unused is not None and block in unused[cpu]:
-                    obs.on_prefetch_used(cpu, block)
-            proc.waiting_block = -1
-            proc.status = _RUNNING
-            self._complete_access(proc, done)
+            self._complete_hit(proc, frame, now, done, True)
         else:
             # Raced: a remote invalidation beat the upgrade.  Re-attempt
             # the access; it will classify as an invalidation miss and
@@ -1080,8 +985,7 @@ class SimulationEngine:
         cache's false-sharing bookkeeping (trace-driven: even silent
         write hits are visible to the classifier, as in Charlie).
 
-        :meth:`CoherentCache.note_remote_write` per cache, in one loop:
-        an invalidated copy accumulates the written words, and a block
+        An invalidated copy accumulates the written words, and a block
         absent from the main array may sit invalidated in a victim
         buffer.
         """
@@ -1104,10 +1008,7 @@ class SimulationEngine:
         else:
             writeback = cache._install(block, fill.fill_state, fill.is_prefetch, time)
         if writeback is not None:
-            proc.metrics.writebacks += 1
-            wb = self.bus.make_writeback(proc.cpu, writeback.block, time)
-            self.bus.request(wb)
-            self._schedule_arb()
+            self._write_back(proc, writeback.block, time)
 
         if fill.is_prefetch and self._pfbuf_waiters:
             waiter = self._pfbuf_waiters.popleft()
@@ -1116,80 +1017,21 @@ class SimulationEngine:
             self._schedule_cpu(self.procs[waiter], time)
 
         if proc.status is _STALLED_FILL and proc.waiting_block == block:
-            proc.waiting_block = -1
-            proc.status = _RUNNING
             if obs is not None:
                 obs.on_resume(proc.cpu, time)
-            if fill.poisoned:
-                # The fill was invalidated in flight, but the stalled
-                # access still completes: hardware forwards the critical
-                # word to the CPU as the fill arrives.  The line itself
-                # stays INVALID in the cache.
-                proc.metrics.busy_cycles += 1
-                unused = self._unused_prefetches
-                if unused is not None and block in unused[proc.cpu]:
-                    obs.on_prefetch_used(proc.cpu, block)
-                cache.record_access(block, proc.acc_word_mask, time)
-                if proc.acc_write and not proc.acc_sync:
-                    self._note_remote_write(proc.cpu, block, proc.acc_word_mask)
-                self._complete_access(proc, time + 1)
-            elif (
-                self._hit_streaks
-                and proc.acc_cont == "retire"
-                and not proc.acc_sync
-                and not (proc.acc_write and self._needs_upgrade[fill.fill_state])
-            ):
-                # The access hits the line just installed: _try_access's
-                # hit and _complete_access's "retire", flattened.  It
-                # completes *inline*, before any same-timestamp bus grant
-                # can snoop the line away.
-                self._retire_fill_hit(proc, block, time)
+            frame = cache._by_block[block]
+            if proc.acc_write and not fill.poisoned and self._needs_upgrade[fill.fill_state]:
+                # A write that lands SHARED still needs an upgrade.
+                self._upgrade(proc, frame, time)
             else:
-                # A sync access, a write landing SHARED that still needs
-                # an upgrade, or any access with streaks off: the generic
-                # handler, again inline (re-scheduling a CPU event here
-                # lets N CPUs contending for one hot line livelock: each
-                # fill is invalidated by the next CPU's grant before the
-                # owner's event runs).
-                self._try_access(proc, time)
+                # The access completes on the landed line, *inline*,
+                # before any same-timestamp bus grant can snoop it away
+                # (re-scheduling a CPU event here lets N CPUs contending
+                # for one hot line livelock: each fill is invalidated by
+                # the next CPU's grant before the owner's event runs).
+                # A fill invalidated in flight still completes it:
+                # hardware forwards the critical word to the CPU as the
+                # fill arrives, and the line stays INVALID in the cache.
+                self._complete_hit(proc, frame, time, time + 1)
         if self._audit is not None:
             self._audit.after_fill_done(proc, block)
-
-    def _retire_fill_hit(self, proc: Processor, block: int, time: int) -> None:
-        """Complete a stalled non-sync ``retire`` access on its landed fill.
-
-        Exactly what ``_try_access`` then ``_complete_access`` do for it:
-        the fill leaves nothing in flight for the block and a valid line
-        that needs no upgrade, so the lookup is a plain hit.
-        """
-        cpu = proc.cpu
-        frame = proc.cache._by_block[block]
-        mask = proc.acc_word_mask
-        if proc.acc_write:
-            frame.state = _MODIFIED
-            self._note_remote_write(cpu, block, mask)
-        frame.words_accessed |= mask
-        frame.filled_by_prefetch = False
-        frame.last_use = time
-        metrics = proc.metrics
-        metrics.busy_cycles += 1
-        obs = self._obs
-        unused = self._unused_prefetches
-        if unused is not None and block in unused[cpu]:
-            obs.on_prefetch_used(cpu, block)
-        done = time + 1
-        if self._audit is not None:
-            self._audit.on_access_complete(proc)
-        if obs is not None and proc.acc_missed:
-            obs.on_miss_stall(cpu, block, proc.acc_start, done, False)
-        metrics.demand_refs += 1
-        if proc.acc_missed:
-            metrics.miss_wait_cycles += max(0, done - proc.acc_start - 1)
-        proc.in_access = False
-        proc.pc += 1
-        proc.gap_done = False
-        if proc.scheduled:  # pragma: no cover - engine invariant
-            raise SimulationError(f"cpu {cpu} double-scheduled")
-        proc.scheduled = True
-        self._seq = seq = self._seq + 1
-        heappush(self._heap, (done, seq, _EV_CPU, cpu, 0))

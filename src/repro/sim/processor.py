@@ -128,8 +128,3 @@ class Processor:
         self.acc_lock_id = lock_id
         self.acc_start = now
         self.acc_missed = False
-
-    def end_access(self) -> None:
-        """Clear access state once the continuation has run."""
-        self.in_access = False
-        self.waiting_block = -1

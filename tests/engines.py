@@ -7,10 +7,9 @@ from repro.sim.engine import SimulationEngine
 class GenericPathEngine(SimulationEngine):
     """The engine with its fast path off.
 
-    Every CPU event, and every access a landed fill completes, goes
-    through the generic ``_dispatch`` / ``_try_access`` handlers, the
-    reference the fast path must match bit for bit -- on results and on
-    every observation tap.
+    Every CPU event goes through the generic ``_dispatch`` /
+    ``_try_access`` handlers, the reference the fast path must match bit
+    for bit -- on results and on every observation tap.
     """
 
     _hit_streaks = False

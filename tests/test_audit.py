@@ -69,7 +69,7 @@ class TestDetection:
         auditor = EngineAuditor(engine)
         block = 0x2000  # read by both CPUs -> SHARED in both caches
         for proc in engine.procs:
-            proc.cache.set_state(block, LineState.MODIFIED)
+            proc.cache._by_block[block].state = LineState.MODIFIED
         auditor.check_block(block)
         names = {v.check for v in auditor.violations}
         assert "coherence.single_modified" in names
@@ -79,7 +79,7 @@ class TestDetection:
         engine = _ran_engine()
         auditor = EngineAuditor(engine)
         block = 0x2000
-        engine.procs[0].cache.set_state(block, LineState.PRIVATE)
+        engine.procs[0].cache._by_block[block].state = LineState.PRIVATE
         auditor.check_block(block)
         assert any(v.check == "coherence.exclusive_unique" for v in auditor.violations)
 

@@ -6,7 +6,10 @@ import pytest
 
 from repro.cache.coherent import CoherentCache
 from repro.coherence.protocol import BusOp, IllinoisProtocol, LineState
-from repro.common.config import CacheConfig
+from repro.common.config import CacheConfig, MachineConfig
+from repro.sim.engine import simulate
+from repro.trace.events import MemRef, Prefetch
+from repro.trace.stream import CpuTrace, MultiTrace
 
 
 @pytest.fixture
@@ -16,6 +19,14 @@ def protocol():
 
 def make_cache(protocol, **kwargs):
     return CoherentCache(CacheConfig(**kwargs), protocol, cpu=0)
+
+
+def touch(cache, block, word_mask, now):
+    """What the engine's completion of an access writes into its frame."""
+    frame = cache._by_block[block]
+    frame.words_accessed |= word_mask
+    frame.filled_by_prefetch = False
+    frame.last_use = now
 
 
 class TestLookup:
@@ -73,7 +84,7 @@ class TestLookup:
         s = 32 * 1024
         cache.fill(0, LineState.SHARED, by_prefetch=False, now=0)
         cache.fill(s, LineState.SHARED, by_prefetch=False, now=1)
-        cache.record_access(0, 0b1, now=2)  # make block 0 most recent
+        touch(cache, 0, 0b1, now=2)  # make block 0 most recent
         cache.fill(2 * s, LineState.SHARED, by_prefetch=False, now=3)  # evicts s
         assert cache.lookup_demand(0, 0b1, now=4).hit
         assert not cache.lookup_demand(s, 0b1, now=4).hit
@@ -111,7 +122,7 @@ class TestLazyFrames:
         cache = make_cache(protocol, associativity=4)
         self.fill_set(cache, 4)
         assert cache.resident_blocks() == [i * self.STRIDE for i in range(4)]
-        cache.record_access(0, 0b1, now=10)  # block 1 * STRIDE is now LRU
+        touch(cache, 0, 0b1, now=10)  # block 1 * STRIDE is now LRU
         cache.fill(4 * self.STRIDE, LineState.SHARED, by_prefetch=False, now=11)
         assert cache.resident_blocks() == [0, 2 * self.STRIDE, 3 * self.STRIDE, 4 * self.STRIDE]
         assert len(cache._frames[0]) == 4
@@ -154,7 +165,7 @@ class TestInvalidationMisses:
     def test_snoop_invalidate_then_miss_classifies_invalidation(self, protocol):
         cache = make_cache(protocol)
         cache.fill(0x1000, LineState.SHARED, by_prefetch=False, now=0)
-        cache.record_access(0x1000, 0b1, now=0)
+        touch(cache, 0x1000, 0b1, now=0)
         had, supplied = cache.snoop(0x1000, BusOp.UPGRADE, writer_word_mask=0b1)
         assert had and not supplied
         result = cache.lookup_demand(0x1000, 0b1, now=1)
@@ -165,28 +176,34 @@ class TestInvalidationMisses:
     def test_false_sharing_when_disjoint_words(self, protocol):
         cache = make_cache(protocol)
         cache.fill(0x1000, LineState.SHARED, by_prefetch=False, now=0)
-        cache.record_access(0x1000, 0b1, now=0)  # we touch word 0
+        touch(cache, 0x1000, 0b1, now=0)  # we touch word 0
         cache.snoop(0x1000, BusOp.UPGRADE, writer_word_mask=0b1000)  # they write word 3
         result = cache.lookup_demand(0x1000, 0b1, now=1)  # we re-read word 0
         assert result.invalidation_miss
         assert result.false_sharing
 
-    def test_accumulated_remote_write_turns_true(self, protocol):
-        cache = make_cache(protocol)
-        cache.fill(0x1000, LineState.SHARED, by_prefetch=False, now=0)
-        cache.record_access(0x1000, 0b1, now=0)
-        cache.snoop(0x1000, BusOp.UPGRADE, writer_word_mask=0b1000)
-        # Later the remote writer also writes our word (silent write hit
-        # reported by the trace-driven engine).
-        cache.note_remote_write(0x1000, 0b1)
-        result = cache.lookup_demand(0x1000, 0b1, now=1)
-        assert result.invalidation_miss
-        assert not result.false_sharing
+    def test_accumulated_remote_write_turns_true(self):
+        # CPU 0 reads word 0; CPU 1's write of word 3 invalidates its copy.
+        # CPU 1 then writes word 0 with a silent hit on its MODIFIED line,
+        # which the trace-driven engine still reports to CPU 0's tag.
+        trace = MultiTrace(
+            "accumulated",
+            [
+                CpuTrace(0, [MemRef(0x1000), MemRef(0x1000, gap=600)]),
+                CpuTrace(
+                    1,
+                    [MemRef(0x100C, is_write=True, gap=200), MemRef(0x1000, is_write=True, gap=100)],
+                ),
+            ],
+        )
+        misses = simulate(trace, MachineConfig(num_cpus=2)).miss_counts
+        assert misses.inval_true_unprefetched == 1
+        assert misses.inval_false_unprefetched == 0
 
     def test_current_access_word_counts_for_truth(self, protocol):
         cache = make_cache(protocol)
         cache.fill(0x1000, LineState.SHARED, by_prefetch=False, now=0)
-        cache.record_access(0x1000, 0b1, now=0)
+        touch(cache, 0x1000, 0b1, now=0)
         cache.snoop(0x1000, BusOp.UPGRADE, writer_word_mask=0b10)
         # We now access word 1, exactly what the remote wrote: true.
         result = cache.lookup_demand(0x1000, 0b10, now=1)
@@ -249,13 +266,30 @@ class TestSnooping:
 
 
 class TestPrefetchLookup:
-    def test_prefetch_hit_on_valid_line(self, protocol):
-        cache = make_cache(protocol)
-        cache.fill(0x1000, LineState.SHARED, by_prefetch=True, now=0)
-        assert cache.lookup_prefetch(0x1000)
+    """A prefetch probes the cache through the engine's ``_prefetch``."""
 
-    def test_prefetch_miss_on_invalidated_line(self, protocol):
-        cache = make_cache(protocol)
-        cache.fill(0x1000, LineState.SHARED, by_prefetch=False, now=0)
-        cache.snoop(0x1000, BusOp.UPGRADE, 0b1)
-        assert not cache.lookup_prefetch(0x1000)
+    def test_prefetch_hit_on_valid_line(self):
+        # Both CPUs read the block, so CPU 0's copy is SHARED: an
+        # exclusive prefetch still hits and starts no bus operation.
+        trace = MultiTrace(
+            "prefetch-hit",
+            [
+                CpuTrace(0, [MemRef(0x1000), Prefetch(0x1000, exclusive=True, gap=300)]),
+                CpuTrace(1, [MemRef(0x1000, gap=150)]),
+            ],
+        )
+        result = simulate(trace, MachineConfig(num_cpus=2))
+        cpu = result.per_cpu[0]
+        assert (cpu.prefetch_hits, cpu.prefetch_fills) == (1, 0)
+        assert result.bus.prefetch_ops == 0
+
+    def test_prefetch_miss_on_invalidated_line(self):
+        trace = MultiTrace(
+            "prefetch-miss",
+            [
+                CpuTrace(0, [MemRef(0x1000), Prefetch(0x1000, gap=400)]),
+                CpuTrace(1, [MemRef(0x1000, is_write=True, gap=150)]),
+            ],
+        )
+        cpu = simulate(trace, MachineConfig(num_cpus=2)).per_cpu[0]
+        assert (cpu.prefetch_hits, cpu.prefetch_fills) == (0, 1)

@@ -16,6 +16,7 @@ import asyncio
 import dataclasses
 import json
 import socket
+import time
 import urllib.error
 import urllib.request
 from urllib.parse import urlsplit
@@ -31,6 +32,7 @@ from repro.experiments.runner import ExperimentRunner
 from repro.metrics.results import RunMetrics
 from repro.perf.diskcache import ResultDiskCache
 from repro.prefetch.strategies import strategy_by_name
+from repro.service import api
 from repro.service.api import ReproService, ServiceConfig, serve_in_thread
 from repro.service.contracts import (
     MAX_CPU_SCALE,
@@ -875,6 +877,67 @@ class TestHttpApi:
         assert json.loads(payload)["error"] == "bad Content-Length"
         assert len(svc.store) == before
         assert svc.scheduler.queue_depth() == 0
+
+    @staticmethod
+    def _raw(base: str, request: bytes, *, close_write: bool = True) -> tuple[int, dict, float]:
+        """Send raw bytes; returns the status, the JSON body and the
+        seconds until the server closed the connection."""
+        host, port = urlsplit(base).hostname, urlsplit(base).port
+        with socket.create_connection((host, port), timeout=30) as sock:
+            started = time.monotonic()
+            sock.sendall(request)
+            if close_write:
+                sock.shutdown(socket.SHUT_WR)
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+            elapsed = time.monotonic() - started
+        head, _, payload = response.partition(b"\r\n\r\n")
+        return int(head.split(b"\r\n")[0].split()[1]), json.loads(payload), elapsed
+
+    def test_truncated_body_is_refused(self, service, monkeypatch):
+        """A body short of its Content-Length: 400 when the client
+        closes, 408 at the read deadline when it holds the connection."""
+        monkeypatch.setattr(api, "REQUEST_READ_TIMEOUT_S", 0.5)
+        svc, base = service
+        before = len(svc.store)
+        request = b"POST /runs HTTP/1.1\r\nContent-Length: 100\r\n\r\n" + json.dumps(QUICK)[:10].encode()
+        status, doc, _ = self._raw(base, request)
+        assert status == 400 and doc["error"] == "request body shorter than Content-Length"
+        status, doc, elapsed = self._raw(base, request, close_write=False)
+        assert status == 408 and doc["error"] == "request not received in time"
+        assert 0.4 < elapsed < 10
+        assert len(svc.store) == before
+
+    def test_silent_client_is_cut_off_while_healthz_answers(self, service, monkeypatch):
+        monkeypatch.setattr(api, "REQUEST_READ_TIMEOUT_S", 1.0)
+        svc, base = service
+        host, port = urlsplit(base).hostname, urlsplit(base).port
+        with socket.create_connection((host, port), timeout=30) as silent:
+            started = time.monotonic()
+            status, doc = _http("GET", f"{base}/healthz")
+            assert status == 200 and doc["status"] == "ok"
+            assert time.monotonic() - started < 1.0  # answered while the silent one waits
+            response = b""
+            while chunk := silent.recv(65536):
+                response += chunk
+            assert time.monotonic() - started >= 0.9
+        assert response.split(b"\r\n")[0].split()[1] == b"408"
+
+    def test_too_many_header_lines_is_431(self, service):
+        svc, base = service
+        headers = "".join(f"X-Filler-{i}: {i}\r\n" for i in range(api.MAX_HEADER_LINES + 1))
+        status, doc, _ = self._raw(base, f"GET /healthz HTTP/1.1\r\n{headers}\r\n".encode())
+        assert status == 431 and "header lines" in doc["error"]
+        # The cap itself is allowed.
+        headers = "".join(f"X-Filler-{i}: {i}\r\n" for i in range(api.MAX_HEADER_LINES))
+        status, doc, _ = self._raw(base, f"GET /healthz HTTP/1.1\r\n{headers}\r\n".encode())
+        assert status == 200 and doc["status"] == "ok"
+        # A line past the stream's 64 KiB line limit is refused too (it
+        # was a 500); small enough for the server to read it whole.
+        long_line = "X-Long: " + "a" * 70_000
+        status, doc, _ = self._raw(base, f"GET /healthz HTTP/1.1\r\n{long_line}\r\n\r\n".encode())
+        assert status == 431 and "too long" in doc["error"]
 
     def test_integer_and_float_scale_dedup(self, service):
         svc, base = service

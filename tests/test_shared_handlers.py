@@ -1,13 +1,16 @@
-"""Test-only references for the bus-side handlers both engine paths share.
+"""Test-only references for the handlers both engine paths share.
 
 ``TestFastPathMatchesGenericPath`` holds the hit-streak fast path to
 :class:`tests.engines.GenericPathEngine`, but both sides call the same
-bus-side code: the upgrade grant (``SimulationEngine._grant_upgrade``)
-and the fill install (``CoherentCache._install``).  A bug there makes
-both sides agree, so only the goldens would see it.  As
-``tests/test_bus.py``'s ``LinearScanArbiter`` does for arbitration, the
-references here restate each handler in its plainest form: fully
-allocated sets of plain records, and the Illinois invalidation rule
+code for everything but the inline hit and the streak guard: the demand
+access (``_try_access`` and the ``_merge``, ``_miss``, ``_upgrade`` and
+``_complete_hit`` transitions it shares with the fast path), the upgrade
+grant, the fill grant, the fill landing (``_fill_done``) and the fill
+install (``CoherentCache._install``).  A bug there makes both sides
+agree, so only the goldens would see it.  As ``tests/test_bus.py``'s
+``LinearScanArbiter`` does for arbitration, the references here restate
+each handler in its plainest form: fully allocated sets of plain
+records, the seven-bucket classification and the Illinois snoop rules
 written out.  Derandomized hypothesis schedules drive the handler and
 its reference side by side.  The must-fail controls mutate one rule of
 a reference and show that a fixed schedule then fails the comparison.
@@ -23,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache.coherent import CoherentCache
-from repro.coherence.protocol import BusOp, IllinoisProtocol, LineState
+from repro.coherence.protocol import BusOp, LineState
 from repro.common.config import CacheConfig, MachineConfig, SimulationConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.processor import CpuStatus
@@ -300,7 +303,14 @@ def run_install_schedule(config: CacheConfig, steps, **mutation) -> None:
     """Drive a cache and its reference through ``steps``, comparing all
     state after each one.  A fill is skipped when the block has a valid
     copy (the engine starts fills only for lines it cannot use)."""
-    cache = CoherentCache(config, IllinoisProtocol(), cpu=0)
+    # CPU 0's cache, and CPU 1 to report remote writes through the
+    # engine's own note.
+    engine = SimulationEngine(
+        MultiTrace("install", [CpuTrace(c, [MemRef(0x100000)]) for c in range(2)]),
+        MachineConfig(num_cpus=2, cache=config),
+        SimulationConfig(),
+    )
+    cache = engine.procs[0].cache
     ref = ReferenceCache(config, **mutation)
     tracker = FrameTracker(ref)
     now = 0
@@ -320,10 +330,15 @@ def run_install_schedule(config: CacheConfig, steps, **mutation) -> None:
             cache.snoop(block, step[2], step[3])
             ref.snoop(block, step[2], step[3])
         elif op == "touch":
-            cache.record_access(block, step[2], now)
+            # What the engine's completion of an access writes.
+            frame = cache._by_block.get(block)
+            if frame is not None:
+                frame.words_accessed |= step[2]
+                frame.filled_by_prefetch = False
+                frame.last_use = now
             ref.touch(block, step[2], now)
         elif op == "remote_write":
-            cache.note_remote_write(block, step[2])
+            engine._note_remote_write(1, block, step[2])
             ref.remote_write(block, step[2])
         else:
             assert _lookup_fields(cache.lookup_demand(block, step[2], now)) == ref.lookup(
@@ -659,3 +674,667 @@ class TestUpgradeGrantReference:
         run_upgrade(sc)
         with pytest.raises(AssertionError):
             run_upgrade(sc, **mutation)
+
+
+# --------------------------------------------------------------------------
+# The demand access: classification, merge, upgrade and completion
+# --------------------------------------------------------------------------
+
+
+def engine_state(engine: SimulationEngine) -> dict:
+    """Everything a CPU-side transition may touch, as plain data.
+
+    Taps that pass an MSHR entry name it by its block.
+    """
+    cpus = []
+    for proc in engine.procs:
+        cpus.append(
+            {
+                "frames": {
+                    b: [
+                        f.state, f.words_accessed, f.remote_written, f.filled_by_prefetch,
+                        f.last_use,
+                    ]
+                    for b, f in proc.cache._by_block.items()
+                },
+                "parked": {
+                    b: [e.state, e.words_accessed, e.remote_written]
+                    for b, e in proc.cache.victim._entries.items()
+                },
+                "fills": {
+                    f.block: [
+                        f.is_prefetch, f.exclusive, f.intended_word_mask, f.granted, f.poisoned,
+                        f.poisoned_word_mask, f.fill_state,
+                    ]
+                    for f in proc.mshr.outstanding_fills()
+                },
+                "proc": {
+                    "status": proc.status,
+                    "waiting": proc.waiting_block,
+                    "pc": proc.pc,
+                    "in_access": proc.in_access,
+                    "scheduled": proc.scheduled,
+                    "counted": proc.acc_counted,
+                    "missed": proc.acc_missed,
+                },
+                "metrics": proc.metrics.to_dict(),
+            }
+        )
+    return {
+        "cpus": cpus,
+        # Arbitration events are the bus's timing: only whether one is due.
+        "heap": sorted((t, kind, a, b) for t, _seq, kind, a, b in engine._heap if kind != 1),
+        "arbitration": engine._arb_time is not None,
+        "bus": sorted(
+            (t.kind.name, t.cpu, t.block, t.word_mask, t.is_demand, t.issue_time)
+            for t in engine.bus._pending.values()
+        ),
+        "pfbuf": list(engine._pfbuf_waiters),
+        "miss_indices": list(engine.miss_indices),
+        "taps": [
+            tuple(getattr(arg, "block", arg) for arg in call) for call in engine._obs.calls
+        ],
+    }
+
+
+def blank_engine(num_cpus: int, victim_lines: int = 0, protocol: str = "illinois",
+                 record: bool = False) -> SimulationEngine:
+    """An engine with its tap recorder, before any event has run."""
+    machine = MachineConfig(
+        num_cpus=num_cpus, cache=CacheConfig(victim_cache_lines=victim_lines), protocol=protocol
+    )
+    trace = MultiTrace("handler", [CpuTrace(c, [MemRef(0x100000)]) for c in range(num_cpus)])
+    engine = SimulationEngine(trace, machine, SimulationConfig(record_miss_indices=record))
+    engine._obs = TapRecorder()
+    return engine
+
+
+def place_frame(cache: CoherentCache, block: int, frame, now: int) -> None:
+    """Install ``block`` with ``frame``'s (state, words, remote, by_prefetch)."""
+    if frame is None:
+        return
+    state, words, remote, by_prefetch = frame
+    cache.fill(block, SHARED, by_prefetch, now)
+    installed = cache._by_block[block]
+    installed.state, installed.words_accessed, installed.remote_written = state, words, remote
+
+
+def park(cache: CoherentCache, block: int, parked) -> None:
+    """Park ``block`` in the victim buffer with (state, words, remote)."""
+    if parked is None:
+        return
+    state, words, remote = parked
+    cache.victim.insert(block, SHARED, words, remote)
+    cache.victim._entries[block].state = state
+
+
+def ref_note_remote_write(after: dict, writer: int, block: int, mask: int) -> None:
+    """Every other cache's INVALID tag (or, with no tag, its invalidated
+    parked copy) accumulates the written words."""
+    for cpu, other in enumerate(after["cpus"]):
+        if cpu == writer:
+            continue
+        frame = other["frames"].get(block)
+        parked = other["parked"].get(block)
+        if frame is not None:
+            if frame[0] is INVALID:
+                frame[2] |= mask
+        elif parked is not None and parked[0] is INVALID:
+            parked[2] |= mask
+
+
+def ref_complete(
+    after: dict, cpu: int, block: int, access: dict, now: int, done: int, note: bool = True
+) -> None:
+    """A ``retire`` access completes on the line: one busy cycle at ``now``.
+
+    A write turns a valid line MODIFIED (a poisoned fill's INVALID line
+    stays so) and, unless it is a sync access, reaches every other
+    cache's remote-write masks.  The CPU steps to its next event at
+    ``done``.
+    """
+    me = after["cpus"][cpu]
+    line = me["frames"][block]
+    if access["write"]:
+        if line[0] is not INVALID:
+            line[0] = MODIFIED
+        if not access["sync"] and note:
+            ref_note_remote_write(after, cpu, block, access["mask"])
+    line[1] |= access["mask"]
+    line[3] = False
+    line[4] = now
+    metrics, proc = me["metrics"], me["proc"]
+    metrics["busy_cycles"] += 1
+    if access["missed"]:
+        after["taps"].append(("on_miss_stall", cpu, block, access["start"], done, access["sync"]))
+    if access["sync"]:
+        metrics["sync_refs"] += 1
+    else:
+        metrics["demand_refs"] += 1
+        if access["missed"]:
+            metrics["miss_wait_cycles"] += max(0, done - access["start"] - 1)
+    proc.update(status=CpuStatus.RUNNING, waiting=-1, in_access=False, scheduled=True)
+    proc["pc"] += 1
+    after["heap"] = sorted(after["heap"] + [(done, 0, cpu, 0)])
+
+
+def ref_stall(after: dict, cpu: int, block: int, status: CpuStatus) -> None:
+    after["cpus"][cpu]["proc"].update(status=status, waiting=block, missed=True)
+
+
+def ref_bucket(line, mask: int, prefetched: bool, *, swap_sharing: bool = False) -> str:
+    """The Figure 3 bucket of a classified demand miss.
+
+    ``line`` is the (words, remote) masks of the INVALID tag or parked
+    copy the access found, None when it found none: a non-sharing miss.
+    An invalidation miss is true sharing iff a remote write since the
+    invalidation touched a word the CPU had accessed or accesses now.
+    """
+    coverage = "prefetched" if prefetched else "unprefetched"
+    if line is None:
+        return f"nonsharing_{coverage}"
+    words, remote = line
+    true_sharing = bool(remote & (words | mask))
+    if swap_sharing:
+        true_sharing = not true_sharing
+    return f"inval_{'true' if true_sharing else 'false'}_{coverage}"
+
+
+@st.composite
+def access_scenarios(draw):
+    victim_lines = draw(st.sampled_from([0, 2]))
+    frame = draw(_FRAME)
+    return {
+        "victim_lines": victim_lines,
+        "protocol": draw(st.sampled_from(["illinois", "msi"])),
+        "frame": frame,
+        "parked": draw(_PARKED) if victim_lines and frame is None else None,
+        # An in-flight fill of the block: (prefetch, exclusive).
+        "fill": draw(st.one_of(st.none(), st.tuples(st.booleans(), st.booleans()))),
+        "remote": draw(_FRAME),
+        "write": draw(st.booleans()),
+        "mask": draw(st.integers(1, 255)),
+        "prefetched": draw(st.booleans()),
+        "sync": draw(st.booleans()),
+        # Already classified: a write that lost its upgrade race retries.
+        "counted": draw(st.booleans()),
+        "record": draw(st.booleans()),
+    }
+
+
+#: The access starts at START and is attempted at NOW.
+START, NOW = 40, 50
+
+
+def build_access(sc: dict) -> SimulationEngine:
+    """CPU 0 attempts an access to TARGET; CPU 1 may hold a copy."""
+    engine = blank_engine(2, sc["victim_lines"], sc["protocol"], sc["record"])
+    me, other = engine.procs
+    place_frame(me.cache, TARGET, sc["frame"], 1)
+    park(me.cache, TARGET, sc["parked"])
+    place_frame(other.cache, TARGET, sc["remote"], 2)
+    if sc["fill"] is not None:
+        me.mshr.start(TARGET, sc["fill"][0], sc["fill"][1], 0, 3)
+    me.pc = 3
+    me.begin_access(
+        addr=TARGET, block=TARGET, is_write=sc["write"], word_mask=sc["mask"], cont="retire",
+        now=START, sync=sc["sync"], prefetched=sc["prefetched"],
+    )
+    me.acc_counted = me.acc_missed = sc["counted"]
+    return engine
+
+
+def reference_access(before: dict, sc: dict, *, swap_sharing: bool = False) -> dict:
+    """What attempting CPU 0's access at NOW must leave behind.
+
+    A fill in flight for the block: the access waits for it, counted
+    once as a sync miss or, behind a prefetch, as prefetch-in-progress
+    (tap ``merge``).  Otherwise a valid line hits (a valid parked copy
+    is swapped back in first: a victim hit, one more busy cycle), and a
+    write to a SHARED line stalls on an UPGRADE.  Anything else misses:
+    classified once (sync, or a Figure 3 bucket, with its event index
+    when recorded), then an MSHR fill and a demand fill request.
+    """
+    after = copy.deepcopy(before)
+    _reference_access(after, sc, swap_sharing)
+    after["arbitration"] = bool(after["bus"])
+    return after
+
+
+def _reference_access(after: dict, sc: dict, swap_sharing: bool) -> None:
+    me = after["cpus"][0]
+    metrics, proc = me["metrics"], me["proc"]
+    write, mask, sync = sc["write"], sc["mask"], sc["sync"]
+    fill = me["fills"].get(TARGET)
+    if fill is not None:
+        if not proc["counted"]:
+            proc["counted"] = True
+            if sync:
+                metrics["sync_misses"] += 1
+            elif fill[0]:
+                metrics["misses"]["prefetch_in_progress"] += 1
+                after["taps"].append(("on_prefetch", 0, "merge", TARGET, NOW))
+        ref_stall(after, 0, TARGET, CpuStatus.STALLED_FILL)
+        return
+
+    line = me["frames"].get(TARGET)
+    found = None if line is None or line[0] is not INVALID else (line[1], line[2])
+    swap = 0
+    if line is None:
+        parked = me["parked"].pop(TARGET, None)
+        if parked is not None and parked[0] is not INVALID:
+            line = me["frames"][TARGET] = [parked[0], parked[1], parked[2], False, NOW]
+            metrics["victim_hits"] += 1
+            swap = 1
+        elif parked is not None:
+            found = (parked[1], parked[2])
+    if line is None or line[0] is INVALID:
+        if not proc["counted"]:
+            proc["counted"] = True
+            if sync:
+                metrics["sync_misses"] += 1
+            else:
+                if sc["record"]:
+                    after["miss_indices"].append((0, 3))
+                bucket = ref_bucket(found, mask, sc["prefetched"], swap_sharing=swap_sharing)
+                metrics["misses"][bucket] += 1
+        me["fills"][TARGET] = [False, write, mask, False, False, 0, INVALID]
+        after["taps"].append(("on_mshr_start", 0, TARGET, NOW))
+        kind = "FILL_EX" if write else "FILL"
+        after["bus"] = sorted(after["bus"] + [(kind, 0, TARGET, mask if write else 0, True, NOW)])
+        ref_stall(after, 0, TARGET, CpuStatus.STALLED_FILL)
+    elif write and line[0] is SHARED:
+        line[4] = NOW
+        metrics["upgrades"] += 1
+        after["bus"] = sorted(after["bus"] + [("UPGRADE", 0, TARGET, mask, True, NOW)])
+        ref_stall(after, 0, TARGET, CpuStatus.STALLED_UPGRADE)
+    else:
+        metrics["busy_cycles"] += swap
+        access = {"write": write, "mask": mask, "sync": sync, "missed": sc["counted"],
+                  "start": START}
+        ref_complete(after, 0, TARGET, access, NOW, NOW + 1 + swap)
+
+
+def run_access(sc: dict, **mutation) -> None:
+    engine = build_access(sc)
+    before = engine_state(engine)
+    engine.now = NOW
+    engine._try_access(engine.procs[0], NOW)
+    assert engine_state(engine) == reference_access(before, sc, **mutation)
+
+
+def _access(**overrides) -> dict:
+    """CPU 0 reads word 1 of a line it had read word 0 of before CPU 1's
+    write of word 1 invalidated it: a true-sharing miss."""
+    sc = {
+        "victim_lines": 0, "protocol": "illinois", "frame": (INVALID, 0b1, 0b10, False),
+        "parked": None, "fill": None, "remote": None, "write": False, "mask": 0b10,
+        "prefetched": False, "sync": False, "counted": False, "record": True,
+    }
+    sc.update(overrides)
+    return sc
+
+
+class TestAccessReference:
+    """``_try_access`` and the transitions it shares with the fast path:
+    ``_merge``, ``_miss`` (the Figure 3 buckets), ``_upgrade`` and
+    ``_complete_hit``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sc=access_scenarios())
+    @example(sc=_access())
+    @example(sc=_access(frame=(INVALID, 0b1, 0b100, True), prefetched=True))
+    @example(sc=_access(frame=None, victim_lines=2, parked=(INVALID, 0b1, 0b10)))
+    @example(sc=_access(fill=(True, False)))
+    def test_matches_reference(self, sc):
+        run_access(sc)
+
+    @pytest.mark.parametrize(
+        "sc",
+        [_access(), _access(frame=None, victim_lines=2, parked=(INVALID, 0b1, 0b10))],
+        ids=["main-array-tag", "parked-copy"],
+    )
+    def test_swapped_sharing_fails(self, sc):
+        """Must-fail control: a reference that swaps true and false
+        sharing disagrees on a true-sharing miss."""
+        run_access(sc)
+        with pytest.raises(AssertionError):
+            run_access(sc, swap_sharing=True)
+
+
+# --------------------------------------------------------------------------
+# The fill grant
+# --------------------------------------------------------------------------
+
+_VALID = st.sampled_from(VALID_STATES)
+#: A remote in-flight fill: (prefetch, exclusive, granted, poisoned,
+#: poison mask, fill state).
+_REMOTE_FILL = st.one_of(
+    st.none(),
+    st.tuples(
+        st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.integers(0, 255), _VALID
+    ),
+)
+
+
+@st.composite
+def grant_scenarios(draw):
+    num_cpus = draw(st.integers(2, 4))
+    victim_lines = draw(st.sampled_from([0, 2]))
+    remotes = []
+    for _ in range(num_cpus - 1):
+        frame = draw(_FRAME)
+        parked = draw(_PARKED) if victim_lines and frame is None else None
+        remotes.append((frame, parked, draw(_REMOTE_FILL)))
+    return {
+        "num_cpus": num_cpus,
+        "victim_lines": victim_lines,
+        "protocol": draw(st.sampled_from(["illinois", "msi"])),
+        "requester": draw(st.integers(0, num_cpus - 1)),
+        "prefetch": draw(st.booleans()),
+        "exclusive": draw(st.booleans()),
+        "mask": draw(st.integers(1, 255)),
+        "stall": draw(st.integers(0, 300)),
+        "remotes": remotes,
+    }
+
+
+def build_grant(sc: dict):
+    """An engine whose requester's fill of TARGET has just won the bus."""
+    engine = blank_engine(sc["num_cpus"], sc["victim_lines"], sc["protocol"])
+    requester = sc["requester"]
+    others = [c for c in range(sc["num_cpus"]) if c != requester]
+    for cpu, (frame, parked, fill) in zip(others, sc["remotes"]):
+        proc = engine.procs[cpu]
+        place_frame(proc.cache, TARGET, frame, 1)
+        park(proc.cache, TARGET, parked)
+        if fill is not None:
+            is_prefetch, exclusive, granted, poisoned, poison_mask, state = fill
+            started = proc.mshr.start(TARGET, is_prefetch, exclusive, 0, 2)
+            started.granted, started.poisoned = granted, poisoned
+            started.poisoned_word_mask, started.fill_state = poison_mask, state
+    exclusive, mask = sc["exclusive"], sc["mask"]
+    engine.procs[requester].mshr.start(TARGET, sc["prefetch"], exclusive, mask, 5)
+    txn = engine.bus.make_fill(
+        requester, TARGET, exclusive, not sc["prefetch"], 5, mask if exclusive else 0
+    )
+    engine.bus.request(txn)
+    assert engine.bus.arbitrate(txn.eligible_time + sc["stall"]) is txn
+    return engine, txn
+
+
+def reference_grant(
+    before: dict, sc: dict, now: int, done: int,
+    *, ignore_fills_in_flight: bool = False, downgrade_keeps_exclusive: bool = False,
+) -> dict:
+    """What granting the requester's fill of TARGET must leave behind.
+
+    Every other CPU, in CPU order: a valid copy (main array or victim
+    buffer) is invalidated by an exclusive fill, taking the written
+    words as its remote mask, or downgraded to SHARED by a read (tap
+    ``invalidate`` or ``downgrade``); a granted, unpoisoned fill in
+    flight is a copy too, poisoned by an exclusive fill (tap ``poison``)
+    or, if it would land exclusive, turned SHARED by a read.  The
+    requester's fill is granted: a read lands SHARED when another copy
+    exists or the protocol is MSI, PRIVATE otherwise; an exclusive
+    prefetch lands PRIVATE and an exclusive demand fill MODIFIED.  Its
+    completion is due at ``done``.
+    """
+    after = copy.deepcopy(before)
+    requester, exclusive, mask = sc["requester"], sc["exclusive"], sc["mask"]
+    others_have = False
+    for cpu, data in enumerate(after["cpus"]):
+        if cpu == requester:
+            continue
+        had = False
+        for entry in (data["frames"].get(TARGET), data["parked"].get(TARGET)):
+            if entry is not None and entry[0] is not INVALID:
+                had = True
+                if exclusive:
+                    entry[0], entry[2] = INVALID, mask
+                elif not downgrade_keeps_exclusive:
+                    entry[0] = SHARED
+        if had:
+            others_have = True
+            kind = "invalidate" if exclusive else "downgrade"
+            after["taps"].append(("on_snoop", cpu, requester, TARGET, now, kind))
+        fill = data["fills"].get(TARGET)
+        if fill is not None and fill[3] and not fill[4] and not ignore_fills_in_flight:
+            others_have = True
+            if exclusive:
+                fill[4] = True
+                fill[5] |= mask
+                after["taps"].append(("on_snoop", cpu, requester, TARGET, now, "poison"))
+            elif fill[6] in (PRIVATE, MODIFIED):
+                fill[6] = SHARED
+    own = after["cpus"][requester]["fills"][TARGET]
+    own[3] = True
+    if not exclusive:
+        own[6] = SHARED if others_have or sc["protocol"] == "msi" else PRIVATE
+    else:
+        own[6] = PRIVATE if sc["prefetch"] else MODIFIED
+    after["heap"] = sorted(after["heap"] + [(done, 2, requester, TARGET)])
+    return after
+
+
+def run_grant(sc: dict, **mutation) -> None:
+    engine, txn = build_grant(sc)
+    before = engine_state(engine)
+    engine._grant_fill(txn, txn.grant_time)
+    expected = reference_grant(before, sc, txn.grant_time, txn.completion_time, **mutation)
+    assert engine_state(engine) == expected
+
+
+def _grant(**overrides) -> dict:
+    """CPU 0's demand read; CPU 1 holds nothing but a granted read fill
+    that would land PRIVATE."""
+    sc = {
+        "num_cpus": 2, "victim_lines": 0, "protocol": "illinois", "requester": 0,
+        "prefetch": False, "exclusive": False, "mask": 0b1, "stall": 0,
+        "remotes": [(None, None, (False, False, True, False, 0, PRIVATE))],
+    }
+    sc.update(overrides)
+    return sc
+
+
+class TestFillGrantReference:
+    @settings(max_examples=200, deadline=None)
+    @given(sc=grant_scenarios())
+    @example(sc=_grant())
+    @example(sc=_grant(remotes=[((MODIFIED, 1, 0, False), None, None)]))
+    def test_matches_reference(self, sc):
+        run_grant(sc)
+
+    @pytest.mark.parametrize(
+        "sc, mutation",
+        [
+            (_grant(), {"ignore_fills_in_flight": True}),
+            (
+                _grant(remotes=[((MODIFIED, 1, 0, False), None, None)]),
+                {"downgrade_keeps_exclusive": True},
+            ),
+        ],
+        ids=["fill-in-flight-not-a-copy", "read-leaves-modified-copy"],
+    )
+    def test_a_mutated_reference_fails(self, sc, mutation):
+        run_grant(sc)
+        with pytest.raises(AssertionError):
+            run_grant(sc, **mutation)
+
+
+# --------------------------------------------------------------------------
+# The fill completion
+# --------------------------------------------------------------------------
+
+#: A block in TARGET's direct-mapped set (one default 32 KB cache away).
+RIVAL = TARGET + 32 * 1024
+
+
+@st.composite
+def landing_scenarios(draw):
+    num_cpus = draw(st.integers(2, 3))
+    victim_lines = draw(st.sampled_from([0, 2]))
+    remotes = []
+    for _ in range(num_cpus - 1):
+        frame = draw(_FRAME)
+        remotes.append((frame, draw(_PARKED) if victim_lines and frame is None else None))
+    return {
+        "num_cpus": num_cpus,
+        "victim_lines": victim_lines,
+        "protocol": draw(st.sampled_from(["illinois", "msi"])),
+        # What TARGET's set holds: nothing, TARGET's own INVALID tag, or
+        # another block the fill displaces.
+        "occupant": draw(
+            st.one_of(
+                st.none(),
+                st.tuples(st.just(TARGET), st.just(INVALID), st.integers(0, 255)),
+                st.tuples(st.just(RIVAL), st.sampled_from((INVALID,) + VALID_STATES),
+                          st.integers(0, 255)),
+            )
+        ),
+        "prefetch": draw(st.booleans()),
+        "exclusive": draw(st.booleans()),
+        "state": draw(_VALID),
+        "poisoned": draw(st.booleans()),
+        "poison_mask": draw(st.integers(0, 255)),
+        # CPU 0 stalled on the fill with an access: (write, mask, sync).
+        "access": draw(
+            st.one_of(st.none(), st.tuples(st.booleans(), st.integers(1, 255), st.booleans()))
+        ),
+        "pfbuf_waiter": draw(st.booleans()),
+        "remotes": remotes,
+    }
+
+
+#: The access began at LAND_START; the fill lands at LAND.
+LAND_START, LAND = 20, 130
+
+
+def build_landing(sc: dict) -> SimulationEngine:
+    """CPU 0's granted fill of TARGET, about to land."""
+    engine = blank_engine(sc["num_cpus"], sc["victim_lines"], sc["protocol"])
+    me = engine.procs[0]
+    for proc, (frame, parked) in zip(engine.procs[1:], sc["remotes"]):
+        place_frame(proc.cache, TARGET, frame, 1)
+        park(proc.cache, TARGET, parked)
+    if sc["occupant"] is not None:
+        block, state, words = sc["occupant"]
+        place_frame(me.cache, block, (state, words, 0, False), 2)
+    fill = me.mshr.start(TARGET, sc["prefetch"], sc["exclusive"], 0, 10)
+    fill.granted, fill.fill_state, fill.completion_time = True, sc["state"], LAND
+    fill.poisoned, fill.poisoned_word_mask = sc["poisoned"], sc["poison_mask"]
+    me.pc = 7
+    if sc["access"] is not None:
+        write, mask, sync = sc["access"]
+        me.begin_access(
+            addr=TARGET, block=TARGET, is_write=write, word_mask=mask, cont="retire",
+            now=LAND_START, sync=sync,
+        )
+        me.acc_counted = me.acc_missed = True
+        me.status, me.waiting_block = CpuStatus.STALLED_FILL, TARGET
+    else:
+        me.scheduled = True
+    if sc["pfbuf_waiter"]:
+        waiter = engine.procs[1]
+        waiter.status = CpuStatus.STALLED_PFBUF
+        engine._pfbuf_waiters.append(1)
+    return engine
+
+
+def reference_landing(
+    before: dict, sc: dict, *, poisoned_write_modifies: bool = False,
+    skip_remote_note: bool = False,
+) -> dict:
+    """What landing CPU 0's fill of TARGET at LAND must leave behind.
+
+    The MSHR entry retires (tap ``on_mshr_finish``) and the block is
+    installed over whatever its set held: a valid displaced line is
+    parked in the victim buffer, or written back when dirty and there is
+    none.  A poisoned fill installs an INVALID tag carrying the poison
+    mask.  A landed prefetch wakes the first prefetch-buffer waiter.  A
+    CPU stalled on the fill resumes: a write that lands SHARED stalls
+    again on an UPGRADE; any other access completes on the line.
+    """
+    after = copy.deepcopy(before)
+    me = after["cpus"][0]
+    metrics = me["metrics"]
+    me["fills"].pop(TARGET)
+    after["taps"].append(("on_mshr_finish", 0, TARGET, LAND))
+    occupant = sc["occupant"]
+    if occupant is not None and occupant[0] == RIVAL:
+        displaced = me["frames"].pop(RIVAL)
+        if displaced[0] is not INVALID:
+            if sc["victim_lines"]:
+                me["parked"][RIVAL] = [displaced[0], displaced[1], displaced[2]]
+            elif displaced[0] is MODIFIED:
+                metrics["writebacks"] += 1
+                after["bus"] = sorted(after["bus"] + [("WRITEBACK", 0, RIVAL, 0, False, LAND)])
+    if sc["poisoned"]:
+        me["frames"][TARGET] = [INVALID, 0, sc["poison_mask"], True, LAND]
+    else:
+        me["frames"][TARGET] = [sc["state"], 0, 0, sc["prefetch"], LAND]
+    if sc["prefetch"] and after["pfbuf"]:
+        waiter = after["pfbuf"].pop(0)
+        after["taps"].append(("on_resume", waiter, LAND))
+        after["cpus"][waiter]["proc"].update(status=CpuStatus.RUNNING, scheduled=True)
+        after["heap"] = sorted(after["heap"] + [(LAND, 0, waiter, 0)])
+    if sc["access"] is not None:
+        write, mask, sync = sc["access"]
+        after["taps"].append(("on_resume", 0, LAND))
+        if write and not sc["poisoned"] and sc["state"] is SHARED:
+            metrics["upgrades"] += 1
+            after["bus"] = sorted(after["bus"] + [("UPGRADE", 0, TARGET, mask, True, LAND)])
+            ref_stall(after, 0, TARGET, CpuStatus.STALLED_UPGRADE)
+        else:
+            access = {"write": write, "mask": mask, "sync": sync, "missed": True,
+                      "start": LAND_START}
+            ref_complete(after, 0, TARGET, access, LAND, LAND + 1, note=not skip_remote_note)
+            if poisoned_write_modifies and write and sc["poisoned"]:
+                me["frames"][TARGET][0] = MODIFIED
+    after["arbitration"] = bool(after["bus"])
+    return after
+
+
+def run_landing(sc: dict, **mutation) -> None:
+    engine = build_landing(sc)
+    before = engine_state(engine)
+    engine.now = LAND
+    engine._fill_done(engine.procs[0], TARGET, LAND)
+    assert engine_state(engine) == reference_landing(before, sc, **mutation)
+
+
+def _landing(**overrides) -> dict:
+    """CPU 0's write of word 1 waits on a demand fill; CPU 2 holds an
+    INVALID tag of the block."""
+    sc = {
+        "num_cpus": 3, "victim_lines": 0, "protocol": "illinois", "occupant": None,
+        "prefetch": False, "exclusive": True, "state": MODIFIED, "poisoned": False,
+        "poison_mask": 0, "access": (True, 0b10, False), "pfbuf_waiter": False,
+        "remotes": [(None, None), ((INVALID, 1, 4, False), None)],
+    }
+    sc.update(overrides)
+    return sc
+
+
+class TestFillDoneReference:
+    @settings(max_examples=200, deadline=None)
+    @given(sc=landing_scenarios())
+    @example(sc=_landing())
+    @example(sc=_landing(poisoned=True, poison_mask=0b1))
+    @example(sc=_landing(occupant=(RIVAL, MODIFIED, 1)))
+    @example(sc=_landing(prefetch=True, pfbuf_waiter=True, access=None))
+    def test_matches_reference(self, sc):
+        run_landing(sc)
+
+    @pytest.mark.parametrize(
+        "sc, mutation",
+        [
+            (_landing(poisoned=True, poison_mask=0b1), {"poisoned_write_modifies": True}),
+            (_landing(), {"skip_remote_note": True}),
+        ],
+        ids=["poisoned-write-turns-modified", "no-remote-write-note"],
+    )
+    def test_a_mutated_reference_fails(self, sc, mutation):
+        run_landing(sc)
+        with pytest.raises(AssertionError):
+            run_landing(sc, **mutation)

@@ -225,9 +225,10 @@ VARIANTS = {
 }
 
 
-#: Hand-built traces that reach every branch the fast path retires
-#: inline (and the hand-offs beside them) on the default machine.  The
-#: gaps space the CPUs out so each access meets the state named for it.
+#: Hand-built traces that reach every branch by which the fast path
+#: leaves its inline hits for a shared transition method (and the
+#: hand-offs beside them) on the default machine.  The gaps space the
+#: CPUs out so each access meets the state named for it.
 _A, _B, _C, _E, _F, _G = BLOCKS[:6]
 
 #: CPU 0 reads word 0 of A and of B; CPU 1 then writes word 4 of A and
@@ -296,6 +297,12 @@ class TestFastPathMatchesGenericPath:
     :class:`BusySliceEngine` builds from the busy counters alone.  The
     final cache contents must match too: they hold the word masks and
     LRU stamps that only later misses would turn into metrics.
+
+    Both sides call the same transition methods (``_miss``, ``_merge``,
+    ``_upgrade``, ``_prefetch``, ``_complete_hit``), so this checks
+    what the fast path still writes on its own: the streak boundary,
+    the event order and the inline hit.  The methods themselves have
+    test-only references in ``tests/test_shared_handlers.py``.
     """
 
     #: Line profile and timeline both on; a 16-cycle window cuts these
@@ -361,26 +368,33 @@ class TestFastPathMatchesGenericPath:
         Guards the differential above against comparing the fast path
         with itself: on a trace of hits after one cold miss the fast
         path dispatches only the end of the trace (it stalls on the miss
-        itself).
+        itself, through ``_miss``), and completes through
+        ``_complete_hit`` only the access its landed fill finishes; the
+        generic engine dispatches all 20 events and the end, and
+        completes every access there.
         """
 
-        def dispatches(engine_class):
-            class Counting(engine_class):
-                calls = 0
+        def calls(engine_class):
+            counts = {"dispatch": 0, "complete_hit": 0}
 
+            class Counting(engine_class):
                 def _dispatch(self, proc, now):
-                    Counting.calls += 1
+                    counts["dispatch"] += 1
                     super()._dispatch(proc, now)
+
+                def _complete_hit(self, *args):
+                    counts["complete_hit"] += 1
+                    super()._complete_hit(*args)
 
             trace = MultiTrace(
                 "hits", [CpuTrace(0, [MemRef(0x1000 + 4 * (i % 8)) for i in range(20)])]
             )
             engine = Counting(trace, MachineConfig(num_cpus=1), SimulationConfig())
             engine.run()
-            return Counting.calls
+            return counts
 
-        assert dispatches(GenericPathEngine) == 21
-        assert dispatches(SimulationEngine) == 1
+        assert calls(GenericPathEngine) == {"dispatch": 21, "complete_hit": 20}
+        assert calls(SimulationEngine) == {"dispatch": 1, "complete_hit": 1}
 
     def test_examples_reach_every_inline_branch(self, monkeypatch):
         """The explicit examples keep reaching the branches they are for,
@@ -415,15 +429,3 @@ class TestFastPathMatchesGenericPath:
         monkeypatch.setattr(OutstandingFill, "poison", counting_poison)
         simulate(UPGRADE_AND_POISON, VARIANTS["contention-free"][0](2))
         assert poisoned == [_F]
-
-    def test_a_misclassifying_reference_fails_the_differential(self, monkeypatch):
-        """Must-fail control: a generic classifier that swaps true and
-        false sharing disagrees with the fast path's inline one."""
-        real_classify = SimulationEngine._classify_miss
-
-        def swapped(engine, proc, invalidation, false_sharing):
-            real_classify(engine, proc, invalidation, invalidation and not false_sharing)
-
-        monkeypatch.setattr(GenericPathEngine, "_classify_miss", swapped)
-        with pytest.raises(AssertionError):
-            self.check_same("illinois", SHARING_MISSES)

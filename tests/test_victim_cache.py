@@ -5,7 +5,10 @@ import pytest
 from repro.cache.coherent import CoherentCache
 from repro.cache.victim import VictimCache
 from repro.coherence.protocol import BusOp, IllinoisProtocol, LineState
-from repro.common.config import CacheConfig
+from repro.common.config import CacheConfig, MachineConfig
+from repro.sim.engine import simulate
+from repro.trace.events import MemRef, Prefetch
+from repro.trace.stream import CpuTrace, MultiTrace
 
 S = 32 * 1024  # one cache size (same-set stride)
 
@@ -102,7 +105,7 @@ class TestVictimCacheIntegration:
     def test_invalidated_victim_classifies_invalidation_miss(self, protocol):
         cache = self.make_cache(protocol)
         cache.fill(0, LineState.SHARED, by_prefetch=False, now=0)
-        cache.record_access(0, 0b1, now=0)
+        cache._by_block[0].words_accessed = 0b1
         cache.fill(S, LineState.SHARED, by_prefetch=False, now=1)  # 0 parked
         cache.snoop(0, BusOp.UPGRADE, 0b1)  # invalidate parked copy
         result = cache.lookup_demand(0, 0b1, now=2)
@@ -110,8 +113,10 @@ class TestVictimCacheIntegration:
         assert result.invalidation_miss
         assert not result.false_sharing  # they wrote the word we use
 
-    def test_prefetch_lookup_sees_victim(self, protocol):
-        cache = self.make_cache(protocol)
-        cache.fill(0, LineState.SHARED, by_prefetch=False, now=0)
-        cache.fill(S, LineState.SHARED, by_prefetch=False, now=1)
-        assert cache.lookup_prefetch(0)
+    def test_prefetch_lookup_sees_victim(self):
+        # Block 0 is evicted into the victim buffer by S; the prefetch
+        # finds it parked there and starts no fill.
+        machine = MachineConfig(num_cpus=1, cache=CacheConfig(victim_cache_lines=4))
+        trace = MultiTrace("victim-prefetch", [CpuTrace(0, [MemRef(0), MemRef(S), Prefetch(0)])])
+        cpu = simulate(trace, machine).per_cpu[0]
+        assert (cpu.prefetch_hits, cpu.prefetch_fills) == (1, 0)
