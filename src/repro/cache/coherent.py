@@ -83,7 +83,6 @@ class CoherentCache:
         self.config = config
         self.protocol = protocol
         self.cpu = cpu
-        self._block_size = config.block_size
         self._assoc = config.associativity
         self._num_sets = config.num_sets
         self._set_mask = self._num_sets - 1
@@ -96,12 +95,6 @@ class CoherentCache:
         # Fast tag -> frame map for snooping (avoids scanning sets).
         self._by_block: dict[int, CacheFrame] = {}
         self.victim = VictimCache(config.victim_cache_lines, protocol)
-
-    # ------------------------------------------------------------- addressing
-
-    def block_of(self, addr: int) -> int:
-        """Block (line) address containing ``addr``."""
-        return addr & ~(self._block_size - 1)
 
     # ---------------------------------------------------------------- lookup
 
@@ -128,7 +121,7 @@ class CoherentCache:
             # The swap stays on-chip (the displaced main-array line goes
             # into the victim buffer), but a dirty line pushed out of the
             # victim buffer by the swap must be written back.
-            evicted = self._install(block, state, by_prefetch=False, now=now)
+            evicted = self.install(block, state, by_prefetch=False, now=now)
             frame = self._by_block[block]
             frame.words_accessed = words
             frame.remote_written = remote_written
@@ -154,16 +147,9 @@ class CoherentCache:
             return _INVALID
         return frame.state
 
-    def has_valid_copy(self, block: int) -> bool:
-        """True if this cache (or its victim buffer) holds a valid copy."""
-        frame = self._by_block.get(block)
-        if frame is not None and frame.valid:
-            return True
-        return self.victim.has_valid_copy(block)
-
     # ----------------------------------------------------------------- fills
 
-    def fill(self, block: int, state: LineState, by_prefetch: bool, now: int) -> EvictedLine | None:
+    def install(self, block: int, state: LineState, by_prefetch: bool, now: int) -> EvictedLine | None:
         """Install ``block`` in ``state``; returns a line to write back.
 
         The returned :class:`EvictedLine` is non-None only when a *dirty*
@@ -171,9 +157,6 @@ class CoherentCache:
         victim buffer if one exists); the engine turns it into a
         WRITEBACK bus operation.
         """
-        return self._install(block, state, by_prefetch, now)
-
-    def _install(self, block: int, state: LineState, by_prefetch: bool, now: int) -> EvictedLine | None:
         set_idx = (block >> self._block_shift) & self._set_mask
         ways = self._frames.get(set_idx)
         writeback: EvictedLine | None = None
@@ -226,9 +209,9 @@ class CoherentCache:
         so the next demand access classifies as an invalidation miss
         against the accumulated ``remote_written`` mask -- "prefetched
         data invalidated before use".  Returns a dirty victim to write
-        back, as :meth:`fill` does.
+        back, as :meth:`install` does.
         """
-        writeback = self._install(block, _INVALID, by_prefetch=True, now=now)
+        writeback = self.install(block, _INVALID, by_prefetch=True, now=now)
         frame = self._by_block.get(block)
         if frame is not None:
             frame.remote_written = remote_written

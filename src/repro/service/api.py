@@ -66,7 +66,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import SplitResult, parse_qs, urlsplit
 
 from repro.common.errors import ConfigurationError, ReproError
 from repro.service.contracts import ScenarioSpec
@@ -125,8 +125,8 @@ async def _read_line(reader: asyncio.StreamReader) -> str:
         raise _RefusedRequest(431, "request line or header line too long") from None
 
 
-async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
-    """Read one request: ``(method, target, body)``.
+async def _read_request(reader: asyncio.StreamReader) -> tuple[str, SplitResult, bytes]:
+    """Read one request: ``(method, split target, body)``.
 
     At most :data:`MAX_HEADER_LINES` header lines and a body of at most
     :data:`MAX_BODY_BYTES`; raises :class:`_RefusedRequest` otherwise.
@@ -138,6 +138,10 @@ async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
     if len(parts) != 3:
         raise _RefusedRequest(400, f"malformed request line: {request_line!r}")
     method, target, _version = parts
+    try:
+        url = urlsplit(target)
+    except ValueError:  # e.g. an unclosed "[" read as an IPv6 host
+        raise _RefusedRequest(400, f"malformed request target: {target!r}") from None
     content_length = 0
     for _ in range(MAX_HEADER_LINES + 1):
         line = await _read_line(reader)
@@ -159,7 +163,7 @@ async def _read_request(reader: asyncio.StreamReader) -> tuple[str, str, bytes]:
         body = await reader.readexactly(content_length) if content_length else b""
     except asyncio.IncompleteReadError:
         raise _RefusedRequest(400, "request body shorter than Content-Length") from None
-    return method, target, body
+    return method, url, body
 
 
 @dataclass
@@ -464,7 +468,7 @@ class ReproService:
         self, reader: asyncio.StreamReader
     ) -> tuple[int, bytes, str, dict[str, str]]:
         try:
-            method, target, raw_body = await asyncio.wait_for(
+            method, url, raw_body = await asyncio.wait_for(
                 _read_request(reader), REQUEST_READ_TIMEOUT_S
             )
         except _RefusedRequest as exc:
@@ -472,7 +476,6 @@ class ReproService:
         except asyncio.TimeoutError:
             return 408, _error_body("request not received in time"), "application/json", {}
 
-        url = urlsplit(target)
         path = url.path.rstrip("/") or "/"
         query = {k: v[-1] for k, v in parse_qs(url.query).items()}
         started = time.perf_counter()

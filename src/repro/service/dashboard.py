@@ -6,7 +6,7 @@ sparklines for the key series, the latest SLO evaluation, and the most
 recent runs with links to their trace documents.  The page embeds the
 machine-readable document it was rendered from in a
 ``<script type="application/json" id="dashboard-data">`` block, so the
-CI smoke (and any scraper) can schema-check exactly what a human sees,
+tests (and any scraper) can schema-check exactly what a human sees,
 and a plain ``<meta http-equiv="refresh">`` keeps it live.
 
 The same document builder feeds the ``repro dash`` terminal dashboard,

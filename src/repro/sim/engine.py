@@ -1006,7 +1006,7 @@ class SimulationEngine:
         if fill.poisoned:
             writeback = cache.install_poisoned(block, fill.poisoned_word_mask, time)
         else:
-            writeback = cache._install(block, fill.fill_state, fill.is_prefetch, time)
+            writeback = cache.install(block, fill.fill_state, fill.is_prefetch, time)
         if writeback is not None:
             self._write_back(proc, writeback.block, time)
 

@@ -114,20 +114,38 @@ class SloRule:
             )
         if "name" not in raw or "series" not in raw:
             raise ConfigurationError("SLO rule needs at least 'name' and 'series'")
+        name = str(raw["name"])
+
+        def number(key: str, default: Any, kind: type = float) -> Any:
+            value = raw.get(key, default)
+            try:
+                result = kind(value)
+            except (TypeError, ValueError, OverflowError):
+                result = None
+            if result is None or result != result:  # NaN: every comparison with it is false
+                raise ConfigurationError(
+                    f"SLO rule {name!r}: {key} must be a number, got {value!r}"
+                )
+            return result
+
         labels = raw.get("labels")
         if labels is not None:
-            labels = {str(k): str(v) for k, v in dict(labels).items()}
+            if not isinstance(labels, Mapping):
+                raise ConfigurationError(
+                    f"SLO rule {name!r}: labels must be a table/object, got {labels!r}"
+                )
+            labels = {str(k): str(v) for k, v in labels.items()}
         return cls(
-            name=str(raw["name"]),
+            name=name,
             series=str(raw["series"]),
             aggregate=str(raw.get("aggregate", "last")),
             op=str(raw.get("op", "<=")),
-            threshold=float(raw.get("threshold", 0.0)),
+            threshold=number("threshold", 0.0),
             labels=labels,
-            window_seconds=float(raw.get("window_seconds", 3600.0)),
-            objective=(None if raw.get("objective") is None else float(raw["objective"])),
-            max_burn_rate=float(raw.get("max_burn_rate", 1.0)),
-            min_samples=int(raw.get("min_samples", 1)),
+            window_seconds=number("window_seconds", 3600.0),
+            objective=None if raw.get("objective") is None else number("objective", None),
+            max_burn_rate=number("max_burn_rate", 1.0),
+            min_samples=number("min_samples", 1, int),
             on_missing=str(raw.get("on_missing", "skip")),
             description=str(raw.get("description", "")),
         )
@@ -232,20 +250,20 @@ def load_rules(path: str | Path) -> list[SloRule]:
     path = Path(path)
     try:
         raw_text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read SLO rules file {path}: {exc}") from exc
     if path.suffix.lower() == ".toml":
         import tomllib
 
         try:
             doc = tomllib.loads(raw_text)
-        except tomllib.TOMLDecodeError as exc:
+        except (tomllib.TOMLDecodeError, RecursionError) as exc:
             raise ConfigurationError(f"invalid TOML in {path}: {exc}") from exc
         raw_rules = doc.get("slo", [])
     else:
         try:
             doc = json.loads(raw_text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigurationError(f"invalid JSON in {path}: {exc}") from exc
         raw_rules = doc.get("slo", doc) if isinstance(doc, dict) else doc
     if not isinstance(raw_rules, list):

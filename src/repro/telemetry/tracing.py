@@ -27,7 +27,7 @@ Dependency-free by design (stdlib only, like the rest of the repo):
   Perfetto-loadable JSON from HTTP request down to per-cycle bus
   accounting.
 * :func:`check_chrome_events` -- the one Chrome-event schema check,
-  shared by the service smoke, the export tests and CI's timeline step.
+  shared by the service and export tests and CI's timeline step.
 * :func:`render_waterfall` -- terminal waterfall of a stitched trace
   with the queue-wait / execute / serve breakdown (``repro trace``).
 

@@ -38,32 +38,27 @@ class TestLookup:
 
     def test_hit_after_fill(self, protocol):
         cache = make_cache(protocol)
-        cache.fill(0x1000, LineState.SHARED, by_prefetch=False, now=0)
+        cache.install(0x1000, LineState.SHARED, by_prefetch=False, now=0)
         assert cache.lookup_demand(0x1000, 0b1, now=1).hit
-
-    def test_block_of(self, protocol):
-        cache = make_cache(protocol)
-        assert cache.block_of(0x101F) == 0x1000
-        assert cache.block_of(0x1020) == 0x1020
 
     def test_conflict_replacement_direct_mapped(self, protocol):
         cache = make_cache(protocol)
-        cache.fill(0x0000, LineState.SHARED, by_prefetch=False, now=0)
+        cache.install(0x0000, LineState.SHARED, by_prefetch=False, now=0)
         # Same set, one cache-size away.
-        cache.fill(32 * 1024, LineState.SHARED, by_prefetch=False, now=1)
+        cache.install(32 * 1024, LineState.SHARED, by_prefetch=False, now=1)
         assert not cache.lookup_demand(0x0000, 0b1, now=2).hit
         assert cache.lookup_demand(32 * 1024, 0b1, now=2).hit
 
     def test_replacement_miss_is_not_invalidation_miss(self, protocol):
         cache = make_cache(protocol)
-        cache.fill(0x0000, LineState.SHARED, by_prefetch=False, now=0)
-        cache.fill(32 * 1024, LineState.SHARED, by_prefetch=False, now=1)
+        cache.install(0x0000, LineState.SHARED, by_prefetch=False, now=0)
+        cache.install(32 * 1024, LineState.SHARED, by_prefetch=False, now=1)
         result = cache.lookup_demand(0x0000, 0b1, now=2)
         assert not result.invalidation_miss
 
     def test_results_are_shared_and_frozen(self, protocol):
         cache = make_cache(protocol)
-        cache.fill(0x1000, LineState.SHARED, by_prefetch=False, now=0)
+        cache.install(0x1000, LineState.SHARED, by_prefetch=False, now=0)
         hit = cache.lookup_demand(0x1000, 0b1, now=1)
         assert hit is cache.lookup_demand(0x1000, 0b1, now=2)
         miss = cache.lookup_demand(0x2000, 0b1, now=3)
@@ -74,18 +69,18 @@ class TestLookup:
 
     def test_associative_cache_keeps_both(self, protocol):
         cache = make_cache(protocol, associativity=2)
-        cache.fill(0x0000, LineState.SHARED, by_prefetch=False, now=0)
-        cache.fill(32 * 1024, LineState.SHARED, by_prefetch=False, now=1)
+        cache.install(0x0000, LineState.SHARED, by_prefetch=False, now=0)
+        cache.install(32 * 1024, LineState.SHARED, by_prefetch=False, now=1)
         assert cache.lookup_demand(0x0000, 0b1, now=2).hit
         assert cache.lookup_demand(32 * 1024, 0b1, now=2).hit
 
     def test_associative_lru_eviction(self, protocol):
         cache = make_cache(protocol, associativity=2)
         s = 32 * 1024
-        cache.fill(0, LineState.SHARED, by_prefetch=False, now=0)
-        cache.fill(s, LineState.SHARED, by_prefetch=False, now=1)
+        cache.install(0, LineState.SHARED, by_prefetch=False, now=0)
+        cache.install(s, LineState.SHARED, by_prefetch=False, now=1)
         touch(cache, 0, 0b1, now=2)  # make block 0 most recent
-        cache.fill(2 * s, LineState.SHARED, by_prefetch=False, now=3)  # evicts s
+        cache.install(2 * s, LineState.SHARED, by_prefetch=False, now=3)  # evicts s
         assert cache.lookup_demand(0, 0b1, now=4).hit
         assert not cache.lookup_demand(s, 0b1, now=4).hit
 
@@ -98,13 +93,13 @@ class TestLazyFrames:
 
     def fill_set(self, cache, count, start=0):
         for i in range(count):
-            cache.fill(i * self.STRIDE, LineState.SHARED, by_prefetch=False, now=start + i)
+            cache.install(i * self.STRIDE, LineState.SHARED, by_prefetch=False, now=start + i)
 
     def test_sets_start_empty_and_grow_to_associativity(self, protocol):
         cache = make_cache(protocol, associativity=4)
         assert cache._frames.get(0, []) == []
         for i in range(10):
-            cache.fill(i * self.STRIDE, LineState.SHARED, by_prefetch=False, now=i)
+            cache.install(i * self.STRIDE, LineState.SHARED, by_prefetch=False, now=i)
             assert len(cache._frames[0]) == min(i + 1, 4)
         assert all(cache._frames.get(s, []) == [] for s in range(1, cache.config.num_sets))
 
@@ -113,7 +108,7 @@ class TestLazyFrames:
         self.fill_set(cache, 2)
         frame = cache._by_block[0]
         cache.snoop(0, BusOp.READ_EX, 0b1)
-        cache.fill(2 * self.STRIDE, LineState.SHARED, by_prefetch=False, now=5)
+        cache.install(2 * self.STRIDE, LineState.SHARED, by_prefetch=False, now=5)
         assert len(cache._frames[0]) == 2
         assert cache._by_block[2 * self.STRIDE] is frame
         assert cache.resident_blocks() == [self.STRIDE, 2 * self.STRIDE]
@@ -123,7 +118,7 @@ class TestLazyFrames:
         self.fill_set(cache, 4)
         assert cache.resident_blocks() == [i * self.STRIDE for i in range(4)]
         touch(cache, 0, 0b1, now=10)  # block 1 * STRIDE is now LRU
-        cache.fill(4 * self.STRIDE, LineState.SHARED, by_prefetch=False, now=11)
+        cache.install(4 * self.STRIDE, LineState.SHARED, by_prefetch=False, now=11)
         assert cache.resident_blocks() == [0, 2 * self.STRIDE, 3 * self.STRIDE, 4 * self.STRIDE]
         assert len(cache._frames[0]) == 4
 
@@ -131,7 +126,7 @@ class TestLazyFrames:
         cache = make_cache(protocol, associativity=4)
         self.fill_set(cache, 4)
         cache.snoop(3 * self.STRIDE, BusOp.READ_EX, 0b1)
-        cache.fill(4 * self.STRIDE, LineState.SHARED, by_prefetch=False, now=11)
+        cache.install(4 * self.STRIDE, LineState.SHARED, by_prefetch=False, now=11)
         # Block 0 is LRU but valid; the invalidated way takes the fill.
         assert cache.resident_blocks() == [0, self.STRIDE, 2 * self.STRIDE, 4 * self.STRIDE]
 
@@ -139,7 +134,7 @@ class TestLazyFrames:
 class TestStaleTag:
     """A known defect of set-associative caches, pinned until it is fixed.
 
-    ``_install`` takes the first invalid way, so block X can get a
+    ``install`` takes the first invalid way, so block X can get a
     second frame while a stale INVALID tag for X sits in another way.
     Reusing that stale way pops X from the tag map, unmapping the live
     copy.  Direct-mapped caches (every benchmark point) cannot reach
@@ -152,19 +147,19 @@ class TestStaleTag:
         # 2-way, 64 bytes: one set, so every block competes for it.
         cache = make_cache(protocol, size_bytes=64, associativity=2)
         z, x, w = 0x0000, 0x1000, 0x2000
-        cache.fill(z, LineState.SHARED, by_prefetch=False, now=0)
-        cache.fill(x, LineState.SHARED, by_prefetch=False, now=1)
+        cache.install(z, LineState.SHARED, by_prefetch=False, now=0)
+        cache.install(x, LineState.SHARED, by_prefetch=False, now=1)
         cache.snoop(z, BusOp.READ_EX, 0b1)
         cache.snoop(x, BusOp.READ_EX, 0b1)
-        cache.fill(x, LineState.MODIFIED, by_prefetch=False, now=2)  # into Z's way
-        cache.fill(w, LineState.SHARED, by_prefetch=False, now=3)  # into X's stale way
+        cache.install(x, LineState.MODIFIED, by_prefetch=False, now=2)  # into Z's way
+        cache.install(w, LineState.SHARED, by_prefetch=False, now=3)  # into X's stale way
         assert cache.state_of(x) is LineState.MODIFIED
 
 
 class TestInvalidationMisses:
     def test_snoop_invalidate_then_miss_classifies_invalidation(self, protocol):
         cache = make_cache(protocol)
-        cache.fill(0x1000, LineState.SHARED, by_prefetch=False, now=0)
+        cache.install(0x1000, LineState.SHARED, by_prefetch=False, now=0)
         touch(cache, 0x1000, 0b1, now=0)
         had, supplied = cache.snoop(0x1000, BusOp.UPGRADE, writer_word_mask=0b1)
         assert had and not supplied
@@ -175,7 +170,7 @@ class TestInvalidationMisses:
 
     def test_false_sharing_when_disjoint_words(self, protocol):
         cache = make_cache(protocol)
-        cache.fill(0x1000, LineState.SHARED, by_prefetch=False, now=0)
+        cache.install(0x1000, LineState.SHARED, by_prefetch=False, now=0)
         touch(cache, 0x1000, 0b1, now=0)  # we touch word 0
         cache.snoop(0x1000, BusOp.UPGRADE, writer_word_mask=0b1000)  # they write word 3
         result = cache.lookup_demand(0x1000, 0b1, now=1)  # we re-read word 0
@@ -202,7 +197,7 @@ class TestInvalidationMisses:
 
     def test_current_access_word_counts_for_truth(self, protocol):
         cache = make_cache(protocol)
-        cache.fill(0x1000, LineState.SHARED, by_prefetch=False, now=0)
+        cache.install(0x1000, LineState.SHARED, by_prefetch=False, now=0)
         touch(cache, 0x1000, 0b1, now=0)
         cache.snoop(0x1000, BusOp.UPGRADE, writer_word_mask=0b10)
         # We now access word 1, exactly what the remote wrote: true.
@@ -212,10 +207,10 @@ class TestInvalidationMisses:
 
     def test_invalidated_tag_replaced_becomes_nonsharing(self, protocol):
         cache = make_cache(protocol)
-        cache.fill(0x1000, LineState.SHARED, by_prefetch=False, now=0)
+        cache.install(0x1000, LineState.SHARED, by_prefetch=False, now=0)
         cache.snoop(0x1000, BusOp.UPGRADE, writer_word_mask=0b1)
         # Another block claims the frame (invalid frames are reused).
-        cache.fill(0x1000 + 32 * 1024, LineState.SHARED, by_prefetch=False, now=1)
+        cache.install(0x1000 + 32 * 1024, LineState.SHARED, by_prefetch=False, now=1)
         result = cache.lookup_demand(0x1000, 0b1, now=2)
         assert not result.hit
         assert not result.invalidation_miss  # tag is gone: non-sharing miss
@@ -224,16 +219,16 @@ class TestInvalidationMisses:
 class TestFillsAndEviction:
     def test_dirty_eviction_returns_writeback(self, protocol):
         cache = make_cache(protocol)
-        cache.fill(0x0000, LineState.MODIFIED, by_prefetch=False, now=0)
-        evicted = cache.fill(32 * 1024, LineState.SHARED, by_prefetch=False, now=1)
+        cache.install(0x0000, LineState.MODIFIED, by_prefetch=False, now=0)
+        evicted = cache.install(32 * 1024, LineState.SHARED, by_prefetch=False, now=1)
         assert evicted is not None
         assert evicted.block == 0x0000
         assert evicted.dirty
 
     def test_clean_eviction_returns_none(self, protocol):
         cache = make_cache(protocol)
-        cache.fill(0x0000, LineState.SHARED, by_prefetch=False, now=0)
-        assert cache.fill(32 * 1024, LineState.SHARED, by_prefetch=False, now=1) is None
+        cache.install(0x0000, LineState.SHARED, by_prefetch=False, now=0)
+        assert cache.install(32 * 1024, LineState.SHARED, by_prefetch=False, now=1) is None
 
     def test_install_poisoned_leaves_invalid_tag(self, protocol):
         cache = make_cache(protocol)
@@ -247,7 +242,7 @@ class TestFillsAndEviction:
 class TestSnooping:
     def test_read_snoop_downgrades_and_supplies_dirty(self, protocol):
         cache = make_cache(protocol)
-        cache.fill(0x1000, LineState.MODIFIED, by_prefetch=False, now=0)
+        cache.install(0x1000, LineState.MODIFIED, by_prefetch=False, now=0)
         had, supplied = cache.snoop(0x1000, BusOp.READ, 0)
         assert had and supplied
         assert cache.state_of(0x1000) is LineState.SHARED
@@ -259,7 +254,7 @@ class TestSnooping:
 
     def test_read_ex_snoop_invalidates(self, protocol):
         cache = make_cache(protocol)
-        cache.fill(0x1000, LineState.PRIVATE, by_prefetch=False, now=0)
+        cache.install(0x1000, LineState.PRIVATE, by_prefetch=False, now=0)
         had, _ = cache.snoop(0x1000, BusOp.READ_EX, 0b1)
         assert had
         assert cache.state_of(0x1000) is LineState.INVALID

@@ -534,6 +534,23 @@ class TestTimelineCli:
         assert "bus util" in printed
         assert "(exact)" in printed
 
+    def test_timeline_exits_1_when_a_window_fails_to_reconcile(self, tmp_path, monkeypatch, capsys):
+        """Must-fail control for CI's timeline step: one busy cycle moved
+        out of its window's CPU series is reported and fails the command."""
+        from repro.cli import main
+
+        real_reconcile = ObsReport.reconcile
+
+        def perturbed(report, metrics):
+            report.cpu_busy[0][0] += 1
+            return real_reconcile(report, metrics)
+
+        monkeypatch.setattr(ObsReport, "reconcile", perturbed)
+        args = ["timeline", "--workload", "water", "--quick", "--out", str(tmp_path / "t.json")]
+        assert main(args) == 1
+        out = capsys.readouterr().out
+        assert "MISMATCHES" in out and "cpu 0: busy windows" in out
+
     def test_timeline_rejects_unknown_workload(self, capsys):
         from repro.cli import main
 

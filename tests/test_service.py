@@ -5,9 +5,10 @@ key parity with the ExperimentRunner's disk-cache payload), the run
 stores (in-memory + ledger hydration with the round-trip fidelity
 check), the asyncio scheduler (concurrent-dedup: N identical submits
 cost one simulation; failure surfacing), the HTTP API end to end over a
-real socket, the mixed-schema ledger regression, must-fail controls for
-the end-to-end smoke's checkers, cache-stat gauges, and the `--json` CLI
-output modes.
+real socket (with a fuzzed request reader), the mixed-schema ledger
+regression, one real ``repro serve`` process (flags, SIGTERM and the
+two-way flush reconciliation, whose checker has must-fail controls),
+cache-stat gauges, and the `--json` CLI output modes.
 """
 
 from __future__ import annotations
@@ -15,14 +16,19 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 from urllib.parse import urlsplit
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
@@ -44,18 +50,12 @@ from repro.service.contracts import (
     ScenarioSpec,
 )
 from repro.service.scheduler import RunScheduler
-from repro.service.smoke import (
-    SmokeFailure,
-    _reconcile_flush,
-    _scrape_values,
-    _stage_sums,
-)
 from repro.service.store import InMemoryRunStore, LedgerRunStore, spec_from_ledger_entry
 from repro.telemetry.fleet import TelemetryConfig, export_cache_stats
 from repro.telemetry.ledger import LedgerEntry, RunLedger
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.timeseries import TimeSeriesStore
-from repro.telemetry.tracing import check_chrome_events
+from repro.telemetry.tracing import SERVICE_PID, check_chrome_events
 from tests.test_perf import ROW_DAMAGE, _compact, _damage_entry, _entry_lines
 
 #: The CI-speed frame used throughout: tiny but a real simulation.
@@ -754,6 +754,16 @@ def _http(method: str, url: str, body: dict | None = None):
     return status, raw
 
 
+#: Keys every run reference carries (``POST /runs``).
+REF_KEYS = {"run_id", "config_key", "label", "status", "created_at", "deduped"}
+
+#: Keys every run document carries (``GET /runs/{id}``).
+RUN_KEYS = {
+    "run_id", "config_key", "label", "status", "spec", "created_at",
+    "started_at", "finished_at", "error", "submissions", "source", "progress",
+}
+
+
 @pytest.fixture(scope="class")
 def service(tmp_path_factory):
     root = tmp_path_factory.mktemp("service")
@@ -778,20 +788,12 @@ class TestHttpApi:
         status, doc = _http("POST", f"{base}/runs", spec_body)
         assert status == 202
         assert doc["count"] == 1 and not doc["deduped"]
+        assert REF_KEYS <= set(doc["runs"][0])
         run_id = doc["run_id"]
         assert run_id == ScenarioSpec(**spec_body).run_id
 
-        deadline = 120
-        while True:
-            status, run_doc = _http("GET", f"{base}/runs/{run_id}")
-            assert status == 200
-            if run_doc["status"] in ("completed", "failed"):
-                break
-            deadline -= 1
-            assert deadline > 0, "run did not finish"
-            import time
-
-            time.sleep(0.2)
+        run_doc = _poll_completed(base, run_id)
+        assert RUN_KEYS <= set(run_doc)
         assert run_doc["status"] == "completed"
         assert run_doc["spec"]["workload"] == "Water"
 
@@ -803,22 +805,32 @@ class TestHttpApi:
         )
         assert result["metrics"] == direct.to_dict()
 
-        # Resubmission dedups.
+        # Resubmission dedups, without running again: once the scheduler
+        # is idle, the ledger holds the one simulated run.
         status, again = _http("POST", f"{base}/runs", spec_body)
         assert status == 202 and again["deduped"]
         assert again["run_id"] == run_id
+        drained = asyncio.run_coroutine_threadsafe(svc.scheduler.drain(timeout=60), svc.loop)
+        assert drained.result(timeout=90) is True
+        summary = svc.ledger.summarize()
+        assert (summary["entries"], summary["simulated_runs"]) == (1, 1)
 
         # List + filter.
         status, listing = _http("GET", f"{base}/runs?status=completed")
         assert status == 200
         assert any(r["run_id"] == run_id for r in listing["runs"])
 
-        # Metrics scrape exposes service + cache families.
+        # Metrics scrape exposes service, fleet and cache families.
         status, text = _http("GET", f"{base}/metrics")
         assert status == 200
-        assert "repro_service_requests_total" in text
-        assert 'repro_service_submissions_total{result="dedup"}' in text
-        assert "repro_cache_entries" in text
+        for family in (
+            "repro_service_requests_total", "repro_service_queue_depth",
+            "repro_runs_total", "repro_cache_entries",
+        ):
+            assert f"\n{family}" in text, family
+        scraped = _scrape_values(text)
+        assert scraped['repro_service_submissions_total{result="dedup"}'] == 1.0
+        assert scraped['repro_service_submissions_total{result="new"}'] == 1.0
 
     def test_sweep_expansion(self, service):
         svc, base = service
@@ -830,7 +842,13 @@ class TestHttpApi:
         status, doc = _http("POST", f"{base}/runs", sweep)
         assert status == 202
         assert doc["count"] == 4
-        assert len({r["run_id"] for r in doc["runs"]}) == 4
+        run_ids = {r["run_id"] for r in doc["runs"]}
+        assert len(run_ids) == 4
+        # The identical resubmission folds every point into its run.
+        status, again = _http("POST", f"{base}/runs", sweep)
+        assert status == 202
+        assert {r["run_id"] for r in again["runs"]} == run_ids
+        assert all(r["deduped"] for r in again["runs"])
 
     def test_validation_errors_are_400(self, service):
         svc, base = service
@@ -939,6 +957,13 @@ class TestHttpApi:
         status, doc, _ = self._raw(base, f"GET /healthz HTTP/1.1\r\n{long_line}\r\n\r\n".encode())
         assert status == 431 and "too long" in doc["error"]
 
+    def test_malformed_target_is_400(self, service):
+        """``urlsplit`` raises on an unclosed "[" (read as an IPv6 host);
+        that was a 500 from the backstop."""
+        svc, base = service
+        status, doc, _ = self._raw(base, b"GET //[ HTTP/1.1\r\n\r\n")
+        assert status == 400 and "malformed request target" in doc["error"]
+
     def test_integer_and_float_scale_dedup(self, service):
         svc, base = service
         status, first = _http("POST", f"{base}/runs", {"workload": "Water", "num_cpus": 2, "scale": 1})
@@ -998,6 +1023,79 @@ class TestHttpApi:
         assert status == 404
 
 
+_REQUEST_LINES = st.builds(
+    "{} {}{} {}".format,
+    st.sampled_from(["GET", "POST", "PUT", "get"]) | st.text(max_size=4),
+    st.sampled_from([
+        "/healthz", "/metrics", "/metrics/history", "/slo", "/dashboard", "/runs",
+        "/runs/", f"/runs/{'0' * 16}", "/runs/x/result", "/runs/x/trace", "//[", "*",
+    ]) | st.text(max_size=8),
+    st.sampled_from([
+        "", "?status=completed", "?status=bogus", "?name=repro_service_requests_total",
+        "?view=c2c", "?seconds=x", "?seconds=-1", "?limit=-1", "?%ff=%ff", "?engine=0",
+    ]) | st.text(max_size=8),
+    st.sampled_from(["HTTP/1.1", "HTTP/1.0", ""]),
+)
+_REQUESTS = st.one_of(
+    st.binary(max_size=200),
+    st.builds(
+        lambda line, headers, length, body: b"".join([
+            line.encode("utf-8", "surrogatepass"), b"\r\n",
+            *(h + b"\r\n" for h in headers),
+            b"" if length is None else b"Content-Length: " + length + b"\r\n",
+            b"\r\n", body,
+        ]),
+        _REQUEST_LINES,
+        st.lists(st.binary(max_size=20) | st.just(b"Host: x"), max_size=3),
+        st.none() | st.sampled_from([b"0", b"2", b"9", b"-1", b"x", b"99999999999", b""]),
+        st.binary(max_size=16)
+        | st.sampled_from([b"{}", b"[]", b"5", b'{"workload": "NoSuch"}', b'{"sweep": 3}']),
+    ),
+)
+
+
+@pytest.fixture(scope="class")
+def fuzz_service(tmp_path_factory):
+    """A service with every route live (tsdb on) for the reader fuzz."""
+    root = tmp_path_factory.mktemp("fuzz")
+    config = ServiceConfig(
+        host="127.0.0.1", port=0, cache_dir=None, ledger_path=None,
+        tsdb_dir=str(root / "tsdb"), snapshot_interval=3600.0,
+    )
+    svc, base, stop = serve_in_thread(config)
+    try:
+        yield svc, base
+    finally:
+        stop()
+
+
+class TestHttpReaderFuzz:
+    """Arbitrary bytes on a raw socket: a 2xx or 4xx answer or a closed
+    connection, never a 5xx, and the server keeps answering."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_REQUESTS)
+    def test_arbitrary_bytes(self, fuzz_service, request):
+        svc, base = fuzz_service
+        host, port = urlsplit(base).hostname, urlsplit(base).port
+        response = b""
+        with socket.create_connection((host, port), timeout=30) as sock:
+            try:
+                sock.sendall(request)
+                sock.shutdown(socket.SHUT_WR)
+                while chunk := sock.recv(65536):
+                    response += chunk
+            except ConnectionResetError:
+                pass
+        if response:
+            version, code = response.split(b"\r\n", 1)[0].split()[:2]
+            assert version == b"HTTP/1.1"
+            assert 200 <= int(code) < 300 or 400 <= int(code) < 500, response[:300]
+        assert _http("GET", f"{base}/healthz")[0] == 200
+        assert len(svc.store) == 0
+
+
 # --------------------------------------------------------------------------
 # Tracing over HTTP (tentpole) + graceful shutdown (satellite)
 # --------------------------------------------------------------------------
@@ -1053,6 +1151,7 @@ class TestTracedHttpApi:
 
         status, trace_doc = _http("GET", f"{base}/runs/{run_id}/trace")
         assert status == 200
+        check_chrome_events(trace_doc["traceEvents"])
         other = trace_doc["otherData"]
         assert other["trace_id"] == trace_id
         assert other["run_id"] == run_id
@@ -1062,6 +1161,7 @@ class TestTracedHttpApi:
             for e in trace_doc["traceEvents"]
             if e.get("cat") == "service" and e["ph"] == "X"
         }
+        assert {e["pid"] for e in service_spans.values()} == {SERVICE_PID}
         assert {
             "request.parse", "request.validate", "submit", "queue.wait",
             "batch.assemble", "execute", "executor.dispatch", "worker.run",
@@ -1076,25 +1176,29 @@ class TestTracedHttpApi:
         assert other["engine"]["anchor"] == "engine.simulate"
 
         # Reconciliation: the ledger's wall time and the /metrics stage
-        # histogram agree with the spans (same measurements, same hook).
+        # histograms agree with the spans (same measurements, same hook),
+        # within a slack for the worker/parent vantage points.
         ledger = RunLedger(root / "ledger")
         entry = next(
             e for e in ledger.entries()
             if e.config_key == run_doc["config_key"] and e.outcome == "ok"
         )
         assert entry.trace_id == trace_id
-        worker_s = service_spans["worker.run"]["dur"] / 1e6
-        assert abs(worker_s - entry.wall_seconds) < 1.0
+        span_s = {
+            stage: service_spans[stage]["dur"] / 1e6
+            for stage in ("queue.wait", "execute", "worker.run")
+        }
+        assert span_s["execute"] >= span_s["worker.run"] - 1.0
+        assert abs(span_s["worker.run"] - entry.wall_seconds) < 1.0
         status, metrics_text = _http("GET", f"{base}/metrics")
         assert status == 200
-        assert "repro_service_stage_seconds" in metrics_text
         assert "repro_service_request_seconds" in metrics_text
-        for line in metrics_text.splitlines():
-            if line.startswith('repro_service_stage_seconds_sum{stage="worker.run"}'):
-                assert abs(float(line.rpartition(" ")[2]) - worker_s) < 1.0
-                break
-        else:
-            pytest.fail("no worker.run stage histogram in /metrics")
+        scraped = _scrape_values(metrics_text)
+        for stage, seconds in span_s.items():
+            # This is the service's first run, so each histogram holds
+            # exactly its span.
+            assert scraped[f'repro_service_stage_seconds_count{{stage="{stage}"}}'] == 1.0
+            assert abs(scraped[f'repro_service_stage_seconds_sum{{stage="{stage}"}}'] - seconds) < 1.0
 
     def test_engine_can_be_excluded(self, traced_service):
         svc, base, _root = traced_service
@@ -1254,17 +1358,26 @@ class TestObservabilityRoutes:
 
     def test_dashboard_embeds_schema_checked_json(self, obs_service):
         svc, base, _root = obs_service
+        status, doc = _http("POST", f"{base}/runs", dict(QUICK, strategy="NP"))
+        assert status == 202
+        _poll_completed(base, doc["run_id"])
         self._wait_snapshots(base, minimum=1)
         status, html = _http("GET", f"{base}/dashboard")
         assert status == 200 and isinstance(html, str)
         marker = 'id="dashboard-data">'
         start = html.index(marker) + len(marker)
         doc = json.loads(html[start:html.index("</script>", start)])
+        assert set(doc) == {
+            "schema", "generated_at", "window_seconds", "tsdb", "series", "slo",
+            "recent_runs", "service",
+        }
         assert doc["schema"] == 1
         assert doc["tsdb"]["snapshots"] >= 1
-        assert {"slo", "recent_runs", "series", "service"} <= set(doc)
         names = {s["name"] for s in doc["series"]}
         assert "repro_service_requests_total" in names
+        status, listing = _http("GET", f"{base}/runs?status=completed")
+        completed = sorted(run["run_id"] for run in listing["runs"])
+        assert completed and sorted(run["run_id"] for run in doc["recent_runs"]) == completed
 
     def test_disabled_tsdb_routes_are_409(self, service):
         svc, base = service
@@ -1297,45 +1410,185 @@ class TestObservabilityRoutes:
         finally:
             stop()
 
-        store = TimeSeriesStore(tmp_path / "tsdb")
-        flush = store.last_snapshot()
+        flush = TimeSeriesStore(tmp_path / "tsdb").last_snapshot()
         assert flush is not None and flush["source"] == "service"
-        families = flush["families"]
-
-        def scraped(prefix: str) -> float:
-            for line in metrics_text.splitlines():
-                if line.startswith(prefix):
-                    return float(line.rpartition(" ")[2])
-            pytest.fail(f"no {prefix!r} line in the final scrape")
-
-        def flushed(name: str, **labels: str) -> float:
-            for sample in families[name]["samples"]:
-                if sample["labels"] == labels:
-                    return sample["value"]
-            pytest.fail(f"no {name} {labels} sample in the flush snapshot")
-
-        # The scrape's own request lands only in the flush.
-        assert flushed(
-            "repro_service_requests_total",
-            method="GET", route="/metrics", status="200",
-        ) == scraped(
-            'repro_service_requests_total{method="GET",route="/metrics",status="200"}'
-        ) + 1
-        # Everything the scrape did not touch matches exactly.
-        assert flushed(
-            "repro_service_runs", status="completed"
-        ) == scraped('repro_service_runs{status="completed"}')
-        assert flushed(
-            "repro_service_submissions_total", result="new"
-        ) == scraped('repro_service_submissions_total{result="new"}')
-        # Ledger families reconcile with the ledger itself.
+        assert _reconcile_flush(flush, _scrape_values(metrics_text)) > 0
         summary = RunLedger(tmp_path / "ledger").summarize()
-        assert flushed("repro_ledger_entries") == summary["entries"] == 1
-        assert flushed("repro_ledger_simulated_runs") == summary["simulated_runs"]
+        assert summary["entries"] == 1
+        _assert_ledger_families(flush, summary)
 
 
 # --------------------------------------------------------------------------
-# Smoke checkers: must-fail controls (no server needed)
+# The shutdown flush against the final scrape, and one real `repro serve`
+# --------------------------------------------------------------------------
+
+#: Series the final scrape's own request bumps only after its response
+#: is written, so the shutdown flush carries them one higher.
+SCRAPE_OWN_SERIES = (
+    'repro_service_requests_total{method="GET",route="/metrics",status="200"}',
+    'repro_service_request_seconds_count{route="/metrics"}',
+)
+
+
+def _scrape_values(metrics_text: str) -> dict[str, float]:
+    """Every ``name{labels} value`` exposition line, keyed by the left side."""
+    values: dict[str, float] = {}
+    for line in metrics_text.splitlines():
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.rpartition(" ")
+        try:
+            values[key] = float(value)
+        except ValueError:
+            continue
+    return values
+
+
+def _sample_key(name: str, labels: dict[str, str]) -> str:
+    """The exposition line key for a snapshot sample (declaration-ordered
+    labels survive the JSON round trip)."""
+    if not labels:
+        return name
+    inner = ",".join(f'{k}="{v}"' for k, v in labels.items())
+    return f"{name}{{{inner}}}"
+
+
+def _reconcile_flush(flush: dict, scraped: dict[str, float]) -> int:
+    """Reconcile the shutdown flush snapshot with the final scrape, both
+    ways; returns the number of samples compared.
+
+    Every counter and gauge sample and every histogram ``_count`` must
+    appear on both sides with the same value, except the
+    :data:`SCRAPE_OWN_SERIES`, which the flush carries one higher.
+    ``_bucket``/``_sum`` lines ride on their ``_count``; the synthetic
+    ``repro_ledger_*`` families reconcile against the ledger instead.
+    """
+    flushed: dict[str, float] = {}
+    for name, family in flush["families"].items():
+        if name.startswith("repro_ledger_"):
+            continue
+        histogram = family.get("type") == "histogram"
+        for sample in family["samples"]:
+            if histogram:
+                flushed[_sample_key(f"{name}_count", sample["labels"])] = float(sample["count"])
+            else:
+                flushed[_sample_key(name, sample["labels"])] = float(sample["value"])
+    assert flushed, "flush snapshot carried no reconcilable samples"
+    exposed = {
+        key for key in scraped
+        if not key.startswith("repro_ledger_")
+        and not key.partition("{")[0].endswith(("_bucket", "_sum"))
+    }
+    only_flush = sorted(set(flushed) - exposed)
+    assert not only_flush, f"flush samples absent from the final scrape: {only_flush}"
+    only_scrape = sorted(exposed - set(flushed))
+    assert not only_scrape, f"final-scrape samples absent from the flush: {only_scrape}"
+    for key, value in sorted(flushed.items()):
+        expected = scraped[key] + (1.0 if key in SCRAPE_OWN_SERIES else 0.0)
+        assert value == expected, f"flush/scrape mismatch for {key}: {value} != {expected}"
+    return len(flushed)
+
+
+def _assert_ledger_families(flush: dict, summary: dict) -> None:
+    """The flush's synthetic ledger families equal the ledger's summary."""
+    families = flush["families"]
+    for family, key in (("repro_ledger_entries", "entries"),
+                        ("repro_ledger_simulated_runs", "simulated_runs")):
+        assert families[family]["samples"][0]["value"] == summary[key], family
+
+
+#: A rules file whose names are not the built-in ones, so ``/slo``
+#: shows which set the server loaded.
+SERVE_RULES = """\
+[[slo]]
+name = "runs-ledgered"
+series = "repro_ledger_entries"
+op = ">="
+threshold = 1.0
+
+[[slo]]
+name = "request-latency-ceiling"
+series = "repro_service_request_seconds"
+aggregate = "p95"
+op = "<="
+threshold = 60.0
+"""
+
+
+class TestServeProcess:
+    """What only a real process shows: the CLI flags reach the service,
+    SIGTERM exits 0, and the shutdown flush lands on disk."""
+
+    def test_flags_sigterm_and_flush(self, tmp_path):
+        (tmp_path / "rules.toml").write_text(SERVE_RULES, encoding="utf-8")
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        base = f"http://127.0.0.1:{port}"
+        env = dict(os.environ)
+        src = str(Path(api.__file__).resolve().parents[2])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--host", "127.0.0.1", "--port", str(port),
+                "--cache", str(tmp_path / "cache"), "--ledger-dir", str(tmp_path / "ledger"),
+                "--trace", "--drain-timeout", "60",
+                "--tsdb", str(tmp_path / "tsdb"), "--snapshot-interval", "1",
+                "--slo-rules", str(tmp_path / "rules.toml"),
+            ],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        try:
+            for _ in range(300):
+                assert proc.poll() is None, proc.stdout.read()
+                try:
+                    if _http("GET", f"{base}/healthz")[0] == 200:
+                        break
+                except (urllib.error.URLError, ConnectionError):
+                    time.sleep(0.1)
+            else:
+                pytest.fail("repro serve did not come up")
+
+            status, slo_doc = _http("GET", f"{base}/slo")
+            assert status == 200
+            assert {rule["name"] for rule in slo_doc["rules"]} == {
+                "runs-ledgered", "request-latency-ceiling",
+            }
+
+            status, headers, doc = _http_full("POST", f"{base}/runs", dict(QUICK, strategy="PWS"))
+            assert status == 202 and headers.get("X-Repro-Trace-Id") == doc["trace_id"]
+            assert _poll_completed(base, doc["run_id"])["status"] == "completed"
+
+            # The 1 s sampler has judged the rules on the ledgered run, so
+            # a later tick rewrites the same gauges.
+            for _ in range(300):
+                status, metrics_text = _http("GET", f"{base}/metrics")
+                if _scrape_values(metrics_text).get('repro_slo_ok{rule="runs-ledgered"}') == 1.0:
+                    break
+                time.sleep(0.1)
+            else:
+                pytest.fail("the serve loop never judged the rules file")
+            status, metrics_text = _http("GET", f"{base}/metrics")
+            assert status == 200
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=90) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=15)
+            proc.stdout.close()
+
+        flush = TimeSeriesStore(tmp_path / "tsdb").last_snapshot()
+        assert flush is not None and flush["source"] == "service"
+        assert _reconcile_flush(flush, _scrape_values(metrics_text)) > 0
+        summary = RunLedger(tmp_path / "ledger").summarize()
+        assert summary["simulated_runs"] == 1
+        _assert_ledger_families(flush, summary)
+
+
+# --------------------------------------------------------------------------
+# Checkers: must-fail controls (no server needed)
 # --------------------------------------------------------------------------
 
 #: A final scrape in the server's exposition format: a counter (the
@@ -1391,6 +1644,9 @@ def _flush_matching_exposition() -> dict:
 
 
 class TestSmokeCheckers:
+    """The checkers the served-trace and serve-process tests lean on
+    must reject what they exist to catch."""
+
     def test_check_chrome_events_accepts_a_wellformed_trace(self):
         check_chrome_events([
             {"name": "process_name", "ph": "M", "pid": 0, "tid": 0, "args": {"name": "cpu"}},
@@ -1414,8 +1670,8 @@ class TestSmokeCheckers:
             check_chrome_events([])
 
     def test_scrape_parsers_read_fixed_exposition(self):
-        assert _stage_sums(EXPOSITION) == {"execute": 0.125, "worker.run": 0.0625}
         values = _scrape_values(EXPOSITION)
+        assert values['repro_service_stage_seconds_sum{stage="execute"}'] == 0.125
         assert values['repro_service_requests_total{method="GET",route="/metrics",status="200"}'] == 1.0
         assert values["repro_service_queue_depth"] == 0.0
         assert values['repro_service_request_seconds_bucket{route="/metrics",le="+Inf"}'] == 1.0
@@ -1429,7 +1685,7 @@ class TestSmokeCheckers:
     def test_flush_rejects_a_perturbed_counter(self):
         flush = _flush_matching_exposition()
         flush["families"]["repro_service_requests_total"]["samples"][1]["value"] = 3.0
-        with pytest.raises(SmokeFailure, match="mismatch"):
+        with pytest.raises(AssertionError, match="mismatch"):
             _reconcile_flush(flush, _scrape_values(EXPOSITION))
 
     def test_flush_rejects_a_sample_the_scrape_lacks(self):
@@ -1437,13 +1693,13 @@ class TestSmokeCheckers:
         flush["families"]["repro_service_queue_depth"]["samples"].append(
             {"labels": {"shard": "1"}, "value": 0.0}
         )
-        with pytest.raises(SmokeFailure, match="absent from the final scrape"):
+        with pytest.raises(AssertionError, match="absent from the final scrape"):
             _reconcile_flush(flush, _scrape_values(EXPOSITION))
 
     def test_flush_rejects_dropping_a_scraped_sample(self):
         flush = _flush_matching_exposition()
         del flush["families"]["repro_service_stage_seconds"]["samples"][1]
-        with pytest.raises(SmokeFailure, match="absent from the flush"):
+        with pytest.raises(AssertionError, match="absent from the flush"):
             _reconcile_flush(flush, _scrape_values(EXPOSITION))
 
 

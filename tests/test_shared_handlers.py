@@ -6,7 +6,7 @@ code for everything but the inline hit and the streak guard: the demand
 access (``_try_access`` and the ``_merge``, ``_miss``, ``_upgrade`` and
 ``_complete_hit`` transitions it shares with the fast path), the upgrade
 grant, the fill grant, the fill landing (``_fill_done``) and the fill
-install (``CoherentCache._install``).  A bug there makes both sides
+install (``CoherentCache.install``).  A bug there makes both sides
 agree, so only the goldens would see it.  As ``tests/test_bus.py``'s
 ``LinearScanArbiter`` does for arbitration, the references here restate
 each handler in its plainest form: fully allocated sets of plain
@@ -321,7 +321,7 @@ def run_install_schedule(config: CacheConfig, steps, **mutation) -> None:
             continue
         if op == "fill":
             _, _, state, by_prefetch = step
-            got = _evicted(cache.fill(block, state, by_prefetch, now))
+            got = _evicted(cache.install(block, state, by_prefetch, now))
             assert got == ref.install(block, state, by_prefetch, now)
         elif op == "poisoned":
             got = _evicted(cache.install_poisoned(block, step[2], now))
@@ -483,7 +483,7 @@ def build_upgrade(sc: dict) -> tuple[SimulationEngine, object]:
         if frame is None:
             return
         state, words, remote, by_prefetch = frame
-        cache.fill(block, SHARED, by_prefetch, now)
+        cache.install(block, SHARED, by_prefetch, now)
         installed = cache._by_block[block]
         installed.state, installed.words_accessed, installed.remote_written = state, words, remote
 
@@ -504,7 +504,7 @@ def build_upgrade(sc: dict) -> tuple[SimulationEngine, object]:
 
     writer = engine.procs[sc["writer"]]
     if sc["writer_state"] is not None:
-        writer.cache.fill(TARGET, SHARED, False, 4)
+        writer.cache.install(TARGET, SHARED, False, 4)
         writer.cache._by_block[TARGET].state = sc["writer_state"]
     start = 10
     writer.begin_access(
@@ -754,7 +754,7 @@ def place_frame(cache: CoherentCache, block: int, frame, now: int) -> None:
     if frame is None:
         return
     state, words, remote, by_prefetch = frame
-    cache.fill(block, SHARED, by_prefetch, now)
+    cache.install(block, SHARED, by_prefetch, now)
     installed = cache._by_block[block]
     installed.state, installed.words_accessed, installed.remote_written = state, words, remote
 

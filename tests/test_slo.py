@@ -1,7 +1,7 @@
 """Tests for the SLO engine (`repro.telemetry.slo`).
 
 Covers rule parsing/validation (TOML and JSON files, unknown keys,
-duplicate names), threshold aggregates over gauges/counters/histograms,
+duplicate names, badly typed fields, a fuzz over rule files), threshold aggregates over gauges/counters/histograms,
 burn-rate mode, missing-data policy, default rules seeded from a bench
 report, and report rendering/serialization.
 """
@@ -9,9 +9,13 @@ report, and report rendering/serialization.
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.cli import main as cli_main
 from repro.common.errors import ConfigurationError
 from repro.sim.engine import ENGINE_VERSION
 from repro.telemetry.registry import MetricsRegistry
@@ -107,6 +111,133 @@ class TestRuleParsing:
         ]))
         with pytest.raises(ConfigurationError):
             load_rules(dupes)
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'[{"name": "caf\xe9", "series": "s"}]')
+        with pytest.raises(ConfigurationError, match="cannot read"):
+            load_rules(not_utf8)
+        # Both decoders recurse once per nesting level.
+        for suffix, text in (("json", "[" * 100_000), ("toml", "a = " + "[" * 100_000)):
+            deep = tmp_path / f"deep.{suffix}"
+            deep.write_text(text)
+            with pytest.raises(ConfigurationError, match="invalid"):
+                load_rules(deep)
+
+
+#: Every rule field, and values of every JSON/TOML type for them.
+_RULE_KEYS = [
+    "name", "series", "aggregate", "op", "threshold", "labels",
+    "window_seconds", "objective", "max_burn_rate", "min_samples",
+    "on_missing", "description",
+]
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(["<=", ">=", "p95", "rate", "skip", "breach", "1.5", "nan"])
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+_RULES = st.lists(
+    st.dictionaries(st.sampled_from(_RULE_KEYS) | st.text(max_size=6), _VALUES, max_size=8)
+    | st.fixed_dictionaries(
+        {"name": st.text(max_size=4), "series": st.just("s")},
+        optional={key: _VALUES for key in _RULE_KEYS[2:]},
+    ),
+    max_size=3,
+)
+
+
+def _toml_value(value) -> str | None:
+    """``value`` as a TOML inline value; None where TOML has no null."""
+    if value is None:
+        return None
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float) and not math.isfinite(value):
+        return "nan" if math.isnan(value) else ("inf" if value > 0 else "-inf")
+    if isinstance(value, (int, float)):
+        return repr(value)
+    if isinstance(value, str):
+        return json.dumps(value, ensure_ascii=False)
+    if isinstance(value, list):
+        items = [_toml_value(v) for v in value]
+        return "[" + ", ".join(v for v in items if v is not None) + "]"
+    pairs = [(json.dumps(k, ensure_ascii=False), _toml_value(v)) for k, v in value.items()]
+    return "{" + ", ".join(f"{k} = {v}" for k, v in pairs if v is not None) + "}"
+
+
+def _toml_rules(rules: list[dict]) -> str:
+    tables = []
+    for rule in rules:
+        lines = ["[[slo]]"]
+        for key, value in rule.items():
+            text = _toml_value(value)
+            if text is not None:
+                lines.append(f"{json.dumps(key, ensure_ascii=False)} = {text}")
+        tables.append("\n".join(lines))
+    return "\n\n".join(tables) + "\n"
+
+
+class TestRuleFieldTypes:
+    """A badly typed field is a ConfigurationError naming the rule and
+    the field, never a ValueError/TypeError traceback."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("threshold", "x"),
+        ("threshold", None),
+        ("threshold", float("nan")),
+        ("window_seconds", "nan"),
+        ("labels", 5),
+        ("labels", ["ab"]),
+        ("window_seconds", "w"),
+        ("objective", "high"),
+        ("max_burn_rate", [1]),
+        ("min_samples", float("inf")),
+        ("min_samples", "3.5"),
+    ])
+    def test_bad_field_is_a_configuration_error(self, field, value):
+        raw = {"name": "a", "series": "s", "op": ">=", "threshold": 1.0, field: value}
+        with pytest.raises(ConfigurationError, match=f"'a'.*{field}"):
+            SloRule.from_dict(raw)
+
+    def test_slo_check_reports_a_bad_threshold_cleanly(self, tmp_path, capsys):
+        rules = tmp_path / "rules.json"
+        rules.write_text('[{"name":"a","series":"s","op":">=","threshold":"x"}]')
+        code = cli_main(["slo", "check", "--tsdb", str(tmp_path / "tsdb"), "--rules", str(rules)])
+        assert code == 2
+        assert "error: SLO rule 'a': threshold must be a number" in capsys.readouterr().err
+
+
+class TestRuleFileFuzz:
+    """Untrusted rules files: rules or a ConfigurationError, nothing else."""
+
+    @settings(
+        max_examples=300, deadline=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.one_of(
+            _RULES.map(lambda rules: ("json", json.dumps(rules))),
+            _RULES.map(lambda rules: ("json", json.dumps({"slo": rules}))),
+            _RULES.map(lambda rules: ("toml", _toml_rules(rules))),
+            st.tuples(st.sampled_from(["json", "toml"]), st.text(max_size=40)),
+        )
+    )
+    def test_rules_files(self, tmp_path, case):
+        suffix, text = case
+        path = tmp_path / f"rules.{suffix}"
+        path.write_text(text, encoding="utf-8")
+        try:
+            rules = load_rules(path)
+        except ConfigurationError:
+            return
+        assert rules and all(isinstance(rule, SloRule) for rule in rules)
+        assert len({rule.name for rule in rules}) == len(rules)
 
 
 class TestThresholdMode:
