@@ -20,90 +20,63 @@ Quickstart::
     print(result.run.cpu_miss_rate, result.comparison.speedup)
 """
 
-from repro.audit.report import AuditReport, AuditViolation
-from repro.common.config import (
-    BusConfig,
-    CacheConfig,
-    MachineConfig,
-    PrefetchConfig,
-    SimulationConfig,
-)
-from repro.common.errors import (
-    ConfigurationError,
-    ReproError,
-    SimulationError,
-    TraceError,
-)
-from repro.metrics.compare import RunComparison, compare_runs, speedup_table
-from repro.metrics.results import CpuMetrics, MissCounts, RunMetrics
-from repro.prefetch.strategies import (
-    ALL_STRATEGIES,
-    EXCL,
-    LPD,
-    NP,
-    PBUF,
-    PREF,
-    PREFETCH_STRATEGIES,
-    PWS,
-    PrefetchStrategy,
-    strategy_by_name,
-)
-from repro.prefetch.insertion import insert_prefetches
-from repro.prefetch.oracle import insert_perfect_prefetches
-from repro.analysis import advise, profile_sharing
-from repro.sim.engine import simulate
-from repro.trace.stream import CpuTrace, MultiTrace
-from repro.workloads.registry import (
-    ALL_WORKLOAD_NAMES,
-    RESTRUCTURABLE_WORKLOAD_NAMES,
-    generate_workload,
-    get_workload,
-)
-from repro.experiments.runner import ExperimentRunner, StrategyResult, run_strategy
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_STRATEGIES",
-    "ALL_WORKLOAD_NAMES",
-    "AuditReport",
-    "AuditViolation",
-    "BusConfig",
-    "CacheConfig",
-    "ConfigurationError",
-    "CpuMetrics",
-    "CpuTrace",
-    "EXCL",
-    "ExperimentRunner",
-    "LPD",
-    "MachineConfig",
-    "MissCounts",
-    "MultiTrace",
-    "NP",
-    "PBUF",
-    "PREF",
-    "PREFETCH_STRATEGIES",
-    "PWS",
-    "PrefetchConfig",
-    "PrefetchStrategy",
-    "RESTRUCTURABLE_WORKLOAD_NAMES",
-    "ReproError",
-    "RunComparison",
-    "RunMetrics",
-    "SimulationConfig",
-    "SimulationError",
-    "StrategyResult",
-    "TraceError",
-    "advise",
-    "compare_runs",
-    "generate_workload",
-    "get_workload",
-    "insert_perfect_prefetches",
-    "insert_prefetches",
-    "profile_sharing",
-    "run_strategy",
-    "simulate",
-    "speedup_table",
-    "strategy_by_name",
-    "__version__",
-]
+#: Each public name and the module that defines it.  Names resolve on
+#: first access (PEP 562), so ``import repro.<subpackage>`` loads only
+#: the layers that subpackage uses.
+_EXPORTS = {
+    "AuditReport": "repro.audit.report",
+    "AuditViolation": "repro.audit.report",
+    "BusConfig": "repro.common.config",
+    "CacheConfig": "repro.common.config",
+    "MachineConfig": "repro.common.config",
+    "PrefetchConfig": "repro.common.config",
+    "SimulationConfig": "repro.common.config",
+    "ConfigurationError": "repro.common.errors",
+    "ReproError": "repro.common.errors",
+    "SimulationError": "repro.common.errors",
+    "TraceError": "repro.common.errors",
+    "RunComparison": "repro.metrics.compare",
+    "compare_runs": "repro.metrics.compare",
+    "speedup_table": "repro.metrics.compare",
+    "CpuMetrics": "repro.metrics.results",
+    "MissCounts": "repro.metrics.results",
+    "RunMetrics": "repro.metrics.results",
+    "ALL_STRATEGIES": "repro.prefetch.strategies",
+    "EXCL": "repro.prefetch.strategies",
+    "LPD": "repro.prefetch.strategies",
+    "NP": "repro.prefetch.strategies",
+    "PBUF": "repro.prefetch.strategies",
+    "PREF": "repro.prefetch.strategies",
+    "PREFETCH_STRATEGIES": "repro.prefetch.strategies",
+    "PWS": "repro.prefetch.strategies",
+    "PrefetchStrategy": "repro.prefetch.strategies",
+    "strategy_by_name": "repro.prefetch.strategies",
+    "insert_prefetches": "repro.prefetch.insertion",
+    "insert_perfect_prefetches": "repro.prefetch.oracle",
+    "advise": "repro.analysis",
+    "profile_sharing": "repro.analysis",
+    "simulate": "repro.sim.engine",
+    "CpuTrace": "repro.trace.stream",
+    "MultiTrace": "repro.trace.stream",
+    "ALL_WORKLOAD_NAMES": "repro.workloads.registry",
+    "RESTRUCTURABLE_WORKLOAD_NAMES": "repro.workloads.registry",
+    "generate_workload": "repro.workloads.registry",
+    "get_workload": "repro.workloads.registry",
+    "ExperimentRunner": "repro.experiments.runner",
+    "StrategyResult": "repro.experiments.runner",
+    "run_strategy": "repro.experiments.runner",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str) -> object:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(module), name)
+    return value

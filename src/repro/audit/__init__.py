@@ -26,12 +26,3 @@ list):
 :mod:`repro.audit.grid` defines the 294-configuration verification grid
 the ``repro audit`` CLI sweeps with audits enabled.
 """
-
-# Only the report containers are imported eagerly: the sanitizer pulls
-# in the processor/metrics stack, and metrics.results imports this
-# package for the AuditReport field -- importing the sanitizer here
-# would close that cycle.  Use ``repro.audit.sanitizer.EngineAuditor``
-# and ``repro.audit.grid`` directly.
-from repro.audit.report import AuditReport, AuditViolation
-
-__all__ = ["AuditReport", "AuditViolation"]

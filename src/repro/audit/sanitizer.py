@@ -107,8 +107,10 @@ class EngineAuditor:
         in push order.  The fast path's deferred continuation is handed
         to ``heappushpop`` and re-enters through this same check, so a
         fast-path push that would land out of heap order is caught here.
+        It counts as one check per run (see :meth:`finalize`): the fast
+        path retires events without heap pops, so a count per pop would
+        differ between the paths of one run.
         """
-        self._tick("structural.event_order")
         key = (item[0], item[1])
         if self._last_item is not None and key <= self._last_item:
             self._violate(
@@ -343,6 +345,7 @@ class EngineAuditor:
                 f"bus total_ops {engine.bus.stats.total_ops} != {self._grants} grants",
             )
 
+        self._tick("structural.event_order")
         self._tick("structural.mshr_drained")
         for proc in engine.procs:
             for fill in proc.mshr.outstanding_fills():

@@ -63,28 +63,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import sys
 from typing import Any, Sequence
 
-from repro.analysis import advise, attribute_sharing, profile_sharing, render_advice
-from repro.analysis.attribution import render_attribution
 from repro.common.config import MachineConfig
 from repro.common.errors import ConfigurationError, ReproError
-from repro.experiments import (
-    adaptive,
-    figure1,
-    figure2,
-    figure3,
-    headline,
-    lineattr,
-    saturation,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    utilization,
-)
 from repro.experiments.runner import ExperimentRunner, grid_label
 from repro.metrics.formatting import format_run_summary, format_table
 from repro.perf.history import DEFAULT_HISTORY, load_history
@@ -97,26 +81,27 @@ from repro.prefetch.strategies import (
 )
 from repro.service.contracts import ScenarioSpec
 from repro.telemetry.timeseries import DEFAULT_TSDB_DIR
-from repro.trace.stats import compute_stats
 from repro.workloads.registry import ALL_WORKLOAD_NAMES, resolve_workload
 
 __all__ = ["main"]
 
-_EXPERIMENTS = {
-    "table1": table1,
-    "table2": table2,
-    "table3": table3,
-    "table4": table4,
-    "table5": table5,
-    "figure1": figure1,
-    "figure2": figure2,
-    "figure3": figure3,
-    "headline": headline,
-    "utilization": utilization,
-    "saturation": saturation,
-    "lineattr": lineattr,
-    "adaptive": adaptive,
-}
+#: The ``repro experiment`` tables: each names a module of
+#: :mod:`repro.experiments`, imported when the command runs.
+_EXPERIMENTS = (
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "figure1",
+    "figure2",
+    "figure3",
+    "headline",
+    "utilization",
+    "saturation",
+    "lineattr",
+    "adaptive",
+)
 
 
 def _split_csv(raw: str) -> list[str]:
@@ -299,7 +284,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
         print(run_all(runner, charts=args.chart).text)
         return 0
-    module = _EXPERIMENTS[args.name]
+    module = importlib.import_module(f"repro.experiments.{args.name}")
     result = module.run(runner)
     if args.chart and hasattr(module, "render_chart"):
         print(module.render_chart(result))
@@ -309,6 +294,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from repro.trace.stats import compute_stats
+
     runner = _runner(args)
     trace = runner.clean_trace(args.workload, restructured=args.restructured)
     stats = compute_stats(trace)
@@ -327,6 +314,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from repro.analysis import advise, attribute_sharing, profile_sharing, render_advice
+    from repro.analysis.attribution import render_attribution
+
     runner = _runner(args)
     trace = runner.clean_trace(args.workload, restructured=args.restructured)
     profile = profile_sharing(trace)
@@ -362,6 +352,7 @@ def _fetch_trace_document(url: str, run_id: str) -> dict:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.trace.io import load_multitrace, save_multitrace
+    from repro.trace.stats import compute_stats
 
     if args.run_id or args.load:
         import json as json_module
@@ -411,6 +402,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
+    from repro.experiments import lineattr
     from repro.metrics.charts import sparkline
     from repro.obs.export import write_chrome_trace
 
@@ -513,6 +505,7 @@ def _cmd_c2c(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.analysis.dynamic import blamed_families, c2c_to_dict, render_c2c
+    from repro.experiments import lineattr
 
     if args.load:
         path = Path(args.load)

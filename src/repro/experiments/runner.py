@@ -57,9 +57,6 @@ from __future__ import annotations
 import os
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
@@ -524,6 +521,12 @@ class ExperimentRunner:
         failures: list[JobFailure] = []
         cache_state = "miss" if self._usable_cache is not None else "off"
         workers = min(self.max_workers or 1, len(pending))
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures import TimeoutError as FuturesTimeout
+            from concurrent.futures.process import BrokenProcessPool
+        else:  # a serial batch loads no pool, and its pool clauses match nothing
+            FuturesTimeout = BrokenProcessPool = ()
         with telemetry.batch(pending, parallel=workers > 1) as batch, ExitStack() as stack:
             if workers > 1:
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))

@@ -18,18 +18,3 @@ accesses -- lock and barrier read-modify-writes -- contribute bus
 traffic and execution time but are excluded from miss-rate numerators
 and denominators; see DESIGN.md).
 """
-
-from repro.metrics.results import CpuMetrics, MissCounts, RunMetrics
-from repro.metrics.compare import RunComparison, compare_runs, speedup_table
-from repro.metrics.formatting import format_table, format_run_summary
-
-__all__ = [
-    "CpuMetrics",
-    "MissCounts",
-    "RunComparison",
-    "RunMetrics",
-    "compare_runs",
-    "format_run_summary",
-    "format_table",
-    "speedup_table",
-]

@@ -12,12 +12,14 @@ bytes, since the dict form repeats some 500 key strings).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.audit.report import AuditReport
 from repro.bus.bus import _BUS_FIELDS, _KIND_FIELDS, BusStats
 from repro.common.codec import FieldTable, schema_tag
-from repro.obs.sampler import ObsReport
+
+if TYPE_CHECKING:
+    from repro.audit.report import AuditReport
+    from repro.obs.sampler import ObsReport
 
 __all__ = ["ROW_SCHEMA", "CpuMetrics", "MissCounts", "RunMetrics"]
 
@@ -391,9 +393,14 @@ class RunMetrics:
         cpu_from_dict = CpuMetrics.from_dict
         run.per_cpu = [cpu_from_dict(cpu) for cpu in run.per_cpu]
         run.bus = BusStats.from_dict(run.bus)
+        # The payload classes load with the first payload that carries one.
         if run.audit is not None:
+            from repro.audit.report import AuditReport
+
             run.audit = AuditReport.from_dict(run.audit)
         if run.obs is not None:
+            from repro.obs.sampler import ObsReport
+
             run.obs = ObsReport.from_dict(run.obs)
         return run
 

@@ -31,22 +31,3 @@ pushed it over.  This subsystem is the missing lens:
 :mod:`repro.experiments.saturation` builds the saturation-dynamics
 experiment on top.
 """
-
-from repro.obs.export import chrome_trace, write_chrome_trace
-from repro.obs.lineprof import LineProfile, LineProfiler, LineStats
-from repro.obs.sampler import ObsReport, WindowedSampler
-from repro.obs.taps import EngineObserver
-from repro.obs.tracer import ObsEvent, TimelineTracer
-
-__all__ = [
-    "EngineObserver",
-    "LineProfile",
-    "LineProfiler",
-    "LineStats",
-    "ObsEvent",
-    "ObsReport",
-    "TimelineTracer",
-    "WindowedSampler",
-    "chrome_trace",
-    "write_chrome_trace",
-]

@@ -8,29 +8,3 @@ telemetered fleet runner, and
 :class:`~repro.service.api.ReproService` serves submit/status/result/
 metrics over dependency-free HTTP (``repro serve``).
 """
-
-from repro.service.api import ReproService, ServiceConfig, serve, serve_in_thread
-from repro.service.contracts import (
-    RunMetadata,
-    RunRef,
-    RunStatus,
-    RunStore,
-    ScenarioSpec,
-)
-from repro.service.scheduler import RunScheduler
-from repro.service.store import InMemoryRunStore, LedgerRunStore
-
-__all__ = [
-    "InMemoryRunStore",
-    "LedgerRunStore",
-    "ReproService",
-    "RunMetadata",
-    "RunRef",
-    "RunScheduler",
-    "RunStatus",
-    "RunStore",
-    "ScenarioSpec",
-    "ServiceConfig",
-    "serve",
-    "serve_in_thread",
-]

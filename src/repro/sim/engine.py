@@ -23,8 +23,8 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush, heappushpop
+from typing import TYPE_CHECKING
 
-from repro.audit.sanitizer import EngineAuditor
 from repro.bus.bus import Bus
 from repro.bus.transaction import BusTransaction, TransactionKind
 from repro.cache.coherent import CoherentCache
@@ -35,12 +35,15 @@ from repro.common.addressing import word_mask_for
 from repro.common.config import MachineConfig, SimulationConfig
 from repro.common.errors import SimulationError
 from repro.metrics.results import RunMetrics
-from repro.obs.taps import EngineObserver
 from repro.prefetch.adaptive import AdaptiveConfig, BusUtilizationThrottle
 from repro.sim.processor import CpuStatus, Processor
 from repro.sim.sync import BarrierManager, LockManager
 from repro.trace.events import Barrier, LockAcquire, LockRelease, MemRef, Prefetch
 from repro.trace.stream import MultiTrace
+
+if TYPE_CHECKING:
+    from repro.audit.sanitizer import EngineAuditor
+    from repro.obs.taps import EngineObserver
 
 __all__ = ["ENGINE_VERSION", "SimulationEngine", "simulate"]
 
@@ -191,17 +194,23 @@ class SimulationEngine:
         #: Flag-gated sanitizer (None when disabled; all hook sites are
         #: ``if audit is not None`` branches, so the disabled engine
         #: stays on its original code paths and results are identical).
-        self._audit: EngineAuditor | None = (
-            EngineAuditor(self) if sim_config.audit else None
-        )
+        #: Its module loads with the first audited engine.
+        self._audit: EngineAuditor | None = None
+        if sim_config.audit:
+            from repro.audit.sanitizer import EngineAuditor
+
+            self._audit = EngineAuditor(self)
         #: Flag-gated observability taps (None when disabled).  Like the
         #: auditor, every hook site is an ``if self._obs is not None``
-        #: branch.  Observed runs take the hit-streak fast path too, and
-        #: no tap fires for a busy cycle: the observer hears where a CPU
+        #: branch, and its module loads with the first observed engine.
+        #: Observed runs take the hit-streak fast path too, and no tap
+        #: fires for a busy cycle: the observer hears where a CPU
         #: resumes after a stall and reads its busy counter.
-        self._obs: EngineObserver | None = (
-            EngineObserver(self) if sim_config.observe else None
-        )
+        self._obs: EngineObserver | None = None
+        if sim_config.observe:
+            from repro.obs.taps import EngineObserver
+
+            self._obs = EngineObserver(self)
         #: The observer's per-CPU sets of prefetched blocks not used yet
         #: (None unless it classifies prefetch efficacy): every access
         #: cycle tests its block against them.

@@ -25,7 +25,6 @@ used only through their identity fields.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import queue as queue_module
 import signal
@@ -385,6 +384,8 @@ class FleetBatch:
         if not telemetry.enabled:
             return self
         if self.parallel:
+            import multiprocessing
+
             self._manager = multiprocessing.Manager()
             self._queue = self._manager.Queue()
         else:

@@ -13,7 +13,8 @@ entry is rendered to a single line and written with one ``os.write`` to
 a file opened ``O_APPEND``, so concurrent writers (pool workers, a
 parent aggregator, overlapping sessions) interleave whole lines and
 never tear each other's records.  Readers treat a torn or corrupt line
-(possible only after a crash mid-write) as absent rather than fatal.
+(possible only after a crash mid-write) as absent rather than fatal, and
+recover the whole record that the next append wrote onto a torn one.
 """
 
 from __future__ import annotations
@@ -38,6 +39,23 @@ DEFAULT_LEDGER_DIR = "results/ledger"
 #: Bumped whenever the entry schema changes incompatibly; readers skip
 #: entries from future schemas instead of misinterpreting them.
 LEDGER_SCHEMA_VERSION = 1
+
+
+def _record(line: str) -> Any:
+    """The JSON record a ledger line holds, or None when it holds none.
+
+    A writer killed mid-record leaves a fragment without a newline, and
+    the next append lands on it.  The fragment never parses on its own,
+    so such a line holds one whole record: the suffix that starts at
+    one of its later ``{"``.
+    """
+    start = 0
+    while start != -1:
+        try:
+            return json.loads(line[start:])
+        except ValueError:
+            start = line.find('{"', start + 1)
+    return None
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -177,10 +195,10 @@ class RunLedger:
     def entries(self) -> Iterator[LedgerEntry]:
         """Every readable entry, oldest first.
 
-        Torn lines (a writer crashed mid-record), entries from a newer
-        schema, and records without a usable ``config_key`` (pre-PR-4
-        lines predate content keying; foreign JSONL may lack one
-        entirely) are skipped, never fatal -- every query/summarize/
+        Torn records (a writer crashed mid-record; the record appended
+        after one is still read), entries from a newer schema, and
+        records without a usable ``config_key`` (lines older than
+        content keying; foreign JSONL may lack one entirely) are skipped, never fatal -- every query/summarize/
         hydration path sits on top of this reader, so tolerating mixed
         schemas here fixes them all at once.
         """
@@ -193,10 +211,7 @@ class RunLedger:
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    data = json.loads(line)
-                except ValueError:
-                    continue  # torn line from a crashed writer
+                data = _record(line)
                 if not isinstance(data, dict):
                     continue
                 if data.get("schema", 1) > LEDGER_SCHEMA_VERSION:

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import os
-import uuid
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
@@ -171,7 +170,7 @@ class TimeSeriesStore:
     ) -> None:
         self.root = Path(root)
         self.max_segment_bytes = max_segment_bytes
-        self.session = uuid.uuid4().hex[:8]
+        self.session = os.urandom(4).hex()
 
     # -------------------------------------------------------------- segments
 

@@ -7,30 +7,3 @@ read/write direction, and the number of instruction cycles executed since
 the previous event (the *gap*), which is what prefetch-distance placement
 and execution-time accounting consume.
 """
-
-from repro.trace.events import (
-    Barrier,
-    LockAcquire,
-    LockRelease,
-    MemRef,
-    Prefetch,
-    TraceEvent,
-)
-from repro.trace.stream import CpuTrace, MultiTrace
-from repro.trace.stats import TraceStats, compute_stats
-from repro.trace.io import load_multitrace, save_multitrace
-
-__all__ = [
-    "Barrier",
-    "CpuTrace",
-    "LockAcquire",
-    "LockRelease",
-    "MemRef",
-    "MultiTrace",
-    "Prefetch",
-    "TraceEvent",
-    "TraceStats",
-    "compute_stats",
-    "load_multitrace",
-    "save_multitrace",
-]

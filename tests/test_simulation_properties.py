@@ -291,9 +291,9 @@ class TestFastPathMatchesGenericPath:
     The reference side runs on :class:`GenericPathEngine`, which sends
     every CPU event to the generic handlers.  On every trace the fast
     run's metrics must equal the generic (observed and audited) run's
-    with its payloads stripped, and the observed fast run must equal the
-    observed generic run in full: windows, per-line profile and
-    timeline.  The generic run's busy windows must equal the ones its
+    with its payloads stripped, and the observed and audited fast run
+    must equal the generic run in full: windows, per-line profile,
+    timeline and audit report, check counts included.  The generic run's busy windows must equal the ones its
     :class:`BusySliceEngine` builds from the busy counters alone.  The
     final cache contents must match too: they hold the word masks and
     LRU stamps that only later misses would turn into metrics.
@@ -349,16 +349,13 @@ class TestFastPathMatchesGenericPath:
         make_machine, adaptive = VARIANTS[variant]
         machine_config = make_machine(trace.num_cpus)
         fast, fast_caches = self.run(trace, machine_config, SimulationConfig(), adaptive)
-        observed, _ = self.run(trace, machine_config, self.OBSERVED, adaptive)
+        audited = dataclasses.replace(self.OBSERVED, audit=True)
+        observed, _ = self.run(trace, machine_config, audited, adaptive)
         generic, generic_caches = self.run(
-            trace,
-            machine_config,
-            dataclasses.replace(self.OBSERVED, audit=True),
-            adaptive,
-            BusySliceEngine,
+            trace, machine_config, audited, adaptive, BusySliceEngine
         )
         assert generic.obs is not None and generic.audit.passed
-        assert dataclasses.replace(generic, audit=None).to_dict() == observed.to_dict()
+        assert generic.to_dict() == observed.to_dict()
         assert dataclasses.replace(generic, obs=None, audit=None).to_dict() == fast.to_dict()
         assert generic_caches == fast_caches
 

@@ -87,15 +87,58 @@ class TestLedger:
         with ledger.path.open("a", encoding="utf-8") as fh:
             fh.write('{"workload": "Water", "trunc')  # crashed writer
         # A torn line has no trailing newline; the next O_APPEND write
-        # still lands after it, so only the torn record is lost.
+        # lands on it, and the reader recovers that whole record.
         ledger.append(_entry(config_key="b"))
         with ledger.path.open("a", encoding="utf-8") as fh:
             fh.write("not json at all\n")
             fh.write(json.dumps({"schema": LEDGER_SCHEMA_VERSION + 1}) + "\n")
         keys = [e.config_key for e in ledger.entries()]
-        assert keys == ["a"]  # torn line glued itself to entry "b"
+        assert keys == ["a", "b"]  # only the torn record is lost
         ledger.append(_entry(config_key="c"))
-        assert [e.config_key for e in ledger.entries()] == ["a", "c"]
+        assert [e.config_key for e in ledger.entries()] == ["a", "b", "c"]
+
+    def test_writer_killed_mid_write_loses_nothing_committed(self, tmp_path):
+        """SIGKILL inside a record's ``os.write``, after part of its line
+        is on disk: the next writer's record lands on the torn tail, and
+        the reader returns every committed record and not the torn one.
+        The next append's bytes are a clean append's."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.telemetry import ledger as ledger_module
+
+        child = """
+import json, os, signal, sys
+from repro.telemetry.ledger import LedgerEntry, RunLedger
+ledger = RunLedger(sys.argv[1])
+fields = json.loads(sys.stdin.read())
+ledger.append(LedgerEntry(**{**fields, "config_key": "A"}))
+write = os.write
+def torn(fd, data):
+    write(fd, data[: len(data) // 2])
+    os.kill(os.getpid(), signal.SIGKILL)
+os.write = torn
+ledger.append(LedgerEntry(**{**fields, "config_key": "B"}))
+"""
+        fields = {k: v for k, v in _entry().to_dict().items() if k != "schema"}
+        env = {**os.environ, "PYTHONPATH": str(Path(ledger_module.__file__).parents[2])}
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path)],
+            input=json.dumps(fields), text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == -signal.SIGKILL
+        ledger = RunLedger(tmp_path)
+        torn = ledger.path.read_bytes()
+        assert not torn.endswith(b"\n") and torn.count(b"\n") == 1
+        assert [e.config_key for e in ledger.entries()] == ["A"]
+
+        written = RunLedger(tmp_path).append(_entry(config_key="C"))
+        line = json.dumps(written.to_dict(), sort_keys=True, separators=(",", ":"))
+        assert ledger.path.read_bytes() == torn + (line + "\n").encode("utf-8")
+        assert [e.config_key for e in ledger.entries()] == ["A", "C"]
 
     def test_query_and_tail(self, tmp_path):
         ledger = RunLedger(tmp_path)
@@ -577,7 +620,10 @@ class TestTelemeteredRunner:
         The hang sleeps in Python, so its sampler keeps beating and no
         stall flag could catch it: only ``job_timeout`` ends it, by
         killing the worker.  The batch returns, the failure is ledgered
-        and the point that finished stays memoised.
+        and the point that finished stays memoised.  The deadline is
+        one only the hung point can reach: the healthy point generates
+        its trace in a freshly forked worker, which on a loaded host
+        can take over a second.
         """
         import time
 
@@ -597,7 +643,7 @@ class TestTelemeteredRunner:
 
         monkeypatch.setattr(SimulationEngine, "run", hang_on_slow_bus)
         ledger = RunLedger(tmp_path)
-        telemetry = TelemetryConfig(ledger=ledger, job_timeout=0.5)
+        telemetry = TelemetryConfig(ledger=ledger, job_timeout=5.0)
         runner = ExperimentRunner(num_cpus=4, scale=0.05, max_workers=2)
         machine = self._machine()
         jobs = [("Water", NP, machine), ("Water", NP, machine.with_transfer_cycles(32))]
@@ -607,7 +653,7 @@ class TestTelemeteredRunner:
         assert time.monotonic() - started < 20.0
         (failure,) = excinfo.value.failures
         assert failure.kind == "timeout" and failure.label == "Water/NP@32c"
-        assert "0.5s" in failure.message
+        assert "5s" in failure.message
         by_outcome = {e.outcome: e for e in ledger.entries()}
         assert sorted(by_outcome) == ["ok", "timeout"]
         assert by_outcome["timeout"].config_key == failure.config_key
@@ -619,7 +665,8 @@ class TestTelemeteredRunner:
         sampler beats, is still killed on its deadline.
 
         The worker's first heartbeat (``generate``) names its pid before
-        any stage runs, so pool shutdown does not wait out the hang.
+        any stage runs, so pool shutdown does not wait out the hang.  As
+        above, only the hung point can reach the deadline.
         """
         import time
 
@@ -631,18 +678,18 @@ class TestTelemeteredRunner:
 
         def hang_on_pref(trace, strategy, cache):
             if strategy.name == "PREF":
-                time.sleep(8.0)
+                time.sleep(30.0)
             return insert(trace, strategy, cache)
 
         monkeypatch.setattr(runner_module, "insert_prefetches", hang_on_pref)
         ledger = RunLedger(tmp_path)
-        telemetry = TelemetryConfig(ledger=ledger, job_timeout=0.5)
+        telemetry = TelemetryConfig(ledger=ledger, job_timeout=5.0)
         runner = ExperimentRunner(num_cpus=4, scale=0.05, max_workers=2)
         machine = self._machine()
         started = time.monotonic()
         with pytest.raises(FleetError) as excinfo:
             runner.run_many([("Water", NP, machine), ("Water", PREF, machine)], telemetry=telemetry)
-        assert time.monotonic() - started < 6.0
+        assert time.monotonic() - started < 20.0
         (failure,) = excinfo.value.failures
         assert failure.kind == "timeout" and failure.label == "Water/PREF@8c"
         assert sorted(e.outcome for e in ledger.entries()) == ["ok", "timeout"]
