@@ -8,13 +8,23 @@ engineer actually asks: *which array is falsely shared?*
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from repro.analysis.sharing import SharingProfile
 from repro.metrics.formatting import format_table
 from repro.trace.stream import MultiTrace
 
-__all__ = ["ArraySharingSummary", "attribute_sharing", "render_attribution"]
+__all__ = [
+    "OTHER",
+    "ArrayRanges",
+    "ArraySharingSummary",
+    "attribute_sharing",
+    "render_attribution",
+]
+
+#: The family of a line outside every array (locks, barrier counters).
+OTHER = "<sync/other>"
 
 
 @dataclass
@@ -46,6 +56,36 @@ def _family(name: str) -> str:
     return name.split("[", 1)[0]
 
 
+class ArrayRanges:
+    """A layout's arrays as address ranges, and the owner of a block.
+
+    ``arrays`` is the layout metadata (``trace.metadata["arrays"]``).
+    :attr:`ranges` holds one ``(base, end, family, shared)`` tuple per
+    array, sorted; per-CPU instances such as ``cost_table[cpu3]`` name
+    their family (``cost_table``).
+    """
+
+    def __init__(self, arrays: list[dict]) -> None:
+        self.ranges: list[tuple[int, int, str, bool]] = sorted(
+            (
+                int(a["base"]),
+                int(a["base"]) + int(a["size"]),
+                _family(str(a["name"])),
+                bool(a["shared"]),
+            )
+            for a in arrays
+        )
+        self._bases = [base for base, _end, _name, _shared in self.ranges]
+
+    def family_of(self, block: int) -> str:
+        """The family of the last range starting at or below ``block``
+        when it holds the block, else :data:`OTHER`."""
+        i = bisect_right(self._bases, block)
+        if i and block < self.ranges[i - 1][1]:
+            return self.ranges[i - 1][2]
+        return OTHER
+
+
 def attribute_sharing(trace: MultiTrace, profile: SharingProfile) -> list[ArraySharingSummary]:
     """Fold the profile's per-line facts into per-array summaries.
 
@@ -53,40 +93,18 @@ def attribute_sharing(trace: MultiTrace, profile: SharingProfile) -> list[ArrayS
     every array (locks, barrier counters) land in a ``<sync/other>``
     bucket.  Returns summaries sorted by false-sharing refs, then refs.
     """
-    arrays = trace.metadata.get("arrays") or []
-    ranges: list[tuple[int, int, str, bool]] = [
-        (int(a["base"]), int(a["base"]) + int(a["size"]), _family(str(a["name"])), bool(a["shared"]))
-        for a in arrays
-    ]
-    ranges.sort()
-
+    layout = ArrayRanges(trace.metadata.get("arrays") or [])
     summaries: dict[str, ArraySharingSummary] = {}
-    for base, end, name, shared in ranges:
+    for base, end, name, shared in layout.ranges:
         summary = summaries.get(name)
         if summary is None:
             summaries[name] = ArraySharingSummary(name=name, shared=shared, bytes=end - base)
         else:
             summary.bytes += end - base
-
-    fallback = ArraySharingSummary(name="<sync/other>", shared=True)
-
-    def owner_of(block: int) -> ArraySharingSummary:
-        # Binary search over the sorted ranges.
-        lo, hi = 0, len(ranges)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ranges[mid][0] <= block:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo:
-            base, end, name, _shared = ranges[lo - 1]
-            if block < end:
-                return summaries[name]
-        return fallback
+    summaries.setdefault(OTHER, ArraySharingSummary(name=OTHER, shared=True))
 
     for block_entry in profile.blocks.values():
-        summary = owner_of(block_entry.block)
+        summary = summaries[layout.family_of(block_entry.block)]
         summary.lines += 1
         summary.refs += block_entry.refs
         summary.writes += block_entry.writes
@@ -96,7 +114,7 @@ def attribute_sharing(trace: MultiTrace, profile: SharingProfile) -> list[ArrayS
             summary.false_sharing_lines += 1
             summary.false_sharing_refs += block_entry.refs
 
-    out = [s for s in summaries.values() if s.lines] + ([fallback] if fallback.lines else [])
+    out = [s for s in summaries.values() if s.lines]
     out.sort(key=lambda s: (-s.false_sharing_refs, -s.refs))
     return out
 

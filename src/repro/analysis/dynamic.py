@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.analysis.advisor import Recommendation
-from repro.analysis.attribution import _family
+from repro.analysis.attribution import OTHER, ArrayRanges
 from repro.metrics.charts import sparkline
 from repro.metrics.formatting import format_table
 from repro.obs.lineprof import EFFICACY_BUCKETS, LineProfile, LineStats
@@ -159,35 +159,17 @@ def attribute_lines(profile: LineProfile, arrays: list[dict]) -> list[StructureH
     land in ``<sync/other>``.  Sorted hottest first (stall + bus
     cycles, ties by name).
     """
-    ranges: list[tuple[int, int, str, bool]] = [
-        (int(a["base"]), int(a["base"]) + int(a["size"]), _family(str(a["name"])), bool(a["shared"]))
-        for a in arrays
-    ]
-    ranges.sort()
+    layout = ArrayRanges(arrays)
     heats: dict[str, StructureHeat] = {}
-    for _base, _end, name, shared in ranges:
+    for _base, _end, name, shared in layout.ranges:
         if name not in heats:
             heats[name] = StructureHeat(name=name, shared=shared)
-    fallback = StructureHeat(name="<sync/other>", shared=True)
-
-    def owner_of(block: int) -> StructureHeat:
-        lo, hi = 0, len(ranges)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if ranges[mid][0] <= block:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo:
-            base, end, name, _shared = ranges[lo - 1]
-            if block < end:
-                return heats[name]
-        return fallback
+    heats.setdefault(OTHER, StructureHeat(name=OTHER, shared=True))
 
     for line in profile.lines.values():
-        owner_of(line.block)._absorb(line)
+        heats[layout.family_of(line.block)]._absorb(line)
 
-    out = [h for h in heats.values() if h.lines] + ([fallback] if fallback.lines else [])
+    out = [h for h in heats.values() if h.lines]
     out.sort(key=lambda h: (-h.heat, h.name))
     return out
 
@@ -206,7 +188,7 @@ def blamed_families(heats: list[StructureHeat], metric: str = "false_sharing_mis
     """Family names the dynamic profiler blames (``metric`` > 0), hottest
     first by that metric.  The fallback bucket is excluded: blame needs
     a name."""
-    blamed = [h for h in heats if h.name != "<sync/other>" and getattr(h, metric) > 0]
+    blamed = [h for h in heats if h.name != OTHER and getattr(h, metric) > 0]
     blamed.sort(key=lambda h: (-getattr(h, metric), h.name))
     return [h.name for h in blamed]
 

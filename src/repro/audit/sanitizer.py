@@ -20,8 +20,9 @@ Check catalogue (names appear in :class:`~repro.audit.report.AuditReport`):
 ``coherence.inflight_exclusive``          a granted, unpoisoned exclusive fill
                                           tolerates no other valid copy or
                                           granted fill of the block
-``structural.bus_fill_mapping``           queued FILL/FILL_EX transactions map
-                                          1:1 onto ungranted MSHR fills
+``structural.bus_fill_mapping``           each queued FILL/FILL_EX transaction
+                                          is its block's MSHR fill, and each
+                                          ungranted MSHR fill is queued
 ``structural.upgrade_waiter``             every queued UPGRADE has its CPU
                                           stalled on exactly that block
 ``structural.prefetch_occupancy``         MSHR prefetch-buffer occupancy ==
@@ -183,7 +184,7 @@ class EngineAuditor:
                     block=block,
                 )
             fill = proc.mshr.lookup(block)
-            if fill is not None and fill.granted and not fill.poisoned:
+            if fill is not None and fill.grant_time >= 0 and not fill.poisoned:
                 inflight.append((cpu, fill.fill_state))
 
         modified = [(c, w) for c, w, s in copies if s is LineState.MODIFIED]
@@ -220,11 +221,17 @@ class EngineAuditor:
         """Queued bus transactions reconcile with MSHRs and CPU stalls."""
         self._tick("structural.bus_fill_mapping")
         engine = self.engine
-        pending_fills: dict[tuple[int, int], int] = {}
+        queued_fills = set()
         for txn in engine.bus.pending_snapshot():
             if txn.kind in _FILL_KINDS:
-                key = (txn.cpu, txn.block)
-                pending_fills[key] = pending_fills.get(key, 0) + 1
+                queued_fills.add(txn)
+                if engine.procs[txn.cpu].mshr.lookup(txn.block) is not txn:
+                    self._violate(
+                        "structural.bus_fill_mapping",
+                        "queued fill transaction is not its block's MSHR fill",
+                        cpu=txn.cpu,
+                        block=txn.block,
+                    )
             elif txn.kind is TransactionKind.UPGRADE:
                 self._tick("structural.upgrade_waiter")
                 proc = engine.procs[txn.cpu]
@@ -239,33 +246,9 @@ class EngineAuditor:
                         cpu=txn.cpu,
                         block=txn.block,
                     )
-
-        for (cpu, block), count in pending_fills.items():
-            if count != 1:
-                self._violate(
-                    "structural.bus_fill_mapping",
-                    f"{count} queued fill transactions for one block",
-                    cpu=cpu,
-                    block=block,
-                )
-            fill = engine.procs[cpu].mshr.lookup(block)
-            if fill is None:
-                self._violate(
-                    "structural.bus_fill_mapping",
-                    "queued fill transaction with no outstanding MSHR fill",
-                    cpu=cpu,
-                    block=block,
-                )
-            elif fill.granted:
-                self._violate(
-                    "structural.bus_fill_mapping",
-                    "queued fill transaction for an already-granted MSHR fill",
-                    cpu=cpu,
-                    block=block,
-                )
         for proc in engine.procs:
             for fill in proc.mshr.outstanding_fills():
-                if not fill.granted and (proc.cpu, fill.block) not in pending_fills:
+                if fill.grant_time < 0 and fill not in queued_fills:
                     self._violate(
                         "structural.bus_fill_mapping",
                         "ungranted MSHR fill with no queued bus transaction",
@@ -276,7 +259,7 @@ class EngineAuditor:
     def _check_prefetch_occupancy(self, proc: Processor) -> None:
         """Prefetch-buffer occupancy equals live prefetch fills."""
         self._tick("structural.prefetch_occupancy")
-        live = sum(1 for f in proc.mshr.outstanding_fills() if f.is_prefetch)
+        live = sum(1 for f in proc.mshr.outstanding_fills() if not f.is_demand)
         if proc.mshr.prefetches_in_flight != live:
             self._violate(
                 "structural.prefetch_occupancy",
@@ -351,7 +334,7 @@ class EngineAuditor:
             for fill in proc.mshr.outstanding_fills():
                 self._violate(
                     "structural.mshr_drained",
-                    f"outstanding fill survived the run (prefetch={fill.is_prefetch})",
+                    f"outstanding fill survived the run (prefetch={not fill.is_demand})",
                     cpu=proc.cpu,
                     block=fill.block,
                 )

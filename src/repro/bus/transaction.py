@@ -1,8 +1,16 @@
-"""Bus transaction records."""
+"""Bus transaction records.
+
+A fill's transaction is also its MSHR entry:
+:class:`~repro.cache.mshr.MissStatusRegisters` registers the record the
+bus queues, and the engine writes the fill's coherence outcome onto it
+at grant and in flight.
+"""
 
 from __future__ import annotations
 
 from enum import IntEnum
+
+from repro.coherence.protocol import LineState
 
 __all__ = ["BusTransaction", "TransactionKind"]
 
@@ -19,6 +27,7 @@ class TransactionKind(IntEnum):
 #: Read as a global in the constructor: reading an enum member off its
 #: class costs about ten global reads on CPython 3.11.
 _WRITEBACK = TransactionKind.WRITEBACK
+_INVALID = LineState.INVALID
 
 #: Arbitration tiers (lower is served first when demand priority is on):
 #: demand fills/upgrades, then writebacks, then prefetches.
@@ -28,7 +37,7 @@ TIER_PREFETCH = 2
 
 
 class BusTransaction:
-    """One request queued at the bus.
+    """One request queued at the bus; for a fill, also its MSHR entry.
 
     Attributes:
         cpu: requesting CPU (writebacks too).
@@ -42,10 +51,18 @@ class BusTransaction:
         occupancy: contended-resource cycles consumed when granted.
         word_mask: for invalidating operations, the word(s) being written
             (false-sharing classification); 0 otherwise.
-        grant_time / completion_time: set by the bus at grant.
+        grant_time / completion_time: set by the bus at grant (-1
+            until then); a fill is *granted* once ``grant_time >= 0``.
         seq: FIFO tiebreaker within a priority class.
         tier: arbitration tier (lower first under demand priority),
             fixed by ``kind`` and ``is_demand``.
+        fill_state: for a fill, the coherence state it lands in, decided
+            at grant when the snoop results are known (INVALID until
+            then).
+        poisoned / poisoned_word_mask: for a granted fill, whether a
+            remote invalidation hit it in flight, and the words those
+            remote writes touched (for false-sharing classification of
+            the eventual invalidation miss).
     """
 
     __slots__ = (
@@ -61,6 +78,9 @@ class BusTransaction:
         "completion_time",
         "seq",
         "tier",
+        "fill_state",
+        "poisoned",
+        "poisoned_word_mask",
     )
 
     def __init__(
@@ -89,6 +109,9 @@ class BusTransaction:
             self.tier = TIER_WRITEBACK
         else:
             self.tier = TIER_DEMAND if is_demand else TIER_PREFETCH
+        self.fill_state = _INVALID
+        self.poisoned = False
+        self.poisoned_word_mask = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -11,7 +11,7 @@ machinery (outstanding fills, the 16-deep prefetch buffer) lives in
 
 from repro.cache.frame import CacheFrame
 from repro.cache.coherent import CoherentCache, EvictedLine, LookupResult
-from repro.cache.mshr import MissStatusRegisters, OutstandingFill
+from repro.cache.mshr import MissStatusRegisters
 from repro.cache.victim import VictimCache
 
 __all__ = [
@@ -20,6 +20,5 @@ __all__ = [
     "EvictedLine",
     "LookupResult",
     "MissStatusRegisters",
-    "OutstandingFill",
     "VictimCache",
 ]

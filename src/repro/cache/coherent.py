@@ -14,7 +14,7 @@ from operator import attrgetter
 
 from repro.cache.frame import CacheFrame
 from repro.cache.victim import VictimCache
-from repro.coherence.protocol import BusOp, IllinoisProtocol, LineState
+from repro.coherence.protocol import IllinoisProtocol, LineState
 from repro.common.config import CacheConfig
 
 __all__ = ["CoherentCache", "EvictedLine", "LookupResult"]
@@ -75,13 +75,14 @@ class CoherentCache:
 
     Args:
         config: geometry/policy.
-        protocol: coherence decision tables (shared across caches).
+        protocol: coherence decision tables (shared across caches), read
+            by the victim buffer's snoop.  The engine's bus-grant
+            handlers apply snoops to the main array's frames directly.
         cpu: owning CPU id (diagnostics only).
     """
 
     def __init__(self, config: CacheConfig, protocol: IllinoisProtocol, cpu: int = 0) -> None:
         self.config = config
-        self.protocol = protocol
         self.cpu = cpu
         self._assoc = config.associativity
         self._num_sets = config.num_sets
@@ -121,7 +122,7 @@ class CoherentCache:
             # The swap stays on-chip (the displaced main-array line goes
             # into the victim buffer), but a dirty line pushed out of the
             # victim buffer by the swap must be written back.
-            evicted = self.install(block, state, by_prefetch=False, now=now)
+            evicted = self.install(block, state, now)
             frame = self._by_block[block]
             frame.words_accessed = words
             frame.remote_written = remote_written
@@ -149,7 +150,7 @@ class CoherentCache:
 
     # ----------------------------------------------------------------- fills
 
-    def install(self, block: int, state: LineState, by_prefetch: bool, now: int) -> EvictedLine | None:
+    def install(self, block: int, state: LineState, now: int) -> EvictedLine | None:
         """Install ``block`` in ``state``; returns a line to write back.
 
         The returned :class:`EvictedLine` is non-None only when a *dirty*
@@ -197,7 +198,6 @@ class CoherentCache:
         target.state = state
         target.words_accessed = 0
         target.remote_written = 0
-        target.filled_by_prefetch = by_prefetch
         target.last_use = now
         self._by_block[block] = target
         return writeback
@@ -211,37 +211,11 @@ class CoherentCache:
         data invalidated before use".  Returns a dirty victim to write
         back, as :meth:`install` does.
         """
-        writeback = self.install(block, _INVALID, by_prefetch=True, now=now)
+        writeback = self.install(block, _INVALID, now)
         frame = self._by_block.get(block)
         if frame is not None:
             frame.remote_written = remote_written
         return writeback
-
-    # ---------------------------------------------------------------- snooping
-
-    def snoop(self, block: int, op: BusOp, writer_word_mask: int) -> tuple[bool, bool]:
-        """Apply a remote bus operation.
-
-        Returns ``(had_valid_copy, supplied_data)``.  ``had_valid_copy``
-        feeds the requester's Illinois fill-state decision;
-        ``supplied_data`` reports a dirty cache-to-cache transfer (memory
-        is updated as part of the same transfer in Illinois, so no
-        writeback operation is generated).
-        """
-        frame = self._by_block.get(block)
-        had = False
-        supplied = False
-        if frame is not None and frame.valid:
-            had = True
-            action = self.protocol.snoop(frame.state, op)
-            supplied = action.supplies_data
-            if action.invalidated:
-                frame.invalidate(writer_word_mask)
-            else:
-                frame.state = action.new_state
-        if self.victim.snoop(block, op, writer_word_mask):
-            had = True
-        return had, supplied
 
     # ---------------------------------------------------------------- queries
 

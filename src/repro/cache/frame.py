@@ -34,8 +34,6 @@ class CacheFrame:
             now); otherwise it is false sharing -- the word-granularity
             rule of section 4.4, applied with the full trace knowledge a
             trace-driven simulator has.
-        filled_by_prefetch: the current contents arrived via a prefetch
-            and have not yet been demand-referenced (diagnostics).
         last_use: engine timestamp of the most recent access (LRU within
             a set for associative configurations).
     """
@@ -45,7 +43,6 @@ class CacheFrame:
         "state",
         "words_accessed",
         "remote_written",
-        "filled_by_prefetch",
         "last_use",
     )
 
@@ -54,24 +51,12 @@ class CacheFrame:
         self.state = _INVALID
         self.words_accessed = 0
         self.remote_written = 0
-        self.filled_by_prefetch = False
         self.last_use = 0
 
     @property
     def valid(self) -> bool:
         """True when the frame holds a usable copy."""
         return self.state is not _INVALID
-
-    def invalidate(self, writer_word_mask: int) -> None:
-        """Invalidate in response to a remote exclusive request.
-
-        ``writer_word_mask`` identifies the word(s) the remote CPU is
-        about to write (zero for an exclusive prefetch, whose write has
-        not happened yet); it seeds :attr:`remote_written`, which keeps
-        accumulating remote writes until this CPU misses on the line.
-        """
-        self.remote_written = writer_word_mask
-        self.state = _INVALID
 
     def miss_is_false_sharing(self, current_access_mask: int) -> bool:
         """Classify the invalidation miss happening now on this frame.

@@ -16,88 +16,40 @@ which blocks have fills in flight so that
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from repro.common.errors import SimulationError
-from repro.coherence.protocol import LineState
 
-__all__ = ["MissStatusRegisters", "OutstandingFill"]
+if TYPE_CHECKING:
+    from repro.bus.transaction import BusTransaction
 
-#: Read once per fill: cheaper as a module global than off the class.
-_INVALID = LineState.INVALID
-
-
-class OutstandingFill:
-    """One in-flight fill transaction.
-
-    Attributes:
-        block: block address being filled.
-        is_prefetch: issued by a prefetch instruction (vs. demand miss).
-        exclusive: exclusive-mode fill (READ_EX).
-        issue_time: engine time the fill was allocated (-1 when the
-            caller did not provide it; purely informational -- the
-            observability layer uses it for allocate-to-fill spans).
-        completion_time: engine time at which data arrives (set at bus
-            grant; -1 until then).
-        fill_state: coherence state decided at bus grant (when snoop
-            results are known); INVALID until granted, or when poisoned.
-        granted: the transaction has appeared on the bus.
-        poisoned_word_mask: when a remote write invalidated this fill in
-            flight, the word mask of that write (for false-sharing
-            classification of the eventual invalidation miss).
-    """
-
-    __slots__ = (
-        "block",
-        "is_prefetch",
-        "exclusive",
-        "issue_time",
-        "completion_time",
-        "fill_state",
-        "granted",
-        "poisoned",
-        "poisoned_word_mask",
-        "intended_word_mask",
-    )
-
-    def __init__(
-        self,
-        block: int,
-        is_prefetch: bool,
-        exclusive: bool,
-        intended_word_mask: int = 0,
-        issue_time: int = -1,
-    ) -> None:
-        self.block = block
-        self.is_prefetch = is_prefetch
-        self.exclusive = exclusive
-        self.issue_time = issue_time
-        self.completion_time = -1
-        self.fill_state = _INVALID
-        self.granted = False
-        self.poisoned = False
-        self.poisoned_word_mask = 0
-        self.intended_word_mask = intended_word_mask
-
-    def poison(self, writer_word_mask: int) -> None:
-        """Mark the fill as invalidated-in-flight by a remote write.
-
-        Repeated poisonings accumulate the written words, mirroring the
-        cache frames' remote-write bookkeeping.
-        """
-        self.poisoned = True
-        self.poisoned_word_mask |= writer_word_mask
+__all__ = ["MissStatusRegisters"]
 
 
 class MissStatusRegisters:
     """Per-CPU table of outstanding fills plus prefetch-buffer occupancy.
+
+    An entry is the fill's own
+    :class:`~repro.bus.transaction.BusTransaction`: the record the bus
+    queues and grants is the one registered here, from issue until the
+    fill lands.  A fill that is
+    not ``is_demand`` is a prefetch and holds a prefetch-buffer slot.
 
     Args:
         prefetch_buffer_depth: maximum prefetches in flight before the
             CPU stalls on issuing another (the paper's 16-deep buffer).
     """
 
+    __slots__ = (
+        "prefetch_buffer_depth",
+        "_fills",
+        "_prefetches_in_flight",
+        "max_prefetches_in_flight",
+    )
+
     def __init__(self, prefetch_buffer_depth: int) -> None:
         self.prefetch_buffer_depth = prefetch_buffer_depth
-        self._fills: dict[int, OutstandingFill] = {}
+        self._fills: dict[int, BusTransaction] = {}
         self._prefetches_in_flight = 0
         self.max_prefetches_in_flight = 0
 
@@ -114,39 +66,31 @@ class MissStatusRegisters:
         """True when issuing another prefetch would stall the CPU."""
         return self._prefetches_in_flight >= self.prefetch_buffer_depth
 
-    def lookup(self, block: int) -> OutstandingFill | None:
+    def lookup(self, block: int) -> BusTransaction | None:
         """The outstanding fill for ``block``, if any."""
         return self._fills.get(block)
 
-    def outstanding_fills(self) -> tuple[OutstandingFill, ...]:
+    def outstanding_fills(self) -> tuple[BusTransaction, ...]:
         """All in-flight fills (read-only view for diagnostics/audits)."""
         return tuple(self._fills.values())
 
-    def start(
-        self,
-        block: int,
-        is_prefetch: bool,
-        exclusive: bool,
-        intended_word_mask: int = 0,
-        now: int = -1,
-    ) -> OutstandingFill:
-        """Register a new outstanding fill (``now`` stamps its issue time)."""
+    def start(self, fill: BusTransaction) -> None:
+        """Register ``fill`` (built by :meth:`repro.bus.bus.Bus.make_fill`)."""
+        block = fill.block
         if block in self._fills:
             raise SimulationError(f"duplicate outstanding fill for block {block:#x}")
-        fill = OutstandingFill(block, is_prefetch, exclusive, intended_word_mask, now)
         self._fills[block] = fill
-        if is_prefetch:
+        if not fill.is_demand:
             self._prefetches_in_flight += 1
             if self._prefetches_in_flight > self.max_prefetches_in_flight:
                 self.max_prefetches_in_flight = self._prefetches_in_flight
-        return fill
 
-    def finish(self, block: int) -> OutstandingFill:
+    def finish(self, block: int) -> BusTransaction:
         """Retire a completed fill and free its buffer slot."""
         fill = self._fills.pop(block, None)
         if fill is None:
             raise SimulationError(f"finish() for unknown fill {block:#x}")
-        if fill.is_prefetch:
+        if not fill.is_demand:
             self._prefetches_in_flight -= 1
             if self._prefetches_in_flight < 0:
                 raise SimulationError("prefetch buffer occupancy went negative")
@@ -161,7 +105,10 @@ class MissStatusRegisters:
         was poisoned.
         """
         fill = self._fills.get(block)
-        if fill is not None and fill.granted:
-            fill.poison(writer_word_mask)
+        if fill is not None and fill.grant_time >= 0:
+            # Repeated poisonings accumulate the written words, mirroring
+            # the cache frames' remote-write bookkeeping.
+            fill.poisoned = True
+            fill.poisoned_word_mask |= writer_word_mask
             return True
         return False

@@ -227,8 +227,6 @@ class SimulationConfig:
         max_cycles: safety bound; the engine raises ``SimulationError``
             if the simulated clock exceeds it (guards against deadlock
             bugs rather than modelling anything physical).
-        collect_per_cpu: keep per-CPU metric breakdowns (slightly more
-            memory; required by the processor-utilization experiment).
         record_miss_indices: record the (cpu, event-index) of every
             demand miss.  Used by the perfect-knowledge prefetcher
             (:mod:`repro.prefetch.oracle`) to target exactly the
@@ -255,7 +253,6 @@ class SimulationConfig:
     """
 
     max_cycles: int = 5_000_000_000
-    collect_per_cpu: bool = True
     record_miss_indices: bool = False
     audit: bool = False
     observe: bool = False

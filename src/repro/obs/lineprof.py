@@ -72,7 +72,6 @@ from repro.obs.taps import EngineObserver
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.bus.transaction import BusTransaction
-    from repro.cache.mshr import OutstandingFill
     from repro.sim.engine import SimulationEngine
 
 __all__ = ["LineProfile", "LineProfiler", "LineStats", "MISS_BUCKETS"]
@@ -530,7 +529,7 @@ class LineProfiler(EngineObserver):
 
     # ------------------------------------------------------------------- MSHR
 
-    def on_mshr_start(self, cpu: int, fill: "OutstandingFill", now: int) -> None:
+    def on_mshr_start(self, cpu: int, fill: "BusTransaction", now: int) -> None:
         super().on_mshr_start(cpu, fill, now)
         block = fill.block
         # A new fill for a block with an installed-unused prefetch record
@@ -538,14 +537,14 @@ class LineProfiler(EngineObserver):
         # wasted (a prefetch to a still-resident line would have been a
         # prefetch hit, never reaching the MSHR).
         self._resolve_installed(cpu, block, "wasted")
-        if fill.is_prefetch:
-            self._pending[(cpu, block)] = False
-        else:
+        if fill.is_demand:
             self._flush_miss_delta(cpu, block)
+        else:
+            self._pending[(cpu, block)] = False
 
-    def on_mshr_finish(self, cpu: int, fill: "OutstandingFill", now: int) -> None:
+    def on_mshr_finish(self, cpu: int, fill: "BusTransaction", now: int) -> None:
         super().on_mshr_finish(cpu, fill, now)
-        if not fill.is_prefetch:
+        if fill.is_demand:
             return
         demanded = self._pending.pop((cpu, fill.block), False)
         line = self._line(fill.block)

@@ -40,15 +40,17 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.bus.transaction import TransactionKind
 from repro.obs.sampler import ObsReport, WindowedSampler
 from repro.obs.tracer import PID_BUS, PID_CPU, PID_MSHR, TimelineTracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
     from repro.bus.transaction import BusTransaction
-    from repro.cache.mshr import OutstandingFill
     from repro.sim.engine import SimulationEngine
 
 __all__ = ["EngineObserver"]
+
+_FILL_EX = TransactionKind.FILL_EX
 
 
 class EngineObserver:
@@ -132,25 +134,29 @@ class EngineObserver:
 
     # ------------------------------------------------------------------- MSHR
 
-    def on_mshr_start(self, cpu: int, fill: "OutstandingFill", now: int) -> None:
+    def on_mshr_start(self, cpu: int, fill: "BusTransaction", now: int) -> None:
         """An outstanding fill was allocated."""
-        self.sampler.mshr_change(now, +1, fill.is_prefetch)
+        self.sampler.mshr_change(now, +1, not fill.is_demand)
 
-    def on_mshr_finish(self, cpu: int, fill: "OutstandingFill", now: int) -> None:
+    def on_mshr_finish(self, cpu: int, fill: "BusTransaction", now: int) -> None:
         """An outstanding fill completed (data arrived)."""
-        self.sampler.mshr_change(now, -1, fill.is_prefetch)
+        self.sampler.mshr_change(now, -1, not fill.is_demand)
         if not self._timeline:
             self.tracer.total += 1
             return
-        start = fill.issue_time if fill.issue_time >= 0 else now
+        start = fill.issue_time
         self.tracer.span(
             "mshr",
-            "prefetch-fill" if fill.is_prefetch else "demand-fill",
+            "demand-fill" if fill.is_demand else "prefetch-fill",
             start,
             now - start,
             PID_MSHR,
             cpu,
-            {"block": fill.block, "poisoned": fill.poisoned, "exclusive": fill.exclusive},
+            {
+                "block": fill.block,
+                "poisoned": fill.poisoned,
+                "exclusive": fill.kind is _FILL_EX,
+            },
         )
 
     # -------------------------------------------------------------- coherence

@@ -24,6 +24,7 @@ import math
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cached_property
 from typing import Any, Protocol, runtime_checkable
 
 from repro.common.config import MachineConfig
@@ -102,7 +103,9 @@ class ScenarioSpec:
     ``1.0`` are one scenario with one key), and validates every field
     eagerly by building the machine and strategy objects, so a bad
     request fails at the API boundary, never inside a worker.  The CLI
-    builds its per-run options from these fields too.
+    builds its per-run options from these fields too.  The spec is
+    frozen, so its job is built once, with the validation, and its
+    label and content key are derived once, on first read.
 
     Attributes:
         workload: workload name (canonicalized; see ``repro list``).
@@ -169,8 +172,16 @@ class ScenarioSpec:
         # Building the machine and strategy runs their validators
         # (num_cpus, protocol, transfer_cycles bounds, ADAPT watermark
         # ordering) and rejects adaptive knobs on open-loop strategies.
-        self.machine()
-        self.strategy_obj()
+        job = RunJob(
+            self.workload,
+            self.strategy_obj(),
+            self.machine(),
+            self.restructured,
+            self.num_cpus,
+            self.seed,
+            self.scale,
+        )
+        object.__setattr__(self, "_job", job)
 
     # ---------------------------------------------------------- constituents
 
@@ -201,32 +212,24 @@ class ScenarioSpec:
 
     def job(self) -> RunJob:
         """The runner's :class:`~repro.experiments.runner.RunJob` for this spec."""
-        return RunJob(
-            self.workload,
-            self.strategy_obj(),
-            self.machine(),
-            self.restructured,
-            self.num_cpus,
-            self.seed,
-            self.scale,
-        )
+        return self._job
 
-    @property
+    @cached_property
     def label(self) -> str:
         """Human-readable grid-point label (the fleet's progress label)."""
-        return self.job().label
+        return self._job.label
 
     # -------------------------------------------------------------- identity
 
     def payload(self) -> dict[str, Any]:
         """The full simulation input: :meth:`RunJob.payload` of :meth:`job`."""
-        return self.job().payload()
+        return self._job.payload()
 
-    @property
+    @cached_property
     def config_key(self) -> str:
         """The job's content key: the disk cache's key, the ledger's
         ``config_key`` and the service's dedup key for this run."""
-        return self.job().config_key
+        return self._job.config_key
 
     @property
     def run_id(self) -> str:
@@ -236,8 +239,9 @@ class ScenarioSpec:
     # ------------------------------------------------------------ wire format
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe dict (round-trips through :meth:`from_dict`)."""
-        return asdict(self)
+        """JSON-safe dict (round-trips through :meth:`from_dict`); every
+        field is a scalar, so no deep copy is needed."""
+        return {name: getattr(self, name) for name in _SPEC_FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ScenarioSpec":
@@ -259,6 +263,10 @@ class ScenarioSpec:
         if "workload" not in data:
             raise ConfigurationError("scenario spec requires a workload")
         return cls(**data)
+
+
+#: The spec's field names, in declaration order.
+_SPEC_FIELDS = tuple(field.name for field in dataclasses.fields(ScenarioSpec))
 
 
 @dataclass(frozen=True)

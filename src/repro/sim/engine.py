@@ -29,7 +29,7 @@ from repro.bus.bus import Bus
 from repro.bus.transaction import BusTransaction, TransactionKind
 from repro.cache.coherent import CoherentCache
 from repro.cache.frame import CacheFrame
-from repro.cache.mshr import MissStatusRegisters, OutstandingFill
+from repro.cache.mshr import MissStatusRegisters
 from repro.coherence.protocol import BusOp, IllinoisProtocol, LineState, MSIProtocol
 from repro.common.addressing import word_mask_for
 from repro.common.config import MachineConfig, SimulationConfig
@@ -155,28 +155,30 @@ class SimulationEngine:
             state.is_valid and self.protocol.write_hit_needs_upgrade(state)
             for state in LineState
         )
-        #: Every cache but cpu i's, as ``(tag map, victim buffer or
-        #: None)``, for the remote-write classifier loop.
-        self._remote_tags = [
-            tuple(
-                (p.cache._by_block, p.cache.victim if p.cache.victim.capacity else None)
-                for p in self.procs
-                if p.cpu != i
-            )
-            for i in range(machine.num_cpus)
-        ]
-        #: Every CPU but cpu i, as ``(cpu, cache, tag map, MSHRs)`` for
-        #: the snoop fan-out at bus grants.
+        #: Every CPU but cpu i, as ``(cpu, tag map, victim buffer or
+        #: None, MSHRs)``, for the snoop fan-out at bus grants.
         self._remotes = [
             tuple(
-                (p.cpu, p.cache, p.cache._by_block, p.mshr)
+                (
+                    p.cpu,
+                    p.cache._by_block,
+                    p.cache.victim if p.cache.victim.capacity else None,
+                    p.mshr,
+                )
                 for p in self.procs
                 if p.cpu != i
             )
             for i in range(machine.num_cpus)
         ]
+        #: The same caches as ``(tag map, victim buffer or None)``, for
+        #: the remote-write classifier loop.
+        self._remote_tags = [
+            tuple((by_block, victim) for _, by_block, victim, _ in remotes)
+            for remotes in self._remotes
+        ]
         #: A victim buffer may hold a copy the tag map does not show, so
-        #: with one every remote cache is snooped.
+        #: with one a miss with no tag goes through ``lookup_demand`` and
+        #: a prefetch probes the buffer.
         self._has_victim = machine.cache.victim_cache_lines > 0
         self._contention_free = machine.bus.contention_free
         #: The protocol's snoop decisions as ``_snoop_actions[op][state]``
@@ -391,8 +393,7 @@ class SimulationEngine:
                         # transition: the CPU stalls.
                         proc.gap_done = True
                         proc.begin_access(
-                            addr, block, is_write, mask, "retire", now,
-                            False, event.shared, event.prefetched,
+                            block, is_write, mask, "retire", now, False, event.prefetched
                         )
                         if fill is not None:
                             merge(proc, fill, now)
@@ -409,7 +410,6 @@ class SimulationEngine:
                         frame.state = modified
                         note_remote_write(a, block, mask)
                     frame.words_accessed |= mask
-                    frame.filled_by_prefetch = False
                     frame.last_use = now
                     metrics.busy_cycles += 1
                     metrics.demand_refs += 1
@@ -534,14 +534,12 @@ class SimulationEngine:
         etype = type(event)
         if etype is MemRef:
             proc.begin_access(
-                addr=event.addr,
                 block=event.addr & self._block_mask,
                 is_write=event.is_write,
                 word_mask=self._word_mask(event.addr, event.size),
                 cont="retire",
                 now=now,
                 sync=False,
-                shared=event.shared,
                 prefetched=event.prefetched,
             )
             self._try_access(proc, now)
@@ -553,7 +551,6 @@ class SimulationEngine:
         elif etype is LockAcquire:
             if self.locks.try_acquire(event.lock_id, proc.cpu):
                 proc.begin_access(
-                    addr=event.addr,
                     block=event.addr & self._block_mask,
                     is_write=True,
                     word_mask=self._word_mask(event.addr, 4),
@@ -568,7 +565,6 @@ class SimulationEngine:
                 proc.block_started = now
         elif etype is LockRelease:
             proc.begin_access(
-                addr=event.addr,
                 block=event.addr & self._block_mask,
                 is_write=True,
                 word_mask=self._word_mask(event.addr, 4),
@@ -580,7 +576,6 @@ class SimulationEngine:
             self._try_access(proc, now)
         elif etype is Barrier:
             proc.begin_access(
-                addr=event.addr,
                 block=event.addr & self._block_mask,
                 is_write=True,
                 word_mask=self._word_mask(event.addr, 4),
@@ -638,15 +633,16 @@ class SimulationEngine:
                 metrics.prefetches_issued += 1
                 metrics.busy_cycles += self._issue_cost
                 exclusive = event.exclusive
-                intended = self._word_mask(event.addr, 4)
-                fill = mshr.start(block, True, exclusive, intended, now)
+                bus = self.bus
+                fill = bus.make_fill(
+                    cpu, block, exclusive, False, now,
+                    self._word_mask(event.addr, 4) if exclusive else 0,
+                )
+                mshr.start(fill)
                 if obs is not None:
                     obs.on_prefetch(cpu, "issue", block, now)
                     obs.on_mshr_start(cpu, fill, now)
-                bus = self.bus
-                bus.request(
-                    bus.make_fill(cpu, block, exclusive, False, now, intended if exclusive else 0)
-                )
+                bus.request(fill)
                 self._schedule_arb()
                 return True
         metrics.prefetches_issued += 1
@@ -688,7 +684,7 @@ class SimulationEngine:
             proc.metrics.busy_cycles += swap
             self._complete_hit(proc, frame, now, now + 1 + swap)
 
-    def _merge(self, proc: Processor, fill: OutstandingFill, now: int) -> None:
+    def _merge(self, proc: Processor, fill: BusTransaction, now: int) -> None:
         """The access finds a fill for its block in flight: wait for it.
 
         Counted once per access: as a sync miss, or as the
@@ -700,7 +696,7 @@ class SimulationEngine:
             proc.acc_counted = True
             if proc.acc_sync:
                 proc.metrics.sync_misses += 1
-            elif fill.is_prefetch:
+            elif not fill.is_demand:
                 proc.metrics.misses.prefetch_in_progress += 1
                 if self._obs is not None:
                     self._obs.on_prefetch(proc.cpu, "merge", proc.acc_block, now)
@@ -743,12 +739,12 @@ class SimulationEngine:
         cpu = proc.cpu
         block = proc.acc_block
         write = proc.acc_write
-        mask = proc.acc_word_mask
-        fill = proc.mshr.start(block, False, write, mask, now)
+        bus = self.bus
+        fill = bus.make_fill(cpu, block, write, True, now, proc.acc_word_mask if write else 0)
+        proc.mshr.start(fill)
         if self._obs is not None:
             self._obs.on_mshr_start(cpu, fill, now)
-        bus = self.bus
-        bus.request(bus.make_fill(cpu, block, write, True, now, mask if write else 0))
+        bus.request(fill)
         self._schedule_arb()
         proc.status = _STALLED_FILL
         proc.waiting_block = block
@@ -792,7 +788,6 @@ class SimulationEngine:
             if not sync:
                 self._note_remote_write(cpu, block, mask)
         frame.words_accessed |= mask
-        frame.filled_by_prefetch = False
         frame.last_use = now
         metrics = proc.metrics
         metrics.busy_cycles += 1
@@ -873,36 +868,35 @@ class SimulationEngine:
                 self._audit.after_grant(txn)
         self._schedule_arb()
 
-    def _grant_fill(self, txn: BusTransaction, now: int) -> None:
-        cpu = txn.cpu
-        block = txn.block
-        fill = self.procs[cpu].mshr._fills.get(block)
-        if fill is None:  # pragma: no cover - engine invariant
-            raise SimulationError(f"granted fill with no MSHR entry: {txn!r}")
-        fill.granted = True
-        fill.completion_time = done = txn.completion_time
+    def _grant_fill(self, fill: BusTransaction, now: int) -> None:
+        """Snoop every other CPU for a granted fill, then decide its state.
 
-        exclusive = txn.kind is _FILL_EX
+        A valid remote copy downgrades or is invalidated, as the
+        protocol's snoop table says; a cache with a victim buffer also
+        snoops its parked copy.  A granted, unpoisoned remote fill of
+        the block counts as a copy: an exclusive fill poisons it, and a
+        read fill demotes an exclusive one to SHARED.  The fill lands at
+        the ``completion_time`` the bus set at grant.
+        """
+        cpu = fill.cpu
+        block = fill.block
+        exclusive = fill.kind is _FILL_EX
         op = _READ_EX if exclusive else _READ
         actions = self._snoop_actions[op]
-        word_mask = txn.word_mask
+        word_mask = fill.word_mask
         obs = self._obs
-        snoop_all = self._has_victim
         invalid = _INVALID
         others_have = False
-        for other, cache, by_block, mshr in self._remotes[cpu]:
-            if snoop_all:
-                had, _supplied = cache.snoop(block, op, word_mask)
-            else:
-                # CoherentCache.snoop for a cache with no victim buffer:
-                # only a valid frame reacts.
-                frame = by_block.get(block)
-                had = frame is not None and frame.state is not invalid
-                if had:
-                    action = actions[frame.state]
-                    if action.invalidated:
-                        frame.remote_written = word_mask
-                    frame.state = action.new_state
+        for other, by_block, victim, mshr in self._remotes[cpu]:
+            frame = by_block.get(block)
+            had = frame is not None and frame.state is not invalid
+            if had:
+                action = actions[frame.state]
+                if action.invalidated:
+                    frame.remote_written = word_mask
+                frame.state = action.new_state
+            if victim is not None and victim.snoop(block, op, word_mask):
+                had = True
             if had:
                 others_have = True
                 if obs is not None:
@@ -910,7 +904,11 @@ class SimulationEngine:
                         other, cpu, block, now, "invalidate" if exclusive else "downgrade"
                     )
             remote_fill = mshr._fills.get(block)
-            if remote_fill is not None and remote_fill.granted and not remote_fill.poisoned:
+            if (
+                remote_fill is not None
+                and remote_fill.grant_time >= 0
+                and not remote_fill.poisoned
+            ):
                 others_have = True
                 if exclusive:
                     if mshr.snoop_invalidate(block, word_mask) and obs is not None:
@@ -928,7 +926,7 @@ class SimulationEngine:
 
         if not exclusive:
             fill.fill_state = self._read_fill_state[others_have]
-        elif fill.is_prefetch:
+        elif not fill.is_demand:
             # Exclusive prefetch: the block arrives clean but exclusive
             # (Illinois private state); the eventual write hits silently.
             fill.fill_state = _PRIVATE
@@ -936,34 +934,31 @@ class SimulationEngine:
             fill.fill_state = self._read_ex_fill_state[others_have]
 
         self._seq = seq = self._seq + 1
-        heappush(self._heap, (done, seq, _EV_FILLDONE, cpu, block))
+        heappush(self._heap, (fill.completion_time, seq, _EV_FILLDONE, cpu, block))
 
     def _grant_upgrade(self, txn: BusTransaction, now: int) -> None:
         cpu = txn.cpu
         block = txn.block
         word_mask = txn.word_mask
         obs = self._obs
-        snoop_all = self._has_victim
         invalid = _INVALID
         actions = self._snoop_actions[_UPGRADE_OP]
-        for other, cache, by_block, mshr in self._remotes[cpu]:
-            if snoop_all:
-                had, _supplied = cache.snoop(block, _UPGRADE_OP, word_mask)
-            else:
-                # CoherentCache.snoop for a cache with no victim buffer.
-                frame = by_block.get(block)
-                had = frame is not None and frame.state is not invalid
-                if had:
-                    action = actions[frame.state]
-                    if action.invalidated:
-                        frame.remote_written = word_mask
-                    frame.state = action.new_state
+        for other, by_block, victim, mshr in self._remotes[cpu]:
+            frame = by_block.get(block)
+            had = frame is not None and frame.state is not invalid
+            if had:
+                action = actions[frame.state]
+                if action.invalidated:
+                    frame.remote_written = word_mask
+                frame.state = action.new_state
+            if victim is not None and victim.snoop(block, _UPGRADE_OP, word_mask):
+                had = True
             if had and obs is not None:
                 obs.on_snoop(other, cpu, block, now, "invalidate")
             # A granted fill is poisoned, as by
             # MissStatusRegisters.snoop_invalidate (the words accumulate).
             remote_fill = mshr._fills.get(block)
-            if remote_fill is not None and remote_fill.granted:
+            if remote_fill is not None and remote_fill.grant_time >= 0:
                 remote_fill.poisoned = True
                 remote_fill.poisoned_word_mask |= word_mask
                 if obs is not None:
@@ -1015,11 +1010,11 @@ class SimulationEngine:
         if fill.poisoned:
             writeback = cache.install_poisoned(block, fill.poisoned_word_mask, time)
         else:
-            writeback = cache.install(block, fill.fill_state, fill.is_prefetch, time)
+            writeback = cache.install(block, fill.fill_state, time)
         if writeback is not None:
             self._write_back(proc, writeback.block, time)
 
-        if fill.is_prefetch and self._pfbuf_waiters:
+        if not fill.is_demand and self._pfbuf_waiters:
             waiter = self._pfbuf_waiters.popleft()
             if obs is not None:
                 obs.on_resume(waiter, time)

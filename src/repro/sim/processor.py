@@ -44,11 +44,9 @@ class Processor:
         "metrics",
         # current access
         "in_access",
-        "acc_addr",
         "acc_block",
         "acc_write",
         "acc_sync",
-        "acc_shared",
         "acc_prefetched",
         "acc_word_mask",
         "acc_counted",
@@ -79,11 +77,9 @@ class Processor:
         self.metrics = CpuMetrics(cpu=cpu)
 
         self.in_access = False
-        self.acc_addr = 0
         self.acc_block = 0
         self.acc_write = False
         self.acc_sync = False
-        self.acc_shared = False
         self.acc_prefetched = False
         self.acc_word_mask = 0
         self.acc_counted = False
@@ -103,24 +99,20 @@ class Processor:
 
     def begin_access(
         self,
-        addr: int,
         block: int,
         is_write: bool,
         word_mask: int,
         cont: str,
         now: int,
         sync: bool = False,
-        shared: bool = False,
         prefetched: bool = False,
         lock_id: int = -1,
     ) -> None:
         """Set up the current access; the engine then attempts it."""
         self.in_access = True
-        self.acc_addr = addr
         self.acc_block = block
         self.acc_write = is_write
         self.acc_sync = sync
-        self.acc_shared = shared
         self.acc_prefetched = prefetched
         self.acc_word_mask = word_mask
         self.acc_counted = False

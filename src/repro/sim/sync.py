@@ -18,13 +18,12 @@ __all__ = ["BarrierManager", "LockManager"]
 
 
 class _Lock:
-    __slots__ = ("holder", "waiters", "reserved_for", "acquisitions")
+    __slots__ = ("holder", "waiters", "reserved_for")
 
     def __init__(self) -> None:
         self.holder: int | None = None
         self.waiters: deque[int] = deque()
         self.reserved_for: int | None = None
-        self.acquisitions = 0
 
 
 class LockManager:
@@ -54,7 +53,6 @@ class LockManager:
             return False
         lock.holder = cpu
         lock.reserved_for = None
-        lock.acquisitions += 1
         self.total_acquisitions += 1
         return True
 

@@ -31,6 +31,7 @@ __all__ = [
     "LEDGER_SCHEMA_VERSION",
     "LedgerEntry",
     "RunLedger",
+    "read_record",
 ]
 
 #: Default ledger directory (relative to the invoking directory).
@@ -41,8 +42,9 @@ DEFAULT_LEDGER_DIR = "results/ledger"
 LEDGER_SCHEMA_VERSION = 1
 
 
-def _record(line: str) -> Any:
-    """The JSON record a ledger line holds, or None when it holds none.
+def read_record(line: str) -> Any:
+    """The JSON record a line of an append-only JSONL store holds, or
+    None when it holds none (the ledger's and the TSDB's readers).
 
     A writer killed mid-record leaves a fragment without a newline, and
     the next append lands on it.  The fragment never parses on its own,
@@ -211,7 +213,7 @@ class RunLedger:
                 line = line.strip()
                 if not line:
                     continue
-                data = _record(line)
+                data = read_record(line)
                 if not isinstance(data, dict):
                     continue
                 if data.get("schema", 1) > LEDGER_SCHEMA_VERSION:

@@ -40,6 +40,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
+from repro.telemetry.ledger import read_record
+
 __all__ = [
     "DEFAULT_TSDB_DIR",
     "TSDB_SCHEMA_VERSION",
@@ -258,7 +260,8 @@ class TimeSeriesStore:
         """Every readable snapshot in ``[start, end]``, oldest first.
 
         Torn lines, non-object lines and future-schema lines are
-        skipped, never fatal (the ledger reader's discipline).
+        skipped, never fatal, and the snapshot appended onto a torn line
+        is still read (the ledger reader's discipline).
         """
         for segment in self.segments():
             try:
@@ -270,10 +273,7 @@ class TimeSeriesStore:
                     raw = raw.strip()
                     if not raw:
                         continue
-                    try:
-                        line = json.loads(raw)
-                    except ValueError:
-                        continue  # torn line from a crashed writer
+                    line = read_record(raw)
                     if not isinstance(line, dict) or not isinstance(line.get("ts"), (int, float)):
                         continue
                     if line.get("schema", 1) > TSDB_SCHEMA_VERSION:

@@ -1,7 +1,40 @@
-"""Engine variants shared by the differential tests."""
+"""Engine variants and helpers shared by the differential tests."""
 
+from repro.bus.transaction import BusTransaction
+from repro.coherence.protocol import BusOp
 from repro.obs.sampler import _acc
 from repro.sim.engine import SimulationEngine
+from repro.sim.processor import CpuStatus
+
+
+def snoop(
+    engine: SimulationEngine, block: int, op: BusOp, word_mask: int, now: int = 0,
+    by_cpu: int = 1,
+) -> BusTransaction:
+    """Snoop every cache but ``by_cpu``'s with a granted ``op`` on ``block``.
+
+    The engine's own grant handler does it: ``_grant_fill`` for a READ
+    or READ_EX, ``_grant_upgrade`` for an UPGRADE.  ``by_cpu`` must hold
+    no copy of ``block``, so it only requests; its landing fill stays on
+    the heap of this never-run engine, and a lost upgrade race leaves
+    the CPU unscheduled.  Returns the granted transaction, whose
+    ``fill_state`` tells a read whether another cache had a copy.
+    """
+    bus = engine.bus
+    if op is BusOp.UPGRADE:
+        txn = bus.make_upgrade(by_cpu, block, now, word_mask)
+    else:
+        txn = bus.make_fill(by_cpu, block, op is BusOp.READ_EX, True, now, word_mask)
+    txn.grant_time = now
+    txn.completion_time = now + txn.occupancy
+    if op is BusOp.UPGRADE:
+        proc = engine.procs[by_cpu]
+        proc.status, proc.waiting_block = CpuStatus.STALLED_UPGRADE, block
+        engine._grant_upgrade(txn, now)
+        proc.scheduled = False
+    else:
+        engine._grant_fill(txn, now)
+    return txn
 
 
 class GenericPathEngine(SimulationEngine):

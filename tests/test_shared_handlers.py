@@ -25,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.bus.transaction import TransactionKind
 from repro.cache.coherent import CoherentCache
 from repro.coherence.protocol import BusOp, LineState
 from repro.common.config import CacheConfig, MachineConfig, SimulationConfig
@@ -32,6 +33,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.processor import CpuStatus
 from repro.trace.events import MemRef
 from repro.trace.stream import CpuTrace, MultiTrace
+from tests.engines import snoop
 
 settings.register_profile("repro-ci", derandomize=True)
 settings.load_profile("repro-ci")
@@ -56,18 +58,17 @@ SIZE, BLOCK = 1024, 32
 class Way:
     """One way of a fully allocated set; tag -1 until first filled."""
 
-    __slots__ = ("block", "state", "words", "remote", "by_prefetch", "last_use")
+    __slots__ = ("block", "state", "words", "remote", "last_use")
 
     def __init__(self) -> None:
         self.block = -1
         self.state = INVALID
         self.words = 0
         self.remote = 0
-        self.by_prefetch = False
         self.last_use = 0
 
     def fields(self) -> tuple:
-        return (self.block, self.state, self.words, self.remote, self.by_prefetch, self.last_use)
+        return (self.block, self.state, self.words, self.remote, self.last_use)
 
 
 class ReferenceCache:
@@ -131,7 +132,7 @@ class ReferenceCache:
         self.victim[block] = [state, words, remote]
         return pushed
 
-    def install(self, block: int, state: LineState, by_prefetch: bool, now: int) -> tuple | None:
+    def install(self, block: int, state: LineState, now: int) -> tuple | None:
         """Fill ``block``; returns ``(block, dirty)`` to write back, or None."""
         s = self.set_of(block)
         ways = self.sets[s]
@@ -155,12 +156,12 @@ class ReferenceCache:
                     if pushed is not None:
                         writeback = (pushed, True)
         way.block, way.state, way.words, way.remote = block, state, 0, 0
-        way.by_prefetch, way.last_use = by_prefetch, now
+        way.last_use = now
         self.tags[block] = (s, choice)
         return writeback
 
     def install_poisoned(self, block: int, remote: int, now: int) -> tuple | None:
-        writeback = self.install(block, INVALID, True, now)
+        writeback = self.install(block, INVALID, now)
         self.way_of(block).remote = remote
         return writeback
 
@@ -185,7 +186,6 @@ class ReferenceCache:
         way = self.way_of(block)
         if way is not None:
             way.words |= mask
-            way.by_prefetch = False
             way.last_use = now
 
     def remote_write(self, block: int, mask: int) -> None:
@@ -207,7 +207,7 @@ class ReferenceCache:
         entry = self.victim.get(block)
         if entry is not None and entry[0] is not INVALID:
             del self.victim[block]
-            writeback = self.install(block, entry[0], False, now)
+            writeback = self.install(block, entry[0], now)
             way = self.way_of(block)
             way.words, way.remote = entry[1], entry[2]
             return (True, False, False, True, writeback)
@@ -263,7 +263,6 @@ class FrameTracker:
                 frame.state,
                 frame.words_accessed,
                 frame.remote_written,
-                frame.filled_by_prefetch,
                 frame.last_use,
             )
             assert got == ref.sets[s][w].fields(), (s, w)
@@ -281,9 +280,7 @@ def _block(config: CacheConfig, index: int) -> int:
     return (index % 6) * config.num_sets * BLOCK + (index // 6) * BLOCK
 
 
-_FILL_STEP = st.tuples(
-    st.just("fill"), st.integers(0, 11), st.sampled_from(VALID_STATES), st.booleans()
-)
+_FILL_STEP = st.tuples(st.just("fill"), st.integers(0, 11), st.sampled_from(VALID_STATES))
 #: Fills weigh double: every rule under test needs full sets.
 _INSTALL_STEP = st.one_of(
     _FILL_STEP,
@@ -303,8 +300,8 @@ def run_install_schedule(config: CacheConfig, steps, **mutation) -> None:
     """Drive a cache and its reference through ``steps``, comparing all
     state after each one.  A fill is skipped when the block has a valid
     copy (the engine starts fills only for lines it cannot use)."""
-    # CPU 0's cache, and CPU 1 to report remote writes through the
-    # engine's own note.
+    # CPU 0's cache, and CPU 1 to snoop it and report remote writes
+    # through the engine's own fill grant and note.
     engine = SimulationEngine(
         MultiTrace("install", [CpuTrace(c, [MemRef(0x100000)]) for c in range(2)]),
         MachineConfig(num_cpus=2, cache=config),
@@ -320,21 +317,19 @@ def run_install_schedule(config: CacheConfig, steps, **mutation) -> None:
         if op in ("fill", "poisoned") and ref.has_valid_copy(block):
             continue
         if op == "fill":
-            _, _, state, by_prefetch = step
-            got = _evicted(cache.install(block, state, by_prefetch, now))
-            assert got == ref.install(block, state, by_prefetch, now)
+            got = _evicted(cache.install(block, step[2], now))
+            assert got == ref.install(block, step[2], now)
         elif op == "poisoned":
             got = _evicted(cache.install_poisoned(block, step[2], now))
             assert got == ref.install_poisoned(block, step[2], now)
         elif op == "snoop":
-            cache.snoop(block, step[2], step[3])
+            snoop(engine, block, step[2], step[3], now)
             ref.snoop(block, step[2], step[3])
         elif op == "touch":
             # What the engine's completion of an access writes.
             frame = cache._by_block.get(block)
             if frame is not None:
                 frame.words_accessed |= step[2]
-                frame.filled_by_prefetch = False
                 frame.last_use = now
             ref.touch(block, step[2], now)
         elif op == "remote_write":
@@ -348,27 +343,25 @@ def run_install_schedule(config: CacheConfig, steps, **mutation) -> None:
 
 
 #: Four tags into one 4-way set; the invalidated one is not the LRU way.
-INVALID_BEATS_LRU = [("fill", i, SHARED, False) for i in range(4)] + [
+INVALID_BEATS_LRU = [("fill", i, SHARED) for i in range(4)] + [
     ("snoop", 2, BusOp.READ_EX, 1),
-    ("fill", 4, SHARED, False),
+    ("fill", 4, SHARED),
 ]
 
 #: TestStaleTag's schedule on a 2-way set: X gets a second way while its
 #: stale INVALID tag sits in the first, then W reuses the stale way.
 STALE_TAG = [
-    ("fill", 0, SHARED, False),  # Z
-    ("fill", 1, SHARED, False),  # X
+    ("fill", 0, SHARED),  # Z
+    ("fill", 1, SHARED),  # X
     ("snoop", 0, BusOp.READ_EX, 1),
     ("snoop", 1, BusOp.READ_EX, 1),
-    ("fill", 1, MODIFIED, False),  # X into Z's way
-    ("fill", 2, SHARED, False),  # W into X's stale way
+    ("fill", 1, MODIFIED),  # X into Z's way
+    ("fill", 2, SHARED),  # W into X's stale way
 ]
 
 #: Direct-mapped with a 2-line victim buffer: the dirty first line is
 #: parked, then pushed out by the third eviction and written back.
-VICTIM_PUSH_OUT = [("fill", 0, MODIFIED, False)] + [
-    ("fill", i, SHARED, False) for i in range(1, 4)
-]
+VICTIM_PUSH_OUT = [("fill", 0, MODIFIED)] + [("fill", i, SHARED) for i in range(1, 4)]
 
 
 class TestInstallReference:
@@ -429,10 +422,7 @@ TARGET, BYSTANDER = 0x4000, 0x4020
 
 _FRAME = st.one_of(
     st.none(),
-    st.tuples(
-        st.sampled_from((INVALID,) + VALID_STATES), st.integers(0, 255), st.integers(0, 255),
-        st.booleans(),
-    ),
+    st.tuples(st.sampled_from((INVALID,) + VALID_STATES), st.integers(0, 255), st.integers(0, 255)),
 )
 _PARKED = st.one_of(
     st.none(),
@@ -479,36 +469,27 @@ def build_upgrade(sc: dict) -> tuple[SimulationEngine, object]:
     engine = SimulationEngine(trace, machine, SimulationConfig())
     engine._obs = TapRecorder()
 
-    def place(cache, block, frame, now):
-        if frame is None:
-            return
-        state, words, remote, by_prefetch = frame
-        cache.install(block, SHARED, by_prefetch, now)
-        installed = cache._by_block[block]
-        installed.state, installed.words_accessed, installed.remote_written = state, words, remote
-
     others = [c for c in range(n) if c != sc["writer"]]
     for cpu, (frame, parked, fill, bystander) in zip(others, sc["remotes"]):
-        cache, mshr = engine.procs[cpu].cache, engine.procs[cpu].mshr
-        place(cache, TARGET, frame, 1)
-        place(cache, BYSTANDER, bystander, 2)
+        cache = engine.procs[cpu].cache
+        place_frame(cache, TARGET, frame, 1)
+        place_frame(cache, BYSTANDER, bystander, 2)
         if parked is not None:
             state, words, remote = parked
             cache.victim.insert(TARGET, SHARED, words, remote)
             cache.victim._entries[TARGET].state = state
         if fill is not None:
             is_prefetch, exclusive, granted, poisoned, poison_mask = fill
-            started = mshr.start(TARGET, is_prefetch, exclusive, 0, 3)
-            started.granted, started.poisoned = granted, poisoned
-            started.poisoned_word_mask = poison_mask
+            started = start_fill(engine, cpu, is_prefetch, exclusive, 3, granted)
+            started.poisoned, started.poisoned_word_mask = poisoned, poison_mask
 
     writer = engine.procs[sc["writer"]]
     if sc["writer_state"] is not None:
-        writer.cache.install(TARGET, SHARED, False, 4)
+        writer.cache.install(TARGET, SHARED, 4)
         writer.cache._by_block[TARGET].state = sc["writer_state"]
     start = 10
     writer.begin_access(
-        addr=TARGET + 4, block=TARGET, is_write=True, word_mask=sc["mask"], cont="retire",
+        block=TARGET, is_write=True, word_mask=sc["mask"], cont="retire",
         now=start, sync=sc["sync"],
     )
     writer.acc_counted = writer.acc_missed = True
@@ -529,10 +510,7 @@ def snapshot(engine: SimulationEngine) -> dict:
         cpus.append(
             {
                 "frames": {
-                    b: [
-                        f.state, f.words_accessed, f.remote_written, f.filled_by_prefetch,
-                        f.last_use,
-                    ]
+                    b: [f.state, f.words_accessed, f.remote_written, f.last_use]
                     for b, f in proc.cache._by_block.items()
                 },
                 "parked": {
@@ -540,7 +518,7 @@ def snapshot(engine: SimulationEngine) -> dict:
                     for b, e in proc.cache.victim._entries.items()
                 },
                 "fills": {
-                    f.block: [f.granted, f.poisoned, f.poisoned_word_mask, f.fill_state]
+                    f.block: [f.grant_time >= 0, f.poisoned, f.poisoned_word_mask, f.fill_state]
                     for f in proc.mshr.outstanding_fills()
                 },
                 "proc": [
@@ -592,8 +570,7 @@ def reference_upgrade(
     if own is not None and own[0] is not INVALID:
         own[0] = MODIFIED
         own[1] |= mask
-        own[3] = False
-        own[4] = now
+        own[3] = now
         if not sync and not skip_remote_note:
             for cpu in others:
                 frame = cpus[cpu]["frames"].get(TARGET)
@@ -663,7 +640,7 @@ class TestUpgradeGrantReference:
             # CPU 2 holds an INVALID tag: the completed write adds to its mask.
             (
                 _scenario(
-                    remotes=[(None, None, None, None), ((INVALID, 1, 4, False), None, None, None)]
+                    remotes=[(None, None, None, None), ((INVALID, 1, 4), None, None, None)]
                 ),
                 {"skip_remote_note": True},
             ),
@@ -691,10 +668,7 @@ def engine_state(engine: SimulationEngine) -> dict:
         cpus.append(
             {
                 "frames": {
-                    b: [
-                        f.state, f.words_accessed, f.remote_written, f.filled_by_prefetch,
-                        f.last_use,
-                    ]
+                    b: [f.state, f.words_accessed, f.remote_written, f.last_use]
                     for b, f in proc.cache._by_block.items()
                 },
                 "parked": {
@@ -703,8 +677,8 @@ def engine_state(engine: SimulationEngine) -> dict:
                 },
                 "fills": {
                     f.block: [
-                        f.is_prefetch, f.exclusive, f.intended_word_mask, f.granted, f.poisoned,
-                        f.poisoned_word_mask, f.fill_state,
+                        not f.is_demand, f.kind is TransactionKind.FILL_EX, f.word_mask,
+                        f.grant_time >= 0, f.poisoned, f.poisoned_word_mask, f.fill_state,
                     ]
                     for f in proc.mshr.outstanding_fills()
                 },
@@ -750,13 +724,26 @@ def blank_engine(num_cpus: int, victim_lines: int = 0, protocol: str = "illinois
 
 
 def place_frame(cache: CoherentCache, block: int, frame, now: int) -> None:
-    """Install ``block`` with ``frame``'s (state, words, remote, by_prefetch)."""
+    """Install ``block`` with ``frame``'s (state, words, remote)."""
     if frame is None:
         return
-    state, words, remote, by_prefetch = frame
-    cache.install(block, SHARED, by_prefetch, now)
+    state, words, remote = frame
+    cache.install(block, SHARED, now)
     installed = cache._by_block[block]
     installed.state, installed.words_accessed, installed.remote_written = state, words, remote
+
+
+def start_fill(
+    engine: SimulationEngine, cpu: int, prefetch: bool, exclusive: bool, now: int,
+    granted: bool = False, mask: int = 0,
+):
+    """Register ``cpu``'s fill of TARGET, issued at ``now``, as ``_miss``
+    and ``_prefetch`` do; a granted one carries a grant time."""
+    fill = engine.bus.make_fill(cpu, TARGET, exclusive, not prefetch, now, mask)
+    engine.procs[cpu].mshr.start(fill)
+    if granted:
+        fill.grant_time = now
+    return fill
 
 
 def park(cache: CoherentCache, block: int, parked) -> None:
@@ -801,8 +788,7 @@ def ref_complete(
         if not access["sync"] and note:
             ref_note_remote_write(after, cpu, block, access["mask"])
     line[1] |= access["mask"]
-    line[3] = False
-    line[4] = now
+    line[3] = now
     metrics, proc = me["metrics"], me["proc"]
     metrics["busy_cycles"] += 1
     if access["missed"]:
@@ -874,10 +860,10 @@ def build_access(sc: dict) -> SimulationEngine:
     park(me.cache, TARGET, sc["parked"])
     place_frame(other.cache, TARGET, sc["remote"], 2)
     if sc["fill"] is not None:
-        me.mshr.start(TARGET, sc["fill"][0], sc["fill"][1], 0, 3)
+        start_fill(engine, 0, sc["fill"][0], sc["fill"][1], 3)
     me.pc = 3
     me.begin_access(
-        addr=TARGET, block=TARGET, is_write=sc["write"], word_mask=sc["mask"], cont="retire",
+        block=TARGET, is_write=sc["write"], word_mask=sc["mask"], cont="retire",
         now=START, sync=sc["sync"], prefetched=sc["prefetched"],
     )
     me.acc_counted = me.acc_missed = sc["counted"]
@@ -923,7 +909,7 @@ def _reference_access(after: dict, sc: dict, swap_sharing: bool) -> None:
     if line is None:
         parked = me["parked"].pop(TARGET, None)
         if parked is not None and parked[0] is not INVALID:
-            line = me["frames"][TARGET] = [parked[0], parked[1], parked[2], False, NOW]
+            line = me["frames"][TARGET] = [parked[0], parked[1], parked[2], NOW]
             metrics["victim_hits"] += 1
             swap = 1
         elif parked is not None:
@@ -938,13 +924,13 @@ def _reference_access(after: dict, sc: dict, swap_sharing: bool) -> None:
                     after["miss_indices"].append((0, 3))
                 bucket = ref_bucket(found, mask, sc["prefetched"], swap_sharing=swap_sharing)
                 metrics["misses"][bucket] += 1
-        me["fills"][TARGET] = [False, write, mask, False, False, 0, INVALID]
+        me["fills"][TARGET] = [False, write, mask if write else 0, False, False, 0, INVALID]
         after["taps"].append(("on_mshr_start", 0, TARGET, NOW))
         kind = "FILL_EX" if write else "FILL"
         after["bus"] = sorted(after["bus"] + [(kind, 0, TARGET, mask if write else 0, True, NOW)])
         ref_stall(after, 0, TARGET, CpuStatus.STALLED_FILL)
     elif write and line[0] is SHARED:
-        line[4] = NOW
+        line[3] = NOW
         metrics["upgrades"] += 1
         after["bus"] = sorted(after["bus"] + [("UPGRADE", 0, TARGET, mask, True, NOW)])
         ref_stall(after, 0, TARGET, CpuStatus.STALLED_UPGRADE)
@@ -967,7 +953,7 @@ def _access(**overrides) -> dict:
     """CPU 0 reads word 1 of a line it had read word 0 of before CPU 1's
     write of word 1 invalidated it: a true-sharing miss."""
     sc = {
-        "victim_lines": 0, "protocol": "illinois", "frame": (INVALID, 0b1, 0b10, False),
+        "victim_lines": 0, "protocol": "illinois", "frame": (INVALID, 0b1, 0b10),
         "parked": None, "fill": None, "remote": None, "write": False, "mask": 0b10,
         "prefetched": False, "sync": False, "counted": False, "record": True,
     }
@@ -983,7 +969,7 @@ class TestAccessReference:
     @settings(max_examples=300, deadline=None)
     @given(sc=access_scenarios())
     @example(sc=_access())
-    @example(sc=_access(frame=(INVALID, 0b1, 0b100, True), prefetched=True))
+    @example(sc=_access(frame=(INVALID, 0b1, 0b100), prefetched=True))
     @example(sc=_access(frame=None, victim_lines=2, parked=(INVALID, 0b1, 0b10)))
     @example(sc=_access(fill=(True, False)))
     def test_matches_reference(self, sc):
@@ -1050,14 +1036,11 @@ def build_grant(sc: dict):
         park(proc.cache, TARGET, parked)
         if fill is not None:
             is_prefetch, exclusive, granted, poisoned, poison_mask, state = fill
-            started = proc.mshr.start(TARGET, is_prefetch, exclusive, 0, 2)
-            started.granted, started.poisoned = granted, poisoned
-            started.poisoned_word_mask, started.fill_state = poison_mask, state
+            started = start_fill(engine, cpu, is_prefetch, exclusive, 2, granted)
+            started.poisoned, started.poisoned_word_mask = poisoned, poison_mask
+            started.fill_state = state
     exclusive, mask = sc["exclusive"], sc["mask"]
-    engine.procs[requester].mshr.start(TARGET, sc["prefetch"], exclusive, mask, 5)
-    txn = engine.bus.make_fill(
-        requester, TARGET, exclusive, not sc["prefetch"], 5, mask if exclusive else 0
-    )
+    txn = start_fill(engine, requester, sc["prefetch"], exclusive, 5, mask=mask if exclusive else 0)
     engine.bus.request(txn)
     assert engine.bus.arbitrate(txn.eligible_time + sc["stall"]) is txn
     return engine, txn
@@ -1141,7 +1124,7 @@ class TestFillGrantReference:
     @settings(max_examples=200, deadline=None)
     @given(sc=grant_scenarios())
     @example(sc=_grant())
-    @example(sc=_grant(remotes=[((MODIFIED, 1, 0, False), None, None)]))
+    @example(sc=_grant(remotes=[((MODIFIED, 1, 0), None, None)]))
     def test_matches_reference(self, sc):
         run_grant(sc)
 
@@ -1150,7 +1133,7 @@ class TestFillGrantReference:
         [
             (_grant(), {"ignore_fills_in_flight": True}),
             (
-                _grant(remotes=[((MODIFIED, 1, 0, False), None, None)]),
+                _grant(remotes=[((MODIFIED, 1, 0), None, None)]),
                 {"downgrade_keeps_exclusive": True},
             ),
         ],
@@ -1219,15 +1202,15 @@ def build_landing(sc: dict) -> SimulationEngine:
         park(proc.cache, TARGET, parked)
     if sc["occupant"] is not None:
         block, state, words = sc["occupant"]
-        place_frame(me.cache, block, (state, words, 0, False), 2)
-    fill = me.mshr.start(TARGET, sc["prefetch"], sc["exclusive"], 0, 10)
-    fill.granted, fill.fill_state, fill.completion_time = True, sc["state"], LAND
+        place_frame(me.cache, block, (state, words, 0), 2)
+    fill = start_fill(engine, 0, sc["prefetch"], sc["exclusive"], 10, granted=True)
+    fill.fill_state, fill.completion_time = sc["state"], LAND
     fill.poisoned, fill.poisoned_word_mask = sc["poisoned"], sc["poison_mask"]
     me.pc = 7
     if sc["access"] is not None:
         write, mask, sync = sc["access"]
         me.begin_access(
-            addr=TARGET, block=TARGET, is_write=write, word_mask=mask, cont="retire",
+            block=TARGET, is_write=write, word_mask=mask, cont="retire",
             now=LAND_START, sync=sync,
         )
         me.acc_counted = me.acc_missed = True
@@ -1270,9 +1253,9 @@ def reference_landing(
                 metrics["writebacks"] += 1
                 after["bus"] = sorted(after["bus"] + [("WRITEBACK", 0, RIVAL, 0, False, LAND)])
     if sc["poisoned"]:
-        me["frames"][TARGET] = [INVALID, 0, sc["poison_mask"], True, LAND]
+        me["frames"][TARGET] = [INVALID, 0, sc["poison_mask"], LAND]
     else:
-        me["frames"][TARGET] = [sc["state"], 0, 0, sc["prefetch"], LAND]
+        me["frames"][TARGET] = [sc["state"], 0, 0, LAND]
     if sc["prefetch"] and after["pfbuf"]:
         waiter = after["pfbuf"].pop(0)
         after["taps"].append(("on_resume", waiter, LAND))
@@ -1310,7 +1293,7 @@ def _landing(**overrides) -> dict:
         "num_cpus": 3, "victim_lines": 0, "protocol": "illinois", "occupant": None,
         "prefetch": False, "exclusive": True, "state": MODIFIED, "poisoned": False,
         "poison_mask": 0, "access": (True, 0b10, False), "pfbuf_waiter": False,
-        "remotes": [(None, None), ((INVALID, 1, 4, False), None)],
+        "remotes": [(None, None), ((INVALID, 1, 4), None)],
     }
     sc.update(overrides)
     return sc

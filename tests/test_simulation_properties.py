@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 settings.register_profile("repro-ci", derandomize=True)
 settings.load_profile("repro-ci")
 
-from repro.cache.mshr import OutstandingFill
+from repro.cache.mshr import MissStatusRegisters
 from repro.coherence.protocol import LineState
 from repro.common.config import BusConfig, CacheConfig, MachineConfig
 from repro.prefetch.adaptive import AdaptiveConfig
@@ -319,8 +319,7 @@ class TestFastPathMatchesGenericPath:
         caches = [
             (
                 sorted(
-                    (f.block, f.state, f.words_accessed, f.remote_written,
-                     f.filled_by_prefetch, f.last_use)
+                    (f.block, f.state, f.words_accessed, f.remote_written, f.last_use)
                     for ways in proc.cache._frames.values()
                     for f in ways
                 ),
@@ -417,12 +416,14 @@ class TestFastPathMatchesGenericPath:
             assert totals[name] > 0, name
 
         poisoned = []
-        real_poison = OutstandingFill.poison
+        real_snoop_invalidate = MissStatusRegisters.snoop_invalidate
 
-        def counting_poison(fill, mask):
-            poisoned.append(fill.block)
-            real_poison(fill, mask)
+        def counting_snoop_invalidate(mshr, block, mask):
+            hit = real_snoop_invalidate(mshr, block, mask)
+            if hit:
+                poisoned.append(block)
+            return hit
 
-        monkeypatch.setattr(OutstandingFill, "poison", counting_poison)
+        monkeypatch.setattr(MissStatusRegisters, "snoop_invalidate", counting_snoop_invalidate)
         simulate(UPGRADE_AND_POISON, VARIANTS["contention-free"][0](2))
         assert poisoned == [_F]

@@ -55,8 +55,50 @@ class TestSnapshots:
             fh.write(json.dumps({"ts": 4.0, "schema": TSDB_SCHEMA_VERSION + 1,
                                  "families": {}}) + "\n")
             fh.write(json.dumps({"ts": "not-a-number", "families": {}}) + "\n")
-        # The torn line glued itself to the 3.0 snapshot; only 1.0 reads.
-        assert [s["ts"] for s in store.snapshots()] == [1.0]
+        # The 3.0 snapshot landed on the torn line and is still read.
+        assert [s["ts"] for s in store.snapshots()] == [1.0, 3.0]
+
+    def test_writer_killed_mid_write_loses_nothing_committed(self, tmp_path):
+        """SIGKILL inside a snapshot's ``os.write``, after part of its
+        line is on disk: the next writer's snapshot lands on the torn
+        tail, and the reader returns every committed snapshot and not the
+        torn one.  The next append's bytes are a clean append's."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.telemetry import timeseries as timeseries_module
+
+        child = """
+import os, signal, sys
+from repro.telemetry.timeseries import TimeSeriesStore
+store = TimeSeriesStore(sys.argv[1])
+store.append_snapshot(extra_families={"depth": {"kind": "gauge"}}, ts=100.0)
+write = os.write
+def torn(fd, data):
+    write(fd, data[: len(data) // 2])
+    os.kill(os.getpid(), signal.SIGKILL)
+os.write = torn
+store.append_snapshot(extra_families={"depth": {"kind": "gauge"}}, ts=101.0)
+"""
+        root = tmp_path / "tsdb"
+        env = {**os.environ, "PYTHONPATH": str(Path(timeseries_module.__file__).parents[2])}
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(root)], env=env, timeout=60
+        )
+        assert proc.returncode == -signal.SIGKILL
+        store = TimeSeriesStore(root)
+        (segment,) = store.segments()
+        torn = segment.read_bytes()
+        assert not torn.endswith(b"\n") and torn.count(b"\n") == 1
+        assert [s["ts"] for s in store.snapshots()] == [100.0]
+
+        line = TimeSeriesStore(root).append_snapshot(ts=102.0)
+        clean = json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
+        assert segment.read_bytes() == torn + clean.encode("utf-8")
+        assert [s["ts"] for s in store.snapshots()] == [100.0, 102.0]
 
     def test_time_range_filter(self, tmp_path):
         store = TimeSeriesStore(tmp_path / "tsdb")

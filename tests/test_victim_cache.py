@@ -9,6 +9,8 @@ from repro.common.config import CacheConfig, MachineConfig
 from repro.sim.engine import simulate
 from repro.trace.events import MemRef, Prefetch
 from repro.trace.stream import CpuTrace, MultiTrace
+from tests.engines import snoop
+from tests.test_cache import snooped_cache
 
 S = 32 * 1024  # one cache size (same-set stride)
 
@@ -74,40 +76,40 @@ class TestVictimCacheIntegration:
 
     def test_conflict_victim_recovered_without_bus(self, protocol):
         cache = self.make_cache(protocol)
-        cache.install(0, LineState.SHARED, by_prefetch=False, now=0)
-        cache.install(S, LineState.SHARED, by_prefetch=False, now=1)  # evicts 0 into VC
+        cache.install(0, LineState.SHARED, now=0)
+        cache.install(S, LineState.SHARED, now=1)  # evicts 0 into VC
         result = cache.lookup_demand(0, 0b1, now=2)
         assert result.hit
         assert result.victim_hit
 
     def test_swap_preserves_both_lines(self, protocol):
         cache = self.make_cache(protocol)
-        cache.install(0, LineState.SHARED, by_prefetch=False, now=0)
-        cache.install(S, LineState.SHARED, by_prefetch=False, now=1)
+        cache.install(0, LineState.SHARED, now=0)
+        cache.install(S, LineState.SHARED, now=1)
         cache.lookup_demand(0, 0b1, now=2)  # swap 0 back in, S to VC
         assert cache.lookup_demand(S, 0b1, now=3).victim_hit
 
     def test_dirty_eviction_parks_instead_of_writeback(self, protocol):
         cache = self.make_cache(protocol)
-        cache.install(0, LineState.MODIFIED, by_prefetch=False, now=0)
+        cache.install(0, LineState.MODIFIED, now=0)
         # With a victim cache, the dirty line parks on-chip: no writeback.
-        assert cache.install(S, LineState.SHARED, by_prefetch=False, now=1) is None
+        assert cache.install(S, LineState.SHARED, now=1) is None
         assert cache.lookup_demand(0, 0b1, now=2).victim_hit
 
     def test_victim_overflow_writes_back_dirty(self, protocol):
         cache = self.make_cache(protocol, lines=1)
-        cache.install(0, LineState.MODIFIED, by_prefetch=False, now=0)
-        cache.install(S, LineState.MODIFIED, by_prefetch=False, now=1)  # 0 -> VC
+        cache.install(0, LineState.MODIFIED, now=0)
+        cache.install(S, LineState.MODIFIED, now=1)  # 0 -> VC
         # Evicting S pushes it into the single-entry VC, displacing 0.
-        evicted = cache.install(2 * S, LineState.SHARED, by_prefetch=False, now=2)
+        evicted = cache.install(2 * S, LineState.SHARED, now=2)
         assert evicted is not None and evicted.block == 0
 
     def test_invalidated_victim_classifies_invalidation_miss(self, protocol):
-        cache = self.make_cache(protocol)
-        cache.install(0, LineState.SHARED, by_prefetch=False, now=0)
+        engine, cache = snooped_cache(victim_cache_lines=4)
+        cache.install(0, LineState.SHARED, now=0)
         cache._by_block[0].words_accessed = 0b1
-        cache.install(S, LineState.SHARED, by_prefetch=False, now=1)  # 0 parked
-        cache.snoop(0, BusOp.UPGRADE, 0b1)  # invalidate parked copy
+        cache.install(S, LineState.SHARED, now=1)  # 0 parked
+        snoop(engine, 0, BusOp.UPGRADE, 0b1)  # invalidate parked copy
         result = cache.lookup_demand(0, 0b1, now=2)
         assert not result.hit
         assert result.invalidation_miss
