@@ -44,14 +44,12 @@ class MissStatusRegisters:
         "prefetch_buffer_depth",
         "_fills",
         "_prefetches_in_flight",
-        "max_prefetches_in_flight",
     )
 
     def __init__(self, prefetch_buffer_depth: int) -> None:
         self.prefetch_buffer_depth = prefetch_buffer_depth
         self._fills: dict[int, BusTransaction] = {}
         self._prefetches_in_flight = 0
-        self.max_prefetches_in_flight = 0
 
     def __len__(self) -> int:
         return len(self._fills)
@@ -82,8 +80,6 @@ class MissStatusRegisters:
         self._fills[block] = fill
         if not fill.is_demand:
             self._prefetches_in_flight += 1
-            if self._prefetches_in_flight > self.max_prefetches_in_flight:
-                self.max_prefetches_in_flight = self._prefetches_in_flight
 
     def finish(self, block: int) -> BusTransaction:
         """Retire a completed fill and free its buffer slot."""

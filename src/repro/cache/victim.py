@@ -41,8 +41,6 @@ class VictimCache:
         self.capacity = capacity
         self._protocol = protocol
         self._entries: OrderedDict[int, _VictimEntry] = OrderedDict()
-        self.hits = 0
-        self.insertions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -67,7 +65,6 @@ class VictimCache:
             if old_entry.state is LineState.MODIFIED:
                 displaced = (old_block, old_entry.state)
         self._entries[block] = _VictimEntry(state, words_accessed, remote_written)
-        self.insertions += 1
         return displaced
 
     def extract(self, block: int) -> tuple[LineState, int, int] | None:
@@ -85,7 +82,6 @@ class VictimCache:
         if entry is None or entry.state is LineState.INVALID:
             return None
         self._entries.pop(block)
-        self.hits += 1
         return entry.state, entry.words_accessed, entry.remote_written
 
     def take_invalidated(self, block: int) -> tuple[int, int] | None:

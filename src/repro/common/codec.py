@@ -10,16 +10,48 @@ another version of the type is a mismatch to report, never a partial
 or padded object.  A row carries no names, so a reordered table of the
 same length reads it wrongly; whoever stores rows tags them with the
 tables' names (see :data:`repro.metrics.results.ROW_SCHEMA`).
+
+:func:`canonical_json` is the one JSON rendering that content hashes
+read (the result cache's keys), and :func:`json_scalar` renders one
+scalar exactly as it would, for keys assembled from cached fragments.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from typing import Any, Sequence
 
-__all__ = ["FieldTable", "schema_tag"]
+__all__ = ["FieldTable", "canonical_json", "json_scalar", "schema_tag"]
+
+
+def canonical_json(value: Any) -> str:
+    """``value`` as JSON with sorted keys and compact separators.
+
+    The text depends only on content, never on dict insertion order.
+    ``value`` must be JSON-native with finite numbers: anything else
+    raises ``TypeError`` (``ValueError`` for NaN or infinity).
+    """
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def json_scalar(value: Any) -> str:
+    """:func:`canonical_json` of one scalar, without the encoder's set-up
+    for the common exact types (the one-call encoder costs microseconds)."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
+    return canonical_json(value)
 
 
 def schema_tag(*tables: "FieldTable") -> str:

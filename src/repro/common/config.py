@@ -16,8 +16,10 @@ Defaults reproduce the machine of Tullsen & Eggers section 3.3:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any
 
+from repro.common.codec import canonical_json
 from repro.common.errors import ConfigurationError
 
 
@@ -217,6 +219,12 @@ class MachineConfig:
             "prefetch_issue_cost": self.prefetch.issue_cost,
             "protocol": self.protocol,
         }
+
+    @cached_property
+    def canonical_json(self) -> str:
+        """:meth:`describe` as :func:`~repro.common.codec.canonical_json`,
+        rendered once per instance (a result-cache key embeds it)."""
+        return canonical_json(self.describe())
 
 
 @dataclass(frozen=True)

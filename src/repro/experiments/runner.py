@@ -5,7 +5,9 @@ variant, strategy, machine and the runner frame (CPUs, seed, scale) --
 and owns the run's identity: :meth:`RunJob.payload` and its
 ``config_key`` (the disk cache's key, the ledger's ``config_key`` and
 the service's dedup key), and the grid-point :attr:`RunJob.label`.
-Jobs are hashable, so they key the result memo as well.
+The key is built from the machine's and strategy's canonical JSON,
+which each frozen config renders once, and the runner keys its result
+memo by it, so a warm point renders no payload and hashes no job.
 
 :func:`execute` is the pipeline, written once: insert the strategy's
 prefetches into the job's clean trace, simulate it on the job's machine
@@ -18,7 +20,7 @@ An :class:`ExperimentRunner` pins the experimental frame and memoises
 
 * *clean traces* per workload variant -- generation is pure Python and
   worth avoiding per strategy (a small LRU bounds memory);
-* *simulation results* per :class:`RunJob` -- Figure 1, Table 2,
+* *simulation results* per ``config_key`` -- Figure 1, Table 2,
   Figure 2 and Figure 3 all share runs.
 
 Annotated (prefetch-inserted) traces are not cached here:
@@ -58,15 +60,19 @@ import os
 import time
 from collections import OrderedDict
 from contextlib import ExitStack
-from dataclasses import dataclass, fields, replace
-from functools import cache, cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property
+from hashlib import sha256
 from pathlib import Path
 from typing import Any
 
+from repro.common.codec import json_scalar
 from repro.common.config import MachineConfig, SimulationConfig
 from repro.metrics.compare import RunComparison, compare_runs
 from repro.metrics.results import RunMetrics
-from repro.perf.diskcache import ResultDiskCache, content_key
+# ``content_key`` is kept as a module attribute for bench/layers.py, which
+# wraps the name; ``RunJob.config_key`` builds the same text from cached parts.
+from repro.perf.diskcache import ResultDiskCache, content_key  # noqa: F401
 from repro.prefetch.insertion import forget_annotations, insert_prefetches
 from repro.prefetch.strategies import NP, PrefetchStrategy
 from repro.sim.engine import ENGINE_VERSION, SimulationEngine, simulate
@@ -118,19 +124,21 @@ def grid_label(workload: str, strategy: str, restructured: bool, transfer_cycles
     return f"{workload}/{strategy_label(strategy, restructured)}@{transfer_cycles}c"
 
 
-@cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    """A dataclass's field names.  Strategy fields are all scalars, so
-    reading them gives what ``dataclasses.asdict`` copies, without its
-    deep copy."""
-    return tuple(f.name for f in fields(cls))
+#: :meth:`RunJob.payload`'s canonical JSON (sorted keys) with its
+#: nested records and scalars left as fields, so a key embeds the
+#: machine's and strategy's cached text instead of re-rendering them.
+_KEY_TEXT = (
+    f'{{"engine_version":{json_scalar(ENGINE_VERSION)},"machine":%s,"num_cpus":%s,'
+    '"restructured":%s,"scale":%s,"seed":%s,"strategy":%s,"workload":%s}'
+)
 
 
 @dataclass(frozen=True)
 class RunJob:
     """The full input of one simulation, and so its identity.
 
-    Every field is hashable, so a job is its own memo key.
+    Jobs are frozen and picklable; the runner keys its memo by
+    :attr:`config_key`, whose string hash CPython caches.
     """
 
     workload: str
@@ -160,22 +168,31 @@ class RunJob:
         ``engine_version``, so behavior-altering engine changes never
         serve stale cache entries.
         """
-        strategy = self.strategy
         return {
             "workload": self.workload,
             "restructured": self.restructured,
             "num_cpus": self.num_cpus,
             "seed": self.seed,
             "scale": self.scale,
-            "strategy": {name: getattr(strategy, name) for name in _field_names(type(strategy))},
+            "strategy": self.strategy.describe(),
             "machine": self.machine.describe(),
             "engine_version": ENGINE_VERSION,
         }
 
     @cached_property
     def config_key(self) -> str:
-        """SHA-256 content hash of :meth:`payload`."""
-        return content_key(self.payload())
+        """SHA-256 content hash of :meth:`payload`: ``content_key(self.payload())``,
+        assembled from the machine's and strategy's cached canonical text."""
+        text = _KEY_TEXT % (
+            self.machine.canonical_json,
+            json_scalar(self.num_cpus),
+            json_scalar(self.restructured),
+            json_scalar(self.scale),
+            json_scalar(self.seed),
+            self.strategy.canonical_json,
+            json_scalar(self.workload),
+        )
+        return sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -338,7 +355,7 @@ class ExperimentRunner:
         else:
             self.disk_cache = ResultDiskCache(disk_cache) if disk_cache else None
         self._traces: OrderedDict[tuple, MultiTrace] = OrderedDict()
-        self._results: dict[RunJob, RunMetrics] = {}
+        self._results: dict[str, RunMetrics] = {}
         self._trace_metadata: dict[tuple, dict[str, Any]] = {}
 
     def base_machine(self) -> MachineConfig:
@@ -408,12 +425,13 @@ class ExperimentRunner:
     def _lookup(self, job: RunJob) -> tuple[RunMetrics | None, str]:
         """A memo or disk-cache hit for ``job``, with its kind (``"memo"``
         or ``"hit"``); a disk hit is memoised."""
-        result = self._results.get(job)
+        key = job.config_key
+        result = self._results.get(key)
         if result is not None:
             return result, "memo"
-        result = self.cached(job.config_key)
+        result = self.cached(key)
         if result is not None:
-            self._results[job] = result
+            self._results[key] = result
         return result, "hit"
 
     def _keep(self, job: RunJob, result: RunMetrics) -> None:
@@ -421,7 +439,7 @@ class ExperimentRunner:
         cache = self._usable_cache
         if cache is not None:
             cache.store(job.config_key, result.to_row(), job.payload())
-        self._results[job] = result
+        self._results[job.config_key] = result
 
     # ----------------------------------------------------------------- runs
 
@@ -458,9 +476,10 @@ class ExperimentRunner:
 
         ``jobs`` holds ``(workload, strategy, machine)`` or
         ``(workload, strategy, machine, restructured)`` tuples.
-        Duplicates collapse first; then each distinct configuration is
-        looked up once in the memo and the disk cache, in order of first
-        appearance, and only genuinely new ones are simulated.  Serially each goes through :meth:`run`;
+        Duplicates (jobs with one ``config_key``) collapse first; then
+        each distinct configuration is looked up once in the memo and the
+        disk cache, in order of first appearance, and only genuinely new
+        ones are simulated.  Serially each goes through :meth:`run`;
         with ``max_workers > 1`` they fan out over a process pool.
         Results are returned in **job order** regardless of completion
         order, and -- simulation being a pure function -- are
@@ -478,15 +497,20 @@ class ExperimentRunner:
         """
         if telemetry is None:
             telemetry = TelemetryConfig(enabled=False)
-        positions: dict[RunJob, list[int]] = {}
-        for i, job in enumerate(jobs):
-            positions.setdefault(self.job(*job), []).append(i)
+        distinct: dict[str, tuple[RunJob, list[int]]] = {}
+        for i, spec in enumerate(jobs):
+            job = self.job(*spec)
+            seen = distinct.get(job.config_key)
+            if seen is None:
+                distinct[job.config_key] = (job, [i])
+            else:
+                seen[1].append(i)
         results: list[RunMetrics | None] = [None] * len(jobs)
-        todo: dict[RunJob, list[int]] = {}
-        for job, where in positions.items():
+        todo: list[tuple[RunJob, list[int]]] = []
+        for job, where in distinct.values():
             result, kind = self._lookup(job)
             if result is None:
-                todo[job] = where
+                todo.append((job, where))
             else:
                 for i in where:
                     results[i] = result
@@ -504,7 +528,7 @@ class ExperimentRunner:
 
     def _execute_pending(
         self,
-        todo: dict[RunJob, list[int]],
+        todo: list[tuple[RunJob, list[int]]],
         results: list[RunMetrics | None],
         telemetry: TelemetryConfig,
     ) -> list[JobFailure]:
@@ -517,7 +541,7 @@ class ExperimentRunner:
         worker breaks the pool, and every still-unfinished point fails
         as ``error``.  Completed results are kept.
         """
-        pending = list(todo)
+        pending = [job for job, _where in todo]
         failures: list[JobFailure] = []
         cache_state = "miss" if self._usable_cache is not None else "off"
         workers = min(self.max_workers or 1, len(pending))
@@ -556,7 +580,7 @@ class ExperimentRunner:
                 except Exception as exc:
                     failure = ("error", str(exc) or type(exc).__name__)
                 else:
-                    for i in todo[job]:
+                    for i in todo[j][1]:
                         results[i] = result
                     if done is not None:
                         telemetry.record_run(job, done, cache_state)

@@ -188,6 +188,13 @@ class CpuMetrics:
     def from_dict(cls, data: dict[str, Any] | list[Any]) -> "CpuMetrics":
         """Exact inverse of :meth:`to_dict` and :meth:`to_row`; ValueError
         unless ``data`` carries exactly this version's fields."""
+        # A well-formed row (a cache hit decodes one per CPU) is built directly.
+        if type(data) is list and len(data) == len(_CPU_FIELDS.names):
+            misses = data[_MISSES_AT]
+            if type(misses) is list and len(misses) == len(_MISS_FIELDS.names):
+                cpu = cls(*data)
+                cpu.misses = MissCounts(*misses)
+                return cpu
         cpu = cls(*_CPU_FIELDS.decode(data))
         cpu.misses = MissCounts.from_dict(cpu.misses)
         return cpu

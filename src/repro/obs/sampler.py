@@ -182,13 +182,6 @@ class ObsReport:
             for w in range(self.num_windows)
         ]
 
-    def mean_pfbuf_series(self) -> list[float]:
-        """Time-weighted mean outstanding prefetches per window."""
-        return [
-            self.pfbuf[w] / span if (span := self.window_span(w)) else 0.0
-            for w in range(self.num_windows)
-        ]
-
     def mean_queue_series(self) -> list[float]:
         """Time-weighted mean bus queue depth per window."""
         return [

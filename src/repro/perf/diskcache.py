@@ -48,6 +48,8 @@ import time
 from pathlib import Path
 from typing import Any
 
+from repro.common.codec import canonical_json
+
 __all__ = ["ResultDiskCache", "content_key"]
 
 
@@ -63,9 +65,11 @@ def content_key(payload: dict[str, Any]) -> str:
     reprs embed memory addresses, which would make the "same" payload
     hash differently across processes and defeat the cache.
     """
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
+
+#: Bytes per read of an entry: a 64-CPU result's first line fits in one.
+_READ_BYTES = 1 << 16
 
 #: Temp files older than this are considered orphans of a crashed writer
 #: and removed by the sweep; younger ones may belong to a live process.
@@ -137,21 +141,28 @@ class ResultDiskCache:
     def load(self, key: str) -> Any:
         """The value stored under ``key``, or None on a miss.
 
-        Reads and decodes the entry's first line only.  A corrupt entry,
-        or one whose first line is unterminated (torn, or written
-        before the two-line format), counts as a miss (it will be
-        re-simulated and overwritten).
+        Reads up to the first newline (or EOF) and decodes that line
+        only; a line longer than one read takes more reads and is still
+        a hit.  A corrupt entry, or one whose first line is unterminated
+        (torn, or written before the two-line format), counts as a miss
+        (it will be re-simulated and overwritten).
         """
         try:
-            # Raw descriptor reads: a hit pays no buffered file object.
+            # Raw descriptor reads: a hit pays no buffered file object,
+            # and (its first line fitting one read) one read call.
             fd = os.open(self._file(key), os.O_RDONLY)
             try:
-                data = os.read(fd, os.fstat(fd).st_size)
+                data = os.read(fd, _READ_BYTES)
+                end = data.find(b"\n")
+                while end < 0:
+                    more = os.read(fd, _READ_BYTES)
+                    if not more:
+                        raise ValueError("unterminated entry line")
+                    start = len(data)
+                    data += more
+                    end = data.find(b"\n", start)
             finally:
                 os.close(fd)
-            end = data.find(b"\n")
-            if end < 0:
-                raise ValueError("unterminated entry line")
             value = json.loads(data[:end])
         except (OSError, ValueError):
             self.misses += 1

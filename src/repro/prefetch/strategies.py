@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from typing import Any
 
+from repro.common.codec import canonical_json
 from repro.common.errors import ConfigurationError
 from repro.prefetch.adaptive import AdaptiveConfig
 
@@ -71,6 +74,16 @@ class PrefetchStrategy:
         :func:`strategy_by_name`.
         """
         return replace(self, name=f"{self.name}(d={distance})", distance=distance)
+
+    def describe(self) -> dict[str, Any]:
+        """Every field by name (all scalars), as hashed into result-cache keys."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def canonical_json(self) -> str:
+        """:meth:`describe` as :func:`~repro.common.codec.canonical_json`,
+        rendered once per instance (a result-cache key embeds it)."""
+        return canonical_json(self.describe())
 
     def adaptive_config(self) -> "AdaptiveConfig | None":
         """Runtime feedback parameters, or None for open-loop strategies.

@@ -31,8 +31,6 @@ class LockManager:
 
     def __init__(self) -> None:
         self._locks: dict[int, _Lock] = {}
-        self.total_acquisitions = 0
-        self.total_contended = 0
 
     def _lock(self, lock_id: int) -> _Lock:
         lock = self._locks.get(lock_id)
@@ -53,7 +51,6 @@ class LockManager:
             return False
         lock.holder = cpu
         lock.reserved_for = None
-        self.total_acquisitions += 1
         return True
 
     def enqueue_waiter(self, lock_id: int, cpu: int) -> None:
@@ -62,7 +59,6 @@ class LockManager:
         if cpu == lock.holder:
             raise SimulationError(f"cpu {cpu} waiting on lock {lock_id} it already holds")
         lock.waiters.append(cpu)
-        self.total_contended += 1
 
     def release(self, lock_id: int, cpu: int) -> int | None:
         """Release the lock; returns the CPU to wake (reserved), if any."""
@@ -100,7 +96,6 @@ class BarrierManager:
     def __init__(self, num_cpus: int) -> None:
         self.num_cpus = num_cpus
         self._barriers: dict[int, _Barrier] = {}
-        self.episodes_completed = 0
 
     def arrive(self, barrier_id: int, cpu: int) -> list[int] | None:
         """Record arrival.
@@ -117,7 +112,6 @@ class BarrierManager:
         if len(barrier.arrived) == self.num_cpus:
             woken = list(barrier.blocked)
             del self._barriers[barrier_id]
-            self.episodes_completed += 1
             return woken
         return None
 

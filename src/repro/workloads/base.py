@@ -125,14 +125,6 @@ class TraceBuilder:
     read = _emitter("read", False, "Emit a load of ``array[index].field[element]``.")
     write = _emitter("write", True, "Emit a store to ``array[index].field[element]``.")
 
-    def read_addr(self, addr: int, shared: bool, gap: int | None = None, size: int = 4) -> None:
-        """Emit a load of a raw address."""
-        self.events.append(MemRef(addr, False, self._gap(gap), size, shared))
-
-    def write_addr(self, addr: int, shared: bool, gap: int | None = None, size: int = 4) -> None:
-        """Emit a store to a raw address."""
-        self.events.append(MemRef(addr, True, self._gap(gap), size, shared))
-
     # --------------------------------------------------------- synchronization
 
     def lock(self, lock: tuple[int, int], gap: int | None = None) -> None:

@@ -68,9 +68,9 @@ class TestPrefetchBuffer:
         mshr = MissStatusRegisters(16)
         for i in range(5):
             mshr.start(fill(0x1000 * (i + 1), is_prefetch=True))
+        assert mshr.prefetches_in_flight == 5
         for i in range(5):
             mshr.finish(0x1000 * (i + 1))
-        assert mshr.max_prefetches_in_flight == 5
         assert mshr.prefetches_in_flight == 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import pickle
 from pathlib import Path
 
 import pytest
@@ -24,13 +25,23 @@ from repro.bus.bus import BusStats
 from repro.bus.transaction import TransactionKind
 from repro.common.config import CacheConfig, MachineConfig
 from repro.experiments.runner import ExperimentRunner, RunJob
-from repro.common.codec import FieldTable, schema_tag
+from repro.common.codec import FieldTable, canonical_json, json_scalar, schema_tag
 from repro.metrics import results as results_module
 from repro.metrics.results import ROW_SCHEMA, CpuMetrics, MissCounts, RunMetrics
+from repro.perf import diskcache as diskcache_module
 from repro.perf.diskcache import ResultDiskCache, content_key
 from repro.perf.history import FLOOR_RATIO, check_floor, floor_gate, load_history, newest
 from repro.prefetch.insertion import insert_prefetches
-from repro.prefetch.strategies import EXCL, NP, PREF, PWS, strategy_by_name
+from repro.prefetch.strategies import (
+    ADAPT,
+    ALL_STRATEGIES,
+    EXCL,
+    NP,
+    PBUF,
+    PREF,
+    PWS,
+    strategy_by_name,
+)
 from repro.sim import engine as engine_module
 from repro.sim.engine import ENGINE_VERSION, simulate
 from repro.telemetry.fleet import FleetError, TelemetryConfig
@@ -365,6 +376,77 @@ def _damage_entry(path: Path, how: str) -> None:
 # ------------------------------------------------------------- disk cache
 
 
+class TestConfigKey:
+    """``RunJob.config_key`` assembles its text from the configs' cached
+    canonical JSON; it must equal ``content_key(job.payload())``, the
+    rendering every stored entry and ledger line was keyed by."""
+
+    STRATEGIES = (
+        *ALL_STRATEGIES,
+        PBUF,
+        ADAPT,
+        dataclasses.replace(ADAPT, high_watermark=0.99, low_watermark=0.5),
+        dataclasses.replace(ADAPT, feedback_window=4096),
+        PREF.with_distance(400),
+    )
+    MACHINES = (
+        MachineConfig(),
+        MachineConfig(num_cpus=4, protocol="msi").with_transfer_cycles(32),
+        MachineConfig(cache=CacheConfig(victim_cache_lines=4)),
+        MachineConfig(cache=CacheConfig(size_bytes=4096, associativity=2)),
+        MachineConfig(num_cpus=8, cache=CacheConfig(size_bytes=8192, associativity=4)),
+    )
+
+    def test_key_equals_content_key_of_payload(self):
+        checked = set()
+        for strategy in self.STRATEGIES:
+            for machine in self.MACHINES:
+                for restructured in (False, True):
+                    for scale in (0.05, 1.0, 1e-7):
+                        job = RunJob("Topopt", strategy, machine, restructured, 12, 7, scale)
+                        assert job.config_key == content_key(job.payload()), job
+                        checked.add(job.config_key)
+        assert len(checked) == len(self.STRATEGIES) * len(self.MACHINES) * 2 * 3
+
+    def test_key_of_unusual_scalars_equals_content_key(self):
+        """Exact-type fast paths fall back to the encoder for anything else."""
+        for job in (
+            RunJob("Wäter \"q\"", NP, MachineConfig(), False, 4, 0, 1),
+            RunJob("Water", NP, MachineConfig(), 1, True, -3, 2**70),
+        ):
+            assert job.config_key == content_key(job.payload())
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.one_of(
+            st.booleans(),
+            st.integers(),
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.text(),
+            st.none(),
+        )
+    )
+    def test_json_scalar_renders_as_the_encoder_does(self, value):
+        """The fast paths repeat the encoder's rules; they must not drift."""
+        assert json_scalar(value) == canonical_json(value)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_raises(self, scale):
+        with pytest.raises(ValueError):
+            RunJob("Water", NP, MachineConfig(), scale=scale).config_key
+
+    @pytest.mark.parametrize("keyed_first", [False, True])
+    def test_pickled_job_keeps_key_and_equality(self, keyed_first):
+        """Jobs reach pool workers by pickle; a copy made before or after
+        the key and the configs' text are cached is the same job."""
+        job = RunJob("Mp3d", dataclasses.replace(ADAPT, high_watermark=0.99), MachineConfig())
+        if keyed_first:
+            job.config_key
+        copy = pickle.loads(pickle.dumps(job))
+        assert copy == job and hash(copy) == hash(job)
+        assert copy.config_key == job.config_key == content_key(job.payload())
+
+
 class TestDiskCache:
     def test_content_key_is_order_independent(self):
         a = content_key({"x": 1, "y": [1, 2]})
@@ -452,6 +534,29 @@ class TestDiskCache:
         cache._path(key).write_text("[1, 2]", encoding="utf-8")  # JSON, not an entry
         assert cache.load(key) is None
         assert (cache.hits, cache.misses) == (0, 2)
+
+    def test_oversized_entry_is_a_hit(self, tmp_path):
+        """A first line longer than one read is read to its newline."""
+        cache = ResultDiskCache(tmp_path / "c")
+        key = content_key({"k": "big"})
+        value = {"per_cpu": [[i] * 16 for i in range(8000)]}
+        cache.store(key, value, {"k": "big"})
+        assert cache._path(key).stat().st_size > 2 * diskcache_module._READ_BYTES
+        assert cache.load(key) == value
+        assert (cache.hits, cache.misses) == (1, 0)
+
+    @pytest.mark.parametrize("read_bytes", [1, 5, 12, 13])
+    def test_entry_read_in_small_pieces(self, tmp_path, monkeypatch, read_bytes):
+        """Any read size, the newline on or across a read boundary, gives
+        the first line; an unterminated one is still a miss."""
+        monkeypatch.setattr(diskcache_module, "_READ_BYTES", read_bytes)
+        cache = ResultDiskCache(tmp_path / "c")
+        key = content_key({"k": 1})
+        cache.store(key, {"metric": 1}, {"k": 1})  # line 1 is 12 bytes
+        assert cache.load(key) == {"metric": 1}
+        cache._path(key).write_text('{"metric":1}', encoding="utf-8")
+        assert cache.load(key) is None
+        assert (cache.hits, cache.misses) == (1, 1)
 
     def test_warm_runner_resimulates_nothing(self, tmp_path):
         """A fresh runner over a warm cache serves every grid point from
@@ -739,9 +844,10 @@ class TestParallelRunner:
         assert len(calls) == 2
 
     def test_batch_looks_each_distinct_job_up_once(self, tmp_path, monkeypatch):
-        """A disk-warm point costs three ``RunJob`` hashes (grouping, memo
-        probe, memo store), a memo hit two, and each distinct point is
-        recorded once, in order of first appearance."""
+        """A disk-warm point and a memo hit hash no ``RunJob`` and render no
+        JSON (the dedup and the memo key by ``config_key``, built from the
+        configs' cached text), and each distinct point is recorded once, in
+        order of first appearance."""
         machine = MachineConfig(num_cpus=4)
         jobs = [("Water", PREF, machine), ("Water", NP, machine), ("Water", PREF, machine)]
         ExperimentRunner(num_cpus=4, scale=0.05, disk_cache=tmp_path).run_many(jobs)
@@ -749,6 +855,9 @@ class TestParallelRunner:
         hashes = []
         real_hash = RunJob.__hash__
         monkeypatch.setattr(RunJob, "__hash__", lambda job: hashes.append(job) or real_hash(job))
+        renders = []
+        real_dumps = json.dumps
+        monkeypatch.setattr(json, "dumps", lambda *a, **k: renders.append(a) or real_dumps(*a, **k))
         telemetry = TelemetryConfig()
         recorded = []
         monkeypatch.setattr(
@@ -756,13 +865,12 @@ class TestParallelRunner:
             lambda job, result, kind: recorded.append((job.strategy.name, kind)),
         )
         results = runner.run_many(jobs, telemetry=telemetry)
-        assert len(hashes) == len(jobs) + 2 * 2
+        assert hashes == [] and renders == []
         assert recorded == [("PREF", "hit"), ("NP", "hit")]
         assert results[0] is results[2] and results[1].strategy == "NP"
-        hashes.clear()
         recorded.clear()
         runner.run_many(jobs, telemetry=telemetry)
-        assert len(hashes) == len(jobs) + 2
+        assert hashes == [] and renders == []
         assert recorded == [("PREF", "memo"), ("NP", "memo")]
 
     def test_plain_batch_failure_raises_fleet_error_after_storing_survivors(self):
