@@ -891,7 +891,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache_dir=args.cache or None,
-        ledger_path=None if args.no_ledger else f"{args.ledger_dir}/runs.jsonl",
+        ledger_dir=None if args.no_ledger else args.ledger_dir,
         hydrate=not args.no_hydrate,
         max_workers=args.workers,
         job_timeout=args.job_timeout,
@@ -904,7 +904,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"repro service on http://{config.host}:{config.port} "
-        f"(cache: {config.cache_dir or 'off'}, ledger: {config.ledger_path or 'off'}, "
+        f"(cache: {config.cache_dir or 'off'}, ledger: {config.ledger_dir or 'off'}, "
         f"tsdb: {config.tsdb_dir or 'off'}, "
         f"{config.max_workers or 1} sim worker(s), "
         f"tracing {'on' if config.trace else 'off'}) -- Ctrl-C to stop"

@@ -64,7 +64,6 @@ import signal
 import threading
 import time
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any
 from urllib.parse import SplitResult, parse_qs, urlsplit
 
@@ -174,7 +173,7 @@ class ServiceConfig:
         host / port: bind address (port 0 picks a free port).
         cache_dir: result disk cache directory (None disables caching,
             which also disables result re-serving across restarts).
-        ledger_path: run ledger JSONL path (None disables the ledger
+        ledger_dir: run ledger directory (None disables the ledger
             and, with it, history hydration).
         hydrate: replay the ledger into the run store on startup.
         max_workers: process-pool width for each simulation batch.
@@ -201,7 +200,7 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     port: int = 8787
     cache_dir: str | None = "results/service/cache"
-    ledger_path: str | None = "results/service/ledger/runs.jsonl"
+    ledger_dir: str | None = "results/service/ledger"
     hydrate: bool = True
     max_workers: int = 0
     job_timeout: float | None = None
@@ -244,14 +243,9 @@ class ReproService:
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config if config is not None else ServiceConfig()
         self.registry = MetricsRegistry()
-        self.ledger: RunLedger | None = None
-        if self.config.ledger_path is not None:
-            # ledger_path names the FILE; RunLedger takes (root, filename).
-            # Passing the file path as root used to bury the ledger at
-            # <path>/runs.jsonl, invisible to every RunLedger(<dir>) reader.
-            path = Path(self.config.ledger_path)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            self.ledger = RunLedger(path.parent, filename=path.name)
+        self.ledger = (
+            None if self.config.ledger_dir is None else RunLedger(self.config.ledger_dir)
+        )
         self.store = LedgerRunStore(self.ledger, hydrate=self.config.hydrate)
         self.tracer = SpanTracer(
             capacity=self.config.trace_capacity, enabled=self.config.trace

@@ -4,6 +4,9 @@ Where :mod:`repro.obs` looks *inside one simulation* (event taps,
 timelines, windowed counters), this package looks *across runs*: what
 the experiment fleet is doing right now and what it has done before.
 
+* :mod:`~repro.telemetry.jsonl` -- the append-only JSONL store: the one
+  single-write appender and torn-line-tolerant reader behind the run
+  ledger and the time-series store.
 * :mod:`~repro.telemetry.ledger` -- append-only JSONL run ledger: one
   structured record per simulation (identity, outcome, cache status,
   wall time, result summary) plus a query API.
@@ -30,7 +33,8 @@ the experiment fleet is doing right now and what it has done before.
   continuous serve-loop evaluator and the ``repro slo check``
   regression sentinel share it.
 
-Telemetry is strictly opt-in: a runner without a
-:class:`~repro.telemetry.fleet.TelemetryConfig` takes its original
-code paths and produces bit-identical results.
+Telemetry never changes a result: ``run_many`` without a
+:class:`~repro.telemetry.fleet.TelemetryConfig` runs a disabled one on
+the same path (no ledger, heartbeats, monitor or deadline), and its
+results are bit-identical to a telemetered batch's.
 """

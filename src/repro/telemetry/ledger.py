@@ -7,31 +7,25 @@ fleet-level flight recorder: ``repro drift`` replays paper comparisons
 from it, ``repro ledger`` queries history, and every telemetered
 :class:`~repro.experiments.runner.ExperimentRunner` batch appends to it.
 
-Format: one JSON object per line (JSONL), append-only, under
-``results/ledger/`` by default.  Appends are multiprocess-safe: each
-entry is rendered to a single line and written with one ``os.write`` to
-a file opened ``O_APPEND``, so concurrent writers (pool workers, a
-parent aggregator, overlapping sessions) interleave whole lines and
-never tear each other's records.  Readers treat a torn or corrupt line
-(possible only after a crash mid-write) as absent rather than fatal, and
-recover the whole record that the next append wrote onto a torn one.
+Format: one JSON object per line in ``runs.jsonl`` under
+``results/ledger/`` by default, written and read through the
+append-only JSONL store (:mod:`repro.telemetry.jsonl`).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterator
+
+from repro.telemetry import jsonl
 
 __all__ = [
     "DEFAULT_LEDGER_DIR",
     "LEDGER_SCHEMA_VERSION",
     "LedgerEntry",
     "RunLedger",
-    "read_record",
 ]
 
 #: Default ledger directory (relative to the invoking directory).
@@ -40,24 +34,6 @@ DEFAULT_LEDGER_DIR = "results/ledger"
 #: Bumped whenever the entry schema changes incompatibly; readers skip
 #: entries from future schemas instead of misinterpreting them.
 LEDGER_SCHEMA_VERSION = 1
-
-
-def read_record(line: str) -> Any:
-    """The JSON record a line of an append-only JSONL store holds, or
-    None when it holds none (the ledger's and the TSDB's readers).
-
-    A writer killed mid-record leaves a fragment without a newline, and
-    the next append lands on it.  The fragment never parses on its own,
-    so such a line holds one whole record: the suffix that starts at
-    one of its later ``{"``.
-    """
-    start = 0
-    while start != -1:
-        try:
-            return json.loads(line[start:])
-        except ValueError:
-            start = line.find('{"', start + 1)
-    return None
 
 
 def _percentile(values: list[float], q: float) -> float:
@@ -151,45 +127,31 @@ class RunLedger:
     """Reader/writer for an append-only JSONL run ledger.
 
     Args:
-        root: ledger directory (created lazily on first append).
-        filename: ledger file within ``root``.
+        root: ledger directory (created lazily on first append); the
+            ledger is its ``runs.jsonl``.
 
-    One :class:`RunLedger` may be shared across processes: appends go
-    through ``O_APPEND`` single-write syscalls, so records never
-    interleave mid-line.  The instance is picklable (it holds only the
-    path), which lets pool workers append directly.
+    One :class:`RunLedger` may be shared across processes: the store's
+    appends never interleave records mid-line.  The instance is
+    picklable (it holds only the path), which lets pool workers append
+    directly.
     """
 
-    def __init__(
-        self, root: str | Path = DEFAULT_LEDGER_DIR, filename: str = "runs.jsonl"
-    ) -> None:
+    def __init__(self, root: str | Path = DEFAULT_LEDGER_DIR) -> None:
         self.root = Path(root)
-        self.filename = filename
 
     @property
     def path(self) -> Path:
         """The ledger file."""
-        return self.root / self.filename
+        return self.root / "runs.jsonl"
 
     # -------------------------------------------------------------- writing
 
     def append(self, entry: LedgerEntry) -> LedgerEntry:
-        """Record one run; returns the entry with its timestamp filled.
-
-        The whole record is rendered into a single newline-terminated
-        line and written with one ``os.write`` on an ``O_APPEND`` fd --
-        the POSIX guarantee that makes concurrent appenders safe.
-        """
+        """Record one run as one line of the store; returns the entry
+        with its timestamp filled."""
         if not entry.timestamp:
             entry.timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        line = json.dumps(entry.to_dict(), sort_keys=True, separators=(",", ":"))
-        data = (line + "\n").encode("utf-8")
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, data)
-        finally:
-            os.close(fd)
+        jsonl.append(self.path, entry.to_dict())
         return entry
 
     # -------------------------------------------------------------- reading
@@ -197,33 +159,21 @@ class RunLedger:
     def entries(self) -> Iterator[LedgerEntry]:
         """Every readable entry, oldest first.
 
-        Torn records (a writer crashed mid-record; the record appended
-        after one is still read), entries from a newer schema, and
-        records without a usable ``config_key`` (lines older than
-        content keying; foreign JSONL may lack one entirely) are skipped, never fatal -- every query/summarize/
-        hydration path sits on top of this reader, so tolerating mixed
-        schemas here fixes them all at once.
+        :func:`~repro.telemetry.jsonl.records` skips torn lines and
+        future-schema records; records without a usable ``config_key``
+        (lines older than content keying; foreign JSONL may lack one
+        entirely) or without the identity fields are skipped too, never
+        fatal -- every query/summarize/hydration path sits on top of
+        this reader, so tolerating mixed schemas here fixes them all at
+        once.
         """
-        try:
-            fh = self.path.open("r", encoding="utf-8")
-        except OSError:
-            return
-        with fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                data = read_record(line)
-                if not isinstance(data, dict):
-                    continue
-                if data.get("schema", 1) > LEDGER_SCHEMA_VERSION:
-                    continue  # written by a future version of this code
-                if not isinstance(data.get("config_key"), str) or not data["config_key"]:
-                    continue  # pre-content-key record: no usable identity
-                try:
-                    yield LedgerEntry.from_dict(data)
-                except TypeError:
-                    continue  # missing required identity fields
+        for data in jsonl.records([self.path], LEDGER_SCHEMA_VERSION):
+            if not isinstance(data.get("config_key"), str) or not data["config_key"]:
+                continue  # pre-content-key record: no usable identity
+            try:
+                yield LedgerEntry.from_dict(data)
+            except TypeError:
+                continue  # missing required identity fields
 
     def query(
         self,
@@ -252,18 +202,6 @@ class RunLedger:
     def tail(self, n: int = 10) -> list[LedgerEntry]:
         """The ``n`` most recent entries, oldest of them first."""
         return list(self.entries())[-n:]
-
-    def latest_by_key(self, outcome: str = "ok") -> dict[str, LedgerEntry]:
-        """The most recent entry per ``config_key`` with the given outcome.
-
-        This is the view drift detection replays: one authoritative
-        record per configuration, newest wins.
-        """
-        latest: dict[str, LedgerEntry] = {}
-        for entry in self.entries():
-            if entry.outcome == outcome:
-                latest[entry.config_key] = entry
-        return latest
 
     def summarize(self) -> dict[str, Any]:
         """Aggregate ledger statistics (``repro ledger`` banner).

@@ -12,9 +12,10 @@ retention.  This module provides it without any dependency:
   :meth:`~repro.telemetry.registry.MetricsRegistry.to_json`, plus
   synthetic gauge families derived from the run ledger (fleet
   throughput, cache-hit counts) so longitudinal rules can watch them
-  like any scraped series.  Appends are single ``os.write`` calls on an
-  ``O_APPEND`` fd (the ledger's concurrency discipline); segments
-  rotate at a size cap so retention trimming is file-granular.
+  like any scraped series.  Lines are written and read through the
+  append-only JSONL store (:mod:`repro.telemetry.jsonl`) that the run
+  ledger uses; segments rotate at a size cap so retention trimming is
+  file-granular.
 * **Restart handling** -- every writer stamps its lines with a random
   ``session`` id.  Counters reset to zero when a service restarts;
   :meth:`TimeSeriesStore.counter_series` is *delta-aware*: it carries
@@ -28,19 +29,18 @@ retention.  This module provides it without any dependency:
 * **Downsampling** -- :func:`downsample` buckets any series to a fixed
   width by means (the sparkline/dashboard resampling primitive).
 
-The store is deliberately schema-tolerant on read (torn lines, future
-fields) and strictly additive on write, like the run ledger.
+The store is schema-tolerant on read (torn lines, future schemas) and
+strictly additive on write.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
-from repro.telemetry.ledger import read_record
+from repro.telemetry import jsonl
 
 __all__ = [
     "DEFAULT_TSDB_DIR",
@@ -243,13 +243,7 @@ class TimeSeriesStore:
             "schema": TSDB_SCHEMA_VERSION,
             "families": families,
         }
-        data = (json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd = os.open(self._write_segment(), os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, data)
-        finally:
-            os.close(fd)
+        jsonl.append(self._write_segment(), line)
         return line
 
     # -------------------------------------------------------------- reading
@@ -259,33 +253,20 @@ class TimeSeriesStore:
     ) -> Iterator[dict[str, Any]]:
         """Every readable snapshot in ``[start, end]``, oldest first.
 
-        Torn lines, non-object lines and future-schema lines are
-        skipped, never fatal, and the snapshot appended onto a torn line
-        is still read (the ledger reader's discipline).
+        :func:`~repro.telemetry.jsonl.records` skips torn and
+        future-schema lines (the snapshot appended onto a torn line is
+        still read); lines without a numeric ``ts`` or a ``families``
+        object are skipped too.
         """
-        for segment in self.segments():
-            try:
-                fh = segment.open("r", encoding="utf-8")
-            except OSError:
+        for line in jsonl.records(self.segments(), TSDB_SCHEMA_VERSION):
+            ts = line.get("ts")
+            if not isinstance(ts, (int, float)) or not isinstance(line.get("families"), dict):
                 continue
-            with fh:
-                for raw in fh:
-                    raw = raw.strip()
-                    if not raw:
-                        continue
-                    line = read_record(raw)
-                    if not isinstance(line, dict) or not isinstance(line.get("ts"), (int, float)):
-                        continue
-                    if line.get("schema", 1) > TSDB_SCHEMA_VERSION:
-                        continue  # written by a future version of this code
-                    if not isinstance(line.get("families"), dict):
-                        continue
-                    ts = line["ts"]
-                    if start is not None and ts < start:
-                        continue
-                    if end is not None and ts > end:
-                        continue
-                    yield line
+            if start is not None and ts < start:
+                continue
+            if end is not None and ts > end:
+                continue
+            yield line
 
     def last_snapshot(self) -> dict[str, Any] | None:
         """The most recent snapshot, or None on an empty store."""

@@ -724,6 +724,72 @@ cache.store({key_b!r}, metrics, {{"entry": "B"}})
         assert not orphan.exists()
         assert RunMetrics.from_dict(ResultDiskCache(root).load(key_a)) == result
 
+    def test_pruner_killed_mid_prune_loses_nothing_committed(self, tmp_path):
+        """SIGKILL after a prune's third unlink while a second process
+        keeps storing: exactly the three oldest entries are gone, and
+        every entry left on disk loads as a hit with its stored value."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        from repro.perf import diskcache
+
+        root = tmp_path / "c"
+        old = [{"entry": f"old-{i}"} for i in range(8)]
+        new = [{"entry": f"new-{i}"} for i in range(40)]
+        stored = {content_key(value): value for value in old + new}
+        cache = ResultDiskCache(root)
+        for age, value in enumerate(reversed(old)):
+            key = content_key(value)
+            cache.store(key, value, value)
+            stamp = cache._path(key).stat().st_mtime - 3600 - age
+            os.utime(cache._path(key), (stamp, stamp))
+
+        writer = f"""
+import sys
+from repro.perf.diskcache import ResultDiskCache, content_key
+cache = ResultDiskCache(sys.argv[1])
+for i, value in enumerate({new!r}):
+    cache.store(content_key(value), value, value)
+    if i == 0:
+        print("stored", flush=True)
+"""
+        pruner = """
+import os, signal, sys
+from repro.perf.diskcache import ResultDiskCache
+unlink, unlinked = os.unlink, []
+def killing_unlink(path):
+    unlink(path)
+    unlinked.append(path)
+    if len(unlinked) == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+os.unlink = killing_unlink
+ResultDiskCache(sys.argv[1]).prune(0)
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(diskcache.__file__).parents[2])}
+        storing = subprocess.Popen(
+            [sys.executable, "-c", writer, str(root)],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            assert storing.stdout.readline() == "stored\n"
+            proc = subprocess.run(
+                [sys.executable, "-c", pruner, str(root)], env=env, timeout=60
+            )
+            assert proc.returncode == -signal.SIGKILL
+        finally:
+            storing.communicate(timeout=60)
+        assert storing.returncode == 0
+
+        reader = ResultDiskCache(root)
+        on_disk = {path.stem for path in root.glob("*/*.json")}
+        assert not list(root.glob("*/*.tmp*"))
+        assert stored.keys() - on_disk == {content_key(value) for value in old[:3]}
+        for key in on_disk:
+            assert reader.load(key) == stored[key]
+        assert reader.misses == 0
+
     def test_engine_version_partitions_the_cache(self, tmp_path):
         runner = ExperimentRunner(num_cpus=4, scale=0.1, disk_cache=tmp_path / "c")
         payload = runner.job("Water", NP, MachineConfig(num_cpus=4)).payload()

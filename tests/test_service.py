@@ -771,7 +771,7 @@ def service(tmp_path_factory):
         host="127.0.0.1",
         port=0,
         cache_dir=str(root / "cache"),
-        ledger_path=str(root / "ledger" / "runs.jsonl"),
+        ledger_dir=str(root / "ledger"),
     )
     svc, base, stop = serve_in_thread(config)
     try:
@@ -1059,7 +1059,7 @@ def fuzz_service(tmp_path_factory):
     """A service with every route live (tsdb on) for the reader fuzz."""
     root = tmp_path_factory.mktemp("fuzz")
     config = ServiceConfig(
-        host="127.0.0.1", port=0, cache_dir=None, ledger_path=None,
+        host="127.0.0.1", port=0, cache_dir=None, ledger_dir=None,
         tsdb_dir=str(root / "tsdb"), snapshot_interval=3600.0,
     )
     svc, base, stop = serve_in_thread(config)
@@ -1121,7 +1121,7 @@ def traced_service(tmp_path_factory):
         host="127.0.0.1",
         port=0,
         cache_dir=str(root / "cache"),
-        ledger_path=str(root / "ledger" / "runs.jsonl"),
+        ledger_dir=str(root / "ledger"),
         trace=True,
     )
     svc, base, stop = serve_in_thread(config)
@@ -1254,7 +1254,7 @@ class TestGracefulShutdown:
     def test_shutdown_drains_then_refuses(self, tmp_path):
         config = ServiceConfig(
             host="127.0.0.1", port=0, cache_dir=str(tmp_path / "cache"),
-            ledger_path=None, drain_timeout=60.0,
+            ledger_dir=None, drain_timeout=60.0,
         )
         svc, base, stop = serve_in_thread(config)
         try:
@@ -1272,7 +1272,7 @@ class TestGracefulShutdown:
 
     def test_shutdown_is_idempotent(self, tmp_path):
         config = ServiceConfig(
-            host="127.0.0.1", port=0, cache_dir=None, ledger_path=None
+            host="127.0.0.1", port=0, cache_dir=None, ledger_dir=None
         )
         svc, base, stop = serve_in_thread(config)
         try:
@@ -1297,7 +1297,7 @@ def obs_service(tmp_path_factory):
         host="127.0.0.1",
         port=0,
         cache_dir=str(root / "cache"),
-        ledger_path=str(root / "ledger" / "runs.jsonl"),
+        ledger_dir=str(root / "ledger"),
         tsdb_dir=str(root / "tsdb"),
         snapshot_interval=0.2,
     )
@@ -1393,7 +1393,7 @@ class TestObservabilityRoutes:
             host="127.0.0.1",
             port=0,
             cache_dir=str(tmp_path / "cache"),
-            ledger_path=str(tmp_path / "ledger" / "runs.jsonl"),
+            ledger_dir=str(tmp_path / "ledger"),
             tsdb_dir=str(tmp_path / "tsdb"),
             snapshot_interval=3600.0,  # only the shutdown flush writes
         )

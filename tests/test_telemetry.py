@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import multiprocessing
 import queue as queue_module
+import re
+from pathlib import Path
 
 import pytest
 
@@ -36,8 +38,10 @@ from repro.telemetry.heartbeat import (
     Heartbeat,
     HeartbeatSender,
 )
+from repro.telemetry import jsonl
 from repro.telemetry.ledger import LEDGER_SCHEMA_VERSION, LedgerEntry, RunLedger
 from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.timeseries import TimeSeriesStore
 from repro.workloads.registry import ALL_WORKLOAD_NAMES
 
 
@@ -97,49 +101,6 @@ class TestLedger:
         ledger.append(_entry(config_key="c"))
         assert [e.config_key for e in ledger.entries()] == ["a", "b", "c"]
 
-    def test_writer_killed_mid_write_loses_nothing_committed(self, tmp_path):
-        """SIGKILL inside a record's ``os.write``, after part of its line
-        is on disk: the next writer's record lands on the torn tail, and
-        the reader returns every committed record and not the torn one.
-        The next append's bytes are a clean append's."""
-        import os
-        import signal
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        from repro.telemetry import ledger as ledger_module
-
-        child = """
-import json, os, signal, sys
-from repro.telemetry.ledger import LedgerEntry, RunLedger
-ledger = RunLedger(sys.argv[1])
-fields = json.loads(sys.stdin.read())
-ledger.append(LedgerEntry(**{**fields, "config_key": "A"}))
-write = os.write
-def torn(fd, data):
-    write(fd, data[: len(data) // 2])
-    os.kill(os.getpid(), signal.SIGKILL)
-os.write = torn
-ledger.append(LedgerEntry(**{**fields, "config_key": "B"}))
-"""
-        fields = {k: v for k, v in _entry().to_dict().items() if k != "schema"}
-        env = {**os.environ, "PYTHONPATH": str(Path(ledger_module.__file__).parents[2])}
-        proc = subprocess.run(
-            [sys.executable, "-c", child, str(tmp_path)],
-            input=json.dumps(fields), text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == -signal.SIGKILL
-        ledger = RunLedger(tmp_path)
-        torn = ledger.path.read_bytes()
-        assert not torn.endswith(b"\n") and torn.count(b"\n") == 1
-        assert [e.config_key for e in ledger.entries()] == ["A"]
-
-        written = RunLedger(tmp_path).append(_entry(config_key="C"))
-        line = json.dumps(written.to_dict(), sort_keys=True, separators=(",", ":"))
-        assert ledger.path.read_bytes() == torn + (line + "\n").encode("utf-8")
-        assert [e.config_key for e in ledger.entries()] == ["A", "C"]
-
     def test_query_and_tail(self, tmp_path):
         ledger = RunLedger(tmp_path)
         ledger.append(_entry(config_key="a", strategy="NP"))
@@ -149,14 +110,6 @@ ledger.append(LedgerEntry(**{**fields, "config_key": "B"}))
         assert [e.config_key for e in ledger.query(outcome="error")] == ["b"]
         assert [e.config_key for e in ledger.tail(2)] == ["b", "c"]
         assert ledger.summarize()["outcomes"] == {"ok": 2, "error": 1}
-
-    def test_latest_by_key_newest_wins(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        ledger.append(_entry(config_key="k", events=1))
-        ledger.append(_entry(config_key="k", events=2))
-        ledger.append(_entry(config_key="k", events=3, outcome="error"))
-        latest = ledger.latest_by_key()
-        assert latest["k"].events == 2  # newest *ok* entry
 
     def test_summarize_excludes_cache_hits_from_throughput(self, tmp_path):
         """Regression: warm-cache entries (wall 0.0) used to drag the
@@ -220,6 +173,124 @@ ledger.append(LedgerEntry(**{**fields, "config_key": "B"}))
 def _hammer_ledger(ledger: RunLedger, writer: int, count: int) -> None:
     for i in range(count):
         ledger.append(_entry(config_key=f"w{writer}", events=i))
+
+
+# ------------------------------------------------------ the JSONL store
+
+#: Each user of the store, as child code that defines ``put(tag)``: an
+#: append to the directory in ``sys.argv[1]`` of a record tagged ``tag``.
+_STORE_USERS = {
+    "ledger": """
+from repro.telemetry.ledger import LedgerEntry, RunLedger
+fields = json.loads(sys.stdin.read())
+def put(tag):
+    RunLedger(sys.argv[1]).append(LedgerEntry(**{**fields, "config_key": tag}))
+""",
+    "tsdb": """
+from repro.telemetry.timeseries import TimeSeriesStore
+def put(tag):
+    TimeSeriesStore(sys.argv[1]).append_snapshot(source=tag)
+""",
+}
+
+
+def _put(user: str, root: Path, tag: str) -> dict:
+    """Append a record tagged ``tag``; returns the record as written."""
+    if user == "ledger":
+        return RunLedger(root).append(_entry(config_key=tag)).to_dict()
+    return TimeSeriesStore(root).append_snapshot(source=tag)
+
+
+def _tags(user: str, root: Path) -> list[str]:
+    if user == "ledger":
+        return [e.config_key for e in RunLedger(root).entries()]
+    return [s["source"] for s in TimeSeriesStore(root).snapshots()]
+
+
+#: The one module that writes and reads append-only JSONL files.
+STORE_MODULE = "repro/telemetry/jsonl.py"
+
+
+def _store_names_outside(sources: dict[str, str]) -> list[str]:
+    """``path: name`` for each ``O_APPEND`` or ``read_record`` in a source
+    text (keyed by its path under ``src/``) other than the store's."""
+    return sorted(
+        f"{path}: {name}"
+        for path, text in sources.items()
+        if path != STORE_MODULE
+        for name in set(re.findall(r"\b(?:O_APPEND|read_record)\b", text))
+    )
+
+
+class TestJsonlStore:
+    @pytest.mark.parametrize("user", sorted(_STORE_USERS))
+    def test_writer_killed_mid_write_loses_nothing_committed(self, tmp_path, user):
+        """SIGKILL inside a record's ``os.write``, after part of its line
+        is on disk: the next writer's record lands on the torn tail, and
+        the reader returns every committed record and not the torn one.
+        The next append's bytes are a clean append's."""
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        child = f"""
+import json, os, signal, sys
+{_STORE_USERS[user]}
+put("A")
+write = os.write
+def torn(fd, data):
+    write(fd, data[: len(data) // 2])
+    os.kill(os.getpid(), signal.SIGKILL)
+os.write = torn
+put("B")
+"""
+        fields = {k: v for k, v in _entry().to_dict().items() if k != "schema"}
+        env = {**os.environ, "PYTHONPATH": str(Path(jsonl.__file__).parents[2])}
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(tmp_path)],
+            input=json.dumps(fields), text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == -signal.SIGKILL
+        (path,) = tmp_path.glob("*.jsonl")
+        torn = path.read_bytes()
+        assert not torn.endswith(b"\n") and torn.count(b"\n") == 1
+        assert _tags(user, tmp_path) == ["A"]
+
+        written = _put(user, tmp_path, "C")
+        line = json.dumps(written, sort_keys=True, separators=(",", ":"))
+        assert path.read_bytes() == torn + (line + "\n").encode("utf-8")
+        assert _tags(user, tmp_path) == ["A", "C"]
+
+    def test_reader_skips_non_numeric_schemas(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        jsonl.append(path, {"schema": "2", "n": 0})
+        jsonl.append(path, {"schema": None, "n": 1})
+        jsonl.append(path, {"n": 2})
+        jsonl.append(path, {"schema": 1, "n": 3})
+        assert [r["n"] for r in jsonl.records([path, tmp_path / "nope"], 1)] == [2, 3]
+
+    def test_one_module_opens_append_descriptors(self):
+        src = Path(jsonl.__file__).parents[2]
+        sources = {
+            path.relative_to(src).as_posix(): path.read_text(encoding="utf-8")
+            for path in (src / "repro").rglob("*.py")
+        }
+        assert STORE_MODULE in sources
+        assert _store_names_outside(sources) == []
+
+    def test_guard_names_a_second_writer(self):
+        """Must-fail control: a second ``O_APPEND`` writer and a second
+        reader of torn lines are named; the store itself is not."""
+        sources = {
+            STORE_MODULE: "fd = os.open(path, os.O_WRONLY | os.O_APPEND)\n",
+            "repro/service/journal.py": "fd = os.open(path, os.O_WRONLY | os.O_APPEND)\n",
+            "repro/telemetry/slo.py": "from repro.telemetry.jsonl import read_record\n",
+        }
+        assert _store_names_outside(sources) == [
+            "repro/service/journal.py: O_APPEND",
+            "repro/telemetry/slo.py: read_record",
+        ]
 
 
 # ------------------------------------------------------------- heartbeats
@@ -437,6 +508,12 @@ class TestDrift:
         _write_frame_ledger(ledger, frame, _healthy_summaries(frame))
         summaries = summaries_from_ledger(ledger, frame)
         assert evaluate(summaries, frame).passed
+        # A *newer* failed run of a point does not displace its ok entry.
+        key = ("Water", "PWS", frame.transfer_latencies[0])
+        _write_frame_ledger(
+            ledger, frame, {key: {**summaries[key], "exec_cycles": 990}}, outcome="error"
+        )
+        assert summaries_from_ledger(ledger, frame) == summaries
         # Append *newer* perturbed entries for every PWS point: newest
         # wins on replay, so the drift gate must now fail.
         bad = _healthy_summaries(frame)
@@ -499,7 +576,9 @@ class TestDrift:
         assert evaluate(summaries, frame).passed
 
 
-def _write_frame_ledger(ledger: RunLedger, frame: DriftFrame, summaries: dict) -> None:
+def _write_frame_ledger(
+    ledger: RunLedger, frame: DriftFrame, summaries: dict, outcome: str = "ok"
+) -> None:
     for (w, s, c), summary in summaries.items():
         ledger.append(
             LedgerEntry(
@@ -512,7 +591,7 @@ def _write_frame_ledger(ledger: RunLedger, frame: DriftFrame, summaries: dict) -
                 seed=frame.seed,
                 scale=frame.scale,
                 engine_version=ENGINE_VERSION,
-                outcome="ok",
+                outcome=outcome,
                 cache="miss",
                 summary=summary,
             )

@@ -2,8 +2,9 @@
 
 Covers snapshot append/read (torn lines, future schemas), delta-aware
 counter series across simulated restarts, histogram window
-re-aggregation, segment rotation, ledger-derived families, bench
-history seeding, and downsampling.
+re-aggregation, segment rotation (a writer killed mid-rotation
+included), ledger-derived families, bench history seeding, and
+downsampling.
 """
 
 from __future__ import annotations
@@ -58,48 +59,6 @@ class TestSnapshots:
         # The 3.0 snapshot landed on the torn line and is still read.
         assert [s["ts"] for s in store.snapshots()] == [1.0, 3.0]
 
-    def test_writer_killed_mid_write_loses_nothing_committed(self, tmp_path):
-        """SIGKILL inside a snapshot's ``os.write``, after part of its
-        line is on disk: the next writer's snapshot lands on the torn
-        tail, and the reader returns every committed snapshot and not the
-        torn one.  The next append's bytes are a clean append's."""
-        import os
-        import signal
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        from repro.telemetry import timeseries as timeseries_module
-
-        child = """
-import os, signal, sys
-from repro.telemetry.timeseries import TimeSeriesStore
-store = TimeSeriesStore(sys.argv[1])
-store.append_snapshot(extra_families={"depth": {"kind": "gauge"}}, ts=100.0)
-write = os.write
-def torn(fd, data):
-    write(fd, data[: len(data) // 2])
-    os.kill(os.getpid(), signal.SIGKILL)
-os.write = torn
-store.append_snapshot(extra_families={"depth": {"kind": "gauge"}}, ts=101.0)
-"""
-        root = tmp_path / "tsdb"
-        env = {**os.environ, "PYTHONPATH": str(Path(timeseries_module.__file__).parents[2])}
-        proc = subprocess.run(
-            [sys.executable, "-c", child, str(root)], env=env, timeout=60
-        )
-        assert proc.returncode == -signal.SIGKILL
-        store = TimeSeriesStore(root)
-        (segment,) = store.segments()
-        torn = segment.read_bytes()
-        assert not torn.endswith(b"\n") and torn.count(b"\n") == 1
-        assert [s["ts"] for s in store.snapshots()] == [100.0]
-
-        line = TimeSeriesStore(root).append_snapshot(ts=102.0)
-        clean = json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
-        assert segment.read_bytes() == torn + clean.encode("utf-8")
-        assert [s["ts"] for s in store.snapshots()] == [100.0, 102.0]
-
     def test_time_range_filter(self, tmp_path):
         store = TimeSeriesStore(tmp_path / "tsdb")
         for ts in (10.0, 20.0, 30.0):
@@ -115,6 +74,50 @@ store.append_snapshot(extra_families={"depth": {"kind": "gauge"}}, ts=101.0)
         assert [s["ts"] for s in store.snapshots()] == [1.0, 2.0, 3.0]
         names = [p.name for p in store.segments()]
         assert names == sorted(names)
+
+    def test_writer_killed_rotating_loses_nothing_committed(self, tmp_path):
+        """SIGKILL inside the first ``os.write`` to a new segment: every
+        committed snapshot is read and the torn one is not, the next
+        append rotates past the torn segment and is read, and segment
+        names stay in index order."""
+        import os
+        import signal
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro.telemetry import timeseries as timeseries_module
+
+        child = """
+import os, signal, sys
+from repro.telemetry.timeseries import TimeSeriesStore
+store = TimeSeriesStore(sys.argv[1], max_segment_bytes=1)
+store.append_snapshot(ts=1.0)
+store.append_snapshot(ts=2.0)
+write = os.write
+def torn(fd, data):
+    write(fd, data[: len(data) // 2])
+    os.kill(os.getpid(), signal.SIGKILL)
+os.write = torn
+store.append_snapshot(ts=3.0)
+"""
+        root = tmp_path / "tsdb"
+        env = {**os.environ, "PYTHONPATH": str(Path(timeseries_module.__file__).parents[2])}
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(root)], env=env, timeout=60
+        )
+        assert proc.returncode == -signal.SIGKILL
+        store = TimeSeriesStore(root, max_segment_bytes=1)
+        torn = store.segments()[-1].read_bytes()
+        assert torn and b"\n" not in torn
+        assert [s["ts"] for s in store.snapshots()] == [1.0, 2.0]
+
+        line = store.append_snapshot(ts=4.0)
+        assert [s["ts"] for s in store.snapshots()] == [1.0, 2.0, 4.0]
+        names = [p.name for p in store.segments()]
+        assert names == [f"segment-{i:06d}.jsonl" for i in range(1, 5)]
+        clean = json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
+        assert store.segments()[-1].read_text(encoding="utf-8") == clean
 
     def test_index_inventory(self, tmp_path):
         store = TimeSeriesStore(tmp_path / "tsdb")
