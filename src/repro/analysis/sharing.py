@@ -97,17 +97,6 @@ class BlockSharing:
                     return False
         return True
 
-    @property
-    def is_purely_false_shared(self) -> bool:
-        """No two CPUs ever touch a common word (pure layout accident)."""
-        if not self.is_shared:
-            return False
-        masks = [self.words_of(cpu) for cpu in self.cpus]
-        for i, a in enumerate(masks):
-            for b in masks[i + 1 :]:
-                if a & b:
-                    return False
-        return bool(self.writers)
 
 
 @dataclass

@@ -13,20 +13,22 @@ The grid crosses every axis that reaches a distinct engine code path:
   cache, and the MSI protocol ablation.
 
 7 x 7 x 2 x 3 = 294 points, extending the differential grid that
-validated the PR 1 fast path.  ``repro audit`` sweeps it with
-``SimulationConfig.audit`` enabled and fails on any violation.
+validated the fast path.  ``repro audit`` sweeps it with
+``SimulationConfig.audit`` enabled, as one
+:meth:`~repro.experiments.runner.ExperimentRunner.run_many` batch, and
+fails on any violation or on any point whose run raised.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Iterable
 
-from repro.audit.report import AuditReport
+from repro.audit.report import AuditReport, AuditViolation
 from repro.common.config import BusConfig, CacheConfig, MachineConfig, SimulationConfig
-from repro.experiments.runner import RunJob, execute, process_trace
+from repro.experiments.runner import ExperimentRunner
 from repro.prefetch.strategies import strategy_by_name
+from repro.telemetry.fleet import FleetError, JobFailure
 from repro.workloads.registry import ALL_WORKLOAD_NAMES, RESTRUCTURABLE_WORKLOAD_NAMES
 
 __all__ = [
@@ -34,7 +36,6 @@ __all__ = [
     "GRID_STRATEGY_NAMES",
     "GRID_TRANSFER_LATENCIES",
     "GridPoint",
-    "PointOutcome",
     "audit_grid",
     "machine_for",
     "quick_grid",
@@ -81,20 +82,6 @@ class GridPoint:
             f"{workload}/{self.strategy}/{self.machine_variant}"
             f"/t{self.transfer_cycles}"
         )
-
-
-@dataclass
-class PointOutcome:
-    """Audit result of one grid point."""
-
-    point: GridPoint
-    report: AuditReport
-    exec_cycles: int
-
-    @property
-    def passed(self) -> bool:
-        """True when the point's audit found no violation."""
-        return self.report.passed
 
 
 def machine_for(point: GridPoint, num_cpus: int) -> MachineConfig:
@@ -150,76 +137,41 @@ def quick_grid() -> tuple[GridPoint, ...]:
 # --------------------------------------------------------------- execution
 
 
-def run_point(
-    point: GridPoint, num_cpus: int, seed: int, scale: float
-) -> PointOutcome:
-    """Simulate one grid point with audits enabled.
-
-    Grid points for one workload variant are contiguous, so the
-    process's clean-trace LRU serves serial runs and chunked workers.
-    """
-    job = RunJob(
-        point.workload,
-        strategy_by_name(point.strategy),
-        machine_for(point, num_cpus),
-        point.restructured,
-        num_cpus,
-        seed,
-        scale,
-    )
-    result = execute(job, SimulationConfig(audit=True), process_trace(job)).metrics
-    assert result.audit is not None  # audit=True guarantees a report
-    return PointOutcome(point=point, report=result.audit, exec_cycles=result.exec_cycles)
-
-
-def _run_point_job(
-    point: GridPoint, num_cpus: int, seed: int, scale: float
-) -> dict[str, Any]:
-    """Picklable worker wrapper returning a plain dict."""
-    outcome = run_point(point, num_cpus, seed, scale)
-    return {
-        "point": point,
-        "report": outcome.report.to_dict(),
-        "exec_cycles": outcome.exec_cycles,
-    }
-
-
 def audit_grid(
     points: Iterable[GridPoint],
     num_cpus: int = 4,
     seed: int = 42,
     scale: float = 0.2,
     workers: int = 0,
-    progress: Callable[[PointOutcome], None] | None = None,
-) -> list[PointOutcome]:
-    """Run audited simulations for ``points``; outcomes in point order.
+) -> list[AuditReport]:
+    """Each point's :class:`AuditReport`, in point order.
 
-    ``workers > 1`` fans the points over a process pool (results still
-    come back in order); ``progress`` is called once per completed
-    point.
+    The points run as one :meth:`ExperimentRunner.run_many` batch with
+    ``SimulationConfig.audit`` set (audits bypass the disk cache);
+    ``workers > 1`` fans it over the runner's process pool.  Points of
+    one workload variant are contiguous, so the runner's (or each
+    worker's) clean-trace LRU serves them.  A point whose run raised
+    reports one ``run.error`` (or ``run.timeout``) violation carrying
+    the cause, and the other points keep their reports.
     """
-    points = list(points)
-    outcomes: list[PointOutcome] = []
-    if workers and workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(points))) as pool:
-            futures = [
-                pool.submit(_run_point_job, point, num_cpus, seed, scale)
-                for point in points
-            ]
-            for future in futures:
-                data = future.result()
-                outcome = PointOutcome(
-                    point=data["point"],
-                    report=AuditReport.from_dict(data["report"]),
-                    exec_cycles=data["exec_cycles"],
-                )
-                outcomes.append(outcome)
-                if progress is not None:
-                    progress(outcome)
-    else:
-        for point in points:
-            outcome = run_point(point, num_cpus, seed, scale)
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(outcome)
-    return outcomes
+    runner = ExperimentRunner(
+        num_cpus, seed, scale, max_workers=workers, sim_config=SimulationConfig(audit=True)
+    )
+    jobs = [
+        (p.workload, strategy_by_name(p.strategy), machine_for(p, num_cpus), p.restructured)
+        for p in points
+    ]
+    failed: dict[str, JobFailure] = {}
+    try:
+        results = runner.run_many(jobs)
+    except FleetError as exc:
+        results, failed = exc.results, {f.config_key: f for f in exc.failures}
+    reports = []
+    for job, result in zip(jobs, results):
+        if result is None:
+            failure = failed[runner.job(*job).config_key]
+            violation = AuditViolation(f"run.{failure.kind}", 0, failure.message)
+            reports.append(AuditReport(violations=[violation]))
+        else:
+            reports.append(result.audit)
+    return reports

@@ -121,8 +121,6 @@ class Bus:
     """
 
     def __init__(self, config: BusConfig, num_cpus: int) -> None:
-        self.config = config
-        self.num_cpus = num_cpus
         self.free_at = 0
         self.stats = BusStats()
         #: Queued transactions by ``seq``: issue order, and the queue depth.
@@ -233,11 +231,6 @@ class Bus:
         )
 
     # ----------------------------------------------------------- arbitration
-
-    @property
-    def has_pending(self) -> bool:
-        """True when transactions are queued."""
-        return bool(self._pending)
 
     def pending_snapshot(self) -> tuple[BusTransaction, ...]:
         """The queued (not yet granted) transactions, in issue order.

@@ -78,12 +78,9 @@ class CoherentCache:
         protocol: coherence decision tables (shared across caches), read
             by the victim buffer's snoop.  The engine's bus-grant
             handlers apply snoops to the main array's frames directly.
-        cpu: owning CPU id (diagnostics only).
     """
 
-    def __init__(self, config: CacheConfig, protocol: IllinoisProtocol, cpu: int = 0) -> None:
-        self.config = config
-        self.cpu = cpu
+    def __init__(self, config: CacheConfig, protocol: IllinoisProtocol) -> None:
         self._assoc = config.associativity
         self._num_sets = config.num_sets
         self._set_mask = self._num_sets - 1

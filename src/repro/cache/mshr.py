@@ -59,11 +59,6 @@ class MissStatusRegisters:
         """Number of outstanding prefetch fills."""
         return self._prefetches_in_flight
 
-    @property
-    def prefetch_buffer_full(self) -> bool:
-        """True when issuing another prefetch would stall the CPU."""
-        return self._prefetches_in_flight >= self.prefetch_buffer_depth
-
     def lookup(self, block: int) -> BusTransaction | None:
         """The outstanding fill for ``block``, if any."""
         return self._fills.get(block)

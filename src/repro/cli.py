@@ -577,7 +577,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from repro.audit.grid import PointOutcome, audit_grid, quick_grid, verification_grid
+    from repro.audit.grid import audit_grid, quick_grid, verification_grid
 
     points = quick_grid() if args.quick else verification_grid()
     label = "quick" if args.quick else "full"
@@ -586,34 +586,31 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         f"{args.num_cpus} CPUs, scale {args.scale}, seed {args.seed})"
     )
 
-    failed: list[PointOutcome] = []
-
-    def progress(outcome: PointOutcome) -> None:
-        if not outcome.passed:
-            failed.append(outcome)
-            print(f"  FAIL {outcome.point.label}: {outcome.report.summary()}")
-        elif args.verbose:
-            print(f"  ok   {outcome.point.label}: {outcome.report.summary()}")
-
-    outcomes = audit_grid(
+    reports = audit_grid(
         points,
         num_cpus=args.num_cpus,
         seed=args.seed,
         scale=args.scale,
         workers=args.workers,
-        progress=progress,
     )
-    total_checks = sum(o.report.total_checks for o in outcomes)
+    failed = []
+    for point, report in zip(points, reports):
+        if not report.passed:
+            failed.append((point, report))
+            print(f"  FAIL {point.label}: {report.summary()}")
+        elif args.verbose:
+            print(f"  ok   {point.label}: {report.summary()}")
+    total_checks = sum(r.total_checks for r in reports)
     print(
-        f"{len(outcomes) - len(failed)}/{len(outcomes)} configurations passed "
+        f"{len(reports) - len(failed)}/{len(reports)} configurations passed "
         f"({total_checks:,} checks)"
     )
-    for outcome in failed:
-        print(f"\n{outcome.point.label}:")
-        for violation in outcome.report.violations:
+    for point, report in failed:
+        print(f"\n{point.label}:")
+        for violation in report.violations:
             print(f"  {violation}")
-        if outcome.report.truncated:
-            print(f"  ... and {outcome.report.truncated} more")
+        if report.truncated:
+            print(f"  ... and {report.truncated} more")
     return 1 if failed else 0
 
 
@@ -667,7 +664,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         for job in (runner.job(*job) for job in jobs):
             trace_ids[job.label] = new_trace_id()
             telemetry.trace_contexts[job.config_key] = (trace_ids[job.label], None)
-        telemetry.span_sink = tracer.record_dict
+        telemetry.span_sink = tracer.record
     if not as_json:
         print(
             f"fleet: {len(jobs)} grid points ({len(workloads)} workloads x "

@@ -83,7 +83,3 @@ class AddressSpace:
     def is_shared(self, addr: int) -> bool:
         """True if ``addr`` falls in the shared-data or sync region."""
         return addr >= self.shared_base
-
-    def is_sync(self, addr: int) -> bool:
-        """True if ``addr`` falls in the synchronization region."""
-        return addr >= self.sync_base

@@ -73,15 +73,6 @@ class CacheConfig:
         """Number of sets (frames / associativity)."""
         return self.num_blocks // self.associativity
 
-    @property
-    def words_per_block(self) -> int:
-        """Number of 4-byte words per block (false-sharing granularity)."""
-        return self.block_size // 4
-
-    def set_index(self, block_addr: int) -> int:
-        """Set index for a block address."""
-        return (block_addr // self.block_size) & (self.num_sets - 1)
-
 
 @dataclass(frozen=True)
 class BusConfig:

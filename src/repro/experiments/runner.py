@@ -11,10 +11,12 @@ memo by it, so a warm point renders no payload and hashes no job.
 
 :func:`execute` is the pipeline, written once: insert the strategy's
 prefetches into the job's clean trace, simulate it on the job's machine
-and collect the metrics under the job's strategy label.  Every path
-calls it: :meth:`ExperimentRunner.run` in process, the process-pool
-worker on its per-process trace LRU, and the audited grid
-(:mod:`repro.audit.grid`).
+and collect the metrics under the job's strategy label.  Both paths
+call it: :meth:`ExperimentRunner.run` in process, and the process-pool
+worker on its per-process trace LRU.  :meth:`ExperimentRunner.run_many`
+is the one batch executor: sweeps, the fleet, the service and the
+audited grid (:mod:`repro.audit.grid`) all run through it, and each
+fresh point's :class:`Execution` is all a worker reports back.
 
 An :class:`ExperimentRunner` pins the experimental frame and memoises
 
@@ -51,7 +53,8 @@ On top of the in-memory memo the runner optionally layers
   the same path.  A failed grid point never aborts the batch: every
   failure is collected (and ledgered when telemetry is on) and raised
   once as a :class:`~repro.telemetry.fleet.FleetError` after the
-  surviving points are stored.
+  surviving points are stored; its ``results`` carry the batch in job
+  order, None where a point failed.
 """
 
 from __future__ import annotations
@@ -205,12 +208,22 @@ class Execution:
         wall_seconds: insertion plus simulation wall time.
         events: trace events retired.
         worker_pid: the process that executed the job.
+        started_at: wall-clock epoch (``time.time()``) the execution
+            started at.
+        simulate_seconds: the engine's share of ``wall_seconds``; it
+            ends where the execution ends.
+
+    The parent builds a traced point's ``worker.run`` and
+    ``engine.simulate`` spans from these readings (see
+    :meth:`~repro.telemetry.fleet.TelemetryConfig.record_run`).
     """
 
     metrics: Any
     wall_seconds: float
     events: int
     worker_pid: int
+    started_at: float
+    simulate_seconds: float
 
 
 def execute(
@@ -225,13 +238,14 @@ def execute(
     the job's machine and collects the metrics under the job's strategy
     label.  Without a ``probe`` the engine runs through
     :func:`~repro.sim.engine.simulate`; with one it runs under the
-    probe's heartbeat sampler and spans, as the probe asks, and the
-    probe keeps the returned :class:`Execution`.
+    probe's heartbeat sampler, and the probe keeps the returned
+    :class:`Execution`.
     """
-    started = time.perf_counter()
+    started_at, started = time.time(), time.perf_counter()
     annotated, _report = insert_prefetches(trace, job.strategy, job.machine.cache)
     events = sum(len(cpu_trace) for cpu_trace in annotated.cpus)
     adaptive = job.strategy.adaptive_config()
+    simulating = time.perf_counter()
     if probe is None:
         metrics = simulate(
             annotated,
@@ -242,10 +256,13 @@ def execute(
         )
     else:
         engine = SimulationEngine(annotated, job.machine, sim_config, adaptive=adaptive)
-        with probe.watch(engine, events, started):
+        with probe.watch(engine, events):
             engine.run()
             metrics = engine.collect_metrics(job.strategy_label)
-    done = Execution(metrics, time.perf_counter() - started, events, os.getpid())
+    ended = time.perf_counter()
+    done = Execution(
+        metrics, ended - started, events, os.getpid(), started_at, ended - simulating
+    )
     if probe is not None:
         probe.execution = done
     return done
@@ -281,8 +298,7 @@ def _cached_trace(
     return trace
 
 
-#: This process's clean-trace LRU, for pool workers (reused across jobs)
-#: and the audited grid.
+#: This process's clean-trace LRU, for pool workers (reused across jobs).
 _PROCESS_TRACES: OrderedDict[tuple, MultiTrace] = OrderedDict()
 
 
@@ -493,7 +509,8 @@ class ExperimentRunner:
         Either way a failed point does not abort the batch: every
         failure is collected (and ledgered, ``outcome: error``/
         ``timeout``) into one :class:`~repro.telemetry.fleet.FleetError`,
-        raised after all surviving points have been stored.
+        raised after all surviving points have been stored and carrying
+        them as its ``results`` (None where a point failed).
         """
         if telemetry is None:
             telemetry = TelemetryConfig(enabled=False)
@@ -523,6 +540,7 @@ class ExperimentRunner:
                 raise FleetError(
                     f"{len(failures)} of {len(todo)} grid points failed -- {heads}{more}",
                     failures,
+                    results,
                 )
         return results  # type: ignore[return-value]
 
@@ -638,11 +656,6 @@ class ExperimentRunner:
         for cycles in transfer_latencies:
             out[cycles] = {s.name: next(it) for s in strategies}
         return out
-
-    @property
-    def cached_run_count(self) -> int:
-        """Number of memoised simulation results."""
-        return len(self._results)
 
 
 _DEFAULT_RUNNER: ExperimentRunner | None = None

@@ -164,11 +164,6 @@ class MemoryLayout:
         """Bytes of shared data allocated so far (excluding sync)."""
         return self._shared.used
 
-    @property
-    def private_bytes(self) -> int:
-        """Total private bytes allocated across CPUs."""
-        return sum(a.used for a in self._private)
-
     def arrays(self) -> list[ArrayHandle]:
         """All allocated array handles (for footprint reports)."""
         return list(self._arrays)

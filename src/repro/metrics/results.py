@@ -63,11 +63,6 @@ class MissCounts:
         return self.inval_false_unprefetched + self.inval_false_prefetched
 
     @property
-    def true_sharing(self) -> int:
-        """Invalidation misses caused by true sharing."""
-        return self.inval_true_unprefetched + self.inval_true_prefetched
-
-    @property
     def prefetched(self) -> int:
         """CPU misses on accesses that *were* covered by a prefetch
         (the prefetched data disappeared or never made it in time)."""
@@ -237,17 +232,6 @@ class RunMetrics:
         """Total demand references across CPUs (rate denominator)."""
         return sum(c.demand_refs for c in self.per_cpu)
 
-    @property
-    def events_retired(self) -> int:
-        """Total trace events executed: demand + sync + prefetch.
-
-        The fleet-telemetry throughput unit (ledger ``events`` and
-        events/sec), counting everything the engine retired rather than
-        only rate-denominator references.
-        """
-        return sum(
-            c.demand_refs + c.sync_refs + c.prefetches_issued for c in self.per_cpu
-        )
 
     @property
     def miss_counts(self) -> MissCounts:

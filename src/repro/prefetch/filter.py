@@ -72,8 +72,3 @@ class FilterCache:
         self.accesses += accesses
         self.misses += len(misses)
         return misses
-
-    @property
-    def miss_rate(self) -> float:
-        """Miss fraction over all accesses so far."""
-        return self.misses / self.accesses if self.accesses else 0.0

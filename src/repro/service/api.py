@@ -301,6 +301,7 @@ class ReproService:
                 ("rule",),
             )
         self._sampler: asyncio.Task | None = None
+        self._snapshot: asyncio.Future | None = None
         self._server: asyncio.AbstractServer | None = None
         self.loop: Any = None  # set by serve_in_thread for test harnesses
 
@@ -360,11 +361,20 @@ class ReproService:
     # ------------------------------------------------------------- sampling
 
     async def _sample_loop(self) -> None:
-        """Periodic snapshot + SLO evaluation (the serve-loop sentinel)."""
+        """Periodic snapshot + SLO evaluation (the serve-loop sentinel).
+
+        A snapshot folds in a summary of the whole ledger, so it runs in
+        a thread.  It is shielded: a stop waits for it to land (see
+        :meth:`_stop_sampler`), so the shutdown's flush stays the last line.
+        """
         assert self.tsdb is not None
         while True:
             await asyncio.sleep(self.config.snapshot_interval)
-            self._append_snapshot(await self._cache_stats())
+            stats = await self._cache_stats()
+            self._snapshot = asyncio.ensure_future(
+                asyncio.to_thread(self._append_snapshot, stats)
+            )
+            await asyncio.shield(self._snapshot)
             self._evaluate_slo()
 
     async def _stop_sampler(self) -> None:
@@ -375,6 +385,9 @@ class ReproService:
             except asyncio.CancelledError:
                 pass
             self._sampler = None
+        if self._snapshot is not None:
+            await asyncio.wait([self._snapshot])
+            self._snapshot = None
 
     def _snapshot_once(self) -> dict[str, Any] | None:
         """Append one snapshot of registry + cache gauges + ledger."""

@@ -18,7 +18,8 @@ process pool (``max_workers``), where it is safe and bit-reproducible.
 Failures never wedge the queue -- a
 :class:`~repro.telemetry.fleet.FleetError` is unpacked per grid point
 by ``config_key``, failed runs surface ``failed`` with the structured
-``[kind] message`` detail, and surviving points complete normally.
+``[kind] message`` detail, and surviving points complete with the
+results the error carries.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.metrics.results import RunMetrics
 from repro.perf.diskcache import ResultDiskCache
 from repro.service.contracts import RunMetadata, RunStatus, RunStore, ScenarioSpec, utc_now
 from repro.service.store import InMemoryRunStore
-from repro.telemetry.fleet import FleetError, TelemetryConfig
+from repro.telemetry.fleet import FleetError, JobFailure, TelemetryConfig
 from repro.telemetry.ledger import RunLedger
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.tracing import (
@@ -428,30 +429,23 @@ class RunScheduler:
             registry=self.registry,
             monitor_hook=self._capture_monitor,
             trace_contexts=trace_ctxs if trace_ctxs else None,
-            span_sink=self.tracer.record_dict if self.tracer.enabled else None,
+            span_sink=self.tracer.record if self.tracer.enabled else None,
         )
-        outcomes: dict[str, tuple[RunStatus, Any]] = {}
+        failed: dict[str, JobFailure] = {}
         try:
             results = runner.run_many(jobs, telemetry=telemetry)
         except FleetError as exc:
+            results = exc.results
             failed = {f.config_key: f for f in exc.failures}
-            for spec, job in zip(specs, jobs):
-                failure = failed.get(spec.config_key)
-                if failure is not None:
-                    outcomes[spec.run_id] = (
-                        RunStatus.FAILED,
-                        f"[{failure.kind}] {failure.message}",
-                    )
-                else:
-                    # Survivors were memoised before the error was
-                    # raised; this is a pure memo hit, never a re-run.
-                    outcomes[spec.run_id] = (RunStatus.COMPLETED, runner.run(*job))
         except Exception as exc:  # defensive: never wedge the queue
             detail = f"[error] {exc}" if str(exc) else f"[error] {type(exc).__name__}"
-            for spec in specs:
-                outcomes[spec.run_id] = (RunStatus.FAILED, detail)
-        else:
-            for spec, result in zip(specs, results):
+            return {spec.run_id: (RunStatus.FAILED, detail) for spec in specs}
+        outcomes: dict[str, tuple[RunStatus, Any]] = {}
+        for spec, result in zip(specs, results):
+            if result is None:
+                failure = failed[spec.config_key]
+                outcomes[spec.run_id] = (RunStatus.FAILED, f"[{failure.kind}] {failure.message}")
+            else:
                 outcomes[spec.run_id] = (RunStatus.COMPLETED, result)
         return outcomes
 

@@ -131,7 +131,7 @@ class SimulationEngine:
 
         self.procs: list[Processor] = []
         for cpu_trace in trace:
-            cache = CoherentCache(machine.cache, self.protocol, cpu_trace.cpu)
+            cache = CoherentCache(machine.cache, self.protocol)
             mshr = MissStatusRegisters(machine.prefetch.buffer_depth)
             self.procs.append(Processor(cpu_trace.cpu, cpu_trace.events, cache, mshr))
 

@@ -72,11 +72,6 @@ class LockManager:
             return waiter
         return None
 
-    def holder_of(self, lock_id: int) -> int | None:
-        """Current holder (None when free); for tests and assertions."""
-        lock = self._locks.get(lock_id)
-        return lock.holder if lock else None
-
 
 class _Barrier:
     __slots__ = ("arrived", "blocked")

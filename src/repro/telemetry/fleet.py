@@ -9,14 +9,15 @@ telemetered batches take the same execution path and return identical
 results.  The config carries the ledger, progress rendering,
 heartbeat and stall-flag tuning, the per-job timeout and the metrics
 registry, and records every batch outcome (disk hit, fresh run,
-failure) into them.
+failure) into them.  A traced point's ``worker.run`` and
+``engine.simulate`` spans are built there too, in the parent, from the
+readings its :class:`~repro.experiments.runner.Execution` carries home.
 
 :class:`Probe` is what one telemetered execution runs under inside
 :func:`repro.experiments.runner.execute`: a heartbeat sampler on the
-running engine and ``worker.run`` / ``engine.simulate`` trace spans.
-It is picklable, so the same probe rides to pool workers.
-:class:`FleetBatch` is the parent side of one batch: the heartbeat
-queue, the :class:`FleetMonitor` and the progress line.
+running engine.  It is picklable, so the same probe rides to pool
+workers.  :class:`FleetBatch` is the parent side of one batch: the
+heartbeat queue, the :class:`FleetMonitor` and the progress line.
 
 This module never imports the runner (the runner imports *us*); jobs
 are the runner's :class:`~repro.experiments.runner.RunJob` objects,
@@ -29,7 +30,6 @@ import os
 import queue as queue_module
 import signal
 import sys
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
@@ -90,12 +90,16 @@ class FleetError(ReproError):
     """A batch finished with failed grid points.
 
     Carries the structured :class:`JobFailure` list so callers (CLI,
-    tests) can report per-point causes instead of one opaque traceback.
+    tests) can report per-point causes instead of one opaque traceback,
+    and ``results``: the batch in job order, None where a point failed.
     """
 
-    def __init__(self, message: str, failures: list["JobFailure"]) -> None:
+    def __init__(
+        self, message: str, failures: list["JobFailure"], results: list[Any]
+    ) -> None:
         super().__init__(message)
         self.failures = failures
+        self.results = results
 
 
 @dataclass(frozen=True)
@@ -124,13 +128,8 @@ class Probe:
         index: the job's position in its batch (heartbeat routing).
         label: grid-point label carried by the heartbeats.
         queue: heartbeat queue (a manager proxy across processes);
-            None sends neither heartbeats nor spans.
+            None sends no heartbeats.
         heartbeat_interval: seconds between heartbeats.
-        trace_ctx: ``(trace_id, parent_span_id)``; when set, a
-            ``worker.run`` span and its ``engine.simulate`` child ride
-            the heartbeat queue as ``{"kind": "span", "span": {...}}``
-            messages (best-effort: a gone parent or full queue never
-            fails the simulation).
         execution: what the probed execution produced, filled in by
             :func:`repro.experiments.runner.execute`.
     """
@@ -139,7 +138,6 @@ class Probe:
     label: str
     queue: Any = None
     heartbeat_interval: float = DEFAULT_BEAT_INTERVAL
-    trace_ctx: tuple[str, str | None] | None = None
     execution: Any = None
 
     def beat(self, phase: str) -> None:
@@ -152,56 +150,16 @@ class Probe:
             HeartbeatSender(self.queue).emit(Heartbeat(self.index, self.label, os.getpid(), phase))
 
     @contextmanager
-    def watch(self, engine: Any, total_events: int, started: float) -> Iterator[None]:
-        """Run the block (the engine's run) under the probe.
-
-        ``started`` is the ``perf_counter`` reading at which the
-        execution began: the ``worker.run`` span covers it all.
-        """
-        sim_wall, sim_t0 = time.time(), time.perf_counter()
+    def watch(self, engine: Any, total_events: int) -> Iterator[None]:
+        """Run the block (the engine's run) under the heartbeat sampler."""
         if self.queue is None:
             yield
-        else:
-            sender = HeartbeatSender(self.queue, self.heartbeat_interval)
-            with EngineSampler(
-                engine, sender, self.index, self.label, total_events, self.heartbeat_interval
-            ):
-                yield
-        if self.trace_ctx is not None and self.queue is not None:
-            self._ship_spans(engine, total_events, started, sim_wall, time.perf_counter() - sim_t0)
-
-    def _ship_spans(
-        self, engine: Any, events: int, started: float, sim_wall: float, sim_s: float
-    ) -> None:
-        from repro.telemetry.tracing import Span
-
-        trace_id, parent_span_id = self.trace_ctx  # type: ignore[misc]
-        wall = time.perf_counter() - started
-        worker = Span(
-            name="worker.run",
-            trace_id=trace_id,
-            parent_id=parent_span_id,
-            start=time.time() - wall,
-            duration=wall,
-            attributes={"label": self.label, "pid": os.getpid(), "events": events},
-        )
-        simulated = Span(
-            name="engine.simulate",
-            trace_id=trace_id,
-            parent_id=worker.span_id,
-            start=sim_wall,
-            duration=sim_s,
-            attributes={
-                "label": self.label,
-                "total_events": events,
-                "exec_cycles": engine.now,
-            },
-        )
-        for span in (worker, simulated):
-            try:
-                self.queue.put({"kind": "span", "span": span.to_dict()})
-            except Exception:
-                pass  # parent gone (shutdown race); spans are best-effort
+            return
+        sender = HeartbeatSender(self.queue, self.heartbeat_interval)
+        with EngineSampler(
+            engine, sender, self.index, self.label, total_events, self.heartbeat_interval
+        ):
+            yield
 
 
 @dataclass
@@ -237,13 +195,13 @@ class TelemetryConfig:
             None (the default) changes nothing.
         trace_contexts: per-point trace propagation for end-to-end
             request tracing: ``{config_key: (trace_id, parent_span_id)}``.
-            Workers whose point has a context emit ``worker.run`` /
-            ``engine.simulate`` spans over the heartbeat queue (see
-            :mod:`repro.telemetry.tracing`); points without one run
-            untraced.  None (the default) traces nothing.
-        span_sink: parent-side destination for those worker spans
-            (span dicts), wired into the batch's FleetMonitor;
-            typically ``SpanTracer.record_dict``.
+            A fresh run of a point with a context gets ``worker.run`` /
+            ``engine.simulate`` spans, built from its execution's
+            readings (see :mod:`repro.telemetry.tracing`); points
+            without one run untraced.  None (the default) traces nothing.
+        span_sink: destination of those spans (each a
+            :class:`~repro.telemetry.tracing.Span`); typically
+            ``SpanTracer.record``.
     """
 
     enabled: bool = True
@@ -255,7 +213,7 @@ class TelemetryConfig:
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
     monitor_hook: Callable[[Any], None] | None = None
     trace_contexts: dict[str, tuple[str, str | None]] | None = None
-    span_sink: Callable[[dict[str, Any]], None] | None = None
+    span_sink: Callable[[Any], None] | None = None
 
     def trace_context(self, config_key: str) -> tuple[str, str | None] | None:
         """The ``(trace_id, parent_span_id)`` for a grid point, or None."""
@@ -301,7 +259,12 @@ class TelemetryConfig:
             self._ledger(job, "ok", "hit", result=result)
 
     def record_run(self, job: Any, execution: Any, cache: str) -> None:
-        """Record one fresh execution; ``cache`` is ``"miss"`` or ``"off"``."""
+        """Record one fresh execution; ``cache`` is ``"miss"`` or ``"off"``.
+
+        A traced point's ``worker.run`` span (the whole execution) and
+        its ``engine.simulate`` child (the engine's share, which ends
+        with it) go to :attr:`span_sink`.
+        """
         if not self.enabled:
             return
         metrics = self.metrics()
@@ -310,6 +273,39 @@ class TelemetryConfig:
         metrics["events"].inc(execution.events)
         metrics["wall"].observe(execution.wall_seconds)
         self._ledger(job, "ok", cache, result=execution.metrics, execution=execution)
+        trace_ctx = self.trace_context(job.config_key)
+        if trace_ctx is not None and self.span_sink is not None:
+            from repro.telemetry.tracing import Span
+
+            trace_id, parent_id = trace_ctx
+            wall = execution.wall_seconds
+            worker = Span(
+                name="worker.run",
+                trace_id=trace_id,
+                parent_id=parent_id,
+                start=execution.started_at,
+                duration=wall,
+                attributes={
+                    "label": job.label,
+                    "pid": execution.worker_pid,
+                    "events": execution.events,
+                },
+            )
+            self.span_sink(worker)
+            self.span_sink(
+                Span(
+                    name="engine.simulate",
+                    trace_id=trace_id,
+                    parent_id=worker.span_id,
+                    start=execution.started_at + wall - execution.simulate_seconds,
+                    duration=execution.simulate_seconds,
+                    attributes={
+                        "label": job.label,
+                        "total_events": execution.events,
+                        "exec_cycles": execution.metrics.exec_cycles,
+                    },
+                )
+            )
 
     def record_failure(self, job: Any, failure: JobFailure) -> None:
         """Record one failed grid point."""
@@ -396,7 +392,6 @@ class FleetBatch:
             keys={j: job.config_key for j, job in enumerate(self.jobs)},
             stall_timeout=telemetry.stall_timeout,
             render=render_fleet_progress if telemetry.progress else None,
-            span_sink=telemetry.span_sink,
         )
         if telemetry.monitor_hook is not None:
             try:
@@ -428,7 +423,6 @@ class FleetBatch:
             label=job.label,
             queue=self._queue,
             heartbeat_interval=self.telemetry.heartbeat_interval,
-            trace_ctx=self.telemetry.trace_context(job.config_key),
         )
 
     def done(self, j: int) -> None:

@@ -7,7 +7,9 @@ missing signal path:
 
 * workers stream :class:`Heartbeat` messages (job label, simulated
   cycles completed, trace events retired, phase) over a
-  ``multiprocessing`` queue at a bounded rate;
+  ``multiprocessing`` queue at a bounded rate -- nothing else crosses
+  it: a run's result and its trace-span readings come home on its
+  :class:`~repro.experiments.runner.Execution`;
 * the parent-side :class:`FleetMonitor` drains the queue on a thread,
   folds beats into per-job :class:`JobProgress`, renders a one-line
   fleet progress view with an ETA, and flags jobs whose beats fall
@@ -198,10 +200,6 @@ class FleetMonitor:
             stderr); None disables rendering.
         poll_interval: queue-drain and stall-check period in seconds.
         clock: time source (injectable for tests).
-        span_sink: callback fed worker-emitted trace spans (the
-            ``{"kind": "span", "span": {...}}`` messages that share the
-            heartbeat queue; see :mod:`repro.telemetry.tracing`).  None
-            drops them -- tracing is strictly opt-in.
         keys: job-index -> the job's identity (its ``config_key``),
             kept on each :class:`JobProgress` as ``key``; labels need
             not be unique, keys are.
@@ -218,7 +216,6 @@ class FleetMonitor:
         render: Callable[[str], None] | None = None,
         poll_interval: float = 0.2,
         clock: Callable[[], float] = time.monotonic,
-        span_sink: Callable[[dict[str, Any]], None] | None = None,
         keys: dict[int, str] | None = None,
     ) -> None:
         self.queue = queue
@@ -226,7 +223,6 @@ class FleetMonitor:
         self.render = render
         self.poll_interval = poll_interval
         self.clock = clock
-        self.span_sink = span_sink
         self.jobs: dict[int, JobProgress] = {
             job: JobProgress(job=job, label=label, key=(keys or {}).get(job, ""))
             for job, label in labels.items()
@@ -267,24 +263,16 @@ class FleetMonitor:
     def tick(self) -> None:
         """One poll cycle: drain the queue, flag silent jobs, render.
 
-        The queue carries two message kinds: :class:`Heartbeat` objects
-        (progress) and, when tracing is on, finished-span dicts tagged
-        ``{"kind": "span"}``.  Spans route to :attr:`span_sink`;
-        anything unrecognized is dropped, never fatal.
+        The queue carries :class:`Heartbeat` objects only; a run's
+        results and trace readings come home on its
+        :class:`~repro.experiments.runner.Execution`.
         """
         while True:
             try:
                 beat = self.queue.get_nowait()
             except Exception:
                 break  # Empty (or manager shutting down)
-            if isinstance(beat, Heartbeat):
-                self.feed(beat)
-            elif isinstance(beat, dict) and beat.get("kind") == "span":
-                if self.span_sink is not None:
-                    try:
-                        self.span_sink(beat.get("span") or {})
-                    except Exception:
-                        pass  # tracing is best-effort; progress is not
+            self.feed(beat)
         if self.stall_timeout is not None:
             self._flag_stalls()
         if self.render is not None:

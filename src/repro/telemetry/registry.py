@@ -175,14 +175,6 @@ class Gauge(Counter):
         """Set the labelled sample to ``value``."""
         self._values[_label_key(labels, self.labelnames)] = float(value)
 
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = _label_key(labels, self.labelnames)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1.0, **labels: str) -> None:
-        """Subtract ``amount`` from the labelled sample."""
-        self.inc(-amount, **labels)
-
 
 class Histogram(_Metric):
     """Cumulative-bucket histogram (Prometheus semantics).

@@ -16,10 +16,12 @@ Dependency-free by design (stdlib only, like the rest of the repo):
   free-form attributes.
 * :class:`SpanTracer` -- thread-safe ring-buffered collector.  Spans
   open as :class:`ActiveSpan` context managers and record on close;
-  finished spans (e.g. shipped from a worker process as dicts over the
-  heartbeat queue) deposit via :meth:`SpanTracer.record_dict`.  A
-  disabled tracer hands out a shared no-op span, so call sites never
-  branch and the untraced path stays allocation-free.
+  finished spans (e.g. a worker's ``worker.run``/``engine.simulate``,
+  built in the parent from the run's
+  :class:`~repro.experiments.runner.Execution`) deposit via
+  :meth:`SpanTracer.record`.  A disabled tracer hands out a shared
+  no-op span, so call sites never branch and the untraced path stays
+  allocation-free.
 * :func:`stitch_chrome_trace` -- renders the service spans as Chrome
   trace events and, when given a run's intra-run engine export
   (:func:`repro.obs.export.chrome_trace`), linearly maps its cycle
@@ -110,7 +112,7 @@ class Span:
     attributes: dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-safe dict (crosses the worker heartbeat queue)."""
+        """JSON-safe dict; :meth:`from_dict` reads it back."""
         return asdict(self)
 
     @classmethod
@@ -247,14 +249,6 @@ class SpanTracer:
                 self.on_record(span)
             except Exception:
                 pass  # observability must never fail the caller
-
-    def record_dict(self, data: dict[str, Any]) -> None:
-        """Deposit a span shipped as a dict (worker-process spans)."""
-        try:
-            span = Span.from_dict(data)
-        except TypeError:
-            return  # malformed foreign message; tracing is best-effort
-        self.record(span)
 
     # ---------------------------------------------------------------- queries
 

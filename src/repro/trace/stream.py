@@ -45,12 +45,6 @@ class CpuTrace:
         """Append one event to the stream."""
         self.events.append(event)
 
-    def memrefs(self) -> Iterator[MemRef]:
-        """Iterate over demand references only (skipping sync/prefetch)."""
-        for event in self.events:
-            if type(event) is MemRef:
-                yield event
-
     def count_memrefs(self) -> int:
         """Number of demand data references (lock/barrier RMWs excluded)."""
         return sum(1 for e in self.events if type(e) is MemRef)

@@ -101,6 +101,12 @@ class TestAddressSpace:
         assert not space.is_shared(space.private_region(0))
 
     def test_sync_detection(self):
-        space = AddressSpace()
-        assert space.is_sync(space.sync_base)
-        assert not space.is_sync(space.shared_base)
+        """Locks and barriers land in the sync region, above shared data."""
+        from repro.layout.memory import MemoryLayout
+
+        layout = MemoryLayout(num_cpus=2)
+        space = layout.space
+        addrs = [addr for _lock, addr in layout.new_lock_array(3)]
+        addrs.append(layout.new_barrier()[1])
+        assert space.shared_base < space.sync_base
+        assert all(addr >= space.sync_base for addr in addrs)

@@ -38,7 +38,6 @@ class TestSharingProfiler:
         profile = profile_sharing(trace_of([[(0x1000, True)], [(0x1010, False)]]))
         entry = profile.blocks[0x1000]
         assert entry.has_false_sharing_potential
-        assert entry.is_purely_false_shared
 
     def test_true_sharing_same_word(self):
         profile = profile_sharing(trace_of([[(0x1000, True)], [(0x1000, False)]]))
@@ -52,7 +51,6 @@ class TestSharingProfiler:
         )
         entry = profile.blocks[0x1000]
         assert not entry.has_false_sharing_potential
-        assert not entry.is_purely_false_shared
 
     def test_disjoint_writer_ownership(self):
         profile = profile_sharing(trace_of([[(0x1000, True)], [(0x1010, True)]]))

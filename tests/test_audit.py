@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 settings.register_profile("repro-ci", derandomize=True)
 settings.load_profile("repro-ci")
 
-from repro.audit.grid import machine_for, quick_grid, run_point, verification_grid
+from repro.audit.grid import audit_grid, machine_for, quick_grid, verification_grid
 from repro.audit.report import MAX_VIOLATIONS, AuditReport, AuditViolation
 from repro.audit.sanitizer import EngineAuditor
 from repro.cli import main
@@ -206,9 +206,9 @@ class TestAuditedRuns:
         assert set(quick) <= set(grid)
 
     def test_one_grid_point_audits_clean(self):
-        outcome = run_point(quick_grid()[0], num_cpus=2, seed=42, scale=0.05)
-        assert outcome.passed
-        assert outcome.report.total_checks > 0
+        (report,) = audit_grid(quick_grid()[:1], num_cpus=2, seed=42, scale=0.05)
+        assert report.passed
+        assert report.total_checks > 0
 
     def test_contention_free_exclusive_fill_regression(self):
         """PR 2 bug fix: under contention_free a granted exclusive fill
@@ -236,25 +236,67 @@ class TestAuditedRuns:
 
     def test_cli_quick_audit_fails_on_an_injected_violation(self, capsys, monkeypatch):
         """Must-fail control: one violated point turns the gate red."""
-        import repro.audit.grid as grid
-
-        real_run_point = grid.run_point
         victim = quick_grid()[5]
 
-        def run_point(point, *args):
-            outcome = real_run_point(point, *args)
-            if point == victim:
-                outcome.report.violations.append(
+        def simulate(*args, **kwargs):
+            result = real_simulate(*args, **kwargs)
+            if _runs_point(victim, *args, **kwargs):
+                result.audit.violations.append(
                     AuditViolation("coherence.injected", 7, "injected by the test")
                 )
-            return outcome
+            return result
 
-        monkeypatch.setattr(grid, "run_point", run_point)
+        real_simulate = _patch_simulate(monkeypatch, simulate)
         assert main(["audit", "--quick", "--cpus", "2", "--scale", "0.05"]) == 1
         out = capsys.readouterr().out
         assert "23/24 configurations passed" in out
         assert f"  FAIL {victim.label}: audit FAILED: 1 violation(s)" in out
         assert "[coherence.injected] t=7: injected by the test" in out
+
+    def test_cli_reports_a_raising_point_and_keeps_the_others(self, capsys, monkeypatch):
+        """A run that raises fails its own point only.  The victim shares
+        its ``RunJob.label`` with the victim-cache point beside it, so
+        the failure must be mapped back by content key."""
+        victim = quick_grid()[5]
+        assert quick_grid()[4].machine_variant == "victim"
+
+        def simulate(*args, **kwargs):
+            if _runs_point(victim, *args, **kwargs):
+                raise RuntimeError("injected crash")
+            return real_simulate(*args, **kwargs)
+
+        real_simulate = _patch_simulate(monkeypatch, simulate)
+        assert main(["audit", "--quick", "--cpus", "2", "--scale", "0.05"]) == 1
+        out = capsys.readouterr().out
+        assert "23/24 configurations passed" in out
+        assert f"  FAIL {victim.label}: audit FAILED: 1 violation(s) over 0 checks" in out
+        assert out.count("  FAIL ") == 1
+        assert "[run.error] t=0: injected crash" in out
+
+    def test_pooled_quick_audit_prints_what_the_serial_one_does(self, capsys):
+        args = ["audit", "--quick", "--cpus", "2", "--scale", "0.05"]
+        assert main(args) == 0
+        serial = capsys.readouterr().out
+        assert main([*args, "--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+
+
+def _patch_simulate(monkeypatch, wrapper):
+    """Shadow the runner's ``simulate`` with ``wrapper``; returns the real one."""
+    import repro.experiments.runner as runner
+
+    real = runner.simulate
+    monkeypatch.setattr(runner, "simulate", wrapper)
+    return real
+
+
+def _runs_point(point, trace, machine, *, strategy_name, **_kwargs) -> bool:
+    """Whether a ``simulate`` call is the run of unrestructured ``point``."""
+    return (
+        machine == machine_for(point, machine.num_cpus)
+        and trace.name == point.workload
+        and strategy_name == point.strategy
+    )
 
 
 # ------------------------------------------------- conservation properties

@@ -44,7 +44,7 @@ class TestTiming:
         bus = make_bus()
         txn = bus.make_writeback(0, 0x1000, now=5)
         assert txn.eligible_time == 6
-        assert txn.occupancy == bus.config.transfer_cycles
+        assert txn.occupancy == BusConfig().transfer_cycles
 
 
 class TestArbitration:
@@ -85,7 +85,7 @@ class TestArbitration:
             bus.request(t)
         now = txns[0].eligible_time
         order = []
-        while bus.has_pending:
+        while bus.pending_snapshot():
             granted = bus.arbitrate(max(now, bus.free_at))
             order.append(granted.cpu)
         # Starting position after initial last_granted = num_cpus-1 is CPU 0.
@@ -100,7 +100,7 @@ class TestArbitration:
         for t in txns:
             bus.request(t)
         order = []
-        while bus.has_pending:
+        while bus.pending_snapshot():
             granted = bus.arbitrate(max(txns[0].eligible_time, bus.free_at))
             order.append(granted.cpu)
         assert order == [3, 0, 1, 2]  # wraps starting after CPU 2
@@ -129,7 +129,7 @@ class TestAccounting:
         for i in range(3):
             t = bus.make_fill(i, 0x1000 * (i + 1), False, True, now=0)
             bus.request(t)
-        while bus.has_pending:
+        while bus.pending_snapshot():
             bus.arbitrate(max(100, bus.free_at))
         assert bus.stats.busy_cycles == 24
         assert bus.stats.ops_by_kind[TransactionKind.FILL] == 3
@@ -308,7 +308,7 @@ class TestDifferentialArbiter:
         def check(now: int) -> None:
             assert bus.free_at == ref.free_at
             assert bus.next_arbitration_time(now) == ref.next_arbitration_time(now)
-            assert bus.has_pending == bool(ref.pending)
+            assert bool(bus.pending_snapshot()) == bool(ref.pending)
             assert [_fields(t) for t in bus.pending_snapshot()] == [
                 _fields(t) for t in ref.pending
             ]
@@ -337,7 +337,7 @@ class TestDifferentialArbiter:
                 bus.request(_make(bus, step, cpu, block, now, demand))
                 ref.request(_make(bus, step, cpu, block, now, demand))
             check(now)
-        while bus.has_pending:  # drain the way the engine does
+        while bus.pending_snapshot():  # drain the way the engine does
             now = bus.next_arbitration_time(now)
             assert arbitrate(now) is not None
             check(now)

@@ -19,7 +19,7 @@ def protocol():
 
 
 def make_cache(protocol, **kwargs):
-    return CoherentCache(CacheConfig(**kwargs), protocol, cpu=0)
+    return CoherentCache(CacheConfig(**kwargs), protocol)
 
 
 def snooped_cache(**kwargs):
@@ -112,7 +112,7 @@ class TestLazyFrames:
         for i in range(10):
             cache.install(i * self.STRIDE, LineState.SHARED, now=i)
             assert len(cache._frames[0]) == min(i + 1, 4)
-        assert all(cache._frames.get(s, []) == [] for s in range(1, cache.config.num_sets))
+        assert all(cache._frames.get(s, []) == [] for s in range(1, cache._num_sets))
 
     def test_invalidated_way_is_reused_before_a_new_way(self, protocol):
         engine, cache = snooped_cache(associativity=4)
@@ -262,13 +262,13 @@ class TestSnooping:
         assert fill.fill_state is LineState.SHARED
         assert cache.state_of(0x1000) is LineState.SHARED
         # The dirty copy is supplied cache to cache: no write-back.
-        assert not engine.bus.has_pending
+        assert not engine.bus.pending_snapshot()
 
     def test_snoop_absent_block(self, protocol):
         engine, cache = snooped_cache()
         fill = snoop(engine, 0x1000, BusOp.READ, 0)
         assert fill.fill_state is LineState.PRIVATE
-        assert not engine.bus.has_pending
+        assert not engine.bus.pending_snapshot()
 
     def test_read_ex_snoop_invalidates(self, protocol):
         engine, cache = snooped_cache()

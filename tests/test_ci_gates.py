@@ -35,6 +35,7 @@ CONTROLS = {
     ],
     "Audited smoke grid": [
         "tests/test_audit.py::TestDetection",
+        "tests/test_audit.py::TestAuditedRuns::test_cli_quick_audit_fails_on_an_injected_violation",
     ],
     "Timeline trace smoke": [
         "tests/test_obs.py::TestTimelineCli::test_timeline_exits_1_when_a_window_fails_to_reconcile",

@@ -20,13 +20,16 @@ class TestCacheConfig:
         assert cfg.associativity == 1
         assert cfg.num_blocks == 1024
         assert cfg.num_sets == 1024
-        assert cfg.words_per_block == 8
 
     def test_set_index_wraps(self):
-        cfg = CacheConfig()
-        assert cfg.set_index(0) == 0
-        assert cfg.set_index(32) == 1
-        assert cfg.set_index(32 * 1024) == 0  # one cache size later
+        """The cache maps blocks one cache size apart to one set."""
+        from repro.cache.coherent import CoherentCache
+        from repro.coherence.protocol import IllinoisProtocol, LineState
+
+        cache = CoherentCache(CacheConfig(), IllinoisProtocol())
+        for block in (0, 32, 32 * 1024):  # the last is one cache size later
+            cache.install(block, LineState.SHARED, now=0)
+        assert sorted(cache.resident_blocks()) == [32, 32 * 1024]
 
     def test_associative_sets(self):
         cfg = CacheConfig(associativity=4)

@@ -102,7 +102,7 @@ class TestCoherence:
         mc = result.miss_counts
         assert mc.invalidation == 1
         # Same word read and written: true sharing.
-        assert mc.true_sharing == 1
+        assert mc.inval_true_unprefetched == 1
 
     def test_false_sharing_classified(self):
         # CPU0 uses word 0; CPU1 writes word 4 of the same line.
@@ -346,7 +346,7 @@ class TestEngineLifetime:
         from repro.telemetry.fleet import Probe
 
         job = RunJob("Water", PWS, MachineConfig(num_cpus=2), num_cpus=2, scale=0.05)
-        probe = Probe(0, job.label, queue=queue.SimpleQueue(), trace_ctx=("t", None))
+        probe = Probe(0, job.label, queue=queue.SimpleQueue())
         config = SimulationConfig(observe=True, audit=True)
         done = execute(job, config, process_trace(job), probe)
         assert done.metrics.obs is not None and done.metrics.audit.passed

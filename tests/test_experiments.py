@@ -36,10 +36,10 @@ def small_machine():
 class TestRunner:
     def test_run_is_memoised(self, runner, small_machine):
         first = runner.run("Water", NP, small_machine)
-        count = runner.cached_run_count
+        count = len(runner._results)
         second = runner.run("Water", NP, small_machine)
         assert second is first
-        assert runner.cached_run_count == count
+        assert len(runner._results) == count
 
     def test_compare_bundles_baseline(self, runner, small_machine):
         result = runner.compare("Water", PREF, small_machine)

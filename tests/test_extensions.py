@@ -127,7 +127,7 @@ class TestPerfectOracle:
         before = trace.total_prefetches()
         insert_perfect_prefetches(trace, MachineConfig(num_cpus=4))
         assert trace.total_prefetches() == before
-        assert all(not e.prefetched for e in trace[0].memrefs())
+        assert all(not e.prefetched for e in trace[0] if type(e) is MemRef)
 
     def test_recording_flag_off_by_default(self):
         trace = generate_workload("Water", num_cpus=4, scale=0.05)

@@ -154,5 +154,7 @@ class TestMemoryLayout:
         rec = RecordType("r", [FieldSpec("a", 4)])
         layout.shared_array("s", rec, 256)
         assert layout.shared_bytes >= 1024
-        layout.private_array(0, "p", rec, 128)
-        assert layout.private_bytes >= 512
+        shared = layout.shared_bytes
+        private = layout.private_array(0, "p", rec, 128)
+        assert not private.shared
+        assert layout.shared_bytes == shared  # private data is no shared footprint

@@ -37,7 +37,6 @@ class TestMissCounts:
         assert mc.nonsharing == 3
         assert mc.invalidation == 18
         assert mc.false_sharing == 11
-        assert mc.true_sharing == 7
         assert mc.cpu_misses == 28
         assert mc.adjusted_cpu_misses == 21
         assert mc.prefetched == 19

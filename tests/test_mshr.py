@@ -52,17 +52,15 @@ class TestPrefetchBuffer:
         mshr = MissStatusRegisters(2)
         mshr.start(fill(0x1000, is_prefetch=True))
         assert mshr.prefetches_in_flight == 1
-        assert not mshr.prefetch_buffer_full
         mshr.start(fill(0x2000, is_prefetch=True))
-        assert mshr.prefetch_buffer_full
+        assert mshr.prefetches_in_flight == mshr.prefetch_buffer_depth
         mshr.finish(0x1000)
-        assert not mshr.prefetch_buffer_full
+        assert mshr.prefetches_in_flight == 1
 
     def test_demand_fills_do_not_occupy_buffer(self):
         mshr = MissStatusRegisters(1)
         mshr.start(fill(0x1000, exclusive=True))
         assert mshr.prefetches_in_flight == 0
-        assert not mshr.prefetch_buffer_full
 
     def test_high_water_mark(self):
         mshr = MissStatusRegisters(16)

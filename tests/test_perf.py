@@ -947,7 +947,7 @@ class TestParallelRunner:
         (failure,) = excinfo.value.failures
         assert failure.kind == "error" and "Bogus" in failure.message
         assert failure.config_key == runner.job("Bogus", NP, machine).config_key
-        assert runner.cached_run_count == 1
+        assert len(runner._results) == 1
         runner.run = None  # a memo hit must not reach run()
         (survivor,) = runner.run_many([("Water", NP, machine)])
         assert survivor.exec_cycles > 0
@@ -959,7 +959,7 @@ class TestParallelRunner:
             [("Water", NP, machine), ("Water", NP, machine), ("Water", PREF, machine)]
         )
         assert results[0] is results[1]
-        assert runner.cached_run_count == 2
+        assert len(runner._results) == 2
         assert results[2].strategy == "PREF"
 
     def test_compare_and_sweep_route_through_batches(self):

@@ -34,9 +34,8 @@ class TestFilterCache:
 
     def test_miss_rate(self):
         f = FilterCache(CacheConfig())
-        f.access(0x1000)
-        f.access(0x1000)
-        assert f.miss_rate == 0.5
+        refs = [MemRef(0x1000), MemRef(0x1000), MemRef(0x1004), MemRef(0x2000)]
+        assert f.miss_indices(refs) == [0, 3]
 
     def test_matches_paper_geometry_semantics(self):
         # The filter predicts exactly uniprocessor (non-sharing) misses:

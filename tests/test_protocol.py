@@ -37,8 +37,8 @@ class TestStates:
 class TestLocalDecisions:
     def test_read_hit_on_any_valid_state(self, protocol):
         for state in (LineState.SHARED, LineState.PRIVATE, LineState.MODIFIED):
-            assert protocol.read_hit_ok(state)
-        assert not protocol.read_hit_ok(LineState.INVALID)
+            assert state.is_valid
+        assert not LineState.INVALID.is_valid
 
     def test_write_to_shared_needs_upgrade(self, protocol):
         assert protocol.write_hit_needs_upgrade(LineState.SHARED)

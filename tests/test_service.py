@@ -548,8 +548,18 @@ class TestScheduler:
             return real_execute(job, *args, **kwargs)
 
         monkeypatch.setattr(runner_module, "execute", msi_fails)
+        runs: list[str] = []
+        real_run = ExperimentRunner.run
+
+        def counted_run(self, *args, **kwargs):
+            runs.append(args[2].protocol)
+            return real_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(ExperimentRunner, "run", counted_run)
         metas, results = _run(scenario("one-fails"))
         assert batches == [2, 2]
+        # The survivor comes off FleetError.results: no point runs twice.
+        assert runs == ["illinois", "msi"]
         assert [meta.status for meta in metas] == [RunStatus.COMPLETED, RunStatus.FAILED]
         assert metas[1].error == "[error] msi exploded"
         assert results[0] is not None and results[1] is None
@@ -600,6 +610,7 @@ class TestScheduler:
             raise FleetError(
                 "1 of 1 grid points failed",
                 [JobFailure(spec.config_key, spec.label, kind="error", message="kaput")],
+                [None],
             )
 
         monkeypatch.setattr(ExperimentRunner, "run_many", boom)
@@ -1740,6 +1751,38 @@ class TestCacheGauges:
         assert status == 200
         assert took < 0.2, took
         assert scrape[0][0] == 200 and "repro_cache_entries 0" in scrape[0][1]
+
+    def test_a_snapshot_summarizes_the_ledger_off_the_event_loop(self, tmp_path, monkeypatch):
+        """The sampler's snapshot folds in ``ledger.summarize()``, a full
+        parse of the ledger.  While one is held inside ``summarize``, a
+        health check still answers; no timing is assumed."""
+        import threading
+
+        entered, release = threading.Event(), threading.Event()
+        real_summarize = RunLedger.summarize
+
+        def held_summarize(self):
+            entered.set()
+            release.wait()
+            return real_summarize(self)
+
+        monkeypatch.setattr(RunLedger, "summarize", held_summarize)
+        config = ServiceConfig(
+            host="127.0.0.1",
+            port=0,
+            cache_dir=str(tmp_path / "cache"),
+            ledger_dir=str(tmp_path / "ledger"),
+            tsdb_dir=str(tmp_path / "tsdb"),
+            snapshot_interval=0.01,
+        )
+        svc, base, stop = serve_in_thread(config)
+        try:
+            assert entered.wait(timeout=60)
+            status, body = _http("GET", f"{base}/healthz")
+        finally:
+            release.set()
+            stop()
+        assert status == 200, body
 
     def test_export_cache_stats(self, tmp_path):
         cache = ResultDiskCache(tmp_path / "cache")

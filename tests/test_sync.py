@@ -10,7 +10,7 @@ class TestLockManager:
     def test_acquire_free_lock(self):
         locks = LockManager()
         assert locks.try_acquire(0, cpu=1)
-        assert locks.holder_of(0) == 1
+        assert not locks.try_acquire(0, cpu=2)
 
     def test_acquire_held_lock_fails(self):
         locks = LockManager()
@@ -21,7 +21,7 @@ class TestLockManager:
         locks = LockManager()
         locks.try_acquire(0, cpu=1)
         assert locks.release(0, cpu=1) is None
-        assert locks.holder_of(0) is None
+        assert locks.try_acquire(0, cpu=2)
 
     def test_fifo_handoff_with_reservation(self):
         locks = LockManager()

@@ -399,10 +399,10 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             c.inc(b="x")  # undeclared label
 
-    def test_gauge_set_and_dec(self):
+    def test_gauge_set_is_last_write_wins(self):
         g = MetricsRegistry().gauge("g", "g")
         g.set(5)
-        g.dec(2)
+        g.set(3)
         assert g.value() == 3
 
     def test_histogram_cumulative_buckets(self):
@@ -679,7 +679,7 @@ class TestTelemeteredRunner:
         assert by_outcome["error"].workload == "Bogus"
         assert by_outcome["error"].error and "unknown workload" in by_outcome["error"].error
         # The surviving result is memoised despite the batch error.
-        assert runner.cached_run_count == 1
+        assert len(runner._results) == 1
 
     def test_parallel_worker_failure_is_structured(self, tmp_path):
         ledger = RunLedger(tmp_path)
@@ -736,7 +736,7 @@ class TestTelemeteredRunner:
         by_outcome = {e.outcome: e for e in ledger.entries()}
         assert sorted(by_outcome) == ["ok", "timeout"]
         assert by_outcome["timeout"].config_key == failure.config_key
-        assert runner.cached_run_count == 1
+        assert len(runner._results) == 1
         assert runner.run_many(jobs[:1])[0].exec_cycles > 0  # a memo hit
 
     def test_job_timeout_kills_a_worker_hung_before_the_engine(self, tmp_path, monkeypatch):
@@ -984,12 +984,15 @@ class TestSatellites:
         assert partial.startswith("[█") and len(partial) == 6
 
     def test_events_retired(self):
+        """The fleet's events figure (ledger ``events``, events/sec) is
+        every event the engine retired: demand + sync + prefetch."""
         runner = ExperimentRunner(num_cpus=2, scale=0.05)
-        (result,) = runner.run_many([("Water", PREF, MachineConfig(num_cpus=2))])
+        telemetry = TelemetryConfig()
+        (result,) = runner.run_many([("Water", PREF, MachineConfig(num_cpus=2))], telemetry)
         per_cpu = sum(
             c.demand_refs + c.sync_refs + c.prefetches_issued for c in result.per_cpu
         )
-        assert result.events_retired == per_cpu > 0
+        assert telemetry.metrics()["events"].value() == per_cpu > 0
 
     def test_strategy_names_cover_registry(self):
         # Drift's strategy list must track the real registry.

@@ -119,6 +119,28 @@ store.append_snapshot(ts=3.0)
         clean = json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
         assert store.segments()[-1].read_text(encoding="utf-8") == clean
 
+    def test_empty_newest_segment_is_written_into(self, tmp_path):
+        """A writer killed between ``O_CREAT`` and its first write leaves
+        an empty newest segment: every committed snapshot is still read,
+        the next append lands in that segment and is read back, and
+        segment names stay contiguous."""
+        import os
+
+        root = tmp_path / "tsdb"
+        store = TimeSeriesStore(root, max_segment_bytes=1)
+        for ts in (1.0, 2.0):
+            store.append_snapshot(ts=ts)
+        os.close(os.open(root / "segment-000003.jsonl", os.O_WRONLY | os.O_CREAT, 0o644))
+        store = TimeSeriesStore(root, max_segment_bytes=1)
+        assert [s["ts"] for s in store.snapshots()] == [1.0, 2.0]
+
+        line = store.append_snapshot(ts=3.0)
+        assert [s["ts"] for s in store.snapshots()] == [1.0, 2.0, 3.0]
+        names = [p.name for p in store.segments()]
+        assert names == [f"segment-{i:06d}.jsonl" for i in range(1, 4)]
+        clean = json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
+        assert store.segments()[-1].read_text(encoding="utf-8") == clean
+
     def test_index_inventory(self, tmp_path):
         store = TimeSeriesStore(tmp_path / "tsdb")
         store.append_snapshot(registry=_registry(reqs=1, depth=1), ts=5.0)

@@ -5,12 +5,13 @@ annotation, error status, idempotent end), the ring-buffered tracer
 (capacity eviction accounting, disabled no-op path, the on_record hook
 that keeps /metrics and the trace in agreement), the Chrome-trace
 export and engine stitching math (the documented linear cycle-to-wall
-mapping), the terminal waterfall, and span propagation from a worker
-process over the heartbeat queue into a parent-side tracer.
+mapping), the terminal waterfall, and the worker spans the parent
+builds from a run's Execution (the heartbeat queue carries beats only).
 """
 
 from __future__ import annotations
 
+import os
 import queue as queue_module
 
 import pytest
@@ -20,7 +21,7 @@ from repro.experiments.runner import ExperimentRunner, RunJob, execute, process_
 from repro.obs.export import chrome_trace
 from repro.prefetch.strategies import PREF
 from repro.telemetry.fleet import Probe, TelemetryConfig
-from repro.telemetry.heartbeat import FleetMonitor
+from repro.telemetry.heartbeat import Heartbeat
 from repro.telemetry.tracing import (
     SERVICE_PID,
     ActiveSpan,
@@ -102,7 +103,6 @@ class TestSpanTracer:
         assert active.annotate(x=1) is active
         active.end()
         tracer.record(Span(name="x", trace_id="t" * 16))
-        tracer.record_dict({"name": "y", "trace_id": "t" * 16})
         assert tracer.spans() == []
         assert tracer.recorded == 0
 
@@ -129,12 +129,6 @@ class TestSpanTracer:
         tracer = SpanTracer()
         tracer.record(Span(name="a", trace_id=""))
         assert tracer.recorded == 0
-
-    def test_record_dict_tolerates_garbage(self):
-        tracer = SpanTracer()
-        tracer.record_dict({"unexpected": True})
-        tracer.record_dict({"name": "ok", "trace_id": "t" * 16})
-        assert [s.name for s in tracer.spans()] == ["ok"]
 
     def test_on_record_hook_fires_and_swallows_exceptions(self):
         tracer = SpanTracer()
@@ -270,40 +264,60 @@ class TestWaterfall:
         assert "no service spans" in text
 
 
-def _probed_execution(beat_queue, trace_ctx=None) -> str:
-    """Execute one small job under a probe; returns its label."""
-    job = RunJob("Water", PREF, MachineConfig(num_cpus=2), num_cpus=2, scale=0.02)
-    probe = Probe(0, job.label, queue=beat_queue, trace_ctx=trace_ctx)
-    execute(job, SimulationConfig(), process_trace(job), probe)
-    return job.label
+def _traced_batch(workers: int, traced: bool) -> tuple[SpanTracer, list, list[str]]:
+    """Run two small fresh points as a telemetered batch; the first is
+    traced under a fresh trace id when ``traced``.  Returns the tracer,
+    the results and ``[trace_id, parent_span_id]``."""
+    runner = ExperimentRunner(num_cpus=2, scale=0.02, max_workers=workers)
+    machine = MachineConfig(num_cpus=2)
+    jobs = [("Water", PREF, machine), ("Water", PREF, machine.with_transfer_cycles(16))]
+    ctx = [new_trace_id(), new_span_id()]
+    tracer = SpanTracer()
+    telemetry = TelemetryConfig(
+        trace_contexts={runner.job(*jobs[0]).config_key: tuple(ctx)} if traced else None,
+        span_sink=tracer.record,
+    )
+    return tracer, runner.run_many(jobs, telemetry=telemetry), ctx
 
 
 class TestWorkerSpanPropagation:
-    def test_worker_ships_spans_over_queue_into_sink(self):
-        """worker.run + engine.simulate cross the heartbeat queue."""
-        trace_id = new_trace_id()
-        parent = new_span_id()
-        beat_queue: queue_module.SimpleQueue = queue_module.SimpleQueue()
-        label = _probed_execution(beat_queue, trace_ctx=(trace_id, parent))
-        tracer = SpanTracer()
-        monitor = FleetMonitor(beat_queue, {0: label}, span_sink=tracer.record_dict)
-        monitor.tick()
-        spans = {s.name: s for s in tracer.spans(trace_id)}
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_record_run_builds_the_worker_spans(self, workers):
+        """worker.run + engine.simulate are built in the parent from the
+        run's Execution, for in-process and pooled runs alike."""
+        tracer, results, (trace_id, parent) = _traced_batch(workers, traced=True)
+        spans = {s.name: s for s in tracer.spans()}
         assert set(spans) == {"worker.run", "engine.simulate"}
         worker = spans["worker.run"]
         engine = spans["engine.simulate"]
+        assert {worker.trace_id, engine.trace_id} == {trace_id}
         assert worker.parent_id == parent
         assert engine.parent_id == worker.span_id
-        assert engine.attributes["exec_cycles"] > 0
+        assert set(worker.attributes) == {"label", "pid", "events"}
+        assert set(engine.attributes) == {"label", "total_events", "exec_cycles"}
+        assert engine.attributes["exec_cycles"] == results[0].exec_cycles > 0
+        assert worker.attributes["events"] == engine.attributes["total_events"] > 0
+        assert (worker.attributes["pid"] == os.getpid()) == (workers == 1)
         assert worker.duration >= engine.duration > 0
+        assert engine.start >= worker.start
+        assert engine.start + engine.duration == pytest.approx(
+            worker.start + worker.duration, abs=1e-6
+        )
 
     def test_no_trace_ctx_ships_no_spans(self):
-        beat_queue: queue_module.SimpleQueue = queue_module.SimpleQueue()
-        label = _probed_execution(beat_queue)
-        tracer = SpanTracer()
-        monitor = FleetMonitor(beat_queue, {0: label}, span_sink=tracer.record_dict)
-        monitor.tick()
+        tracer, _results, _ctx = _traced_batch(1, traced=False)
         assert tracer.spans() == []
+
+    def test_only_heartbeats_cross_the_queue(self):
+        beat_queue: queue_module.SimpleQueue = queue_module.SimpleQueue()
+        job = RunJob("Water", PREF, MachineConfig(num_cpus=2), num_cpus=2, scale=0.02)
+        probe = Probe(0, job.label, queue=beat_queue)
+        execute(job, SimulationConfig(), process_trace(job), probe)
+        messages = []
+        while not beat_queue.empty():
+            messages.append(beat_queue.get())
+        assert messages and all(isinstance(m, Heartbeat) for m in messages)
+        assert messages[-1].phase == "done"
 
     def test_trace_context_lookup(self):
         telemetry = TelemetryConfig(trace_contexts={"a" * 64: ("t" * 16, "p" * 8)})

@@ -72,7 +72,7 @@ class TestVictimCacheUnit:
 
 class TestVictimCacheIntegration:
     def make_cache(self, protocol, lines=4):
-        return CoherentCache(CacheConfig(victim_cache_lines=lines), protocol, cpu=0)
+        return CoherentCache(CacheConfig(victim_cache_lines=lines), protocol)
 
     def test_conflict_victim_recovered_without_bus(self, protocol):
         cache = self.make_cache(protocol)
